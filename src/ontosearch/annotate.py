@@ -108,21 +108,13 @@ def tokenize_keywords(text: str, stopwords: frozenset[str] | set[str]) -> list[T
     return tokens
 
 
-def _gazetteer_pattern(kb: KnowledgeBase) -> re.Pattern | None:
-    surfaces = sorted(kb.name_index, key=lambda s: (-len(s), s))
-    if not surfaces:
-        return None
-    parts = []
-    for surface in surfaces:
-        words = [re.escape(w) for w in surface.split(" ")]
-        parts.append(r"\s+".join(words))
-    body = "|".join(parts)
-    return re.compile(rf"(?<![^\W_])(?:{body})(?![^\W_])", re.IGNORECASE | re.UNICODE)
-
-
 def recognize_entities(text: str, kb: KnowledgeBase) -> list[EntityAnnotation]:
-    """Leftmost-longest non-overlapping gazetteer matches, in text order."""
-    pattern = _gazetteer_pattern(kb)
+    """Leftmost-longest non-overlapping gazetteer matches, in text order.
+
+    Matches against ``kb.gazetteer``, which the KB compiles on the first
+    call and reuses for every later one.
+    """
+    pattern = kb.gazetteer
     if pattern is None:
         return []
     annotations = []
@@ -160,6 +152,20 @@ def recognize_entities(text: str, kb: KnowledgeBase) -> list[EntityAnnotation]:
     return annotations
 
 
+def keywords_outside_entities(
+    keywords: list[Token], entities: list[EntityAnnotation]
+) -> list[Token]:
+    """The keywords not lying wholly inside an entity mention's span."""
+    if not entities:
+        return keywords
+    spans = [e.char_span for e in entities]
+    return [
+        t
+        for t in keywords
+        if not any(s <= t.char_span[0] and t.char_span[1] <= e for s, e in spans)
+    ]
+
+
 def map_interrogative(word: str, mapping: dict[str, str]) -> str | None:
     """Configured class for an interrogative word, or None if unmapped."""
     return mapping.get(word.casefold())
@@ -169,13 +175,8 @@ def annotate(text: str, kb: KnowledgeBase, opts: AnnotationOptions) -> Annotated
     """Full analysis of one text: keywords, entity annotations, wh classes."""
     entities = recognize_entities(text, kb)
     keywords = tokenize_keywords(text, opts.stopwords)
-    if not opts.treat_names_as_keywords and entities:
-        spans = [e.char_span for e in entities]
-        keywords = [
-            t
-            for t in keywords
-            if not any(s <= t.char_span[0] and t.char_span[1] <= e for s, e in spans)
-        ]
+    if not opts.treat_names_as_keywords:
+        keywords = keywords_outside_entities(keywords, entities)
     wh_classes: list[str] = []
     if opts.wh_mapping is not None:
         if opts.wh_override is not None:

@@ -40,7 +40,7 @@ from .evaluation import (
     randomization_test,
 )
 from .expand import Space, display_term
-from .index import build_index, load_index, save_index
+from .index import _FORBIDDEN_IN_DOC_ID, _atomic_write, build_index, load_index, save_index
 from .kb import load_kb
 from .rank import (
     Model,
@@ -88,7 +88,11 @@ class RunConfig:
 # --- corpus and query files -----------------------------------------------------
 
 def parse_corpus(text: str, origin: str = "<corpus>") -> dict[str, str]:
-    """Ordered doc_id -> document text."""
+    """Ordered doc_id -> document text.
+
+    Doc ids may not contain the index's separator characters; they are
+    rejected here, before any document is analyzed.
+    """
     docs: dict[str, list[str]] = {}
     current: list[str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -96,6 +100,11 @@ def parse_corpus(text: str, origin: str = "<corpus>") -> dict[str, str]:
             doc_id = raw[len("DOC\t"):].strip()
             if not doc_id:
                 raise CliError(f"{origin}:{lineno}: DOC record with empty id")
+            if any(ch in doc_id for ch in _FORBIDDEN_IN_DOC_ID):
+                raise CliError(
+                    f"{origin}:{lineno}: doc id {doc_id!r} contains a reserved "
+                    "separator character (':', ',' or tab)"
+                )
             if doc_id in docs:
                 raise CliError(f"{origin}:{lineno}: duplicate doc id {doc_id!r}")
             current = docs.setdefault(doc_id, [])
@@ -149,7 +158,7 @@ def _fingerprint(kb_path: Path, stopword_path: Path | None) -> dict[str, str]:
 
 def _write_fingerprint(index_dir: Path, fingerprint: dict[str, str]) -> None:
     lines = [f"{key}\t{value}" for key, value in sorted(fingerprint.items())]
-    _write_atomic(index_dir / "fingerprint.tsv", "\n".join(lines) + "\n")
+    _atomic_write(index_dir / "fingerprint.tsv", "\n".join(lines) + "\n")
 
 
 def _check_fingerprint(index_dir: Path, expected: dict[str, str]) -> None:
@@ -165,13 +174,6 @@ def _check_fingerprint(index_dir: Path, expected: dict[str, str]) -> None:
             "index fingerprint mismatch: the knowledge base or stop-word list "
             "differs from the one used at indexing time; rebuild the index"
         )
-
-
-def _write_atomic(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    tmp.replace(path)
 
 
 # --- commands ----------------------------------------------------------------------
@@ -205,7 +207,7 @@ def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
             stopwords=stopwords, wh_mapping=wh_mapping, wh_override=query.wh_override,
         )
         lines.extend(format_run_lines(query.query_id, results, run_tag))
-    _write_atomic(output_path, "\n".join(lines) + "\n" if lines else "")
+    _atomic_write(output_path, "\n".join(lines) + "\n" if lines else "")
 
 
 def cmd_eval(run_path: Path, qrels_path: Path, output_path: Path) -> None:
@@ -221,7 +223,7 @@ def cmd_eval(run_path: Path, qrels_path: Path, output_path: Path) -> None:
         ranking = run.get(query_id, [])
         per_query_ap[query_id] = average_precision(ranking, qrels[query_id])
         curves.append(interpolated_curve(ranking, qrels[query_id]))
-    _write_atomic(output_path, format_eval_report(per_query_ap, mean_curve(curves)))
+    _atomic_write(output_path, format_eval_report(per_query_ap, mean_curve(curves)))
 
 
 def cmd_sigtest(run_a_path: Path, run_b_path: Path, qrels_path: Path,
@@ -237,7 +239,7 @@ def cmd_sigtest(run_a_path: Path, run_b_path: Path, qrels_path: Path,
     aps_a = [average_precision(run_a.get(q, []), qrels[q]) for q in query_ids]
     aps_b = [average_precision(run_b.get(q, []), qrels[q]) for q in query_ids]
     result = randomization_test(aps_a, aps_b, n_perm=n_perm, seed=seed)
-    _write_atomic(output_path, format_sigtest_report(result))
+    _atomic_write(output_path, format_sigtest_report(result))
 
 
 def cmd_dump_terms(cfg: RunConfig, text: str, side: str, wh_override: str | None) -> list[str]:

@@ -3,9 +3,10 @@ precision-recall-F curves at the 11 standard recall levels, and a paired
 Fisher randomization test for comparing two systems.
 
 The randomization test draws its per-permutation swap decisions from a
-counter-based generator (Philox keyed by the seed, counter set to the
-permutation index), so permutation blocks can be evaluated in parallel or
-in any order and still reproduce the serial result bit-for-bit.
+counter-based generator (Philox keyed by the seed, the permutation index
+in a counter word that drawing never advances), so permutation blocks can
+be evaluated in parallel or in any order and still reproduce the serial
+result bit-for-bit.
 """
 
 from __future__ import annotations
@@ -115,15 +116,22 @@ class SigTestResult:
         object.__setattr__(self, "p_two_sided", p)
 
 
-def permutation_signs(seed: int, perm_index: int, n_queries: int) -> np.ndarray:
-    """Swap signs (+1/-1) for one permutation; -1 swaps the query's pair.
+def permutation_uniforms(seed: int, perm_index: int, n_queries: int) -> np.ndarray:
+    """The uniform draws behind one permutation's swap decisions.
 
     Keyed by (seed, perm_index) through a counter-based generator, so any
-    block of permutation indexes can be evaluated independently.
+    block of permutation indexes can be evaluated independently. The
+    permutation index sits in the counter's second word, which drawing
+    never advances (it only carries out of the first word after 2**64
+    blocks), so the streams of distinct permutations never overlap.
     """
-    bit_gen = np.random.Philox(key=seed, counter=[perm_index, 0, 0, 0])
-    uniforms = np.random.Generator(bit_gen).random(n_queries)
-    return np.where(uniforms < 0.5, -1.0, 1.0)
+    bit_gen = np.random.Philox(key=seed, counter=[0, perm_index, 0, 0])
+    return np.random.Generator(bit_gen).random(n_queries)
+
+
+def permutation_signs(seed: int, perm_index: int, n_queries: int) -> np.ndarray:
+    """Swap signs (+1/-1) for one permutation; -1 swaps the query's pair."""
+    return np.where(permutation_uniforms(seed, perm_index, n_queries) < 0.5, -1.0, 1.0)
 
 
 def per_query_diff(aps_a: list[float], aps_b: list[float]) -> list[float]:

@@ -20,6 +20,8 @@ to a freshly built one.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -200,7 +202,31 @@ def _verify_norms(sx: SpaceIndex, stored: dict[str, float], file_name: str) -> N
             )
 
 
+def _current_umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# what open() would give a new file; mkstemp alone creates it owner-only
+_NEW_FILE_MODE = 0o666 & ~_current_umask()
+
+
 def _atomic_write(path: Path, content: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    tmp.replace(path)
+    """Replace ``path`` with ``content`` in one rename.
+
+    The text goes to a uniquely named temp file in the target's directory
+    first, so readers see the old file or the new one, never a partial
+    write, and concurrent writers never share a temp file. A failed write
+    removes its temp file and leaves any old file as it was.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, _NEW_FILE_MODE)
+            fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -2,7 +2,9 @@
 
 The KB is loaded once from a line-oriented TSV file and is immutable
 afterwards, so every operation here is a pure read and safe to share
-across workers.
+across workers. The one derived structure, the compiled gazetteer that
+entity recognition matches against, is built lazily on the first
+recognition and cached on the KB object itself.
 
 File format (UTF-8, ``#`` starts a comment line):
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 
@@ -31,6 +34,24 @@ _WS_RUN = re.compile(r"\s+")
 def normalize_name(surface: str) -> str:
     """Canonical surface form: case-folded, internal whitespace collapsed."""
     return _WS_RUN.sub(" ", surface.casefold()).strip()
+
+
+def _compile_gazetteer(surfaces) -> re.Pattern | None:
+    """One alternation over normalized surface forms; None when there are none.
+
+    Longer surfaces are tried first, so matching is leftmost-longest;
+    words may be separated by any whitespace run, and a match must not
+    begin or end inside an alphanumeric run.
+    """
+    ordered = sorted(surfaces, key=lambda s: (-len(s), s))
+    if not ordered:
+        return None
+    parts = []
+    for surface in ordered:
+        words = [re.escape(w) for w in surface.split(" ")]
+        parts.append(r"\s+".join(words))
+    body = "|".join(parts)
+    return re.compile(rf"(?<![^\W_])(?:{body})(?![^\W_])", re.IGNORECASE | re.UNICODE)
 
 
 @dataclass(frozen=True)
@@ -60,6 +81,12 @@ class KnowledgeBase:
     classes: dict[str, ClassDef]
     entities: dict[str, EntityDef]
     name_index: dict[str, frozenset[str]]
+
+    @cached_property
+    def gazetteer(self) -> re.Pattern | None:
+        """Compiled matcher over ``name_index``, built on first use and
+        cached on this instance, not in a module-level table."""
+        return _compile_gazetteer(self.name_index)
 
 
 def parse_kb(text: str, origin: str = "<string>") -> KnowledgeBase:

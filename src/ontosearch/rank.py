@@ -29,10 +29,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .annotate import DEFAULT_STOPWORDS, DEFAULT_WH_MAPPING, AnnotationOptions, annotate
+from .annotate import (
+    DEFAULT_STOPWORDS,
+    DEFAULT_WH_MAPPING,
+    AnnotationOptions,
+    annotate,
+    keywords_outside_entities,
+)
 from .expand import (
     DocRepresentation,
     ExpansionModel,
+    Keyword,
     Space,
     TermBag,
     expand_document,
@@ -166,17 +173,21 @@ def represent_document(
 ) -> DocRepresentation:
     """Document-side twin of represent_query, filling all six spaces at once.
 
-    The multi-vector spaces come from an annotation pass that keeps entity
-    names as keywords; the generalized space comes from a second pass that
-    drops tokens inside entity spans.
+    One annotation pass, keeping entity names as keywords, yields the
+    multi-vector spaces. The generalized space is derived from the same
+    pass: the keywords outside entity spans, plus every entity term of the
+    N, C, NC and I spaces, which are exactly the generalized expansion's
+    entity terms.
     """
-    mv_opts = AnnotationOptions(stopwords=stopwords, treat_names_as_keywords=True)
-    gen_opts = AnnotationOptions(stopwords=stopwords, treat_names_as_keywords=False)
-    mv = expand_document(annotate(text, kb, mv_opts), kb, ExpansionModel.MULTIVECTOR, doc_id)
-    gen = expand_document(annotate(text, kb, gen_opts), kb, ExpansionModel.GENERALIZED, doc_id)
-    bags = dict(mv.space_bags)
-    bags[Space.G] = gen.space_bags[Space.G]
-    return DocRepresentation(doc_id=doc_id, space_bags=bags)
+    at = annotate(text, kb, AnnotationOptions(stopwords=stopwords, treat_names_as_keywords=True))
+    rep = expand_document(at, kb, ExpansionModel.MULTIVECTOR, doc_id)
+    bags = rep.space_bags
+    generalized = bags[Space.G]
+    for token in keywords_outside_entities(at.keywords, at.entities):
+        generalized[Keyword(token.stem)] += 1
+    for space in (Space.N, Space.C, Space.NC, Space.I):
+        generalized.update(bags[space])
+    return rep
 
 
 def score_query(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> dict[str, float]:

@@ -8,6 +8,8 @@ tokens pass through the rules unharmed ("co-chaired" -> "co-chair").
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = "aeiou"
 
 
@@ -181,8 +183,13 @@ def _step5b(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=None)
 def stem(token: str) -> str:
-    """Stem one token; tokens of length <= 2 pass through unchanged."""
+    """Stem one token; tokens of length <= 2 pass through unchanged.
+
+    Memoized: the function is pure, and a corpus repeats a small vocabulary
+    of forms many times, so the cache grows with the vocabulary only.
+    """
     word = token.casefold()
     if len(word) <= 2:
         return word

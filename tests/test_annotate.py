@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from ontosearch.annotate import (
@@ -14,6 +17,7 @@ from ontosearch.annotate import (
     recognize_entities,
     tokenize_keywords,
 )
+from ontosearch import kb as kb_module
 from ontosearch.kb import parse_kb
 from ontosearch.stem import stem
 
@@ -110,6 +114,51 @@ def test_recognize_collapses_whitespace_and_case(figure_kb):
 def test_recognize_multiword_surface_containing_stopword(figure_kb):
     found = recognize_entities("the United Nations charter", figure_kb)
     assert [a.entity_id for a in found] == ["InternationalOrganization_T.17"]
+
+
+TWO_CITY_KB = (
+    "CLASS\tPlace\t-\tTOP\n"
+    "CLASS\tCity\tPlace\t-\n"
+    "ENTITY\tc1\tCity\tOslo\tChristiania\n"
+    "ENTITY\tc2\tCity\tBergen\t-\n"
+)
+
+
+def test_gazetteer_is_built_once_per_kb(monkeypatch):
+    builds = []
+    compile_gazetteer = kb_module._compile_gazetteer
+
+    def counting(surfaces):
+        builds.append(1)
+        return compile_gazetteer(surfaces)
+
+    monkeypatch.setattr(kb_module, "_compile_gazetteer", counting)
+    kb = parse_kb(TWO_CITY_KB)
+    assert builds == []  # loading does not pay for the gazetteer
+    for _ in range(50):
+        assert [a.entity_id for a in recognize_entities("Oslo and Bergen", kb)] == ["c1", "c2"]
+    assert len(builds) == 1
+    recognize_entities("Bergen", parse_kb(TWO_CITY_KB))
+    assert len(builds) == 2
+
+
+def test_dropped_kb_is_garbage_collected():
+    kb = parse_kb(TWO_CITY_KB)
+    assert recognize_entities("Christiania", kb)
+    ref = weakref.ref(kb)
+    del kb
+    gc.collect()
+    assert ref() is None
+
+
+def test_kbs_never_share_a_gazetteer():
+    oslo = parse_kb(TWO_CITY_KB.replace("ENTITY\tc2\tCity\tBergen\t-\n", ""))
+    bergen = parse_kb(TWO_CITY_KB.replace("ENTITY\tc1\tCity\tOslo\tChristiania\n", ""))
+    text = "Oslo, Bergen, Christiania"
+    for _ in range(2):  # interleaved calls, each KB after the other has compiled
+        assert [a.entity_id for a in recognize_entities(text, oslo)] == ["c1", "c1"]
+        assert [a.entity_id for a in recognize_entities(text, bergen)] == ["c2"]
+    assert oslo.gazetteer is not bergen.gazetteer
 
 
 def test_map_interrogative():

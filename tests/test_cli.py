@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from ontosearch import cli
 from ontosearch.cli import CliError, main, parse_corpus, parse_queries
 from ontosearch.evaluation import load_run
 
@@ -108,6 +109,20 @@ def test_index_duplicate_doc_id_fails_without_output(workspace, capsys):
     assert run_cli("index", "--kb", KB, "--corpus", workspace / "bad.tsv",
                    "--index-dir", index_dir) == 1
     assert "dup" in capsys.readouterr().err
+    assert not index_dir.exists()
+
+
+@pytest.mark.parametrize("doc_id", ["d:1", "d,1", "d\t1"])
+def test_index_rejects_reserved_doc_id_before_analysis(workspace, capsys, monkeypatch, doc_id):
+    (workspace / "bad.tsv").write_text(f"DOC\tok\nfine text\nDOC\t{doc_id}\ny\n", encoding="utf-8")
+    analyzed = []
+    monkeypatch.setattr(cli, "represent_document", lambda *args, **kwargs: analyzed.append(args))
+    index_dir = workspace / "idx-bad"
+    assert run_cli("index", "--kb", KB, "--corpus", workspace / "bad.tsv",
+                   "--index-dir", index_dir) == 1
+    err = capsys.readouterr().err
+    assert f"bad.tsv:3: doc id {doc_id!r} contains a reserved separator character" in err
+    assert analyzed == []
     assert not index_dir.exists()
 
 

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -12,6 +14,7 @@ from ontosearch.expand import DocRepresentation, Keyword, Space, Triple
 from ontosearch.index import (
     IndexBundle,
     Posting,
+    _atomic_write,
     build_index,
     load_index,
     save_index,
@@ -189,6 +192,43 @@ def test_save_rejects_reserved_characters_in_doc_id(tmp_path):
     bundle = build_index([rep("bad:doc", KW={K("a"): 1})])
     with pytest.raises(ValueError, match="reserved"):
         save_index(bundle, tmp_path)
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "KW.tsv"
+    _atomic_write(target, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(target, "new \udcff\n")  # a lone surrogate cannot be encoded
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["KW.tsv"]
+
+
+def test_concurrent_writers_do_not_collide(tmp_path):
+    target = tmp_path / "run.txt"
+    contents = [f"writer {i}\n" * 200 for i in range(6)]
+    errors = []
+
+    def write_many(content):
+        try:
+            for _ in range(40):
+                _atomic_write(target, content)
+        except OSError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write_many, args=(c,)) for c in contents]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert target.read_text(encoding="utf-8") in contents
+    assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
 
 
 def test_empty_index_round_trips(tmp_path):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontosearch.expand import Keyword, Space, Triple
+from ontosearch.annotate import AnnotationOptions, annotate
+from ontosearch.expand import ExpansionModel, Keyword, Space, Triple, expand_document
 from ontosearch.index import build_index
-from ontosearch.kb import parse_kb
+from ontosearch.kb import alias_set, load_kb, parse_kb
 from ontosearch.rank import (
     Model,
     ModelConfig,
@@ -27,7 +28,7 @@ from ontosearch.rank import (
 )
 
 import oracles
-from conftest import FIGURE_DOC, FIGURE_QUERY
+from conftest import DATA_DIR, FIGURE_DOC, FIGURE_QUERY
 
 
 CORPUS = {
@@ -371,3 +372,41 @@ def test_cosine_agrees_with_dense_oracle_on_random_corpora(doc_bags, query):
     got = cosine_score(Counter(keyword_query), idx.spaces[Space.KW])
     assert got.keys() == expected.keys()
     assert got == pytest.approx(expected, abs=1e-9)
+
+
+# --- property: one analysis pass builds the bags two passes used to ------------------
+
+def two_pass_bags(text, kb, doc_id):
+    """The multi-vector spaces from a names-kept pass, G from a names-dropped pass."""
+    def expanded(keep_names, model):
+        opts = AnnotationOptions(treat_names_as_keywords=keep_names)
+        return expand_document(annotate(text, kb, opts), kb, model, doc_id).space_bags
+
+    bags = dict(expanded(True, ExpansionModel.MULTIVECTOR))
+    bags[Space.G] = expanded(False, ExpansionModel.GENERALIZED)[Space.G]
+    return bags
+
+
+def _figure_surfaces():
+    kb = load_kb(DATA_DIR / "figure_kb.tsv")
+    surfaces = sorted({s for e in kb.entities for s in alias_set(kb, e)})
+    return surfaces + [s.upper() for s in surfaces] + [s.replace(" ", "\n ") for s in surfaces]
+
+
+TEXT_PIECES = (
+    _figure_surfaces()
+    + ["the", "of", "is", "by", "who", "and", "in"]
+    + ["president", "group", "co-chaired", "wine", "Stanfordian", "UNs", "years", "42", "_"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pieces=st.lists(st.sampled_from(TEXT_PIECES), max_size=14),
+    separators=st.lists(st.sampled_from([" ", "  ", "\n", ", ", ". ", "-"]), min_size=14, max_size=14),
+)
+def test_one_pass_document_equals_two_pass_bags(figure_kb, pieces, separators):
+    text = "".join(piece + sep for piece, sep in zip(pieces, separators))
+    rep = represent_document(text, figure_kb, "d")
+    assert rep.doc_id == "d"
+    assert rep.space_bags == two_pass_bags(text, figure_kb, "d")

@@ -121,3 +121,8 @@ def test_idempotent_enough_for_indexing(word):
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=3, max_size=20))
 def test_never_raises_on_token_charset(word):
     stem(word)
+
+
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyzABC0123456789-", max_size=20))
+def test_memoized_stem_equals_the_rules(word):
+    assert stem(word) == stem.__wrapped__(word)
