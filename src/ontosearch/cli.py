@@ -90,8 +90,9 @@ class RunConfig:
 def parse_corpus(text: str, origin: str = "<corpus>") -> dict[str, str]:
     """Ordered doc_id -> document text.
 
-    Doc ids may not contain the index's separator characters; they are
-    rejected here, before any document is analyzed.
+    Doc ids may not contain the index's separator characters, nor
+    whitespace, which would split a whitespace-separated run or qrels
+    line; they are rejected here, before any document is analyzed.
     """
     docs: dict[str, list[str]] = {}
     current: list[str] | None = None
@@ -105,6 +106,8 @@ def parse_corpus(text: str, origin: str = "<corpus>") -> dict[str, str]:
                     f"{origin}:{lineno}: doc id {doc_id!r} contains a reserved "
                     "separator character (':', ',' or tab)"
                 )
+            if any(ch.isspace() for ch in doc_id):
+                raise CliError(f"{origin}:{lineno}: doc id {doc_id!r} contains whitespace")
             if doc_id in docs:
                 raise CliError(f"{origin}:{lineno}: duplicate doc id {doc_id!r}")
             current = docs.setdefault(doc_id, [])
@@ -128,6 +131,8 @@ def parse_queries(text: str, origin: str = "<queries>") -> list[QuerySpec]:
         query_id, query_text = fields[0].strip(), fields[1]
         if not query_id:
             raise CliError(f"{origin}:{lineno}: empty query id")
+        if any(ch.isspace() for ch in query_id):
+            raise CliError(f"{origin}:{lineno}: query id {query_id!r} contains whitespace")
         if query_id in seen:
             raise CliError(f"{origin}:{lineno}: duplicate query id {query_id!r}")
         seen.add(query_id)
@@ -195,11 +200,11 @@ def cmd_index(kb_path: Path, corpus_path: Path, index_dir: Path,
 def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
                output_path: Path, run_tag: str) -> None:
     _check_fingerprint(index_dir, _fingerprint(cfg.kb_path, cfg.stopword_path))
+    queries = parse_queries(queries_path.read_text(encoding="utf-8"), str(queries_path))
     kb = load_kb(cfg.kb_path)
     idx = load_index(index_dir)
     stopwords = cfg.stopwords
     wh_mapping = cfg.wh_mapping if cfg.model.model is Model.KW_PLUS_NE_WH else None
-    queries = parse_queries(queries_path.read_text(encoding="utf-8"), str(queries_path))
     lines: list[str] = []
     for query in queries:
         results = search(

@@ -18,16 +18,24 @@ Scoring conventions, applied uniformly:
   * final rankings keep strictly positive scores only, sorted by
     descending score with ties broken by ascending doc_id.
 
-Accumulation visits terms in serialized order and postings in doc_id
-order, so scores are bit-reproducible regardless of input ordering.
+A cosine sorts the query's term ids, which follow serialized-term order,
+and sums each document's products w_q * w_d with `np.bincount` over the
+postings concatenated in that order. bincount adds posting by posting,
+starting from 0.0, so every score is bit-reproducible regardless of input
+ordering. Scorers return a read-only `Scores` mapping: a view over a
+roster-long score array whose keys are the documents that share an
+in-vocabulary term with the query.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
 
 from .annotate import (
     DEFAULT_STOPWORDS,
@@ -44,9 +52,8 @@ from .expand import (
     TermBag,
     expand_document,
     expand_query,
-    serialize_term,
 )
-from .index import IndexBundle, SpaceIndex, tfidf_weight
+from .index import IndexBundle, SpaceIndex
 from .kb import KnowledgeBase
 
 
@@ -88,31 +95,63 @@ class ScoredDoc(NamedTuple):
     score: float
 
 
-def cosine_score(query_bag: TermBag, space: SpaceIndex) -> dict[str, float]:
+class Scores(Mapping):
+    """Read-only doc_id -> score view over one roster's score array.
+
+    `array` holds a score for every roster position, 0.0 for documents
+    outside the view; the keys are the documents flagged in `touched`, in
+    roster order. `space` is any space of the bundle: they share a roster.
+    """
+
+    __slots__ = ("space", "array", "touched")
+
+    def __init__(self, space: SpaceIndex, array: np.ndarray, touched: np.ndarray) -> None:
+        self.space = space
+        self.array = array
+        self.touched = touched
+
+    def __getitem__(self, doc_id: str) -> float:
+        position = self.space.doc_positions.get(doc_id)
+        if position is None or not self.touched[position]:
+            raise KeyError(doc_id)
+        return self.array[position].item()
+
+    def __iter__(self) -> Iterator[str]:
+        doc_ids = self.space.doc_ids
+        return (doc_ids[i] for i in np.flatnonzero(self.touched).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.touched))
+
+
+def cosine_score(query_bag: TermBag, space: SpaceIndex) -> Scores:
     """Cosine between the query bag and every document sharing a term with it."""
-    dot: dict[str, float] = {}
+    term_ids = space.term_ids
+    found = sorted((term_ids[term], tf) for term, tf in query_bag.items() if term in term_ids)
+    n = len(space.doc_ids)
+    touched = np.zeros(n, dtype=bool)
+    values = np.zeros(n)
+    if not found:
+        return Scores(space, values, touched)
     q_sq = 0.0
-    for term in sorted(query_bag, key=serialize_term):
-        df = space.df.get(term)
-        if df is None:
-            continue
-        w_q = tfidf_weight(query_bag[term], df, space.n_docs)
+    docs, products = [], []
+    for term_id, tf in found:
+        w_q = tf * space.idf[term_id]
         q_sq += w_q * w_q
-        for posting in space.postings[term]:
-            w_d = tfidf_weight(posting.tf, df, space.n_docs)
-            dot[posting.doc_id] = dot.get(posting.doc_id, 0.0) + w_q * w_d
+        postings = slice(space.offsets[term_id], space.offsets[term_id + 1])
+        docs.append(space.doc_idx[postings])
+        products.append(space.weights[postings] * w_q)
+    docs = np.concatenate(docs)
+    touched[docs] = True
     q_norm = math.sqrt(q_sq)
-    scores: dict[str, float] = {}
-    for doc_id, numerator in dot.items():
-        d_norm = space.doc_norms[doc_id]
-        if q_norm > 0.0 and d_norm > 0.0:
-            scores[doc_id] = min(1.0, numerator / (q_norm * d_norm))
-        else:
-            scores[doc_id] = 0.0
-    return scores
+    if q_norm > 0.0:
+        dot = np.bincount(docs, weights=np.concatenate(products), minlength=n)
+        np.divide(dot, q_norm * space.norms, out=values, where=space.norms > 0.0)
+        np.minimum(values, 1.0, out=values)
+    return Scores(space, values, touched)
 
 
-def score_ne(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> dict[str, float]:
+def score_ne(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> Scores:
     """Weighted sum of the name, class, name-class, and identifier cosines."""
     weighted = (
         (Space.N, cfg.w_n),
@@ -120,23 +159,25 @@ def score_ne(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> dict[s
         (Space.NC, cfg.w_nc),
         (Space.I, cfg.w_i),
     )
-    combined: dict[str, float] = {}
+    combined = np.zeros(len(idx.doc_ids))
+    touched = np.zeros(len(idx.doc_ids), dtype=bool)
     for space, weight in weighted:
-        for doc_id, value in cosine_score(q.space_bags[space], idx.spaces[space]).items():
-            combined[doc_id] = combined.get(doc_id, 0.0) + weight * value
-    return combined
+        scores = cosine_score(q.space_bags[space], idx.spaces[space])
+        # outside a space's view its score is 0.0, and x + 0.0 == x for x >= 0
+        combined += weight * scores.array
+        touched |= scores.touched
+    return Scores(idx.spaces[Space.N], combined, touched)
 
 
-def score_kw_union_ne(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> dict[str, float]:
+def score_kw_union_ne(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> Scores:
     """alpha * NE + (1 - alpha) * KW; exact at both endpoints of alpha."""
-    combined = {doc_id: cfg.alpha * value for doc_id, value in score_ne(q, idx, cfg).items()}
+    ne = score_ne(q, idx, cfg)
     kw = cosine_score(q.space_bags[Space.KW], idx.spaces[Space.KW])
-    for doc_id, value in kw.items():
-        combined[doc_id] = combined.get(doc_id, 0.0) + (1.0 - cfg.alpha) * value
-    return combined
+    combined = cfg.alpha * ne.array + (1.0 - cfg.alpha) * kw.array
+    return Scores(kw.space, combined, ne.touched | kw.touched)
 
 
-def score_generalized(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> dict[str, float]:
+def score_generalized(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> Scores:
     """Single cosine over the generalized term space."""
     return cosine_score(q.space_bags[Space.G], idx.spaces[Space.G])
 
@@ -190,7 +231,7 @@ def represent_document(
     return rep
 
 
-def score_query(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> dict[str, float]:
+def score_query(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> Scores:
     """Dispatch to the configured model's scorer."""
     if cfg.model is Model.KW:
         return cosine_score(q.space_bags[Space.KW], idx.spaces[Space.KW])
@@ -201,15 +242,19 @@ def score_query(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> dic
     return score_generalized(q, idx, cfg)
 
 
-def rank_documents(scores: dict[str, float], k: int | None = None) -> list[ScoredDoc]:
-    """Positive scores only, descending, ties by ascending doc_id, cut at k."""
-    ordered = sorted(
-        ((doc_id, score) for doc_id, score in scores.items() if score > 0.0),
-        key=lambda item: (-item[1], item[0]),
-    )
-    if k is not None:
-        ordered = ordered[:k]
-    return [ScoredDoc(doc_id, min(1.0, score)) for doc_id, score in ordered]
+def rank_documents(scores: Scores, k: int | None = None) -> list[ScoredDoc]:
+    """Positive scores only, descending, ties by ascending doc_id, cut at k.
+
+    The order is taken on the raw scores; only the kept ones are clamped
+    to <= 1.0, which a weighted sum of cosines may overshoot.
+    """
+    values = scores.array
+    positive = np.flatnonzero(values > 0.0)
+    # a stable sort over ascending roster positions breaks ties by ascending doc_id
+    kept = positive[np.argsort(-values[positive], kind="stable")][:k]
+    clamped = np.minimum(values[kept], 1.0)
+    doc_ids = scores.space.doc_ids
+    return [ScoredDoc(doc_ids[i], score) for i, score in zip(kept.tolist(), clamped.tolist())]
 
 
 def search(

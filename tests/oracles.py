@@ -60,6 +60,75 @@ def dense_cosine(doc_bags: dict[str, dict], query_bag: dict) -> dict[str, float]
     return scores
 
 
+def loop_cosine(doc_bags: dict[str, dict], query_bag: dict, term_key) -> dict[str, float]:
+    """Cosine scores summed by a per-posting loop, the reference for exact equality.
+
+    Terms are visited in `term_key` order and each term's postings in doc-id
+    order: a document's dot product starts at 0.0 and adds w_q * w_d term
+    by term, and its norm sums w * w in the same term order. Keys and zero
+    handling are those of dense_cosine; cosines are clamped to <= 1.0.
+    """
+    n_docs = len(doc_bags)
+    df: dict = {}
+    for bag in doc_bags.values():
+        for term in bag:
+            df[term] = df.get(term, 0) + 1
+
+    def weight(tf: int, term) -> float:
+        return tf * math.log(n_docs / df[term])
+
+    def norm(bag: dict) -> float:
+        acc = 0.0
+        for term in sorted(bag, key=term_key):
+            w = weight(bag[term], term)
+            acc += w * w
+        return math.sqrt(acc)
+
+    dot: dict[str, float] = {}
+    q_sq = 0.0
+    for term in sorted(query_bag, key=term_key):
+        if term not in df:
+            continue
+        w_q = weight(query_bag[term], term)
+        q_sq += w_q * w_q
+        for doc_id in sorted(doc_bags):
+            if term in doc_bags[doc_id]:
+                w_d = weight(doc_bags[doc_id][term], term)
+                dot[doc_id] = dot.get(doc_id, 0.0) + w_q * w_d
+    q_norm = math.sqrt(q_sq)
+    scores: dict[str, float] = {}
+    for doc_id, numerator in dot.items():
+        d_norm = norm(doc_bags[doc_id])
+        if q_norm > 0.0 and d_norm > 0.0:
+            scores[doc_id] = min(1.0, numerator / (q_norm * d_norm))
+        else:
+            scores[doc_id] = 0.0
+    return scores
+
+
+def loop_ne_scores(
+    doc_space_bags: dict[str, dict[str, dict]],
+    query_space_bags: dict[str, dict],
+    weights: dict[str, float],
+    term_key,
+) -> dict[str, float]:
+    """Weighted sum of per-space loop cosines, added space by space (N, C, NC, I)."""
+    combined: dict[str, float] = {}
+    for space in ("N", "C", "NC", "I"):
+        docs = {d: bags.get(space, {}) for d, bags in doc_space_bags.items()}
+        for doc_id, value in loop_cosine(docs, query_space_bags.get(space, {}), term_key).items():
+            combined[doc_id] = combined.get(doc_id, 0.0) + weights[space] * value
+    return combined
+
+
+def loop_union_scores(ne_scores: dict[str, float], kw_scores: dict[str, float], alpha: float) -> dict[str, float]:
+    """alpha * NE, then (1 - alpha) * KW added onto it."""
+    combined = {d: alpha * value for d, value in ne_scores.items()}
+    for doc_id, value in kw_scores.items():
+        combined[doc_id] = combined.get(doc_id, 0.0) + (1.0 - alpha) * value
+    return combined
+
+
 def dense_ne_scores(
     doc_space_bags: dict[str, dict[str, dict]],
     query_space_bags: dict[str, dict],

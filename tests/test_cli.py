@@ -126,6 +126,20 @@ def test_index_rejects_reserved_doc_id_before_analysis(workspace, capsys, monkey
     assert not index_dir.exists()
 
 
+@pytest.mark.parametrize("doc_id", ["d 1", "d\u00a01", "d\u20031"])
+def test_index_rejects_whitespace_in_doc_id_before_analysis(workspace, capsys, monkeypatch, doc_id):
+    # a doc id with whitespace would split its run lines into extra fields
+    (workspace / "bad.tsv").write_text(f"DOC\tok\nfine text\nDOC\t{doc_id}\ny\n", encoding="utf-8")
+    analyzed = []
+    monkeypatch.setattr(cli, "represent_document", lambda *args, **kwargs: analyzed.append(args))
+    index_dir = workspace / "idx-bad"
+    assert run_cli("index", "--kb", KB, "--corpus", workspace / "bad.tsv",
+                   "--index-dir", index_dir) == 1
+    assert f"bad.tsv:3: doc id {doc_id!r} contains whitespace" in capsys.readouterr().err
+    assert analyzed == []
+    assert not index_dir.exists()
+
+
 # --- search command -------------------------------------------------------------------
 
 def build_index_dir(workspace):
@@ -170,6 +184,20 @@ def test_search_empty_query_file_writes_empty_run(workspace):
     assert run_cli("search", "--kb", KB, "--index-dir", index_dir,
                    "--queries", workspace / "none.tsv", "--output", out) == 0
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("query_id", ["q 1", "q\u00a01"])
+def test_search_rejects_whitespace_in_query_id_before_analysis(workspace, capsys, monkeypatch, query_id):
+    index_dir = build_index_dir(workspace)
+    (workspace / "bad.tsv").write_text(f"q0\twine\n{query_id}\tGeorgia wine\n", encoding="utf-8")
+    analyzed = []
+    monkeypatch.setattr(cli, "search", lambda *args, **kwargs: analyzed.append(args))
+    out = workspace / "run.txt"
+    assert run_cli("search", "--kb", KB, "--index-dir", index_dir,
+                   "--queries", workspace / "bad.tsv", "--output", out) == 1
+    assert f"bad.tsv:2: query id {query_id!r} contains whitespace" in capsys.readouterr().err
+    assert analyzed == []
+    assert not out.exists()
 
 
 def test_search_rejects_fingerprint_mismatch(workspace, capsys):

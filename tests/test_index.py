@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from ontosearch.expand import DocRepresentation, Keyword, Space, Triple
 from ontosearch.index import (
     IndexBundle,
-    Posting,
     _atomic_write,
     build_index,
     load_index,
@@ -31,6 +30,19 @@ def rep(doc_id, **bags):
 
 
 K = Keyword
+
+
+def postings(sx, term):
+    """(doc_id, tf) pairs of a term's postings, read off the CSR arrays."""
+    t = sx.term_ids[term]
+    lo, hi = sx.offsets[t], sx.offsets[t + 1]
+    return tuple(
+        (sx.doc_ids[i], tf) for i, tf in zip(sx.doc_idx[lo:hi].tolist(), sx.tf[lo:hi].tolist())
+    )
+
+
+def norm(sx, doc_id):
+    return sx.norms[sx.doc_positions[doc_id]].item()
 
 
 def test_tfidf_weight_frozen_values():
@@ -56,8 +68,8 @@ def test_postings_and_df_two_doc_example():
     assert kw.n_docs == 2
     assert kw.df[K("presid")] == 1
     assert kw.df[K("univers")] == 2
-    assert kw.postings[K("presid")] == (Posting("d1", 2),)
-    assert kw.postings[K("univers")] == (Posting("d1", 1), Posting("d2", 3))
+    assert postings(kw, K("presid")) == (("d1", 2),)
+    assert postings(kw, K("univers")) == (("d1", 1), ("d2", 3))
     assert bundle.doc_ids == ("d1", "d2")
 
 
@@ -67,8 +79,8 @@ def test_ubiquitous_term_contributes_nothing_to_norms():
         rep("b", KW={K("shared"): 1, K("rare"): 2}),
     ])
     kw = bundle.spaces[Space.KW]
-    assert kw.doc_norms["a"] == 0.0
-    assert kw.doc_norms["b"] == pytest.approx(2 * math.log(2))
+    assert norm(kw, "a") == 0.0
+    assert norm(kw, "b") == pytest.approx(2 * math.log(2))
 
 
 def test_empty_bags_still_count_toward_n_docs():
@@ -80,8 +92,8 @@ def test_empty_bags_still_count_toward_n_docs():
     assert n_space.n_docs == 2
     assert n_space.df[Triple("stanford", None, None)] == 1
     # the single occurrence is discriminating, so its weight is ln 2
-    assert n_space.doc_norms["b"] == pytest.approx(math.log(2))
-    assert n_space.doc_norms["a"] == 0.0
+    assert norm(n_space, "b") == pytest.approx(math.log(2))
+    assert norm(n_space, "a") == 0.0
 
 
 FIVE_DOCS = [
@@ -104,7 +116,7 @@ def test_norms_match_dense_recomputation():
             expected = math.sqrt(sum(
                 (tf * math.log(sx.n_docs / sx.df[t])) ** 2 for t, tf in bag.items()
             ))
-            assert sx.doc_norms[doc.doc_id] == pytest.approx(expected, abs=1e-9)
+            assert norm(sx, doc.doc_id) == pytest.approx(expected, abs=1e-9)
 
 
 def test_build_is_invariant_under_input_permutation():
@@ -116,16 +128,14 @@ def test_build_is_invariant_under_input_permutation():
         bundle = build_index(shuffled)
         assert bundle == reference  # dataclass equality: exact floats included
         for space in Space:
-            assert list(bundle.spaces[space].postings) == list(reference.spaces[space].postings)
+            assert list(bundle.spaces[space].term_ids) == list(reference.spaces[space].term_ids)
 
 
 def test_postings_tf_sums_are_conserved():
     bundle = build_index(FIVE_DOCS)
     for space in Space:
         total_in_bags = sum(sum(d.space_bags[space].values()) for d in FIVE_DOCS)
-        total_in_postings = sum(
-            p.tf for plist in bundle.spaces[space].postings.values() for p in plist
-        )
+        total_in_postings = sum(bundle.spaces[space].tf.tolist())
         assert total_in_postings == total_in_bags
 
 
@@ -150,7 +160,7 @@ def test_round_trip_restores_everything_exactly(tmp_path):
     loaded = load_index(tmp_path)
     assert loaded == built
     for space in Space:
-        assert loaded.spaces[space].doc_norms == built.spaces[space].doc_norms  # exact floats
+        assert loaded.spaces[space].norms.tolist() == built.spaces[space].norms.tolist()  # exact floats
 
 
 def test_rewrite_is_byte_identical(tmp_path):
@@ -185,6 +195,83 @@ def test_load_rejects_df_posting_mismatch(tmp_path):
     lines[0] = "\t".join(fields)
     kw_file.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="df"):
+        load_index(tmp_path)
+
+
+def edit_norm_line(path, doc_id, edit):
+    """Replace the stored norm of doc_id in a space file with edit(old norm)."""
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        fields = line.split("\t")
+        if len(fields) == 2 and fields[0] == doc_id:
+            lines[i] = f"{doc_id}\t{edit(float(fields[1]))}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_load_rejects_posting_for_doc_without_norm_line(tmp_path):
+    # the shared term weighs 0, so moving its posting changes no stored norm
+    save_index(build_index([
+        rep("a", KW={K("shared"): 1, K("x"): 1}),
+        rep("b", KW={K("shared"): 1, K("y"): 2}),
+    ]), tmp_path)
+    kw_file = tmp_path / f"{Space.KW.value}.tsv"
+    text = kw_file.read_text()
+    assert "k:shared\t2\ta:1,b:1\n" in text
+    kw_file.write_text(text.replace("k:shared\t2\ta:1,b:1\n", "k:shared\t2\tzz:1,b:1\n"))
+    with pytest.raises(ValueError, match="KW.tsv: no stored norm for doc 'zz'"):
+        load_index(tmp_path)
+
+
+def test_load_rejects_rosters_that_differ_between_spaces(tmp_path):
+    save_index(build_index(FIVE_DOCS), tmp_path)
+    n_file = tmp_path / f"{Space.N.value}.tsv"
+    n_file.write_text(n_file.read_text() + "zz\t0\n")  # a zero norm verifies
+    with pytest.raises(ValueError, match="N.tsv: document roster differs between spaces"):
+        load_index(tmp_path)
+
+
+def test_load_rejects_manifest_term_count_mismatch(tmp_path):
+    save_index(build_index(FIVE_DOCS), tmp_path)
+    manifest = tmp_path / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    for i, line in enumerate(lines):
+        fields = line.split("\t")
+        if fields[0] == Space.KW.value:
+            assert fields[3] == "4"
+            lines[i] = "\t".join(fields[:3] + ["5"])
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="KW.tsv: manifest says 5 terms, file has 4"):
+        load_index(tmp_path)
+
+
+@pytest.mark.parametrize("space,doc_id,edit,accepted", [
+    (Space.KW, "d1", lambda x: repr(x * (1 + 1e-12)), True),
+    (Space.KW, "d1", lambda x: repr(x * (1 + 1e-6)), False),
+    (Space.N, "d2", lambda x: repr(x + 5e-10), True),  # zero norm: absolute tolerance
+    (Space.N, "d2", lambda x: repr(x + 2e-9), False),
+    (Space.KW, "d1", lambda x: "inf", False),
+    (Space.KW, "d1", lambda x: "nan", False),
+])
+def test_load_verifies_norms_to_within_1e_9(tmp_path, space, doc_id, edit, accepted):
+    built = build_index(FIVE_DOCS)
+    save_index(built, tmp_path)
+    edit_norm_line(tmp_path / f"{space.value}.tsv", doc_id, edit)
+    if accepted:
+        assert load_index(tmp_path) == built  # norms are recomputed, not read
+    else:
+        with pytest.raises(ValueError, match=f"{space.value}.tsv: stored norm .* for doc '{doc_id}' "
+                                             "disagrees with postings"):
+            load_index(tmp_path)
+
+
+def test_load_rejects_terms_out_of_serialized_order(tmp_path):
+    # term ids follow file order, which must be the canonical accumulation order
+    save_index(build_index(FIVE_DOCS), tmp_path)
+    kw_file = tmp_path / f"{Space.KW.value}.tsv"
+    lines = kw_file.read_text().splitlines()
+    lines[0], lines[1] = lines[1], lines[0]
+    kw_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="KW.tsv: terms are not in strictly ascending serialized order"):
         load_index(tmp_path)
 
 
@@ -258,10 +345,11 @@ def test_random_corpora_round_trip_and_conserve(tmp_path_factory, corpus):
     built = build_index(reps)
     assert built.doc_ids == tuple(sorted(corpus))
     kw = built.spaces[Space.KW]
-    for term, plist in kw.postings.items():
+    for term in kw.term_ids:
+        plist = postings(kw, term)
         assert kw.df[term] == len(plist)
-        assert all(p.tf >= 1 for p in plist)
-        assert [p.doc_id for p in plist] == sorted(p.doc_id for p in plist)
+        assert all(tf >= 1 for _, tf in plist)
+        assert [doc_id for doc_id, _ in plist] == sorted(doc_id for doc_id, _ in plist)
     directory = tmp_path_factory.mktemp("idx")
     save_index(built, directory)
     assert load_index(directory) == built

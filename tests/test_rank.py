@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -9,8 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontosearch.annotate import AnnotationOptions, annotate
-from ontosearch.expand import ExpansionModel, Keyword, Space, Triple, expand_document
-from ontosearch.index import build_index
+from ontosearch.expand import (
+    DocRepresentation,
+    ExpansionModel,
+    Keyword,
+    Space,
+    Triple,
+    expand_document,
+    serialize_term,
+)
+from ontosearch.index import build_index, load_index, save_index
 from ontosearch.kb import alias_set, load_kb, parse_kb
 from ontosearch.rank import (
     Model,
@@ -152,6 +161,17 @@ def test_score_ne_reaches_one_when_all_spaces_match(figure_kb):
                 ModelConfig(model=Model.NE, w_n=0.4, w_c=0.3, w_nc=0.2, w_i=0.1)):
         scores = score_ne(query, idx, cfg)
         assert scores["match"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_rank_clamps_a_weighted_sum_that_overshoots_one(figure_kb):
+    match = represent_document("Georgia and Moscow met.", figure_kb, "match")
+    other = represent_document("Stanford University grew.", figure_kb, "other")
+    idx = build_index([match, other])
+    # space weights may sum to 1 + 1e-9, so four perfect cosines sum past 1
+    cfg = ModelConfig(model=Model.NE, w_n=0.25, w_c=0.25, w_nc=0.25, w_i=0.25 + 9e-10)
+    scores = score_ne(match, idx, cfg)
+    assert scores["match"] > 1.0
+    assert rank_documents(scores)[0] == ScoredDoc("match", 1.0)
 
 
 def test_score_ne_degenerate_class_weight(corpus_reps, corpus_index):
@@ -372,6 +392,86 @@ def test_cosine_agrees_with_dense_oracle_on_random_corpora(doc_bags, query):
     got = cosine_score(Counter(keyword_query), idx.spaces[Space.KW])
     assert got.keys() == expected.keys()
     assert got == pytest.approx(expected, abs=1e-9)
+
+
+# --- property: engine scores equal the per-posting loop bit for bit ---------------------
+
+ENTITY_TERMS = {
+    "N": [Triple("x", None, None), Triple("y", None, None), Triple("z", None, None)],
+    "C": [Triple(None, "City", None), Triple(None, "Country", None)],
+    "NC": [Triple("x", "City", None), Triple("y", "Country", None)],
+    "I": [Triple("x", "City", "City_1"), Triple("y", "Country", "Country_1")],
+}
+TERM_POOLS = {
+    "KW": [Keyword(t) for t in "pqrstu"],
+    **ENTITY_TERMS,
+    "G": [Keyword(t) for t in "pqrs"] + [t for pool in ENTITY_TERMS.values() for t in pool],
+}
+UNSEEN = {"KW": [Keyword("zz")], "N": [Triple("zz", None, None)], "C": [], "NC": [], "I": [],
+          "G": [Keyword("zz")]}
+
+
+def space_bags(pools):
+    return st.fixed_dictionaries({
+        name: st.dictionaries(st.sampled_from(pool), st.integers(min_value=1, max_value=6), max_size=4)
+        for name, pool in pools.items()
+    })
+
+
+def as_rep(doc_id, bags):
+    return DocRepresentation(doc_id=doc_id, space_bags={Space[n]: Counter(b) for n, b in bags.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corpus=st.dictionaries(st.sampled_from([f"d{i}" for i in range(7)]), space_bags(TERM_POOLS),
+                           min_size=1, max_size=7),
+    query=space_bags({name: pool + UNSEEN[name] for name, pool in TERM_POOLS.items()}),
+    weights=st.sampled_from([(0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1), (0.0, 1.0, 0.0, 0.0)]),
+    alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    k=st.integers(min_value=1, max_value=8),
+)
+def test_scores_equal_the_per_posting_loop_exactly(tmp_path_factory, corpus, query, weights, alpha, k):
+    built = build_index([as_rep(doc_id, bags) for doc_id, bags in corpus.items()])
+    directory = tmp_path_factory.mktemp("idx")
+    save_index(built, directory)
+    loaded = load_index(directory)
+
+    def loop(name):
+        return oracles.loop_cosine({d: bags[name] for d, bags in corpus.items()}, query[name], serialize_term)
+
+    space_weights = dict(zip(("N", "C", "NC", "I"), weights))
+    ne = oracles.loop_ne_scores(corpus, query, space_weights, serialize_term)
+    expected = {
+        Model.KW: loop("KW"),
+        Model.NE: ne,
+        Model.KW_UNION_NE: oracles.loop_union_scores(ne, loop("KW"), alpha),
+        Model.KW_PLUS_NE: loop("G"),
+        Model.KW_PLUS_NE_WH: loop("G"),
+    }
+    q = as_rep("", query)
+    for idx in (built, loaded):
+        for space in Space:
+            assert dict(cosine_score(q.space_bags[space], idx.spaces[space])) == loop(space.value)
+        for model in Model:
+            cfg = ModelConfig(model, *weights, alpha=alpha, k=k)
+            got = score_query(q, idx, cfg)
+            assert len(got) == len(expected[model])
+            assert dict(got) == expected[model]  # == on floats: bit-identical
+            assert rank_documents(got, k) == [
+                (doc_id, min(1.0, score)) for doc_id, score in oracles.rank_scores(expected[model], k)
+            ]
+
+
+def test_rank_documents_cuts_through_ties_like_rank_scores():
+    templates = [{"p": 1, "q": 1}, {"p": 2}, {"q": 3, "r": 1}, {"s": 1}]
+    doc_ids = [f"d{i:02d}" for i in range(32)]
+    random.Random(3).shuffle(doc_ids)
+    idx = build_index([kw_rep(d, **templates[i % 4]) for i, d in enumerate(doc_ids)])
+    scores = cosine_score(Counter({Keyword("p"): 1, Keyword("q"): 1}), idx.spaces[Space.KW])
+    assert len(scores) == 24 and len(set(scores.values())) == 3  # three ties of eight
+    for k in [None, *range(1, 27)]:
+        assert rank_documents(scores, k) == oracles.rank_scores(dict(scores), k)
 
 
 # --- property: one analysis pass builds the bags two passes used to ------------------
