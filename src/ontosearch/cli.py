@@ -25,6 +25,7 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -46,10 +47,8 @@ from .rank import (
     Model,
     ModelConfig,
     format_run_lines,
-    rank_documents,
     represent_document,
     represent_query,
-    score_query,
     search,
 )
 
@@ -72,13 +71,14 @@ class RunConfig:
     wh_mapping_path: Path | None = None
     seed: int = 0
 
-    @property
+    # read once per config; a frozen dataclass still has the __dict__ these cache in
+    @cached_property
     def stopwords(self):
         if self.stopword_path is None:
             return DEFAULT_STOPWORDS
         return load_stopwords(self.stopword_path)
 
-    @property
+    @cached_property
     def wh_mapping(self):
         if self.wh_mapping_path is None:
             return DEFAULT_WH_MAPPING
@@ -207,11 +207,11 @@ def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
     wh_mapping = cfg.wh_mapping if cfg.model.model is Model.KW_PLUS_NE_WH else None
     lines: list[str] = []
     for query in queries:
-        results = search(
+        ranking = search(
             query.text, idx, kb, cfg.model,
             stopwords=stopwords, wh_mapping=wh_mapping, wh_override=query.wh_override,
         )
-        lines.extend(format_run_lines(query.query_id, results, run_tag))
+        lines.extend(format_run_lines(query.query_id, ranking, run_tag))
     _atomic_write(output_path, "\n".join(lines) + "\n" if lines else "")
 
 

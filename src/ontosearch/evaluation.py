@@ -184,7 +184,11 @@ def parse_qrels(text: str, origin: str = "<qrels>") -> dict[str, set[str]]:
         if len(fields) != 4:
             raise ValueError(f"{origin}:{lineno}: expected 4 fields, got {len(fields)}")
         query_id, _, doc_id, rel = fields
-        if int(rel) > 0:
+        try:
+            relevance = int(rel)
+        except ValueError:
+            raise ValueError(f"{origin}:{lineno}: relevance {rel!r} is not an integer") from None
+        if relevance > 0:
             relevant.setdefault(query_id, set()).add(doc_id)
     return relevant
 
@@ -196,7 +200,7 @@ def load_qrels(path: str | Path) -> dict[str, set[str]]:
 
 def parse_run(text: str, origin: str = "<run>") -> dict[str, list[str]]:
     """TREC run lines `query_id Q0 doc_id rank score tag` -> rankings per query."""
-    rows: dict[str, list[tuple[int, str]]] = {}
+    rows: dict[str, dict[str, int]] = {}  # query_id -> doc_id -> rank
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -205,15 +209,21 @@ def parse_run(text: str, origin: str = "<run>") -> dict[str, list[str]]:
         if len(fields) != 6:
             raise ValueError(f"{origin}:{lineno}: expected 6 fields, got {len(fields)}")
         query_id, _, doc_id, rank, _score, _tag = fields
-        rows.setdefault(query_id, []).append((int(rank), doc_id))
-    rankings: dict[str, list[str]] = {}
-    for query_id, entries in rows.items():
-        entries.sort()
-        docs = [doc_id for _, doc_id in entries]
-        if len(set(docs)) != len(docs):
-            raise ValueError(f"{origin}: duplicate doc in ranking for query {query_id!r}")
-        rankings[query_id] = docs
-    return rankings
+        try:
+            position = int(rank)
+        except ValueError:
+            raise ValueError(f"{origin}:{lineno}: rank {rank!r} is not an integer") from None
+        ranks = rows.setdefault(query_id, {})
+        if doc_id in ranks:
+            raise ValueError(
+                f"{origin}:{lineno}: duplicate doc {doc_id!r} in ranking for query {query_id!r}"
+            )
+        ranks[doc_id] = position
+    # ordered by rank, ties by doc_id
+    return {
+        query_id: [doc_id for _, doc_id in sorted(zip(ranks.values(), ranks))]
+        for query_id, ranks in rows.items()
+    }
 
 
 def load_run(path: str | Path) -> dict[str, list[str]]:

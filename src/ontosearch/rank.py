@@ -25,12 +25,17 @@ starting from 0.0, so every score is bit-reproducible regardless of input
 ordering. Scorers return a read-only `Scores` mapping: a view over a
 roster-long score array whose keys are the documents that share an
 in-vocabulary term with the query.
+
+`rank_documents`, and so `search`, returns a `Ranking`: two flat lists,
+`doc_ids` and clamped `scores`, in rank order. It is a read-only sequence
+of `ScoredDoc`, but builds a `ScoredDoc` only for an item that is indexed
+or iterated; `format_run_lines` reads the two lists directly.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -93,6 +98,39 @@ class ModelConfig:
 class ScoredDoc(NamedTuple):
     doc_id: str
     score: float
+
+
+class Ranking(Sequence):
+    """Read-only ranked results: parallel `doc_ids` and `scores` lists.
+
+    Indexing and iteration give `ScoredDoc`s, made on demand; a slice is a
+    `Ranking`. Two rankings are equal when both lists are.
+    """
+
+    __slots__ = ("doc_ids", "scores")
+
+    def __init__(self, doc_ids: list[str], scores: list[float]) -> None:
+        self.doc_ids = doc_ids
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Ranking(self.doc_ids[index], self.scores[index])
+        return ScoredDoc(self.doc_ids[index], self.scores[index])
+
+    def __iter__(self) -> Iterator[ScoredDoc]:
+        return map(ScoredDoc, self.doc_ids, self.scores)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ranking):
+            return NotImplemented
+        return self.doc_ids == other.doc_ids and self.scores == other.scores
+
+    def __repr__(self) -> str:
+        return f"Ranking({list(self)!r})"
 
 
 class Scores(Mapping):
@@ -242,7 +280,7 @@ def score_query(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> Sco
     return score_generalized(q, idx, cfg)
 
 
-def rank_documents(scores: Scores, k: int | None = None) -> list[ScoredDoc]:
+def rank_documents(scores: Scores, k: int | None = None) -> Ranking:
     """Positive scores only, descending, ties by ascending doc_id, cut at k.
 
     The order is taken on the raw scores; only the kept ones are clamped
@@ -252,9 +290,11 @@ def rank_documents(scores: Scores, k: int | None = None) -> list[ScoredDoc]:
     positive = np.flatnonzero(values > 0.0)
     # a stable sort over ascending roster positions breaks ties by ascending doc_id
     kept = positive[np.argsort(-values[positive], kind="stable")][:k]
-    clamped = np.minimum(values[kept], 1.0)
     doc_ids = scores.space.doc_ids
-    return [ScoredDoc(doc_ids[i], score) for i, score in zip(kept.tolist(), clamped.tolist())]
+    return Ranking(
+        list(map(doc_ids.__getitem__, kept.tolist())),
+        np.minimum(values[kept], 1.0).tolist(),
+    )
 
 
 def search(
@@ -266,7 +306,7 @@ def search(
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
     wh_mapping: dict[str, str] | None = None,
     wh_override: str | None = None,
-) -> list[ScoredDoc]:
+) -> Ranking:
     """Full query pipeline: annotate, expand, score, rank."""
     q = represent_query(
         query_text, kb, cfg,
@@ -275,9 +315,9 @@ def search(
     return rank_documents(score_query(q, idx, cfg), cfg.k)
 
 
-def format_run_lines(query_id: str, results: list[ScoredDoc], run_tag: str) -> list[str]:
+def format_run_lines(query_id: str, ranking: Ranking, run_tag: str) -> list[str]:
     """TREC run lines: `query_id Q0 doc_id rank score tag` with 6-decimal scores."""
     return [
-        f"{query_id} Q0 {res.doc_id} {position} {res.score:.6f} {run_tag}"
-        for position, res in enumerate(results, start=1)
+        f"{query_id} Q0 {doc_id} {position} {score:.6f} {run_tag}"
+        for position, (doc_id, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1)
     ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from ontosearch import cli
 from ontosearch.cli import CliError, main, parse_corpus, parse_queries
 from ontosearch.evaluation import load_run
+from ontosearch.rank import Model, ModelConfig
+from ontosearch.synth import generate
 
 from conftest import DATA_DIR, FIGURE_DOC, FIGURE_QUERY
 
@@ -248,6 +251,55 @@ def test_config_file_supplies_defaults_and_flags_win(workspace):
     assert out_ne.read_text() != kw_lines  # the flag really overrode the config
 
 
+# sha256 of each run file `ontosearch search` writes with default flags for the
+# 24 judged queries of synth.generate(seed=7); bench/expected.json records the same
+JUDGED_RUN_SHA256 = {
+    "kw": "1bd2c0524926b0b1605eff9b935e1c7e5ea5469d51ef9e2958cba94f5db2e492",
+    "ne": "c6a368133fd502f15c0238fe28781ab3b1ace77687c921c1378445bbdee207b8",
+    "kw-union-ne": "1153b841cbeae6f9c295561bc6b415b3c2fb8e268dde0fd8a557d1e28dd1cf36",
+    "kw+ne": "13d7849d921543809a29332dbcf1ee879ed54befd60c6fa9b10b05acd9cfb79c",
+    "kw+ne+wh": "1da8f66c8fee001ade2a49bfcc4603a9f1feedae989d23a89eb0d7f51db8573e",
+}
+
+
+def test_judged_synth_run_files_match_their_recorded_digests(tmp_path):
+    collection = generate(seed=7)
+    for name, text in (("kb.tsv", collection.kb_text), ("corpus.tsv", collection.corpus_text),
+                       ("queries.tsv", collection.queries_text)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    common = ["--kb", tmp_path / "kb.tsv", "--index-dir", tmp_path / "index"]
+    assert run_cli("index", *common, "--corpus", tmp_path / "corpus.tsv") == 0
+    digests = {}
+    for model in JUDGED_RUN_SHA256:
+        run_path = tmp_path / f"run-{model}.txt"
+        assert run_cli("search", *common, "--queries", tmp_path / "queries.tsv",
+                       "--model", model, "--output", run_path) == 0
+        digests[model] = hashlib.sha256(run_path.read_bytes()).hexdigest()
+    assert digests == JUDGED_RUN_SHA256
+
+
+def test_run_config_reads_stopword_and_wh_mapping_files_once(tmp_path, monkeypatch):
+    (tmp_path / "stop.txt").write_text("the\nof\n", encoding="utf-8")
+    (tmp_path / "wh.tsv").write_text("who\tPerson\n", encoding="utf-8")
+    reads = []
+
+    def counted(loader):
+        def load(path):
+            reads.append(loader.__name__)
+            return loader(path)
+        return load
+
+    monkeypatch.setattr(cli, "load_stopwords", counted(cli.load_stopwords))
+    monkeypatch.setattr(cli, "load_wh_mapping", counted(cli.load_wh_mapping))
+    cfg = cli.RunConfig(kb_path=DATA_DIR / "figure_kb.tsv",
+                        model=ModelConfig(model=Model.KW_PLUS_NE_WH),
+                        stopword_path=tmp_path / "stop.txt", wh_mapping_path=tmp_path / "wh.tsv")
+    for _ in range(3):
+        assert cfg.stopwords == frozenset({"the", "of"})
+        assert cfg.wh_mapping == {"who": "Person"}
+    assert sorted(reads) == ["load_stopwords", "load_wh_mapping"]
+
+
 # --- eval and sigtest commands -----------------------------------------------------------
 
 RUN_A = (
@@ -294,6 +346,23 @@ def test_eval_requires_query_overlap(workspace, capsys):
     assert run_cli("eval", "--run", workspace / "run.txt",
                    "--qrels", workspace / "qrels.txt", "--output", out) == 1
     assert "share no query ids" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run_text,qrels_text,message", [
+    ("q1 Q0 d1 one 0.9 a\n", QRELS, "run.txt:1: rank 'one' is not an integer"),
+    ("q1 Q0 d1 1 0.9 a\nq1 Q0 d1 2 0.8 a\n", QRELS,
+     "run.txt:2: duplicate doc 'd1' in ranking for query 'q1'"),
+    (RUN_A, "q1 0 d1 1\nq2 0 d3 yes\n", "qrels.txt:2: relevance 'yes' is not an integer"),
+], ids=["rank", "duplicate", "relevance"])
+def test_eval_names_the_file_and_line_of_a_malformed_field(workspace, capsys, run_text,
+                                                          qrels_text, message):
+    (workspace / "run.txt").write_text(run_text, encoding="utf-8")
+    (workspace / "qrels.txt").write_text(qrels_text, encoding="utf-8")
+    out = workspace / "eval.tsv"
+    assert run_cli("eval", "--run", workspace / "run.txt",
+                   "--qrels", workspace / "qrels.txt", "--output", out) == 1
+    assert capsys.readouterr().err == f"error: {workspace}/{message}\n"
     assert not out.exists()
 
 

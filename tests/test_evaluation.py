@@ -319,6 +319,22 @@ def test_parse_run_rejects_duplicates_and_bad_shape():
         parse_run("q1 docA 1 0.5\n")
 
 
+def test_parse_qrels_names_the_line_of_a_non_integer_relevance():
+    with pytest.raises(ValueError, match=r"^qrels.txt:2: relevance 'one' is not an integer$"):
+        parse_qrels("q1 0 docA 1\nq1 0 docB one\n", "qrels.txt")
+
+
+def test_parse_run_names_the_line_of_a_non_integer_rank():
+    with pytest.raises(ValueError, match=r"^run.txt:3: rank '2.5' is not an integer$"):
+        parse_run("q1 Q0 docA 1 0.5 t\n\nq1 Q0 docB 2.5 0.4 t\n", "run.txt")
+
+
+def test_parse_run_names_the_line_of_a_repeated_doc():
+    text = "q1 Q0 docA 1 0.5 t\nq2 Q0 docA 1 0.5 t\nq1 Q0 docB 2 0.4 t\nq1 Q0 docA 3 0.3 t\n"
+    with pytest.raises(ValueError, match=r"^run.txt:4: duplicate doc 'docA' in ranking for query 'q1'$"):
+        parse_run(text, "run.txt")
+
+
 def test_eval_report_format_golden():
     curve = interpolated_curve(["r1"], {"r1"})
     report = format_eval_report({"q2": 0.5, "q1": 1.0}, curve)

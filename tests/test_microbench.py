@@ -1,21 +1,28 @@
-"""Micro-benchmarks of the query hot path over a 6000-document synthetic index.
+"""Micro-benchmarks of the hot paths over a 6000-document synthetic collection.
 
 They are marked `microbench`, which pyproject.toml deselects by default; run
 them with
 
     PYTHONPATH=src python -m pytest -m microbench tests/test_microbench.py
 
-Each benchmark round scores or ranks synth's 24 judged queries once.
+A `cosine_score` or `rank_documents` round scores or ranks synth's 24 judged
+queries once; a `stem` or `recognize_entities` round analyzes the first
+600 documents; a `randomization_test` round compares two models' per-query
+average precision over those 24 queries with 10k permutations.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pytest
 
-from ontosearch.cli import parse_corpus, parse_queries
+from ontosearch.annotate import _TOKEN, recognize_entities
+from ontosearch.cli import QuerySpec, parse_corpus, parse_queries
+from ontosearch.evaluation import average_precision, parse_qrels, randomization_test
 from ontosearch.expand import Space
-from ontosearch.index import build_index
-from ontosearch.kb import parse_kb
+from ontosearch.index import IndexBundle, build_index
+from ontosearch.kb import KnowledgeBase, parse_kb
 from ontosearch.rank import (
     Model,
     ModelConfig,
@@ -24,13 +31,25 @@ from ontosearch.rank import (
     represent_document,
     represent_query,
     score_query,
+    search,
 )
+from ontosearch.stem import stem
 from ontosearch.synth import generate
 
 pytestmark = pytest.mark.microbench
 
 N_DOCS = 6000
 K = 1000  # TREC pool depth, as in the benchmark's searches
+N_ANALYZED = 600
+N_PERM = 10_000
+
+
+class Synth(NamedTuple):
+    kb: KnowledgeBase
+    idx: IndexBundle
+    queries: list[QuerySpec]
+    qrels: dict[str, set[str]]
+    texts: list[str]  # document texts, in corpus order
 
 
 @pytest.fixture(scope="module")
@@ -39,18 +58,18 @@ def synth():
     kb = parse_kb(collection.kb_text)
     docs = parse_corpus(collection.corpus_text)
     idx = build_index(represent_document(text, kb, doc_id) for doc_id, text in docs.items())
-    return kb, idx, parse_queries(collection.queries_text)
+    return Synth(kb, idx, parse_queries(collection.queries_text),
+                 parse_qrels(collection.qrels_text), list(docs.values()))
 
 
 def query_reps(synth, model):
-    kb, _, queries = synth
     cfg = ModelConfig(model=model)
-    return [represent_query(q.text, kb, cfg, wh_override=q.wh_override) for q in queries]
+    return [represent_query(q.text, synth.kb, cfg, wh_override=q.wh_override) for q in synth.queries]
 
 
 @pytest.mark.parametrize("space,model", [(Space.KW, Model.KW), (Space.G, Model.KW_PLUS_NE)])
 def test_cosine_score(benchmark, synth, space, model):
-    sx = synth[1].spaces[space]
+    sx = synth.idx.spaces[space]
     bags = [rep.space_bags[space] for rep in query_reps(synth, model)]
     scores = benchmark(lambda: [cosine_score(bag, sx) for bag in bags])
     assert sum(map(len, scores)) > 0
@@ -58,6 +77,39 @@ def test_cosine_score(benchmark, synth, space, model):
 
 def test_rank_documents_at_k_1000(benchmark, synth):
     cfg = ModelConfig(model=Model.KW_PLUS_NE)
-    scores = [score_query(rep, synth[1], cfg) for rep in query_reps(synth, cfg.model)]
+    scores = [score_query(rep, synth.idx, cfg) for rep in query_reps(synth, cfg.model)]
     ranked = benchmark(lambda: [rank_documents(s, K) for s in scores])
     assert max(map(len, ranked)) == K
+
+
+@pytest.mark.parametrize("memoized", [True, False], ids=["memoized", "rules"])
+def test_stem(benchmark, synth, memoized):
+    """`stem` as indexing calls it, or its uncached rules over the distinct forms."""
+    texts = synth.texts[:N_ANALYZED]
+    tokens = [m.group().casefold() for text in texts for m in _TOKEN.finditer(text)]
+    words = tokens if memoized else sorted(set(tokens))
+    fn = stem if memoized else stem.__wrapped__
+    stems = benchmark(lambda: [fn(w) for w in words])
+    assert len(stems) == len(words)
+
+
+def test_recognize_entities(benchmark, synth):
+    texts = synth.texts[:N_ANALYZED]
+    mentions = benchmark(lambda: [recognize_entities(text, synth.kb) for text in texts])
+    assert sum(map(len, mentions)) > 0
+
+
+def test_randomization_test_10k_permutations(benchmark, synth):
+    def aps(model):
+        cfg = ModelConfig(model=model, k=K)
+        return [
+            average_precision(
+                search(q.text, synth.idx, synth.kb, cfg, wh_override=q.wh_override).doc_ids,
+                synth.qrels[q.query_id],
+            )
+            for q in synth.queries
+        ]
+
+    aps_a, aps_b = aps(Model.KW), aps(Model.KW_PLUS_NE_WH)
+    result = benchmark(lambda: randomization_test(aps_a, aps_b, n_perm=N_PERM, seed=0))
+    assert result.n_perm == N_PERM

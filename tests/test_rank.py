@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,9 @@ from ontosearch.kb import alias_set, load_kb, parse_kb
 from ontosearch.rank import (
     Model,
     ModelConfig,
+    Ranking,
     ScoredDoc,
+    Scores,
     cosine_score,
     format_run_lines,
     rank_documents,
@@ -147,7 +150,7 @@ def test_cosine_ubiquitous_only_overlap_scores_zero():
     ])
     scores = cosine_score(Counter({Keyword("common"): 1}), idx.spaces[Space.KW])
     assert scores == {"d1": 0.0, "d2": 0.0}
-    assert rank_documents(scores) == []
+    assert list(rank_documents(scores)) == []
 
 
 # --- entity-space combination ---------------------------------------------------
@@ -310,13 +313,13 @@ def test_wh_mapping_applies_only_to_wh_model(figure_kb, corpus_index):
 @pytest.mark.parametrize("model", list(Model))
 def test_empty_query_yields_empty_results(figure_kb, corpus_index, model):
     cfg = ModelConfig(model=model)
-    assert search("", corpus_index, figure_kb, cfg) == []
-    assert search("the of is been", corpus_index, figure_kb, cfg) == []
+    assert list(search("", corpus_index, figure_kb, cfg)) == []
+    assert list(search("the of is been", corpus_index, figure_kb, cfg)) == []
 
 
 def test_entityless_query_under_ne_model_is_empty(figure_kb, corpus_index):
     results = search("wine exports winter", corpus_index, figure_kb, ModelConfig(model=Model.NE))
-    assert results == []
+    assert list(results) == []
 
 
 def test_tie_break_ascending_doc_id_and_cutoff(figure_kb):
@@ -356,12 +359,12 @@ def test_scores_lie_in_unit_interval(figure_kb, corpus_index, model):
 
 
 def test_format_run_lines_golden():
-    results = [ScoredDoc("doc-9", 0.75), ScoredDoc("doc-2", 0.123456789)]
+    results = Ranking(["doc-9", "doc-2"], [0.75, 0.123456789])
     assert format_run_lines("q7", results, "ne-run") == [
         "q7 Q0 doc-9 1 0.750000 ne-run",
         "q7 Q0 doc-2 2 0.123457 ne-run",
     ]
-    assert format_run_lines("q7", [], "ne-run") == []
+    assert format_run_lines("q7", Ranking([], []), "ne-run") == []
 
 
 # --- property: engine cosine equals the dense oracle everywhere --------------------
@@ -458,7 +461,7 @@ def test_scores_equal_the_per_posting_loop_exactly(tmp_path_factory, corpus, que
             got = score_query(q, idx, cfg)
             assert len(got) == len(expected[model])
             assert dict(got) == expected[model]  # == on floats: bit-identical
-            assert rank_documents(got, k) == [
+            assert list(rank_documents(got, k)) == [
                 (doc_id, min(1.0, score)) for doc_id, score in oracles.rank_scores(expected[model], k)
             ]
 
@@ -471,7 +474,45 @@ def test_rank_documents_cuts_through_ties_like_rank_scores():
     scores = cosine_score(Counter({Keyword("p"): 1, Keyword("q"): 1}), idx.spaces[Space.KW])
     assert len(scores) == 24 and len(set(scores.values())) == 3  # three ties of eight
     for k in [None, *range(1, 27)]:
-        assert rank_documents(scores, k) == oracles.rank_scores(dict(scores), k)
+        assert list(rank_documents(scores, k)) == oracles.rank_scores(dict(scores), k)
+
+
+SCORE_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0 + 2**-52, 1.0 + 1e-9, 5e-324]),
+    st.floats(min_value=0.0, max_value=1.5),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(SCORE_VALUES, min_size=1, max_size=12), seed=st.integers(0, 99))
+def test_ranking_lists_equal_rank_scores_clamped_at_every_cutoff(values, seed):
+    doc_ids = [f"d{i:02d}" for i in range(len(values))]
+    random.Random(seed).shuffle(doc_ids)
+    space = build_index([kw_rep(d, t=1) for d in doc_ids]).spaces[Space.KW]
+    scores = Scores(space, np.array(values), np.ones(len(values), dtype=bool))
+    for k in [None, *range(1, len(values) + 2)]:
+        expected = [(d, min(1.0, v)) for d, v in oracles.rank_scores(dict(scores), k)]
+        ranking = rank_documents(scores, k)
+        assert ranking.doc_ids == [d for d, _ in expected]
+        assert ranking.scores == [v for _, v in expected]  # == on floats: exact
+        assert list(ranking) == [ScoredDoc(d, v) for d, v in expected]
+        per_hit = [
+            f"q1 Q0 {res.doc_id} {position} {res.score:.6f} tag"
+            for position, res in enumerate([ScoredDoc(d, v) for d, v in expected], start=1)
+        ]
+        assert format_run_lines("q1", ranking, "tag") == per_hit
+
+
+def test_ranking_is_a_sequence_of_scored_docs():
+    ranking = Ranking(["b", "a", "c"], [0.9, 0.5, 0.25])
+    assert len(ranking) == 3
+    assert ranking[0] == ScoredDoc("b", 0.9) and ranking[-1] == ScoredDoc("c", 0.25)
+    assert ranking[1:] == Ranking(["a", "c"], [0.5, 0.25])
+    assert [r.doc_id for r in ranking] == ["b", "a", "c"]
+    assert ScoredDoc("a", 0.5) in ranking and ranking.index(ScoredDoc("c", 0.25)) == 2
+    assert ranking != Ranking(["b", "a", "c"], [0.9, 0.5, 0.125])
+    with pytest.raises(IndexError):
+        ranking[3]
 
 
 # --- property: one analysis pass builds the bags two passes used to ------------------
