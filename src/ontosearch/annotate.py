@@ -80,23 +80,6 @@ class AnnotatedText:
     wh_classes: list[str] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class AnnotationOptions:
-    """Knobs for `annotate`.
-
-    treat_names_as_keywords: True for the multi-vector models (entity-name
-    tokens stay in the keyword list), False for the generalized-term models
-    (tokens inside entity spans are dropped).
-    wh_mapping: interrogative-word table; None disables wh-class extraction.
-    wh_override: per-query class that replaces the leading-word lookup.
-    """
-
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS
-    treat_names_as_keywords: bool = True
-    wh_mapping: dict[str, str] | None = None
-    wh_override: str | None = None
-
-
 def tokenize_keywords(text: str, stopwords: frozenset[str] | set[str]) -> list[Token]:
     """Split on non-alphanumeric boundaries, case-fold, drop stop-words, stem."""
     tokens = []
@@ -171,20 +154,30 @@ def map_interrogative(word: str, mapping: dict[str, str]) -> str | None:
     return mapping.get(word.casefold())
 
 
-def annotate(text: str, kb: KnowledgeBase, opts: AnnotationOptions) -> AnnotatedText:
-    """Full analysis of one text: keywords, entity annotations, wh classes."""
+def annotate(
+    text: str,
+    kb: KnowledgeBase,
+    *,
+    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
+    wh_mapping: dict[str, str] | None = None,
+    wh_override: str | None = None,
+) -> AnnotatedText:
+    """Full analysis of one text: every keyword, entity annotations, wh classes.
+
+    Keywords inside entity mentions are kept; `keywords_outside_entities`
+    drops them. `wh_mapping` None disables wh-class extraction;
+    `wh_override` replaces the leading-word lookup with a given class.
+    """
     entities = recognize_entities(text, kb)
-    keywords = tokenize_keywords(text, opts.stopwords)
-    if not opts.treat_names_as_keywords:
-        keywords = keywords_outside_entities(keywords, entities)
+    keywords = tokenize_keywords(text, stopwords)
     wh_classes: list[str] = []
-    if opts.wh_mapping is not None:
-        if opts.wh_override is not None:
-            wh_classes = [opts.wh_override]
+    if wh_mapping is not None:
+        if wh_override is not None:
+            wh_classes = [wh_override]
         else:
             lead = _TOKEN.search(text)
             if lead:
-                mapped = map_interrogative(lead.group(), opts.wh_mapping)
+                mapped = map_interrogative(lead.group(), wh_mapping)
                 if mapped is not None:
                     wh_classes = [mapped]
     return AnnotatedText(source=text, keywords=keywords, entities=entities, wh_classes=wh_classes)

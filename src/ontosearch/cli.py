@@ -4,8 +4,9 @@ File formats:
   corpus    records starting with `DOC<TAB>doc_id`, followed by the
             document's text lines until the next DOC record
   queries   `query_id<TAB>query text[<TAB>WH=class_id]`
-  config    optional TSV of `key<TAB>value` pairs mirroring the flag
-            names (without dashes); explicit flags win
+  config    optional TSV of `key<TAB>value` pairs, one key per flag it
+            may set (kb, stopwords, model, alpha, wn, wc, wnc, wi, k,
+            wh-mapping); an unknown key is an error; explicit flags win
   qrels     TREC `query_id 0 doc_id rel`
   run       TREC `query_id Q0 doc_id rank score tag`
 
@@ -69,7 +70,6 @@ class RunConfig:
     model: ModelConfig
     stopword_path: Path | None = None
     wh_mapping_path: Path | None = None
-    seed: int = 0
 
     # read once per config; a frozen dataclass still has the __dict__ these cache in
     @cached_property
@@ -183,18 +183,16 @@ def _check_fingerprint(index_dir: Path, expected: dict[str, str]) -> None:
 
 # --- commands ----------------------------------------------------------------------
 
-def cmd_index(kb_path: Path, corpus_path: Path, index_dir: Path,
-              stopword_path: Path | None) -> None:
-    kb = load_kb(kb_path)
-    stopwords = load_stopwords(stopword_path) if stopword_path else DEFAULT_STOPWORDS
+def cmd_index(cfg: RunConfig, corpus_path: Path, index_dir: Path) -> None:
+    kb = load_kb(cfg.kb_path)
     corpus = parse_corpus(corpus_path.read_text(encoding="utf-8"), str(corpus_path))
     reps = [
-        represent_document(text, kb, doc_id, stopwords=stopwords)
+        represent_document(text, kb, doc_id, stopwords=cfg.stopwords)
         for doc_id, text in corpus.items()
     ]
     bundle = build_index(reps)
     save_index(bundle, index_dir)
-    _write_fingerprint(index_dir, _fingerprint(kb_path, stopword_path))
+    _write_fingerprint(index_dir, _fingerprint(cfg.kb_path, cfg.stopword_path))
 
 
 def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
@@ -203,13 +201,11 @@ def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
     queries = parse_queries(queries_path.read_text(encoding="utf-8"), str(queries_path))
     kb = load_kb(cfg.kb_path)
     idx = load_index(index_dir)
-    stopwords = cfg.stopwords
-    wh_mapping = cfg.wh_mapping if cfg.model.model is Model.KW_PLUS_NE_WH else None
     lines: list[str] = []
     for query in queries:
         ranking = search(
             query.text, idx, kb, cfg.model,
-            stopwords=stopwords, wh_mapping=wh_mapping, wh_override=query.wh_override,
+            stopwords=cfg.stopwords, wh_mapping=cfg.wh_mapping, wh_override=query.wh_override,
         )
         lines.extend(format_run_lines(query.query_id, ranking, run_tag))
     _atomic_write(output_path, "\n".join(lines) + "\n" if lines else "")
@@ -252,10 +248,9 @@ def cmd_dump_terms(cfg: RunConfig, text: str, side: str, wh_override: str | None
     if side == "document":
         rep = represent_document(text, kb, "doc", stopwords=cfg.stopwords)
     else:
-        wh_mapping = cfg.wh_mapping if cfg.model.model is Model.KW_PLUS_NE_WH else None
         rep = represent_query(
             text, kb, cfg.model,
-            stopwords=cfg.stopwords, wh_mapping=wh_mapping, wh_override=wh_override,
+            stopwords=cfg.stopwords, wh_mapping=cfg.wh_mapping, wh_override=wh_override,
         )
     if cfg.model.model in (Model.KW_PLUS_NE, Model.KW_PLUS_NE_WH):
         terms = set(rep.space_bags[Space.G])
@@ -268,8 +263,28 @@ def cmd_dump_terms(cfg: RunConfig, text: str, side: str, wh_override: str | None
 
 # --- argument plumbing ---------------------------------------------------------------
 
-def _load_config_file(path: Path) -> dict[str, str]:
-    values: dict[str, str] = {}
+# the flags of index, search and dump-terms that a --config file may set
+_CONFIG_FLAGS = {
+    "kb": "knowledge base TSV",
+    "stopwords": "stop-word list, one word per line",
+    "model": "kw | ne | kw-union-ne | kw+ne | kw+ne+wh",
+    "alpha": "keyword/entity blend for kw-union-ne",
+    "wn": "name-space weight",
+    "wc": "class-space weight",
+    "wnc": "name-class-space weight",
+    "wi": "identifier-space weight",
+    "k": "result cutoff",
+    "wh-mapping": "interrogative-to-class TSV",
+}
+
+
+class ConfigValue(NamedTuple):
+    value: str
+    where: str  # `path:lineno` of the line that set it
+
+
+def _load_config_file(path: Path) -> dict[str, ConfigValue]:
+    values: dict[str, ConfigValue] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -277,20 +292,44 @@ def _load_config_file(path: Path) -> dict[str, str]:
         key, sep, value = line.partition("\t")
         if not sep:
             raise CliError(f"{path}:{lineno}: expected key<TAB>value")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_FLAGS:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}; a config file sets "
+                           + ", ".join(_CONFIG_FLAGS))
+        values[key] = ConfigValue(value.strip(), f"{path}:{lineno}")
     return values
 
 
-def _merged(args: argparse.Namespace, config: dict[str, str], key: str, default=None):
+def _merged(args: argparse.Namespace, config: dict[str, ConfigValue], key: str, default=None):
     flag_value = getattr(args, key.replace("-", "_"), None)
     if flag_value is not None:
         return flag_value
     if key in config:
-        return config[key]
+        return config[key].value
     return default
 
 
-def _model_config(args: argparse.Namespace, config: dict[str, str]) -> ModelConfig:
+def _number(args: argparse.Namespace, config: dict[str, ConfigValue], key: str, convert):
+    """The value of `key` converted by `int` or `float`, or None when it is not set.
+
+    A value that does not convert is reported with its flag, or with the
+    config file line that set it.
+    """
+    value = _merged(args, config, key)
+    if value is None:
+        return None
+    try:
+        return convert(value)
+    except ValueError:
+        if getattr(args, key, None) is not None:
+            where = f"--{key}"
+        else:
+            where = f"{config[key].where}: {key}"
+        kind = "an integer" if convert is int else "a number"
+        raise CliError(f"{where} {value!r} is not {kind}") from None
+
+
+def _model_config(args: argparse.Namespace, config: dict[str, ConfigValue]) -> ModelConfig:
     model_name = _merged(args, config, "model", Model.KW_PLUS_NE.value)
     try:
         model = Model(model_name)
@@ -299,8 +338,8 @@ def _model_config(args: argparse.Namespace, config: dict[str, str]) -> ModelConf
                        + ", ".join(m.value for m in Model)) from None
 
     weight_keys = ("wn", "wc", "wnc", "wi")
-    given_weights = {k: _merged(args, config, k) for k in weight_keys}
-    alpha = _merged(args, config, "alpha")
+    given_weights = {k: _number(args, config, k, float) for k in weight_keys}
+    alpha = _number(args, config, "alpha", float)
     if model not in (Model.NE, Model.KW_UNION_NE) and any(
         v is not None for v in given_weights.values()
     ):
@@ -312,19 +351,19 @@ def _model_config(args: argparse.Namespace, config: dict[str, str]) -> ModelConf
     names = {"wn": "w_n", "wc": "w_c", "wnc": "w_nc", "wi": "w_i"}
     for key, value in given_weights.items():
         if value is not None:
-            kwargs[names[key]] = float(value)
+            kwargs[names[key]] = value
     if alpha is not None:
-        kwargs["alpha"] = float(alpha)
-    k = _merged(args, config, "k")
+        kwargs["alpha"] = alpha
+    k = _number(args, config, "k", int)
     if k is not None:
-        kwargs["k"] = int(k)
+        kwargs["k"] = k
     try:
         return ModelConfig(model=model, **kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
-def _run_config(args: argparse.Namespace, config: dict[str, str]) -> RunConfig:
+def _run_config(args: argparse.Namespace, config: dict[str, ConfigValue]) -> RunConfig:
     kb = _merged(args, config, "kb")
     if kb is None:
         raise CliError("--kb is required")
@@ -333,13 +372,11 @@ def _run_config(args: argparse.Namespace, config: dict[str, str]) -> RunConfig:
     if wh_mapping is not None and model.model is not Model.KW_PLUS_NE_WH:
         raise CliError("--wh-mapping applies only to model kw+ne+wh")
     stopwords = _merged(args, config, "stopwords")
-    seed = int(_merged(args, config, "seed", 0))
     return RunConfig(
         kb_path=Path(kb),
         model=model,
         stopword_path=Path(stopwords) if stopwords else None,
         wh_mapping_path=Path(wh_mapping) if wh_mapping else None,
-        seed=seed,
     )
 
 
@@ -352,17 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", type=Path, help="optional TSV of key/value defaults")
-        p.add_argument("--kb", help="knowledge base TSV")
-        p.add_argument("--stopwords", help="stop-word list, one word per line")
-        p.add_argument("--model", help="kw | ne | kw-union-ne | kw+ne | kw+ne+wh")
-        p.add_argument("--alpha", help="keyword/entity blend for kw-union-ne")
-        p.add_argument("--wn", help="name-space weight")
-        p.add_argument("--wc", help="class-space weight")
-        p.add_argument("--wnc", help="name-class-space weight")
-        p.add_argument("--wi", help="identifier-space weight")
-        p.add_argument("--k", help="result cutoff")
-        p.add_argument("--seed", help="random seed")
-        p.add_argument("--wh-mapping", help="interrogative-to-class TSV")
+        for key, help_text in _CONFIG_FLAGS.items():
+            p.add_argument(f"--{key}", help=help_text)
 
     p_index = sub.add_parser("index", help="build an index directory from a corpus")
     add_common(p_index)
@@ -404,8 +432,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _load_config_file(args.config) if getattr(args, "config", None) else {}
         if args.command == "index":
-            cfg = _run_config(args, config)
-            cmd_index(cfg.kb_path, args.corpus, args.index_dir, cfg.stopword_path)
+            cmd_index(_run_config(args, config), args.corpus, args.index_dir)
         elif args.command == "search":
             cfg = _run_config(args, config)
             cmd_search(cfg, args.index_dir, args.queries, args.output, args.run_tag)

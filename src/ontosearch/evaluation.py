@@ -12,6 +12,7 @@ result bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -70,16 +71,24 @@ def interpolated_curve(ranking: list[str], relevant: set[str]) -> PRCurve:
     if not relevant:
         raise ValueError("relevant set is empty")
     n_rel = len(relevant)
-    observed: list[tuple[float, float]] = []  # (recall, precision) per prefix
+    recalls: list[float] = []
+    precisions: list[float] = []
     hits = 0
     for position, doc_id in enumerate(ranking, start=1):
         if doc_id in relevant:
             hits += 1
-        observed.append((hits / n_rel, hits / position))
+        recalls.append(hits / n_rel)
+        precisions.append(hits / position)
+    # recall never falls along the ranking, so the prefixes reaching a level
+    # are those from the first one that does; best[i] is the max precision
+    # of prefix i and every later one (0.0 past the last)
+    best = list(accumulate(reversed(precisions), max, initial=0.0))[::-1]
     points = []
+    first = 0
     for level in RECALL_LEVELS:
-        precision = max((p for r, p in observed if r >= level), default=0.0)
-        points.append(CurvePoint(level, precision, _f_measure(precision, level)))
+        while first < len(recalls) and recalls[first] < level:
+            first += 1
+        points.append(CurvePoint(level, best[first], _f_measure(best[first], level)))
     return PRCurve(tuple(points))
 
 

@@ -1,4 +1,10 @@
-"""Per-space term bags: multi-vector and generalized expansions.
+"""Per-space term bags: every text is expanded into all six spaces.
+
+A text's expansion does not depend on the retrieval model. The keyword
+space KW holds every keyword; the name, class, name-class and identifier
+spaces N, C, NC and I hold the entity terms; the generalized space G holds
+the keywords outside entity mentions plus the same entity terms. A model
+only chooses which spaces it scores.
 
 Documents are expanded aggressively: each entity occurrence contributes its
 name plus every alias, its class plus every non-top-level superclass, all
@@ -6,7 +12,7 @@ name-class pairs, and its identifier (when known), with one count per
 occurrence. Queries stay minimal: each annotation contributes exactly one
 term, the most specific available (id, then name+class, then class or name
 alone), with no alias or superclass closure; the document side of the match
-carries the burden. Wh classes contribute one class-only term each; they are
+carries the burden. Wh classes contribute one class-only G term each; they are
 configuration, not annotations, so they are not validated against the KB
 (an unknown class simply never matches a posting).
 """
@@ -17,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .annotate import AnnotatedText, EntityAnnotation
+from .annotate import AnnotatedText, EntityAnnotation, keywords_outside_entities
 from .kb import KnowledgeBase, alias_set, normalize_name, super_classes
 
 
@@ -28,11 +34,6 @@ class Space(str, Enum):
     NC = "NC"
     I = "I"
     G = "G"
-
-
-class ExpansionModel(str, Enum):
-    MULTIVECTOR = "multivector"
-    GENERALIZED = "generalized"
 
 
 @dataclass(frozen=True)
@@ -94,40 +95,27 @@ def _expansion_sets(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[set[str],
     return names, classes
 
 
-def expand_document(
-    at: AnnotatedText,
-    kb: KnowledgeBase,
-    model: ExpansionModel,
-    doc_id: str = "",
-) -> DocRepresentation:
+def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> DocRepresentation:
     """Document-side expansion; see the module docstring for the closure rules."""
     bags = _empty_bags()
     for token in at.keywords:
         bags[Space.KW][Keyword(token.stem)] += 1
-        if model is ExpansionModel.GENERALIZED:
-            bags[Space.G][Keyword(token.stem)] += 1
     for ann in at.entities:
         names, classes = _expansion_sets(ann, kb)
-        if model is ExpansionModel.MULTIVECTOR:
-            for n in names:
-                bags[Space.N][Triple(name=n)] += 1
+        for n in names:
+            bags[Space.N][Triple(name=n)] += 1
+        for c in classes:
+            bags[Space.C][Triple(class_id=c)] += 1
+        for n in names:
             for c in classes:
-                bags[Space.C][Triple(class_id=c)] += 1
-            for n in names:
-                for c in classes:
-                    bags[Space.NC][Triple(name=n, class_id=c)] += 1
-            if ann.entity_id is not None:
-                bags[Space.I][Triple(entity_id=ann.entity_id)] += 1
-        else:
-            for n in names:
-                bags[Space.G][Triple(name=n)] += 1
-            for c in classes:
-                bags[Space.G][Triple(class_id=c)] += 1
-            for n in names:
-                for c in classes:
-                    bags[Space.G][Triple(name=n, class_id=c)] += 1
-            if ann.entity_id is not None:
-                bags[Space.G][Triple(entity_id=ann.entity_id)] += 1
+                bags[Space.NC][Triple(name=n, class_id=c)] += 1
+        if ann.entity_id is not None:
+            bags[Space.I][Triple(entity_id=ann.entity_id)] += 1
+    generalized = bags[Space.G]
+    for token in keywords_outside_entities(at.keywords, at.entities):
+        generalized[Keyword(token.stem)] += 1
+    for space in (Space.N, Space.C, Space.NC, Space.I):
+        generalized.update(bags[space])
     return DocRepresentation(doc_id=doc_id, space_bags=bags)
 
 
@@ -145,31 +133,19 @@ def _most_specific_term(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[Space
     return Space.N, Triple(name=ann.name)
 
 
-def expand_query(
-    at: AnnotatedText,
-    kb: KnowledgeBase,
-    model: ExpansionModel,
-    wh: bool,
-) -> DocRepresentation:
+def expand_query(at: AnnotatedText, kb: KnowledgeBase) -> DocRepresentation:
     """Query-side expansion: one most-specific term per annotation, no closure."""
     bags = _empty_bags()
     for token in at.keywords:
         bags[Space.KW][Keyword(token.stem)] += 1
-        if model is ExpansionModel.GENERALIZED:
-            bags[Space.G][Keyword(token.stem)] += 1
+    for token in keywords_outside_entities(at.keywords, at.entities):
+        bags[Space.G][Keyword(token.stem)] += 1
     for ann in at.entities:
         space, term = _most_specific_term(ann, kb)
-        if model is ExpansionModel.MULTIVECTOR:
-            bags[space][term] += 1
-        else:
-            bags[Space.G][term] += 1
-    if wh:
-        for class_id in at.wh_classes:
-            term = Triple(class_id=class_id)
-            if model is ExpansionModel.MULTIVECTOR:
-                bags[Space.C][term] += 1
-            else:
-                bags[Space.G][term] += 1
+        bags[space][term] += 1
+        bags[Space.G][term] += 1
+    for class_id in at.wh_classes:
+        bags[Space.G][Triple(class_id=class_id)] += 1
     return DocRepresentation(doc_id="", space_bags=bags)
 
 

@@ -5,7 +5,9 @@ alone; `ne` is the weighted sum of the four entity-space cosines
 (w_N + w_C + w_NC + w_I = 1); `kw-union-ne` blends the two with
 alpha * NE + (1 - alpha) * KW; `kw+ne` and `kw+ne+wh` are single cosines
 over the generalized term space, the latter adding class terms derived
-from the query's interrogative word.
+from the query's interrogative word. Every query and document is expanded
+into all six spaces whatever the model; a model only picks the spaces it
+scores.
 
 Scoring conventions, applied uniformly:
   * a query term missing from a space's vocabulary has no document
@@ -42,22 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .annotate import (
-    DEFAULT_STOPWORDS,
-    DEFAULT_WH_MAPPING,
-    AnnotationOptions,
-    annotate,
-    keywords_outside_entities,
-)
-from .expand import (
-    DocRepresentation,
-    ExpansionModel,
-    Keyword,
-    Space,
-    TermBag,
-    expand_document,
-    expand_query,
-)
+from .annotate import DEFAULT_STOPWORDS, DEFAULT_WH_MAPPING, annotate
+from .expand import DocRepresentation, Space, TermBag, expand_document, expand_query
 from .index import IndexBundle, SpaceIndex
 from .kb import KnowledgeBase
 
@@ -87,7 +75,7 @@ class ModelConfig:
         weights = (self.w_n, self.w_c, self.w_nc, self.w_i)
         if any(w < 0 for w in weights):
             raise ValueError(f"space weights must be non-negative, got {weights}")
-        if abs(sum(weights) - 1.0) > 1e-9:
+        if not abs(sum(weights) - 1.0) <= 1e-9:  # also rejects a nan weight
             raise ValueError(f"space weights must sum to 1, got {sum(weights)!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha!r}")
@@ -229,18 +217,18 @@ def represent_query(
     wh_mapping: dict[str, str] | None = None,
     wh_override: str | None = None,
 ) -> DocRepresentation:
-    """Annotate and expand a query as the configured model requires."""
-    if cfg.model in (Model.KW, Model.NE, Model.KW_UNION_NE):
-        opts = AnnotationOptions(stopwords=stopwords, treat_names_as_keywords=True)
-        return expand_query(annotate(query_text, kb, opts), kb, ExpansionModel.MULTIVECTOR, wh=False)
+    """Annotate a query and expand it into all six spaces.
+
+    The model changes only whether the interrogative word is read: under
+    kw+ne+wh its class becomes a G term.
+    """
     wh = cfg.model is Model.KW_PLUS_NE_WH
-    opts = AnnotationOptions(
-        stopwords=stopwords,
-        treat_names_as_keywords=False,
+    at = annotate(
+        query_text, kb, stopwords=stopwords,
         wh_mapping=(wh_mapping or DEFAULT_WH_MAPPING) if wh else None,
-        wh_override=wh_override if wh else None,
+        wh_override=wh_override,
     )
-    return expand_query(annotate(query_text, kb, opts), kb, ExpansionModel.GENERALIZED, wh=wh)
+    return expand_query(at, kb)
 
 
 def represent_document(
@@ -250,23 +238,8 @@ def represent_document(
     *,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> DocRepresentation:
-    """Document-side twin of represent_query, filling all six spaces at once.
-
-    One annotation pass, keeping entity names as keywords, yields the
-    multi-vector spaces. The generalized space is derived from the same
-    pass: the keywords outside entity spans, plus every entity term of the
-    N, C, NC and I spaces, which are exactly the generalized expansion's
-    entity terms.
-    """
-    at = annotate(text, kb, AnnotationOptions(stopwords=stopwords, treat_names_as_keywords=True))
-    rep = expand_document(at, kb, ExpansionModel.MULTIVECTOR, doc_id)
-    bags = rep.space_bags
-    generalized = bags[Space.G]
-    for token in keywords_outside_entities(at.keywords, at.entities):
-        generalized[Keyword(token.stem)] += 1
-    for space in (Space.N, Space.C, Space.NC, Space.I):
-        generalized.update(bags[space])
-    return rep
+    """Document-side twin of represent_query: one annotation pass, all six spaces."""
+    return expand_document(annotate(text, kb, stopwords=stopwords), kb, doc_id)
 
 
 def score_query(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> Scores:

@@ -8,6 +8,9 @@ outputs and hold the engine to them.
 from __future__ import annotations
 
 import math
+from collections import Counter
+
+from ontosearch.expand import Keyword, Triple
 
 
 # --- ontology ---------------------------------------------------------------
@@ -24,6 +27,42 @@ def closure_walk(parents: dict[str, set[str]], top_level: set[str], class_id: st
 
     walk(class_id)
     return {c for c in out if c not in top_level} - {class_id}
+
+
+def generalized_bag(at, kb) -> Counter:
+    """The generalized space G of one annotated document, from the rules.
+
+    Each keyword not lying wholly inside a mention counts once. Each
+    mention adds, once each: its names (the annotated name, plus the
+    canonical name and aliases when identified), its classes (the annotated
+    class plus every ancestor `closure_walk` keeps), every name-class pair,
+    and its identifier when known.
+    """
+    parents = {c: set(d.parent_ids) for c, d in kb.classes.items()}
+    top = {c for c, d in kb.classes.items() if d.is_top_level}
+    spans = [a.char_span for a in at.entities]
+    bag: Counter = Counter()
+    for token in at.keywords:
+        start, end = token.char_span
+        if not any(s <= start and end <= e for s, e in spans):
+            bag[Keyword(token.stem)] += 1
+    for ann in at.entities:
+        names = {ann.name} if ann.name is not None else set()
+        if ann.entity_id is not None:
+            entity = kb.entities[ann.entity_id]
+            names |= {entity.canonical_name, *entity.aliases}
+        classes = set()
+        if ann.class_id is not None:
+            classes = {ann.class_id} | closure_walk(parents, top, ann.class_id)
+        terms = (
+            {Triple(name=n) for n in names}
+            | {Triple(class_id=c) for c in classes}
+            | {Triple(name=n, class_id=c) for n in names for c in classes}
+        )
+        if ann.entity_id is not None:
+            terms.add(Triple(entity_id=ann.entity_id))
+        bag.update(terms)
+    return bag
 
 
 # --- dense tf-idf cosine -----------------------------------------------------

@@ -8,9 +8,9 @@ import pytest
 from ontosearch.annotate import (
     DEFAULT_STOPWORDS,
     DEFAULT_WH_MAPPING,
-    AnnotationOptions,
     EntityAnnotation,
     annotate,
+    keywords_outside_entities,
     load_stopwords,
     load_wh_mapping,
     map_interrogative,
@@ -168,48 +168,46 @@ def test_map_interrogative():
 
 
 def test_annotate_generalized_keywords(figure_kb):
-    opts = AnnotationOptions(treat_names_as_keywords=False)
-    at = annotate(FIGURE_DOC, figure_kb, opts)
-    assert sorted(stems(at.keywords)) == sorted(
+    at = annotate(FIGURE_DOC, figure_kb)
+    assert sorted(stems(keywords_outside_entities(at.keywords, at.entities))) == sorted(
         [stem(w) for w in ("existence", "years", "group", "co-chaired", "President")]
     )
     assert len(at.entities) == 4
 
 
 def test_annotate_multivector_keeps_name_tokens(figure_kb):
-    opts = AnnotationOptions(treat_names_as_keywords=True)
-    at = annotate(FIGURE_DOC, figure_kb, opts)
+    at = annotate(FIGURE_DOC, figure_kb)
     extra = {stem(w) for w in ("California", "Compact", "Stanford", "University", "Don", "Kennedy")}
     assert extra <= set(stems(at.keywords))
     assert len(at.entities) == 4
 
 
 def test_annotate_entity_only_text(figure_kb):
-    opts = AnnotationOptions(treat_names_as_keywords=False)
-    at = annotate("Stanford University", figure_kb, opts)
-    assert at.keywords == []
+    at = annotate("Stanford University", figure_kb)
+    assert keywords_outside_entities(at.keywords, at.entities) == []
     assert len(at.entities) == 1
 
 
 def test_annotate_is_deterministic(figure_kb):
-    opts = AnnotationOptions(treat_names_as_keywords=False, wh_mapping=dict(DEFAULT_WH_MAPPING))
-    assert annotate(FIGURE_QUERY, figure_kb, opts) == annotate(FIGURE_QUERY, figure_kb, opts)
+    wh_mapping = dict(DEFAULT_WH_MAPPING)
+    assert annotate(FIGURE_QUERY, figure_kb, wh_mapping=wh_mapping) == annotate(
+        FIGURE_QUERY, figure_kb, wh_mapping=wh_mapping
+    )
 
 
 def test_annotate_wh_classes(figure_kb):
-    enabled = AnnotationOptions(wh_mapping=dict(DEFAULT_WH_MAPPING))
-    assert annotate(FIGURE_QUERY, figure_kb, enabled).wh_classes == ["Person"]
+    enabled = dict(DEFAULT_WH_MAPPING)
+    assert annotate(FIGURE_QUERY, figure_kb, wh_mapping=enabled).wh_classes == ["Person"]
 
-    disabled = AnnotationOptions(wh_mapping=None)
-    assert annotate(FIGURE_QUERY, figure_kb, disabled).wh_classes == []
+    assert annotate(FIGURE_QUERY, figure_kb, wh_mapping=None).wh_classes == []
 
-    overridden = AnnotationOptions(wh_mapping=dict(DEFAULT_WH_MAPPING), wh_override="Location")
-    assert annotate(FIGURE_QUERY, figure_kb, overridden).wh_classes == ["Location"]
+    overridden = annotate(FIGURE_QUERY, figure_kb, wh_mapping=enabled, wh_override="Location")
+    assert overridden.wh_classes == ["Location"]
 
 
 def test_wh_only_considers_leading_token(figure_kb):
-    opts = AnnotationOptions(wh_mapping=dict(DEFAULT_WH_MAPPING))
-    assert annotate("Tell me where Moscow is", figure_kb, opts).wh_classes == []
+    at = annotate("Tell me where Moscow is", figure_kb, wh_mapping=dict(DEFAULT_WH_MAPPING))
+    assert at.wh_classes == []
 
 
 def test_annotation_invariants_enforced():

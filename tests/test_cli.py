@@ -251,6 +251,50 @@ def test_config_file_supplies_defaults_and_flags_win(workspace):
     assert out_ne.read_text() != kw_lines  # the flag really overrode the config
 
 
+@pytest.mark.parametrize("flag,value,model,message", [
+    ("k", "ten", "kw", "--k 'ten' is not an integer"),
+    ("k", "2.5", "kw", "--k '2.5' is not an integer"),
+    ("alpha", "x", "kw-union-ne", "--alpha 'x' is not a number"),
+    ("wn", "x", "ne", "--wn 'x' is not a number"),
+], ids=["k-word", "k-fraction", "alpha", "wn"])
+def test_unparseable_number_names_its_flag_or_config_line(tmp_path, capsys, flag, value,
+                                                           model, message):
+    assert run_cli("dump-terms", "--kb", KB, "--model", model, f"--{flag}", value, "Moscow") == 1
+    assert f"error: {message}\n" == capsys.readouterr().err
+    config = tmp_path / "config.tsv"
+    config.write_text(f"# defaults\nmodel\t{model}\n{flag}\t{value}\n", encoding="utf-8")
+    assert run_cli("dump-terms", "--kb", KB, "--config", config, "Moscow") == 1
+    assert f"error: {config}:3: {flag} {value!r} is not " in capsys.readouterr().err
+
+
+def test_nan_space_weight_is_rejected(capsys):
+    assert run_cli("dump-terms", "--kb", KB, "--model", "ne", "--wn", "nan", "Moscow") == 1
+    assert "space weights must sum to 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["modle", "seed", "corpus"])
+def test_config_file_rejects_a_key_no_flag_reads(tmp_path, capsys, key):
+    config = tmp_path / "config.tsv"
+    config.write_text(f"kb\t{KB}\n\n{key}\tkw\n", encoding="utf-8")
+    assert run_cli("dump-terms", "--config", config, "Moscow") == 1
+    assert f"error: {config}:3: unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["index", "search", "dump-terms"])
+def test_seed_is_not_a_flag_of_the_analysis_commands(workspace, capsys, command):
+    argv = {
+        "index": ["--corpus", workspace / "corpus.tsv", "--index-dir", workspace / "index"],
+        "search": ["--index-dir", workspace / "index", "--queries", workspace / "queries.tsv",
+                   "--output", workspace / "run.txt"],
+        "dump-terms": ["Moscow"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--kb", KB, "--seed", "1", *argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert not (workspace / "index").exists()
+
+
 # sha256 of each run file `ontosearch search` writes with default flags for the
 # 24 judged queries of synth.generate(seed=7); bench/expected.json records the same
 JUDGED_RUN_SHA256 = {

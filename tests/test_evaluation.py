@@ -129,6 +129,9 @@ def test_curve_precision_never_increases_across_levels():
         curve = interpolated_curve(ranking, relevant)
         precisions = [p.precision for p in curve.points]
         assert all(a >= b for a, b in zip(precisions, precisions[1:]))
+        assert [(p.level, p.precision) for p in curve.points] == (
+            oracles.interpolated_curve_scan(ranking, relevant)
+        )
 
 
 def test_curve_requires_nonempty_relevant():

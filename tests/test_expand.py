@@ -7,16 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ontosearch.annotate import (
+    DEFAULT_STOPWORDS,
     DEFAULT_WH_MAPPING,
     AnnotatedText,
-    AnnotationOptions,
     EntityAnnotation,
     Token,
     annotate,
+    keywords_outside_entities,
     tokenize_keywords,
 )
 from ontosearch.expand import (
-    ExpansionModel,
     Keyword,
     Space,
     Triple,
@@ -31,12 +31,16 @@ from ontosearch.kb import parse_kb
 from conftest import FIGURE_QUERY
 from oracles import closure_walk
 
-MV = ExpansionModel.MULTIVECTOR
-GEN = ExpansionModel.GENERALIZED
-
-
 def entity_only(ann: EntityAnnotation) -> AnnotatedText:
     return AnnotatedText(source=ann.surface, keywords=[], entities=[ann])
+
+
+def generalized_from_other_spaces(at: AnnotatedText, rep) -> Counter:
+    """G as the spaces it mixes: the keywords outside mentions plus N, C, NC and I."""
+    bag = Counter(Keyword(t.stem) for t in keywords_outside_entities(at.keywords, at.entities))
+    for space in (Space.N, Space.C, Space.NC, Space.I):
+        bag.update(rep.space_bags[space])
+    return bag
 
 
 def california_annotation() -> EntityAnnotation:
@@ -50,7 +54,8 @@ def california_annotation() -> EntityAnnotation:
 
 
 def test_california_generalized_block(figure_kb):
-    rep = expand_document(entity_only(california_annotation()), figure_kb, GEN)
+    at = entity_only(california_annotation())
+    rep = expand_document(at, figure_kb)
     expected = {
         Triple(entity_id="Province_T.4198"),
         Triple(name="California"),
@@ -62,12 +67,13 @@ def test_california_generalized_block(figure_kb):
         Triple(name="California", class_id="Location"),
     }
     assert rep.space_bags[Space.G] == Counter({t: 1 for t in expected})
-    assert all(not rep.space_bags[s] for s in (Space.KW, Space.N, Space.C, Space.NC, Space.I))
+    assert not rep.space_bags[Space.KW]
+    assert rep.space_bags[Space.G] == generalized_from_other_spaces(at, rep)
 
 
 def test_name_only_annotation_expands_to_single_term(figure_kb):
     ann = EntityAnnotation(char_span=(0, 4), surface="Zork", name="Zork")
-    rep = expand_document(entity_only(ann), figure_kb, GEN)
+    rep = expand_document(entity_only(ann), figure_kb)
     assert rep.space_bags[Space.G] == Counter({Triple(name="Zork"): 1})
 
 
@@ -79,7 +85,7 @@ def test_stanford_block_has_18_distinct_terms(figure_kb):
         class_id="University",
         entity_id="University_T.52",
     )
-    rep = expand_document(entity_only(ann), figure_kb, GEN)
+    rep = expand_document(entity_only(ann), figure_kb)
     bag = rep.space_bags[Space.G]
     names = {"Stanford University", "Stanford"}
     classes = {"University", "EducationalOrganization", "Organization", "Group", "Agent"}
@@ -101,7 +107,7 @@ def test_stanford_multivector_spaces(figure_kb):
         class_id="University",
         entity_id="University_T.52",
     )
-    rep = expand_document(entity_only(ann), figure_kb, MV)
+    rep = expand_document(entity_only(ann), figure_kb)
     assert set(rep.space_bags[Space.N]) == {
         Triple(name="Stanford University"),
         Triple(name="Stanford"),
@@ -112,7 +118,7 @@ def test_stanford_multivector_spaces(figure_kb):
     }
     assert len(rep.space_bags[Space.NC]) == 10
     assert rep.space_bags[Space.I] == Counter({Triple(entity_id="University_T.52"): 1})
-    assert not rep.space_bags[Space.G]
+    assert rep.space_bags[Space.G] == generalized_from_other_spaces(entity_only(ann), rep)
 
 
 def test_idless_annotation_emits_full_class_closure(figure_kb):
@@ -120,7 +126,7 @@ def test_idless_annotation_emits_full_class_closure(figure_kb):
     ann = EntityAnnotation(
         char_span=(0, 11), surface="Don Kennedy", name="Don Kennedy", class_id="Man"
     )
-    rep = expand_document(entity_only(ann), figure_kb, GEN)
+    rep = expand_document(entity_only(ann), figure_kb)
     bag = rep.space_bags[Space.G]
     classes = {"Man", "Person", "Agent"}
     expected = (
@@ -134,8 +140,8 @@ def test_idless_annotation_emits_full_class_closure(figure_kb):
 
 def test_space_shape_invariants(figure_kb):
     text = "Stanford University and Moscow reports"
-    at = annotate(text, figure_kb, AnnotationOptions(treat_names_as_keywords=True))
-    rep = expand_document(at, figure_kb, MV, doc_id="d1")
+    at = annotate(text, figure_kb)
+    rep = expand_document(at, figure_kb, doc_id="d1")
     assert all(isinstance(t, Keyword) for t in rep.space_bags[Space.KW])
     for t in rep.space_bags[Space.N]:
         assert t.name and not t.class_id and not t.entity_id
@@ -148,19 +154,15 @@ def test_space_shape_invariants(figure_kb):
 
 
 def test_query_golden_terms_with_and_without_wh(figure_kb):
-    opts = AnnotationOptions(
-        treat_names_as_keywords=False, wh_mapping=dict(DEFAULT_WH_MAPPING)
-    )
-    at = annotate(FIGURE_QUERY, figure_kb, opts)
-
-    with_wh = expand_query(at, figure_kb, GEN, wh=True)
+    at = annotate(FIGURE_QUERY, figure_kb, wh_mapping=dict(DEFAULT_WH_MAPPING))
+    with_wh = expand_query(at, figure_kb)
     assert set(with_wh.space_bags[Space.G]) == {
         Triple(class_id="Person"),
         Keyword("presid"),
         Triple(entity_id="University_T.52"),
     }
 
-    without_wh = expand_query(at, figure_kb, GEN, wh=False)
+    without_wh = expand_query(annotate(FIGURE_QUERY, figure_kb), figure_kb)
     assert set(without_wh.space_bags[Space.G]) == {
         Keyword("presid"),
         Triple(entity_id="University_T.52"),
@@ -184,7 +186,7 @@ def test_query_multivector_space_placement(figure_kb):
         keywords=keywords,
         entities=entities,
     )
-    rep = expand_query(at, figure_kb, MV, wh=False)
+    rep = expand_query(at, figure_kb)
     assert rep.space_bags[Space.C] == Counter({Triple(class_id="Country"): 1})
     assert rep.space_bags[Space.I] == Counter(
         {Triple(entity_id="InternationalOrganization_T.17"): 1}
@@ -195,24 +197,22 @@ def test_query_multivector_space_placement(figure_kb):
 
 def test_query_most_specific_ladder(figure_kb):
     nc = EntityAnnotation(char_span=(0, 6), surface="Moscow", name="Moscow", class_id="City")
-    rep = expand_query(entity_only(nc), figure_kb, MV, wh=False)
+    rep = expand_query(entity_only(nc), figure_kb)
     assert rep.space_bags[Space.NC] == Counter({Triple(name="Moscow", class_id="City"): 1})
     assert not rep.space_bags[Space.N] and not rep.space_bags[Space.C]
 
     name_only = EntityAnnotation(char_span=(0, 4), surface="Zork", name="Zork")
-    rep = expand_query(entity_only(name_only), figure_kb, MV, wh=False)
+    rep = expand_query(entity_only(name_only), figure_kb)
     assert rep.space_bags[Space.N] == Counter({Triple(name="Zork"): 1})
 
     class_only = EntityAnnotation(char_span=(0, 9), surface="Countries", class_id="Country")
-    rep = expand_query(entity_only(class_only), figure_kb, MV, wh=False)
+    rep = expand_query(entity_only(class_only), figure_kb)
     assert rep.space_bags[Space.C] == Counter({Triple(class_id="Country"): 1})
 
 
 def test_query_singleness(figure_kb):
-    at = annotate(
-        "Stanford University", figure_kb, AnnotationOptions(treat_names_as_keywords=False)
-    )
-    rep = expand_query(at, figure_kb, GEN, wh=False)
+    at = annotate("Stanford University", figure_kb)
+    rep = expand_query(at, figure_kb)
     non_keyword = [t for t in rep.space_bags[Space.G] if isinstance(t, Triple)]
     assert len(non_keyword) == 1
 
@@ -220,36 +220,30 @@ def test_query_singleness(figure_kb):
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_per_occurrence_counting(figure_kb, k):
     text = ", ".join(["Moscow"] * k)
-    at = annotate(text, figure_kb, AnnotationOptions(treat_names_as_keywords=False))
+    at = annotate(text, figure_kb)
     assert len(at.entities) == k
-    rep = expand_document(at, figure_kb, GEN)
+    rep = expand_document(at, figure_kb)
     assert set(rep.space_bags[Space.G].values()) == {k}
     assert rep.space_bags[Space.G][Triple(class_id="City")] == k
 
 
 def test_document_alias_substitution_is_invisible(figure_kb):
-    gen_opts = AnnotationOptions(treat_names_as_keywords=False)
-    mv_opts = AnnotationOptions(treat_names_as_keywords=True)
     canonical = "Georgia exports fine wine"
     aliased = "Gruzia exports fine wine"
 
-    rep_a = expand_document(annotate(canonical, figure_kb, gen_opts), figure_kb, GEN)
-    rep_b = expand_document(annotate(aliased, figure_kb, gen_opts), figure_kb, GEN)
-    assert rep_a.space_bags == rep_b.space_bags
-
-    mv_a = expand_document(annotate(canonical, figure_kb, mv_opts), figure_kb, MV)
-    mv_b = expand_document(annotate(aliased, figure_kb, mv_opts), figure_kb, MV)
-    for space in (Space.N, Space.C, Space.NC, Space.I):
-        assert mv_a.space_bags[space] == mv_b.space_bags[space]
-    assert mv_a.space_bags[Space.KW] != mv_b.space_bags[Space.KW]
+    rep_a = expand_document(annotate(canonical, figure_kb), figure_kb)
+    rep_b = expand_document(annotate(aliased, figure_kb), figure_kb)
+    for space in (Space.N, Space.C, Space.NC, Space.I, Space.G):
+        assert rep_a.space_bags[space] == rep_b.space_bags[space]
+    assert rep_a.space_bags[Space.KW] != rep_b.space_bags[Space.KW]
 
 
 def test_empty_kb_degenerates_to_keywords():
     kb = parse_kb("")
     text = "Stanford University research on retrieval"
-    at = annotate(text, kb, AnnotationOptions(treat_names_as_keywords=False))
-    rep = expand_document(at, kb, GEN, doc_id="d")
-    plain = Counter(Keyword(t.stem) for t in tokenize_keywords(text, AnnotationOptions().stopwords))
+    at = annotate(text, kb)
+    rep = expand_document(at, kb, doc_id="d")
+    plain = Counter(Keyword(t.stem) for t in tokenize_keywords(text, DEFAULT_STOPWORDS))
     assert rep.space_bags[Space.G] == plain
     assert rep.space_bags[Space.KW] == plain
     for space in (Space.N, Space.C, Space.NC, Space.I):
@@ -263,7 +257,7 @@ def test_subsumption_soundness_against_graph_walk(figure_kb):
         if class_id in top:
             continue
         ann = EntityAnnotation(char_span=(0, 1), surface="x", name="x", class_id=class_id)
-        rep = expand_document(entity_only(ann), figure_kb, GEN)
+        rep = expand_document(entity_only(ann), figure_kb)
         bag = rep.space_bags[Space.G]
         for ancestor in closure_walk(parents, top, class_id):
             assert bag[Triple(class_id=ancestor)] == 1
@@ -274,12 +268,12 @@ def test_unknown_ids_rejected(figure_kb):
         char_span=(0, 1), surface="x", name="x", class_id="Province", entity_id="Nope"
     )
     with pytest.raises(ValueError, match="unknown entity"):
-        expand_document(entity_only(bad_entity), figure_kb, GEN)
+        expand_document(entity_only(bad_entity), figure_kb)
     bad_class = EntityAnnotation(char_span=(0, 1), surface="x", name="x", class_id="Nope")
     with pytest.raises(ValueError, match="unknown class"):
-        expand_document(entity_only(bad_class), figure_kb, GEN)
+        expand_document(entity_only(bad_class), figure_kb)
     with pytest.raises(ValueError, match="unknown class"):
-        expand_query(entity_only(bad_class), figure_kb, GEN, wh=False)
+        expand_query(entity_only(bad_class), figure_kb)
 
 
 def test_triple_requires_a_slot():

@@ -6,9 +6,11 @@ them with
     PYTHONPATH=src python -m pytest -m microbench tests/test_microbench.py
 
 A `cosine_score` or `rank_documents` round scores or ranks synth's 24 judged
-queries once; a `stem` or `recognize_entities` round analyzes the first
-600 documents; a `randomization_test` round compares two models' per-query
-average precision over those 24 queries with 10k permutations.
+queries once; a `represent_query` round annotates and expands them under
+one model; a `stem`, `recognize_entities` or `represent_document` round
+analyzes the first 600 documents; a `randomization_test` round compares two
+models' per-query average precision over those 24 queries with 10k
+permutations.
 """
 
 from __future__ import annotations
@@ -97,6 +99,18 @@ def test_recognize_entities(benchmark, synth):
     texts = synth.texts[:N_ANALYZED]
     mentions = benchmark(lambda: [recognize_entities(text, synth.kb) for text in texts])
     assert sum(map(len, mentions)) > 0
+
+
+def test_represent_document(benchmark, synth):
+    texts = synth.texts[:N_ANALYZED]
+    reps = benchmark(lambda: [represent_document(text, synth.kb, "d") for text in texts])
+    assert sum(len(rep.space_bags[Space.G]) for rep in reps) > 0
+
+
+@pytest.mark.parametrize("model", list(Model), ids=[m.value for m in Model])
+def test_represent_query(benchmark, synth, model):
+    reps = benchmark(lambda: query_reps(synth, model))
+    assert len(reps) == len(synth.queries)
 
 
 def test_randomization_test_10k_permutations(benchmark, synth):

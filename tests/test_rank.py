@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontosearch.annotate import AnnotationOptions, annotate
+from ontosearch.annotate import DEFAULT_WH_MAPPING, annotate
+from ontosearch.cli import parse_queries
 from ontosearch.expand import (
     DocRepresentation,
-    ExpansionModel,
     Keyword,
     Space,
     Triple,
-    expand_document,
     serialize_term,
 )
 from ontosearch.index import build_index, load_index, save_index
@@ -38,6 +37,7 @@ from ontosearch.rank import (
     score_query,
     search,
 )
+from ontosearch.synth import generate
 
 import oracles
 from conftest import DATA_DIR, FIGURE_DOC, FIGURE_QUERY
@@ -515,18 +515,7 @@ def test_ranking_is_a_sequence_of_scored_docs():
         ranking[3]
 
 
-# --- property: one analysis pass builds the bags two passes used to ------------------
-
-def two_pass_bags(text, kb, doc_id):
-    """The multi-vector spaces from a names-kept pass, G from a names-dropped pass."""
-    def expanded(keep_names, model):
-        opts = AnnotationOptions(treat_names_as_keywords=keep_names)
-        return expand_document(annotate(text, kb, opts), kb, model, doc_id).space_bags
-
-    bags = dict(expanded(True, ExpansionModel.MULTIVECTOR))
-    bags[Space.G] = expanded(False, ExpansionModel.GENERALIZED)[Space.G]
-    return bags
-
+# --- property: one analysis pass builds G as the generalized rules do -----------------
 
 def _figure_surfaces():
     kb = load_kb(DATA_DIR / "figure_kb.tsv")
@@ -549,5 +538,33 @@ TEXT_PIECES = (
 def test_one_pass_document_equals_two_pass_bags(figure_kb, pieces, separators):
     text = "".join(piece + sep for piece, sep in zip(pieces, separators))
     rep = represent_document(text, figure_kb, "d")
+    at = annotate(text, figure_kb)
     assert rep.doc_id == "d"
-    assert rep.space_bags == two_pass_bags(text, figure_kb, "d")
+    assert rep.space_bags[Space.KW] == Counter(Keyword(t.stem) for t in at.keywords)
+    assert rep.space_bags[Space.G] == oracles.generalized_bag(at, figure_kb)
+
+
+# --- every model analyses a query the same way ---------------------------------------
+
+def test_query_bags_are_the_same_under_every_model(figure_kb):
+    collection = generate(seed=7)
+    synth_kb = parse_kb(collection.kb_text)
+    queries = [(synth_kb, q.text, q.wh_override) for q in parse_queries(collection.queries_text)]
+    queries.append((figure_kb, FIGURE_QUERY, None))
+    with_wh_terms = 0
+    for kb, text, wh_override in queries:
+        reps = {
+            model: represent_query(text, kb, ModelConfig(model=model), wh_override=wh_override)
+            for model in Model
+        }
+        base = reps[Model.KW].space_bags
+        for model in (Model.NE, Model.KW_UNION_NE, Model.KW_PLUS_NE):
+            assert reps[model].space_bags == base, (text, model)
+        wh_classes = annotate(
+            text, kb, wh_mapping=DEFAULT_WH_MAPPING, wh_override=wh_override
+        ).wh_classes
+        with_wh = dict(base)
+        with_wh[Space.G] = base[Space.G] + Counter(Triple(class_id=c) for c in wh_classes)
+        assert reps[Model.KW_PLUS_NE_WH].space_bags == with_wh, text
+        with_wh_terms += bool(wh_classes)
+    assert 0 < with_wh_terms < len(queries)

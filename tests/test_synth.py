@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ontosearch.annotate import AnnotationOptions, annotate
+from ontosearch.annotate import annotate
 from ontosearch.cli import parse_corpus, parse_queries
 from ontosearch.evaluation import parse_qrels
 from ontosearch.kb import parse_kb, super_classes
@@ -68,9 +68,8 @@ def test_alias_bias_extremes_pick_the_expected_surfaces(synth_kb):
 
 def test_tracked_mentions_match_the_recognizer(collection, synth_kb):
     docs = parse_corpus(collection.corpus_text)
-    opts = AnnotationOptions(treat_names_as_keywords=False)
     for doc_id, text in docs.items():
-        annotated = annotate(text, synth_kb, opts)
+        annotated = annotate(text, synth_kb)
         recognized = {a.entity_id for a in annotated.entities}
         assert None not in recognized, f"{doc_id}: ambiguous surface in synthetic text"
         assert recognized == collection.doc_entities[doc_id], doc_id
