@@ -2,35 +2,47 @@
 precision-recall-F curves at the 11 standard recall levels, and a paired
 Fisher randomization test for comparing two systems.
 
-The randomization test draws its per-permutation swap decisions from a
-counter-based generator (Philox keyed by the seed, the permutation index
-in a counter word that drawing never advances), so permutation blocks can
-be evaluated in parallel or in any order and still reproduce the serial
-result bit-for-bit.
+Average precision and the curve each start from one relevance mask per
+ranking; every sum over a ranking is a sequential `np.cumsum`, so both
+equal the prefix-scan definitions exactly.
+
+The randomization test keys one Philox generator by the seed. Permutation
+p's swap decisions are the raw draws at counter `[0, p, 0, 0]`: the
+generator's state is reset there before each permutation, and a query's
+pair is swapped exactly when its draw's top bit is clear, which is when
+the uniform `(raw >> 11) * 2**-53` falls below one half. The permutations
+are scored a block of rows at a time, each row's mean summed the way a
+single permutation's is, so the counts equal the one-permutation-at-a-time
+loop over `permutation_signs` bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 RECALL_LEVELS = tuple(round(0.1 * j, 1) for j in range(11))
 
+# sign-matrix entries scored per block of permutations (64 kB of float64)
+_BLOCK_FLOATS = 1 << 13
+
+
+def _relevance_mask(ranking: list[str], relevant: set[str]) -> np.ndarray:
+    return np.fromiter(map(relevant.__contains__, ranking), bool, len(ranking))
+
 
 def average_precision(ranking: list[str], relevant: set[str]) -> float:
     """Mean of precision-at-rank over retrieved relevant docs; misses add 0."""
     if not relevant:
         raise ValueError("relevant set is empty")
-    hits = 0
-    total = 0.0
-    for position, doc_id in enumerate(ranking, start=1):
-        if doc_id in relevant:
-            hits += 1
-            total += hits / position
-    return total / len(relevant)
+    ranks = np.flatnonzero(_relevance_mask(ranking, relevant)) + 1
+    # the i-th hit's precision is i / its rank; a sequential cumsum adds
+    # them in rank order, as a scan does (the pairwise np.sum would not)
+    totals = np.cumsum(np.arange(1, ranks.size + 1) / ranks)
+    return (float(totals[-1]) if totals.size else 0.0) / len(relevant)
 
 
 def map_score(per_query_ap: list[float]) -> float:
@@ -70,26 +82,18 @@ def interpolated_curve(ranking: list[str], relevant: set[str]) -> PRCurve:
     with the level's recall value."""
     if not relevant:
         raise ValueError("relevant set is empty")
-    n_rel = len(relevant)
-    recalls: list[float] = []
-    precisions: list[float] = []
-    hits = 0
-    for position, doc_id in enumerate(ranking, start=1):
-        if doc_id in relevant:
-            hits += 1
-        recalls.append(hits / n_rel)
-        precisions.append(hits / position)
+    hits = np.cumsum(_relevance_mask(ranking, relevant))
+    recalls = hits / len(relevant)
+    precisions = hits / np.arange(1, len(ranking) + 1)
     # recall never falls along the ranking, so the prefixes reaching a level
     # are those from the first one that does; best[i] is the max precision
     # of prefix i and every later one (0.0 past the last)
-    best = list(accumulate(reversed(precisions), max, initial=0.0))[::-1]
-    points = []
-    first = 0
-    for level in RECALL_LEVELS:
-        while first < len(recalls) and recalls[first] < level:
-            first += 1
-        points.append(CurvePoint(level, best[first], _f_measure(best[first], level)))
-    return PRCurve(tuple(points))
+    best = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
+    firsts = np.searchsorted(recalls, RECALL_LEVELS)
+    return PRCurve(tuple(
+        CurvePoint(level, precision, _f_measure(precision, level))
+        for level, precision in zip(RECALL_LEVELS, best[firsts].tolist())
+    ))
 
 
 def mean_curve(curves: list[PRCurve]) -> PRCurve:
@@ -143,6 +147,30 @@ def permutation_signs(seed: int, perm_index: int, n_queries: int) -> np.ndarray:
     return np.where(permutation_uniforms(seed, perm_index, n_queries) < 0.5, -1.0, 1.0)
 
 
+def permutation_sign_blocks(seed: int, n_perm: int, n_queries: int) -> Iterator[np.ndarray]:
+    """The swap signs of permutations 0 .. n_perm - 1, a block of rows at a time.
+
+    Row p of the concatenated blocks equals `permutation_signs(seed, p,
+    n_queries)`: one Philox keyed by the seed is reset to counter
+    `[0, p, 0, 0]` before each row's raw draws, and a draw's top bit is
+    clear exactly when its uniform is below one half. A block holds at
+    most `_BLOCK_FLOATS` signs (at least one row).
+    """
+    bit_gen = np.random.Philox(key=seed)
+    state = bit_gen.state  # counter [0, 0, 0, 0], empty buffer
+    counter = state["state"]["counter"]
+    rows = max(1, _BLOCK_FLOATS // n_queries)
+    raw = np.empty((rows, n_queries), dtype=np.uint64)
+    for start in range(0, n_perm, rows):
+        block = raw[: n_perm - start]
+        for i, row in enumerate(block, start=start):
+            counter[1] = i
+            bit_gen.state = state
+            row[:] = bit_gen.random_raw(n_queries)
+        block >>= 63
+        yield np.where(block, 1.0, -1.0)
+
+
 def per_query_diff(aps_a: list[float], aps_b: list[float]) -> list[float]:
     """Element-wise A - B in query order."""
     if len(aps_a) != len(aps_b):
@@ -162,6 +190,14 @@ def randomization_test(
     probability one half and measures the signed MAP difference d; the
     two-sided p-value is the fraction of permutations with |d| >= the
     observed delta, clamped to 1.
+
+    Permutation p's swaps are `permutation_signs(seed, p, n)`, drawn from
+    one keyed Philox reset to counter `[0, p, 0, 0]` per permutation and
+    read off the draws' top bits (see `permutation_sign_blocks`). Each
+    block of permutations is scored with one row-wise
+    `(diffs * signs).mean(axis=1)`, which sums every row exactly as one
+    permutation's `.mean()` does, so the counts are those of the serial
+    loop bit for bit (a matrix product would sum in another order).
     """
     if not aps_a or not aps_b:
         raise ValueError("per-query score lists must be non-empty")
@@ -170,13 +206,11 @@ def randomization_test(
 
     n_minus = 0
     n_plus = 0
-    for perm_index in range(n_perm):
-        signs = permutation_signs(seed, perm_index, diffs.size)
-        d = float((diffs * signs).mean())
-        if d <= -delta:
-            n_minus += 1
-        if d >= delta:
-            n_plus += 1
+    for signs in permutation_sign_blocks(seed, n_perm, diffs.size):
+        signs *= diffs
+        d = signs.mean(axis=1)
+        n_minus += int(np.count_nonzero(d <= -delta))
+        n_plus += int(np.count_nonzero(d >= delta))
     return SigTestResult(delta=delta, n_minus=n_minus, n_plus=n_plus, n_perm=n_perm, seed=seed)
 
 
@@ -185,12 +219,12 @@ def randomization_test(
 def parse_qrels(text: str, origin: str = "<qrels>") -> dict[str, set[str]]:
     """TREC qrels lines `query_id 0 doc_id rel`; rel > 0 marks relevance."""
     relevant: dict[str, set[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
+    current_id = docs = None  # the last query with a relevant doc, and its set
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()  # [] for a blank line
         if len(fields) != 4:
+            if not fields:
+                continue
             raise ValueError(f"{origin}:{lineno}: expected 4 fields, got {len(fields)}")
         query_id, _, doc_id, rel = fields
         try:
@@ -198,7 +232,9 @@ def parse_qrels(text: str, origin: str = "<qrels>") -> dict[str, set[str]]:
         except ValueError:
             raise ValueError(f"{origin}:{lineno}: relevance {rel!r} is not an integer") from None
         if relevance > 0:
-            relevant.setdefault(query_id, set()).add(doc_id)
+            if query_id != current_id:
+                current_id, docs = query_id, relevant.setdefault(query_id, set())
+            docs.add(doc_id)
     return relevant
 
 
@@ -210,19 +246,20 @@ def load_qrels(path: str | Path) -> dict[str, set[str]]:
 def parse_run(text: str, origin: str = "<run>") -> dict[str, list[str]]:
     """TREC run lines `query_id Q0 doc_id rank score tag` -> rankings per query."""
     rows: dict[str, dict[str, int]] = {}  # query_id -> doc_id -> rank
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
+    current_id = ranks = None  # the previous line's query, and its ranks
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()  # [] for a blank line
         if len(fields) != 6:
+            if not fields:
+                continue
             raise ValueError(f"{origin}:{lineno}: expected 6 fields, got {len(fields)}")
         query_id, _, doc_id, rank, _score, _tag = fields
         try:
             position = int(rank)
         except ValueError:
             raise ValueError(f"{origin}:{lineno}: rank {rank!r} is not an integer") from None
-        ranks = rows.setdefault(query_id, {})
+        if query_id != current_id:
+            current_id, ranks = query_id, rows.setdefault(query_id, {})
         if doc_id in ranks:
             raise ValueError(
                 f"{origin}:{lineno}: duplicate doc {doc_id!r} in ranking for query {query_id!r}"

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
+
 from ontosearch.expand import Keyword, Triple
 
 
@@ -230,3 +232,23 @@ def interpolated_curve_scan(ranking: list[str], relevant: set[str]) -> list[tupl
         (level, max((p for r, p in points if r >= level), default=0.0))
         for level in levels
     ]
+
+
+def exact_randomization_counts(diffs) -> tuple[int, int, int]:
+    """(n_minus, n_plus, 2**n) over every one of the 2**n sign vectors.
+
+    The exact randomization distribution of the paired mean difference
+    (Smucker, Allan & Carterette, CIKM 2007): a sign vector counts toward
+    n_minus when its mean is <= -|mean(diffs)| and toward n_plus when it is
+    >= +|mean(diffs)|. Each vector's mean is a row mean of the same
+    elementwise products a sampled permutation sums, so ties are judged
+    alike. Enumeration is exponential, hence n <= 16.
+    """
+    diffs = np.asarray(diffs, dtype=np.float64)
+    n = diffs.size
+    if not 1 <= n <= 16:
+        raise ValueError(f"exact enumeration needs 1 <= n <= 16, got {n}")
+    delta = abs(float(diffs.mean()))
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # row v = binary digits of v
+    means = (diffs * np.where(bits == 1, -1.0, 1.0)).mean(axis=1)
+    return int(np.count_nonzero(means <= -delta)), int(np.count_nonzero(means >= delta)), 2**n

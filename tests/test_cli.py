@@ -479,3 +479,10 @@ def test_dump_terms_wh_override_flag(capsys):
     assert run_cli("dump-terms", "--kb", KB, "--model", "kw+ne+wh",
                    "--wh", "Location", "fair") == 0
     assert "(*/Location/*)" in capsys.readouterr().out.splitlines()
+
+
+def test_dump_terms_rejects_wh_override_under_kw(capsys):
+    assert run_cli("dump-terms", "--kb", KB, "--model", "kw", "--wh", "Location", FIGURE_QUERY) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --wh applies only to model kw+ne+wh\n"
+    assert captured.out == ""

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontosearch import evaluation
 from ontosearch.evaluation import (
     RECALL_LEVELS,
     CurvePoint,
@@ -23,6 +25,7 @@ from ontosearch.evaluation import (
     parse_qrels,
     parse_run,
     per_query_diff,
+    permutation_sign_blocks,
     permutation_signs,
     permutation_uniforms,
     randomization_test,
@@ -76,6 +79,47 @@ def test_ap_ignores_order_of_trailing_nonrelevant():
 )
 def test_ap_matches_prefix_scan_oracle(ranking, relevant):
     assert average_precision(ranking, relevant) == oracles.ap_scan(ranking, relevant)
+
+
+DOC_POOL = [f"d{i}" for i in range(200)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ranking=st.lists(st.sampled_from(DOC_POOL[:150]), unique=True, max_size=150),
+    # d150..d199 are never ranked, so some relevant sets have no hit at all
+    relevant=st.sets(st.sampled_from(DOC_POOL), min_size=1, max_size=80),
+)
+def test_ap_and_curve_equal_their_scan_oracles_exactly(ranking, relevant):
+    assert average_precision(ranking, relevant) == oracles.ap_scan(ranking, relevant)
+    curve = interpolated_curve(ranking, relevant)
+    assert [(p.level, p.precision) for p in curve.points] == (
+        oracles.interpolated_curve_scan(ranking, relevant)
+    )
+
+
+def test_ap_and_curve_equal_their_scan_oracles_on_long_rankings():
+    # hundreds of hits, where a pairwise sum would round differently
+    rng = random.Random(5)
+    docs = [f"d{i}" for i in range(2000)]
+    for _ in range(100):
+        ranking = rng.sample(docs, rng.randint(0, 1000))
+        relevant = set(rng.sample(docs, rng.randint(1, 300)))
+        assert average_precision(ranking, relevant) == oracles.ap_scan(ranking, relevant)
+        curve = interpolated_curve(ranking, relevant)
+        assert [(p.level, p.precision) for p in curve.points] == (
+            oracles.interpolated_curve_scan(ranking, relevant)
+        )
+
+
+@pytest.mark.parametrize("ranking", [[], ["n1", "n2", "n3"]], ids=["empty", "no-hit"])
+def test_ap_and_curve_of_a_ranking_without_hits_are_zero(ranking):
+    relevant = {"r1", "r2"}
+    assert average_precision(ranking, relevant) == 0.0 == oracles.ap_scan(ranking, relevant)
+    curve = interpolated_curve(ranking, relevant)
+    assert [(p.level, p.precision, p.f_measure) for p in curve.points] == [
+        (level, 0.0, 0.0) for level in RECALL_LEVELS
+    ]
 
 
 # --- MAP --------------------------------------------------------------------------
@@ -252,6 +296,72 @@ def test_permutation_streams_share_no_uniform(n_queries):
 def test_permutation_signs_follow_their_uniforms():
     uniforms = permutation_uniforms(8, 11, 40)
     assert np.array_equal(permutation_signs(8, 11, 40), np.where(uniforms < 0.5, -1.0, 1.0))
+
+
+def serial_counts(diffs, n_perm, seed):
+    """(n_minus, n_plus, delta) from one permutation at a time, by definition."""
+    delta = abs(float(diffs.mean()))
+    d = [float((diffs * permutation_signs(seed, p, diffs.size)).mean()) for p in range(n_perm)]
+    return sum(x <= -delta for x in d), sum(x >= delta for x in d), delta
+
+
+@st.composite
+def block_kernel_cases(draw):
+    """(diffs, rows per block, n_perm, seed); n_perm is below `rows` or not a multiple of it."""
+    n = draw(st.integers(1, 300))
+    rows = draw(st.integers(1, 64))
+    if rows == 1:
+        n_perm = draw(st.integers(1, 40))
+    else:
+        n_perm = draw(st.integers(0, 2)) * rows + draw(st.integers(1, rows - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        diffs = rng.uniform(-0.5, 0.5, n)
+    else:  # tenths: |d| == delta ties are common, and rounding decides them
+        diffs = rng.integers(-4, 5, n) / 10
+    return diffs, rows, n_perm, draw(st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=block_kernel_cases())
+def test_block_kernel_equals_the_serial_definition_exactly(case):
+    diffs, rows, n_perm, seed = case
+    n = diffs.size
+    # a budget of rows * n signs, plus slack below one row, makes blocks of `rows` rows
+    with mock.patch.object(evaluation, "_BLOCK_FLOATS", rows * n + n // 2):
+        blocks = list(permutation_sign_blocks(seed, n_perm, n))
+        result = randomization_test(list(diffs), [0.0] * n, n_perm=n_perm, seed=seed)
+    full, rest = divmod(n_perm, rows)
+    assert [len(b) for b in blocks] == [rows] * full + ([rest] if rest else [])
+    expected_signs = np.array([permutation_signs(seed, p, n) for p in range(n_perm)])
+    assert np.array_equal(np.concatenate(blocks), expected_signs)
+    assert (result.n_minus, result.n_plus, result.delta) == serial_counts(diffs, n_perm, seed)
+
+
+@pytest.mark.parametrize("n", [67, 200, 257])
+def test_block_kernel_at_the_module_budget_equals_the_serial_definition(n):
+    rows = evaluation._BLOCK_FLOATS // n
+    diffs = np.random.default_rng(n).uniform(-0.5, 0.5, n)
+    for n_perm in (rows - 1, rows + 37):  # one partial block; one full and one partial
+        result = randomization_test(list(diffs), [0.0] * n, n_perm=n_perm, seed=n)
+        assert (result.n_minus, result.n_plus, result.delta) == serial_counts(diffs, n_perm, n)
+
+
+def test_exact_oracle_counts_a_constant_difference_by_hand():
+    # only all-plus reaches +delta and only all-minus reaches -delta
+    assert oracles.exact_randomization_counts([0.25] * 4) == (1, 1, 16)
+
+
+@pytest.mark.parametrize("n", [4, 9, 16])
+@pytest.mark.parametrize("diff_seed", [0, 1, 2])
+def test_sampled_p_approaches_the_exact_p(n, diff_seed):
+    n_perm = 20_000
+    diffs = np.random.default_rng(diff_seed).uniform(-0.3, 0.5, n)
+    n_minus, n_plus, n_vectors = oracles.exact_randomization_counts(diffs)
+    exact_p = min(1.0, (n_minus + n_plus) / n_vectors)
+    sampled = randomization_test(list(diffs), [0.0] * n, n_perm=n_perm, seed=diff_seed)
+    standard_error = (exact_p * (1.0 - exact_p) / n_perm) ** 0.5
+    assert abs(sampled.p_two_sided - exact_p) <= 4.5 * standard_error
 
 
 def test_p_is_monotone_nonincreasing_in_injected_delta():

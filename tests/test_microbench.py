@@ -10,7 +10,9 @@ queries once; a `represent_query` round annotates and expands them under
 one model; a `stem`, `recognize_entities` or `represent_document` round
 analyzes the first 600 documents; a `randomization_test` round compares two
 models' per-query average precision over those 24 queries with 10k
-permutations.
+permutations; a `parse_run` round parses the run file of those queries
+under all five models at k=1000 (over 50k lines); an `average_precision`
+and `interpolated_curve` round judges that file's rankings.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ import pytest
 
 from ontosearch.annotate import _TOKEN, recognize_entities
 from ontosearch.cli import QuerySpec, parse_corpus, parse_queries
-from ontosearch.evaluation import average_precision, parse_qrels, randomization_test
+from ontosearch.evaluation import (
+    average_precision,
+    interpolated_curve,
+    parse_qrels,
+    parse_run,
+    randomization_test,
+)
 from ontosearch.expand import Space
 from ontosearch.index import IndexBundle, build_index
 from ontosearch.kb import KnowledgeBase, parse_kb
@@ -29,6 +37,7 @@ from ontosearch.rank import (
     Model,
     ModelConfig,
     cosine_score,
+    format_run_lines,
     rank_documents,
     represent_document,
     represent_query,
@@ -62,6 +71,18 @@ def synth():
     idx = build_index(represent_document(text, kb, doc_id) for doc_id, text in docs.items())
     return Synth(kb, idx, parse_queries(collection.queries_text),
                  parse_qrels(collection.qrels_text), list(docs.values()))
+
+
+@pytest.fixture(scope="module")
+def run_text(synth):
+    """Run file of every judged query under every model, at k=1000."""
+    lines = []
+    for i, model in enumerate(Model):
+        cfg = ModelConfig(model=model, k=K)
+        for q in synth.queries:
+            ranking = search(q.text, synth.idx, synth.kb, cfg, wh_override=q.wh_override)
+            lines += format_run_lines(f"m{i}-{q.query_id}", ranking, model.value)
+    return "\n".join(lines) + "\n"
 
 
 def query_reps(synth, model):
@@ -127,3 +148,22 @@ def test_randomization_test_10k_permutations(benchmark, synth):
     aps_a, aps_b = aps(Model.KW), aps(Model.KW_PLUS_NE_WH)
     result = benchmark(lambda: randomization_test(aps_a, aps_b, n_perm=N_PERM, seed=0))
     assert result.n_perm == N_PERM
+
+
+def test_parse_run(benchmark, run_text):
+    n_lines = run_text.count("\n")
+    assert n_lines >= 50_000
+    run = benchmark(lambda: parse_run(run_text))
+    assert sum(map(len, run.values())) == n_lines
+
+
+def test_average_precision_and_curve(benchmark, synth, run_text):
+    run = parse_run(run_text)
+    judged = [(ranking, synth.qrels[query_id.split("-", 1)[1]]) for query_id, ranking in run.items()]
+
+    def judge():
+        return ([average_precision(ranking, relevant) for ranking, relevant in judged],
+                [interpolated_curve(ranking, relevant) for ranking, relevant in judged])
+
+    aps, curves = benchmark(judge)
+    assert len(aps) == len(curves) == len(judged)
