@@ -420,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump-terms", help="print a text's expanded term set")
     add_common(p_dump)
     p_dump.add_argument("--side", choices=("query", "document"), default="query")
-    p_dump.add_argument("--wh", help="override the query's wh class (model kw+ne+wh only)")
+    p_dump.add_argument("--wh", help="override the query's wh class (model kw+ne+wh, --side query only)")
     p_dump.add_argument("text", help="query or document text")
 
     return parser
@@ -445,6 +445,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg = _run_config(args, config)
             if args.wh is not None and cfg.model.model is not Model.KW_PLUS_NE_WH:
                 raise CliError("--wh applies only to model kw+ne+wh")
+            if args.wh is not None and args.side == "document":
+                raise CliError("--wh applies only to --side query")
             for line in cmd_dump_terms(cfg, args.text, args.side, args.wh):
                 print(line)
         return 0

@@ -95,27 +95,41 @@ def _expansion_sets(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[set[str],
     return names, classes
 
 
+def _document_terms(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[tuple[Triple, ...], ...]:
+    """One annotation's N, C, NC and I terms, then all of them for G."""
+    names, classes = _expansion_sets(ann, kb)
+    n_terms = tuple(Triple(name=n) for n in names)
+    c_terms = tuple(Triple(class_id=c) for c in classes)
+    nc_terms = tuple(Triple(name=n, class_id=c) for n in names for c in classes)
+    i_terms = (Triple(entity_id=ann.entity_id),) if ann.entity_id is not None else ()
+    return n_terms, c_terms, nc_terms, i_terms, n_terms + c_terms + nc_terms + i_terms
+
+
+_DOCUMENT_SPACES = (Space.N, Space.C, Space.NC, Space.I, Space.G)
+
+
 def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> DocRepresentation:
-    """Document-side expansion; see the module docstring for the closure rules."""
+    """Document-side expansion; see the module docstring for the closure rules.
+
+    Each annotation key's terms are built once per KB and kept in
+    `kb.expansions`; a key that fails to expand is not kept, so its error is
+    raised on every call.
+    """
     bags = _empty_bags()
+    keywords = bags[Space.KW]
     for token in at.keywords:
-        bags[Space.KW][Keyword(token.stem)] += 1
-    for ann in at.entities:
-        names, classes = _expansion_sets(ann, kb)
-        for n in names:
-            bags[Space.N][Triple(name=n)] += 1
-        for c in classes:
-            bags[Space.C][Triple(class_id=c)] += 1
-        for n in names:
-            for c in classes:
-                bags[Space.NC][Triple(name=n, class_id=c)] += 1
-        if ann.entity_id is not None:
-            bags[Space.I][Triple(entity_id=ann.entity_id)] += 1
+        keywords[Keyword(token.stem)] += 1
     generalized = bags[Space.G]
     for token in keywords_outside_entities(at.keywords, at.entities):
         generalized[Keyword(token.stem)] += 1
-    for space in (Space.N, Space.C, Space.NC, Space.I):
-        generalized.update(bags[space])
+    memo = kb.expansions
+    for ann in at.entities:
+        key = (ann.name, ann.class_id, ann.entity_id)
+        terms = memo.get(key)
+        if terms is None:
+            terms = memo[key] = _document_terms(ann, kb)
+        for space, space_terms in zip(_DOCUMENT_SPACES, terms):
+            bags[space].update(space_terms)
     return DocRepresentation(doc_id=doc_id, space_bags=bags)
 
 

@@ -2,9 +2,23 @@
 
 The KB is loaded once from a line-oriented TSV file and is immutable
 afterwards, so every operation here is a pure read and safe to share
-across workers. The one derived structure, the compiled gazetteer that
-entity recognition matches against, is built lazily on the first
-recognition and cached on the KB object itself.
+across workers. Two derived structures are built lazily and cached on the
+KB object itself, never in a module-level table, so they go when the KB
+goes: the gazetteer that entity recognition looks text up in, and the
+memo of each annotation's document-side expansion (filled by
+`expand.expand_document`).
+
+The gazetteer is a plain dict keyed by prefixes of the normalized surface
+forms (see `normalize_name`). A unit of text is an alphanumeric run or any
+other single non-whitespace character, and a step is a unit with the
+whitespace before it. Each surface is cut after each of its steps; a key
+maps to entity ids when it is a whole surface, else to None. Recognition
+finds where mentions may start, and from each whose first unit's casefold
+is a key it walks the text step by step, appending each step's casefold
+(its whitespace as one space), while the string is still a key. So most
+words cost one dict lookup, and the cost follows the text, not the KB.
+Because matching compares casefolded text, "Straße" in a text finds the
+surface "strasse", as `normalize_name` says they are one name.
 
 File format (UTF-8, ``#`` starts a comment line):
 
@@ -36,22 +50,36 @@ def normalize_name(surface: str) -> str:
     return _WS_RUN.sub(" ", surface.casefold()).strip()
 
 
-def _compile_gazetteer(surfaces) -> re.Pattern | None:
-    """One alternation over normalized surface forms; None when there are none.
+# one step of a walk over text: any whitespace, then one unit (an alphanumeric
+# run, or any other single non-whitespace character)
+TEXT_STEP = re.compile(r"\s*(?:[^\W_]+|\S)")
 
-    Longer surfaces are tried first, so matching is leftmost-longest;
-    words may be separated by any whitespace run, and a match must not
-    begin or end inside an alphanumeric run.
+
+def _compile_gazetteer(name_index) -> dict[str, frozenset[str] | None]:
+    """Surface prefix -> entity ids, or None for a prefix that is no surface.
+
+    A normalized surface is cut after each step and beside each ι; every
+    cut is a key, and the whole surface is a key mapping to its entity ids.
+    No pattern is compiled from the surfaces.
     """
-    ordered = sorted(surfaces, key=lambda s: (-len(s), s))
-    if not ordered:
-        return None
-    parts = []
-    for surface in ordered:
-        words = [re.escape(w) for w in surface.split(" ")]
-        parts.append(r"\s+".join(words))
-    body = "|".join(parts)
-    return re.compile(rf"(?<![^\W_])(?:{body})(?![^\W_])", re.IGNORECASE | re.UNICODE)
+    gazetteer: dict[str, frozenset[str] | None] = {}
+    for surface in name_index:
+        head = ""
+        # one alphanumeric run is one step
+        for step in [] if surface.isalnum() else TEXT_STEP.findall(surface)[:-1]:
+            head += step
+            gazetteer[head] = None
+        # U+0345 is the one character that is not alphanumeric but casefolds
+        # to a letter, this ι: where a text holds it, a step ends beside a ι
+        # that the folded surface runs on through
+        if "\u03b9" in surface:
+            for i, ch in enumerate(surface):
+                if ch == "\u03b9":
+                    gazetteer[surface[: i + 1]] = None
+                    if i:
+                        gazetteer[surface[:i]] = None
+    gazetteer.update(name_index)
+    return gazetteer
 
 
 @dataclass(frozen=True)
@@ -83,10 +111,16 @@ class KnowledgeBase:
     name_index: dict[str, frozenset[str]]
 
     @cached_property
-    def gazetteer(self) -> re.Pattern | None:
-        """Compiled matcher over ``name_index``, built on first use and
-        cached on this instance, not in a module-level table."""
+    def gazetteer(self) -> dict[str, frozenset[str] | None]:
+        """Prefix dict over ``name_index`` (see the module docstring), built
+        on first use and cached on this instance."""
         return _compile_gazetteer(self.name_index)
+
+    @cached_property
+    def expansions(self) -> dict:
+        """Annotation key -> its document-side terms, filled by
+        `expand.expand_document` on each key's first use."""
+        return {}
 
 
 def parse_kb(text: str, origin: str = "<string>") -> KnowledgeBase:

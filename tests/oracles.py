@@ -8,11 +8,13 @@ outputs and hold the engine to them.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
 
 from ontosearch.expand import Keyword, Triple
+from ontosearch.kb import normalize_name
 
 
 # --- ontology ---------------------------------------------------------------
@@ -65,6 +67,56 @@ def generalized_bag(at, kb) -> Counter:
             terms.add(Triple(entity_id=ann.entity_id))
         bag.update(terms)
     return bag
+
+
+# --- entity recognition -------------------------------------------------------
+
+def recognize_scan(text: str, kb) -> list[tuple[int, int]]:
+    """Mention spans by trying every span, longest first, from each start.
+
+    A span [s, e) is a mention when text[s - 1] (if any) and text[e] (if
+    any) are not alphanumeric, text[s] and text[e - 1] are not whitespace,
+    and normalize_name(text[s:e]) is a key of kb.name_index. From the first
+    start with a mention the longest is taken, and the scan goes on at e.
+    """
+    spans = []
+    n = len(text)
+    s = 0
+    while s < n:
+        if (s == 0 or not text[s - 1].isalnum()) and not text[s].isspace():
+            for e in range(n, s, -1):
+                if ((e == n or not text[e].isalnum()) and not text[e - 1].isspace()
+                        and normalize_name(text[s:e]) in kb.name_index):
+                    spans.append((s, e))
+                    s = e
+                    break
+            else:
+                s += 1
+        else:
+            s += 1
+    return spans
+
+
+def gazetteer_regex(surfaces) -> re.Pattern | None:
+    """The regex gazetteer: one case-insensitive alternation, longest first.
+
+    Words may be separated by any whitespace run, and a match must not
+    begin or end inside an alphanumeric run. On ASCII text it finds the
+    spans recognize_scan finds.
+    """
+    ordered = sorted(surfaces, key=lambda s: (-len(s), s))
+    if not ordered:
+        return None
+    body = "|".join(r"\s+".join(re.escape(w) for w in s.split(" ")) for s in ordered)
+    return re.compile(rf"(?<![^\W_])(?:{body})(?![^\W_])", re.IGNORECASE | re.UNICODE)
+
+
+def recognize_regex(text: str, kb) -> list[tuple[int, int]]:
+    """Spans of the regex gazetteer's matches whose normal form is a surface."""
+    pattern = gazetteer_regex(kb.name_index)
+    if pattern is None:
+        return []
+    return [m.span() for m in pattern.finditer(text) if normalize_name(m.group()) in kb.name_index]
 
 
 # --- dense tf-idf cosine -----------------------------------------------------

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import gc
+import re
+import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontosearch.annotate import (
     DEFAULT_STOPWORDS,
@@ -18,10 +22,11 @@ from ontosearch.annotate import (
     tokenize_keywords,
 )
 from ontosearch import kb as kb_module
-from ontosearch.kb import parse_kb
+from ontosearch.kb import normalize_name, parse_kb
 from ontosearch.stem import stem
 
 from conftest import FIGURE_DOC, FIGURE_QUERY
+from oracles import recognize_regex, recognize_scan
 
 
 def stems(tokens):
@@ -159,6 +164,145 @@ def test_kbs_never_share_a_gazetteer():
         assert [a.entity_id for a in recognize_entities(text, oslo)] == ["c1", "c1"]
         assert [a.entity_id for a in recognize_entities(text, bergen)] == ["c2"]
     assert oslo.gazetteer is not bergen.gazetteer
+
+
+def test_recognize_finds_a_name_in_its_own_casefold_spelling():
+    # "Straße" casefolds to "strasse", so the surface is "strasse nord"
+    kb = parse_kb("CLASS\tPlace\t-\t-\nENTITY\ts1\tPlace\tStraße Nord\t-\n")
+    assert list(kb.name_index) == ["strasse nord"]
+    for text in ("Straße Nord", "STRASSE  nord", "an der Straße\nNord."):
+        found = recognize_entities(text, kb)
+        assert [a.entity_id for a in found] == ["s1"], text
+        assert normalize_name(found[0].surface) == "strasse nord"
+
+
+PUNCTUATED_KB = (
+    "CLASS\tOrg\t-\t-\n"
+    "ENTITY\to1\tOrg\tSt. Louis\t-\n"
+    "ENTITY\to2\tOrg\tAT&T\t-\n"
+    "ENTITY\to3\tOrg\tfoo_bar\t-\n"
+    "ENTITY\to4\tOrg\t.NET\t-\n"
+    "ENTITY\to5\tOrg\tAcme Inc.\tAcme\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("in St.\n\tLouis today", [("St.\n\tLouis", "o1")]),
+        ("St.Louis", []),  # the surface has a space there
+        ("AT&T, .NET and foo_bar", [("AT&T", "o2"), (".NET", "o4"), ("foo_bar", "o3")]),
+        ("ASP.NET x_foo_bar", [("foo_bar", "o3")]),  # '.' follows a letter, '_' does not count
+        ("Acme Inc. rose", [("Acme Inc.", "o5")]),
+        ("Acme Inc.com", [("Acme", "o5")]),  # the longer span would end inside a word
+        ("AT&Tx", []),
+    ],
+)
+def test_recognize_surfaces_with_punctuation(text, expected):
+    kb = parse_kb(PUNCTUATED_KB)
+    found = recognize_entities(text, kb)
+    assert [(a.surface, a.entity_id) for a in found] == expected
+    assert [a.char_span for a in found] == recognize_scan(text, kb)
+
+
+# KB surfaces that end or begin in punctuation, hold '_', or change under
+# casefold (ß -> ss, ﬁ -> fi, final sigma -> σ, İ -> i + U+0307, U+0345 -> ι)
+ODD_SURFACES = ["St. Louis", "AT&T", "foo_bar", ".NET", "Acme Inc.", "ß", "ﬁ", "ﬁle",
+                "λόγος", "İzmir", "Straße Nord", "Louis", "foo", "AT", "ιb", "&", "."]
+ODD_WORDS = ["St", "ST", "Louis", "louis", "AT", "at", "T", "t", "foo", "FOO", "bar", "NET", "net",
+             "Acme", "Inc", "ß", "SS", "ss", "ẞ", "ﬁ", "FI", "fi", "ﬁle", "FILE", "λόγος", "ΛΌΓΟΣ",
+             "λόγοσ", "İzmir", "izmir", "i̇zmir", "İ", "Straße", "STRASSE", "Nord", "x", "b"]
+PUNCTUATION = list(".-_&',") + ["\u0345"]
+WHITESPACE = [" ", "  ", "\n", "\t", " \n\t ", "\u00a0", "\x1c"]
+
+
+def kb_of(surfaces) -> str:
+    return "CLASS\tA\t-\t-\n" + "".join(
+        f"ENTITY\te{i}\tA\t{surface}\t-\n" for i, surface in enumerate(surfaces))
+
+
+@st.composite
+def kb_and_text(draw, surfaces, words):
+    chosen = draw(st.lists(st.sampled_from(surfaces), min_size=1, max_size=6, unique=True))
+    pieces = draw(st.lists(st.one_of(st.sampled_from(words), st.sampled_from(PUNCTUATION),
+                                     st.sampled_from(WHITESPACE)), max_size=14))
+    return parse_kb(kb_of(chosen)), "".join(pieces)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kb_and_text(ODD_SURFACES, ODD_WORDS))
+def test_recognize_equals_the_span_scan(case):
+    kb, text = case
+    found = recognize_entities(text, kb)
+    assert [a.char_span for a in found] == recognize_scan(text, kb)
+    assert all(a.surface == text[slice(*a.char_span)] for a in found)
+
+
+ASCII_SURFACES = [s for s in ODD_SURFACES if s.isascii()]
+ASCII_WORDS = [w for w in ODD_WORDS if w.isascii()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kb_and_text(ASCII_SURFACES, ASCII_WORDS))
+def test_recognize_equals_the_regex_gazetteer_on_ascii(case):
+    kb, text = case
+    spans = [a.char_span for a in recognize_entities(text, kb)]
+    assert spans == recognize_regex(text, kb) == recognize_scan(text, kb)
+
+
+def test_blank_alias_matches_nothing():
+    # an alias of only spaces normalizes to "", which no mention can spell
+    kb = parse_kb("CLASS\tA\t-\t-\nENTITY\te1\tA\tOslo\t  \n")
+    assert "" in kb.name_index
+    assert [a.char_span for a in recognize_entities("Oslo, then Bergen.", kb)] == [(0, 4)]
+
+
+def test_recognize_through_a_character_that_folds_into_a_word():
+    # U+0345 is no letter, but casefolds to the letter ι
+    kb = parse_kb(kb_of(["aιb", "ιc"]))
+    for text in ("a\u0345b", "x \u0345c", "a\u0345b\u0345c"):
+        spans = [a.char_span for a in recognize_entities(text, kb)]
+        assert spans == recognize_scan(text, kb), text
+    assert [a.char_span for a in recognize_entities("a\u0345b", kb)] == [(0, 3)]
+
+
+def test_casefold_changes_letterhood_only_where_the_gazetteer_expects():
+    """kb._compile_gazetteer cuts surfaces beside every ι; this pins why that is enough.
+
+    No character's casefold turns whitespace into non-whitespace or back,
+    and the only character that is not alphanumeric but folds to an
+    alphanumeric one is U+0345, which folds to ι.
+    """
+    into_runs = set()
+    for code in range(sys.maxunicode + 1):
+        ch = chr(code)
+        folded = ch.casefold()
+        if folded == ch:
+            continue
+        assert all(f.isspace() == ch.isspace() for f in folded), hex(code)
+        if not ch.isalnum():
+            into_runs.update(f for f in folded if f.isalnum())
+    assert into_runs == {"\u03b9"}
+
+
+def test_gazetteer_builds_no_regular_expression(monkeypatch):
+    compiled = []
+
+    def recording(original):
+        def compile_(pattern, *args, **kwargs):
+            compiled.append(pattern)
+            return original(pattern, *args, **kwargs)
+        return compile_
+
+    monkeypatch.setattr(re, "compile", recording(re.compile))
+    monkeypatch.setattr(re, "_compile", recording(re._compile))
+    kb = parse_kb(PUNCTUATED_KB)
+    assert recognize_entities("St. Louis, AT&T and Acme Inc.", kb)
+    assert compiled == []
+    ref = weakref.ref(kb)
+    del kb
+    gc.collect()
+    assert ref() is None
 
 
 def test_map_interrogative():

@@ -486,3 +486,11 @@ def test_dump_terms_rejects_wh_override_under_kw(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: --wh applies only to model kw+ne+wh\n"
     assert captured.out == ""
+
+
+def test_dump_terms_rejects_wh_override_on_the_document_side(capsys):
+    assert run_cli("dump-terms", "--kb", KB, "--model", "kw+ne+wh", "--side", "document",
+                   "--wh", "Location", "fair") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --wh applies only to --side query\n"
+    assert captured.out == ""

@@ -16,6 +16,7 @@ from ontosearch.annotate import (
     keywords_outside_entities,
     tokenize_keywords,
 )
+from ontosearch import expand as expand_module
 from ontosearch.expand import (
     Keyword,
     Space,
@@ -274,6 +275,55 @@ def test_unknown_ids_rejected(figure_kb):
         expand_document(entity_only(bad_class), figure_kb)
     with pytest.raises(ValueError, match="unknown class"):
         expand_query(entity_only(bad_class), figure_kb)
+
+
+def test_unknown_ids_rejected_on_every_call(figure_kb):
+    bad_entity = EntityAnnotation(
+        char_span=(0, 1), surface="x", name="x", class_id="Province", entity_id="Nope"
+    )
+    for _ in range(3):
+        with pytest.raises(ValueError, match="unknown entity"):
+            expand_document(entity_only(bad_entity), figure_kb)
+    assert ("x", "Province", "Nope") not in figure_kb.expansions
+
+
+def counting_expansion_sets(monkeypatch) -> list:
+    calls = []
+    original = expand_module._expansion_sets
+
+    def counting(ann, kb):
+        calls.append((ann.name, ann.class_id, ann.entity_id))
+        return original(ann, kb)
+
+    monkeypatch.setattr(expand_module, "_expansion_sets", counting)
+    return calls
+
+
+FIGURE_TEXT = "Georgia and Gruzia; Stanford University, Moscow and Georgia"
+
+
+def test_each_annotation_key_is_expanded_once_per_kb(figure_kb_path, monkeypatch):
+    calls = counting_expansion_sets(monkeypatch)
+    kb = parse_kb(figure_kb_path.read_text(encoding="utf-8"))
+    at = annotate(FIGURE_TEXT, kb)
+    first = expand_document(at, kb, "d")
+    for _ in range(5):
+        assert expand_document(annotate(FIGURE_TEXT, kb), kb, "d") == first
+    keys = {(a.name, a.class_id, a.entity_id) for a in at.entities}
+    assert len(at.entities) == 5 and len(keys) == 3  # Georgia x3 (one via its alias)
+    assert sorted(calls) == sorted(keys)
+    assert first.space_bags[Space.I][Triple(entity_id="Country_T.88")] == 3
+
+
+def test_kbs_never_share_expansions(figure_kb_path, monkeypatch):
+    calls = counting_expansion_sets(monkeypatch)
+    text = figure_kb_path.read_text(encoding="utf-8")
+    one, other = parse_kb(text), parse_kb(text)
+    assert one.expansions is not other.expansions
+    for kb in (one, other, one, other):
+        expand_document(annotate(FIGURE_TEXT, kb), kb, "d")
+    assert len(calls) == 2 * 3
+    assert one.expansions.keys() == other.expansions.keys()
 
 
 def test_triple_requires_a_slot():

@@ -8,7 +8,11 @@ them with
 A `cosine_score` or `rank_documents` round scores or ranks synth's 24 judged
 queries once; a `represent_query` round annotates and expands them under
 one model; a `stem`, `recognize_entities` or `represent_document` round
-analyzes the first 600 documents; a `randomization_test` round compares two
+analyzes the first 600 documents; a grown-KB `recognize_entities` round
+analyzes the first 600 documents, half of them extended by a sentence that
+names one of 0, 1000 or 5000 generated extra entities, against synth's KB
+plus those entities, and a gazetteer round builds that KB's gazetteer;
+a `randomization_test` round compares two
 models' per-query average precision over those 24 queries with 10k
 permutations; a `parse_run` round parses the run file of those queries
 under all five models at k=1000 (over 50k lines); an `average_precision`
@@ -17,6 +21,7 @@ and `interpolated_curve` round judges that file's rankings.
 
 from __future__ import annotations
 
+import random
 from typing import NamedTuple
 
 import pytest
@@ -32,7 +37,7 @@ from ontosearch.evaluation import (
 )
 from ontosearch.expand import Space
 from ontosearch.index import IndexBundle, build_index
-from ontosearch.kb import KnowledgeBase, parse_kb
+from ontosearch.kb import KnowledgeBase, _compile_gazetteer, parse_kb
 from ontosearch.rank import (
     Model,
     ModelConfig,
@@ -61,6 +66,7 @@ class Synth(NamedTuple):
     queries: list[QuerySpec]
     qrels: dict[str, set[str]]
     texts: list[str]  # document texts, in corpus order
+    kb_text: str
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +76,7 @@ def synth():
     docs = parse_corpus(collection.corpus_text)
     idx = build_index(represent_document(text, kb, doc_id) for doc_id, text in docs.items())
     return Synth(kb, idx, parse_queries(collection.queries_text),
-                 parse_qrels(collection.qrels_text), list(docs.values()))
+                 parse_qrels(collection.qrels_text), list(docs.values()), collection.kb_text)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +126,59 @@ def test_recognize_entities(benchmark, synth):
     texts = synth.texts[:N_ANALYZED]
     mentions = benchmark(lambda: [recognize_entities(text, synth.kb) for text in texts])
     assert sum(map(len, mentions)) > 0
+
+
+EXTRA_CLASSES = ("Scientist", "Person", "Organization", "City", "Country", "Festival")
+_ONSETS = ("b", "d", "f", "g", "k", "l", "m", "n", "p", "r", "s", "t", "v", "z",
+           "br", "dr", "gl", "kr", "pl", "st", "tr", "vr", "zh")
+_VOWELS = ("a", "e", "i", "o", "u", "ae", "io", "ou")
+_CODAS = ("", "", "n", "r", "s", "th", "x", "k", "l")
+
+
+def grown_collection(synth: Synth, n_extra: int, seed: int = 7) -> tuple[KnowledgeBase, list[str]]:
+    """Synth's KB plus `n_extra` generated entities, and the analyzed documents.
+
+    Each extra entity has a two-word canonical name and a one-word alias of
+    fresh syllable words (used by no other surface and no document); half
+    the documents gain a sentence naming one of them.
+    """
+    rng = random.Random(seed)
+    taken = {word.casefold() for text in synth.texts for word in text.split()}
+    taken |= {w for surface in synth.kb.name_index for w in surface.split()}
+
+    def fresh() -> str:
+        while True:
+            word = "".join(rng.choice(_ONSETS) + rng.choice(_VOWELS) for _ in range(rng.randint(2, 3)))
+            word += rng.choice(_CODAS)
+            if word not in taken:
+                taken.add(word)
+                return word.capitalize()
+
+    lines, surfaces = [], []
+    for i in range(n_extra):
+        name, alias = f"{fresh()} {fresh()}", fresh()
+        lines.append(f"ENTITY\tExtra.{i}\t{EXTRA_CLASSES[i % len(EXTRA_CLASSES)]}\t{name}\t{alias}\n")
+        surfaces.append((name, alias))
+    texts = list(synth.texts[:N_ANALYZED])
+    if surfaces:
+        for i, text in enumerate(texts):
+            if rng.random() < 0.5:
+                texts[i] = f"{text} Records mention {rng.choice(rng.choice(surfaces))}."
+    return parse_kb(synth.kb_text + "".join(lines)), texts
+
+
+@pytest.mark.parametrize("n_extra", [0, 1000, 5000])
+def test_recognize_entities_grown_kb(benchmark, synth, n_extra):
+    kb, texts = grown_collection(synth, n_extra)
+    mentions = benchmark(lambda: [recognize_entities(text, kb) for text in texts])
+    assert sum(map(len, mentions)) > 0
+
+
+@pytest.mark.parametrize("n_extra", [0, 1000, 5000])
+def test_gazetteer_build_grown_kb(benchmark, synth, n_extra):
+    kb, _ = grown_collection(synth, n_extra)
+    gazetteer = benchmark(lambda: _compile_gazetteer(kb.name_index))
+    assert len(gazetteer) >= len(kb.name_index) == 25 + 2 * n_extra
 
 
 def test_represent_document(benchmark, synth):
