@@ -130,10 +130,10 @@ def recognize_entities(text: str, kb: KnowledgeBase) -> list[EntityAnnotation]:
                 keyed.append((start + m.start(), start + m.end(), folded))
     annotations = []
     resume = 0
-    for start, end, folded in keyed:
+    for start, unit_end, folded in keyed:
         if start < resume:
             continue
-        found = _longest_mention(text, end, folded, gazetteer)
+        found = _longest_mention(text, unit_end, folded, gazetteer)
         if found is None:
             continue
         resume, entity_ids = found
