@@ -7,11 +7,12 @@ a deterministic leftmost-longest dictionary match against the KB's
 normalized surface forms: a span matches when `normalize_name` of it (case
 folded, whitespace runs collapsed) is a surface, so "Straße" matches
 "strasse" and a name's words may be split by any whitespace, newlines
-included. Matching looks the text up in `kb.gazetteer`, a dict keyed by
-surface prefixes that is built once per KB and kept on it; no pattern is
-compiled from the KB. A surface held by exactly one entity yields a fully
-identified annotation; a surface shared by several entities of one class
-yields name+class; mixed classes fall back to name only.
+included. The spans come from `KnowledgeBase.find_mentions`, which looks
+the text up in a dict of surface prefixes built once per KB and kept on
+it; no pattern is compiled from the KB. A surface held by exactly one
+entity yields a fully identified annotation; a surface shared by several
+entities of one class yields name+class; mixed classes fall back to name
+only.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .kb import TEXT_STEP, KnowledgeBase
+from .kb import KnowledgeBase
 from .stem import stem
 
 # alphanumeric runs, keeping internal hyphens ("co-chaired" stays one token)
 _TOKEN = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
-
-# where a mention may begin in a stretch of text without whitespace: an
-# alphanumeric run, or any other character that does not follow one
-_MENTION_START = re.compile(r"[^\W_]+|(?<![^\W_])(?:[^\w\s]|_)")
 
 DEFAULT_STOPWORDS = frozenset(
     """
@@ -103,42 +100,13 @@ def tokenize_keywords(text: str, stopwords: frozenset[str] | set[str]) -> list[T
 def recognize_entities(text: str, kb: KnowledgeBase) -> list[EntityAnnotation]:
     """Leftmost-longest non-overlapping gazetteer matches, in text order.
 
-    A mention is a span that neither begins nor ends inside an alphanumeric
-    run, whose first and last characters are not whitespace, and whose
-    `normalize_name` is a KB surface. From the first position where a
-    mention begins, the longest one is taken, and the scan goes on after
-    it. Spans are found by walking `kb.gazetteer` a step of text at a time
-    (see `ontosearch.kb`), so the cost follows the text, not the KB.
+    The spans are `kb.find_mentions(text)`; see `ontosearch.kb` for what a
+    mention is and how it is found.
     """
-    gazetteer = kb.gazetteer
-    keyed = []  # (start, end, casefolded form) of each first unit that is a key
-    end = 0
-    for chunk in text.split():
-        start = text.index(chunk, end)
-        end = start + len(chunk)
-        # a chunk that is one alphanumeric run, maybe closed by one other
-        # character (which follows a letter, so starts nothing), has one start
-        if chunk.isalnum() or chunk[:-1].isalnum():
-            run = chunk if chunk[-1].isalnum() else chunk[:-1]
-            folded = run.casefold()
-            if folded in gazetteer:
-                keyed.append((start, start + len(run), folded))
-            continue
-        for m in _MENTION_START.finditer(chunk):
-            folded = m.group().casefold()
-            if folded in gazetteer:
-                keyed.append((start + m.start(), start + m.end(), folded))
     annotations = []
-    resume = 0
-    for start, unit_end, folded in keyed:
-        if start < resume:
-            continue
-        found = _longest_mention(text, unit_end, folded, gazetteer)
-        if found is None:
-            continue
-        resume, entity_ids = found
-        span = (start, resume)
-        surface = text[start:resume]
+    for start, end, entity_ids in kb.find_mentions(text):
+        span = (start, end)
+        surface = text[start:end]
         if len(entity_ids) == 1:
             entity = kb.entities[next(iter(entity_ids))]
             annotations.append(
@@ -166,29 +134,6 @@ def recognize_entities(text: str, kb: KnowledgeBase) -> list[EntityAnnotation]:
                 EntityAnnotation(char_span=span, surface=surface, name=surface)
             )
     return annotations
-
-
-def _longest_mention(
-    text: str, pos: int, folded: str, gazetteer: dict[str, frozenset[str] | None]
-) -> tuple[int, frozenset[str]] | None:
-    """(end, entity ids) of the longest mention whose first unit ends at
-    `pos` and casefolds to `folded`, a gazetteer key; else None."""
-    best = None
-    while True:
-        entity_ids = gazetteer[folded]
-        if entity_ids is not None and (pos == len(text) or not text[pos].isalnum()):
-            best = pos, entity_ids
-        m = TEXT_STEP.match(text, pos)
-        if m is None:
-            return best
-        step = m.group()
-        if step[0].isspace():
-            folded += " " + step.lstrip().casefold()
-        else:
-            folded += step.casefold()
-        if folded not in gazetteer:
-            return best
-        pos = m.end()
 
 
 def keywords_outside_entities(

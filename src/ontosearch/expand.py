@@ -124,7 +124,12 @@ def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> D
         generalized[Keyword(token.stem)] += 1
     memo = kb.expansions
     for ann in at.entities:
-        key = (ann.name, ann.class_id, ann.entity_id)
+        name = ann.name
+        # a name without an id is the text as written: key it by its normal
+        # form, so the memo grows with the KB, not with the spellings
+        if ann.entity_id is None and name is not None:
+            name = normalize_name(name)
+        key = (name, ann.class_id, ann.entity_id)
         terms = memo.get(key)
         if terms is None:
             terms = memo[key] = _document_terms(ann, kb)

@@ -1,24 +1,26 @@
 """Knowledge base: class hierarchy plus entity catalog with alias lookup.
 
-The KB is loaded once from a line-oriented TSV file and is immutable
-afterwards, so every operation here is a pure read and safe to share
-across workers. Two derived structures are built lazily and cached on the
-KB object itself, never in a module-level table, so they go when the KB
-goes: the gazetteer that entity recognition looks text up in, and the
-memo of each annotation's document-side expansion (filled by
-`expand.expand_document`).
+The KB is loaded once from a line-oriented TSV file, and its classes,
+entities and name index never change afterwards. Two derived structures
+are built lazily and cached on the KB object itself, never in a
+module-level table, so they go when the KB goes: the gazetteer that
+`find_mentions` looks text up in, built on first use; and `expansions`,
+a memo that `expand.expand_document` writes each annotation key's
+document-side terms into on that key's first use. Two users of one KB can
+at worst build the same entry twice, with equal values.
 
 The gazetteer is a plain dict keyed by prefixes of the normalized surface
 forms (see `normalize_name`). A unit of text is an alphanumeric run or any
 other single non-whitespace character, and a step is a unit with the
 whitespace before it. Each surface is cut after each of its steps; a key
-maps to entity ids when it is a whole surface, else to None. Recognition
-finds where mentions may start, and from each whose first unit's casefold
-is a key it walks the text step by step, appending each step's casefold
-(its whitespace as one space), while the string is still a key. So most
-words cost one dict lookup, and the cost follows the text, not the KB.
-Because matching compares casefolded text, "Straße" in a text finds the
-surface "strasse", as `normalize_name` says they are one name.
+maps to entity ids when it is a whole surface, else to None.
+`find_mentions` scans the text for where mentions may start, and from
+each whose first unit's casefold is a key it walks the text step by step,
+appending each step's casefold (its whitespace as one space), while the
+string is still a key. So most words cost one dict lookup, and the cost
+follows the text, not the KB. Because matching compares casefolded text,
+"Straße" in a text finds the surface "strasse", as `normalize_name` says
+they are one name.
 
 File format (UTF-8, ``#`` starts a comment line):
 
@@ -52,7 +54,11 @@ def normalize_name(surface: str) -> str:
 
 # one step of a walk over text: any whitespace, then one unit (an alphanumeric
 # run, or any other single non-whitespace character)
-TEXT_STEP = re.compile(r"\s*(?:[^\W_]+|\S)")
+_TEXT_STEP = re.compile(r"\s*(?:[^\W_]+|\S)")
+
+# where a mention may begin: an alphanumeric run, or any other
+# non-whitespace character that does not follow one
+_MENTION_START = re.compile(r"[^\W_]+|(?<![^\W_])(?:[^\w\s]|_)")
 
 
 def _compile_gazetteer(name_index) -> dict[str, frozenset[str] | None]:
@@ -66,7 +72,7 @@ def _compile_gazetteer(name_index) -> dict[str, frozenset[str] | None]:
     for surface in name_index:
         head = ""
         # one alphanumeric run is one step
-        for step in [] if surface.isalnum() else TEXT_STEP.findall(surface)[:-1]:
+        for step in [] if surface.isalnum() else _TEXT_STEP.findall(surface)[:-1]:
             head += step
             gazetteer[head] = None
         # U+0345 is the one character that is not alphanumeric but casefolds
@@ -80,6 +86,29 @@ def _compile_gazetteer(name_index) -> dict[str, frozenset[str] | None]:
                         gazetteer[surface[:i]] = None
     gazetteer.update(name_index)
     return gazetteer
+
+
+def _longest_mention(
+    text: str, pos: int, folded: str, gazetteer: dict[str, frozenset[str] | None]
+) -> tuple[int, frozenset[str]] | None:
+    """(end, entity ids) of the longest mention whose first unit ends at
+    `pos` and casefolds to `folded`, a gazetteer key; else None."""
+    best = None
+    while True:
+        entity_ids = gazetteer[folded]
+        if entity_ids is not None and (pos == len(text) or not text[pos].isalnum()):
+            best = pos, entity_ids
+        m = _TEXT_STEP.match(text, pos)
+        if m is None:
+            return best
+        step = m.group()
+        if step[0].isspace():
+            folded += " " + step.lstrip().casefold()
+        else:
+            folded += step.casefold()
+        if folded not in gazetteer:
+            return best
+        pos = m.end()
 
 
 @dataclass(frozen=True)
@@ -116,10 +145,35 @@ class KnowledgeBase:
         on first use and cached on this instance."""
         return _compile_gazetteer(self.name_index)
 
+    def find_mentions(self, text: str) -> list[tuple[int, int, frozenset[str]]]:
+        """(start, end, entity ids) of each leftmost-longest mention in `text`.
+
+        A mention is a span that neither begins nor ends inside an
+        alphanumeric run, whose first and last characters are not
+        whitespace, and whose `normalize_name` is a surface. From the first
+        position where a mention begins, the longest one is taken, and the
+        scan goes on after it.
+        """
+        gazetteer = self.gazetteer
+        mentions = []
+        resume = 0
+        for m in _MENTION_START.finditer(text):
+            start = m.start()
+            if start < resume:
+                continue
+            folded = m.group().casefold()
+            if folded not in gazetteer:
+                continue
+            found = _longest_mention(text, m.end(), folded, gazetteer)
+            if found is not None:
+                resume, entity_ids = found
+                mentions.append((start, resume, entity_ids))
+        return mentions
+
     @cached_property
     def expansions(self) -> dict:
-        """Annotation key -> its document-side terms, filled by
-        `expand.expand_document` on each key's first use."""
+        """Annotation key -> its document-side terms: a memo that
+        `expand.expand_document` writes each key into on its first use."""
         return {}
 
 

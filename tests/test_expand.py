@@ -315,6 +315,26 @@ def test_each_annotation_key_is_expanded_once_per_kb(figure_kb_path, monkeypatch
     assert first.space_bags[Space.I][Triple(entity_id="Country_T.88")] == 3
 
 
+def test_spellings_of_one_unidentified_name_share_an_expansion(monkeypatch):
+    calls = counting_expansion_sets(monkeypatch)
+    kb = parse_kb(
+        "CLASS\tCountry\t-\t-\n"
+        "CLASS\tProvince\t-\t-\n"
+        "CLASS\tCity\t-\t-\n"
+        "ENTITY\tC1\tCountry\tGeorgia\t-\n"
+        "ENTITY\tP1\tProvince\tGeorgia\t-\n"
+        "ENTITY\tS1\tCity\tSt. Louis\t-\n"
+        "ENTITY\tS2\tCity\tSt. Louis\t-\n"
+    )
+    text = "Georgia, GEORGIA and georgia; St. Louis and ST.\n\tLOUIS"
+    at = annotate(text, kb)
+    assert [a.entity_id for a in at.entities] == [None] * 5
+    rep = expand_document(at, kb, "d")
+    assert sorted(kb.expansions) == [("georgia", None, None), ("st. louis", "City", None)]
+    assert len(calls) == 2
+    assert rep.space_bags[Space.N] == Counter({Triple(name="Georgia"): 3, Triple(name="St. Louis"): 2})
+
+
 def test_kbs_never_share_expansions(figure_kb_path, monkeypatch):
     calls = counting_expansion_sets(monkeypatch)
     text = figure_kb_path.read_text(encoding="utf-8")
