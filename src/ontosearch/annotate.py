@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .kb import KnowledgeBase
 from .stem import stem
@@ -50,8 +51,7 @@ DEFAULT_WH_MAPPING = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     stem: str
     char_span: tuple[int, int]
@@ -90,10 +90,10 @@ def tokenize_keywords(text: str, stopwords: frozenset[str] | set[str]) -> list[T
     """Split on non-alphanumeric boundaries, case-fold, drop stop-words, stem."""
     tokens = []
     for m in _TOKEN.finditer(text):
-        folded = m.group().casefold()
-        if folded in stopwords:
-            continue
-        tokens.append(Token(surface=m.group(), stem=stem(folded), char_span=m.span()))
+        surface = m.group()
+        folded = surface.casefold()
+        if folded not in stopwords:
+            tokens.append(Token(surface, stem(folded), m.span()))
     return tokens
 
 
@@ -139,15 +139,24 @@ def recognize_entities(text: str, kb: KnowledgeBase) -> list[EntityAnnotation]:
 def keywords_outside_entities(
     keywords: list[Token], entities: list[EntityAnnotation]
 ) -> list[Token]:
-    """The keywords not lying wholly inside an entity mention's span."""
+    """The keywords not lying wholly inside an entity mention's span.
+
+    Both lists are in text order and neither overlaps itself, as `annotate`
+    makes them, so one merge walk finds each keyword's only candidate span:
+    the first one that ends after the keyword starts.
+    """
     if not entities:
         return keywords
     spans = [e.char_span for e in entities]
-    return [
-        t
-        for t in keywords
-        if not any(s <= t.char_span[0] and t.char_span[1] <= e for s, e in spans)
-    ]
+    outside = []
+    i, n = 0, len(spans)
+    for token in keywords:
+        start, end = token.char_span
+        while i < n and spans[i][1] <= start:
+            i += 1
+        if i == n or start < spans[i][0] or spans[i][1] < end:
+            outside.append(token)
+    return outside
 
 
 def map_interrogative(word: str, mapping: dict[str, str]) -> str | None:

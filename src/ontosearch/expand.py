@@ -15,6 +15,12 @@ alone), with no alias or superclass closure; the document side of the match
 carries the burden. Wh classes contribute one class-only G term each; they are
 configuration, not annotations, so they are not validated against the KB
 (an unknown class simply never matches a posting).
+
+Terms are named tuples, so bags hash and compare them in C. A document is
+expanded count first, add second: its stems are counted as strings and its
+annotations by key (name, class, id), and each distinct stem becomes one
+`Keyword`. A key's terms are built once per KB, and a key seen n times adds
+n to each of them.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .annotate import AnnotatedText, EntityAnnotation, keywords_outside_entities
 from .kb import KnowledgeBase, alias_set, normalize_name, super_classes
@@ -36,28 +43,35 @@ class Space(str, Enum):
     G = "G"
 
 
-@dataclass(frozen=True)
-class Keyword:
+class Keyword(NamedTuple):
     stem: str
 
 
-@dataclass(frozen=True)
-class Triple:
+class _TripleSlots(NamedTuple):
+    name: str | None
+    class_id: str | None
+    entity_id: str | None
+
+
+class Triple(_TripleSlots):
     """Entity term with optional name/class/id slots; at least one is set.
 
     Name slots are normalized like the KB name index, so two casings of one
-    surface form are a single term.
+    surface form are a single term. Like `Keyword`, a tuple: it hashes and
+    compares in C, and never equals a `Keyword`, whose length differs.
+    Build one by calling the class; the tuple helpers `_make` and `_replace`
+    skip these checks.
     """
 
-    name: str | None = None
-    class_id: str | None = None
-    entity_id: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.name is None and self.class_id is None and self.entity_id is None:
+    def __new__(cls, name: str | None = None, class_id: str | None = None,
+                entity_id: str | None = None) -> Triple:
+        if name is None and class_id is None and entity_id is None:
             raise ValueError("a Triple needs at least one specified slot")
-        if self.name is not None:
-            object.__setattr__(self, "name", normalize_name(self.name))
+        if name is not None:
+            name = normalize_name(name)
+        return tuple.__new__(cls, (name, class_id, entity_id))
 
 
 GeneralizedTerm = Keyword | Triple
@@ -111,30 +125,43 @@ _DOCUMENT_SPACES = (Space.N, Space.C, Space.NC, Space.I, Space.G)
 def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> DocRepresentation:
     """Document-side expansion; see the module docstring for the closure rules.
 
-    Each annotation key's terms are built once per KB and kept in
-    `kb.expansions`; a key that fails to expand is not kept, so its error is
-    raised on every call.
+    Each annotation key's terms are kept in `kb.expansions`; a key that
+    fails to expand is not kept, so its error is raised on every call.
     """
-    bags = _empty_bags()
-    keywords = bags[Space.KW]
-    for token in at.keywords:
-        keywords[Keyword(token.stem)] += 1
-    generalized = bags[Space.G]
-    for token in keywords_outside_entities(at.keywords, at.entities):
-        generalized[Keyword(token.stem)] += 1
+    stems = Counter([token.stem for token in at.keywords])
+    keywords = {stem: Keyword(stem) for stem in stems}
+    outside = Counter(
+        [token.stem for token in keywords_outside_entities(at.keywords, at.entities)]
+    )
+    bags = {
+        Space.KW: Counter({keywords[stem]: n for stem, n in stems.items()}),
+        Space.N: Counter(),
+        Space.C: Counter(),
+        Space.NC: Counter(),
+        Space.I: Counter(),
+        Space.G: Counter({keywords[stem]: n for stem, n in outside.items()}),
+    }
     memo = kb.expansions
+    counts: dict[tuple, int] = {}
     for ann in at.entities:
         name = ann.name
         # a name without an id is the text as written: key it by its normal
         # form, so the memo grows with the KB, not with the spellings
         if ann.entity_id is None and name is not None:
             name = normalize_name(name)
-        key = (name, ann.class_id, ann.entity_id)
-        terms = memo.get(key)
-        if terms is None:
-            terms = memo[key] = _document_terms(ann, kb)
-        for space, space_terms in zip(_DOCUMENT_SPACES, terms):
-            bags[space].update(space_terms)
+        key = name, ann.class_id, ann.entity_id
+        if key in counts:
+            counts[key] += 1
+        else:
+            counts[key] = 1
+            if key not in memo:
+                memo[key] = _document_terms(ann, kb)
+    for key, n in counts.items():
+        for space, space_terms in zip(_DOCUMENT_SPACES, memo[key]):
+            bag = bags[space]
+            get = bag.get
+            for term in space_terms:
+                bag[term] = get(term, 0) + n
     return DocRepresentation(doc_id=doc_id, space_bags=bags)
 
 

@@ -15,6 +15,13 @@ term's ln(n_docs / df), `weights` each posting's tf * idf, and `norms` each
 document's Euclidean norm, whose squares `np.bincount` sums posting by
 posting, that is in term-id order.
 
+The build is a sort-based inversion (Zobel & Moffat, "Inverted files for
+text search engines", 2006). Per space, one pass over the bags lists each
+posting's provisional term id, tf and roster position; the vocabulary is
+ranked once by serialized term; one `np.lexsort` by (term rank, roster
+position) puts the postings in CSR order, and `np.bincount` of the ranks
+gives each term's df.
+
 On-disk layout is a directory with `manifest.tsv` plus one file per space.
 A space file carries the postings lines (`term<TAB>df<TAB>doc:tf,...`,
 sorted by serialized term) followed by the norm lines (`doc_id<TAB>norm`,
@@ -31,8 +38,10 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -132,7 +141,11 @@ def _space_index(
 
 
 def build_index(reps: Iterable[DocRepresentation]) -> IndexBundle:
-    """Build all six space indexes from a stream of document representations."""
+    """Build all six space indexes from a stream of document representations.
+
+    A term's provisional id is the order in which the bags, in roster order,
+    first show it; see the module docstring for the rest.
+    """
     by_doc: dict[str, dict[Space, dict]] = {}
     for rep in reps:
         if rep.doc_id in by_doc:
@@ -142,17 +155,24 @@ def build_index(reps: Iterable[DocRepresentation]) -> IndexBundle:
 
     spaces: dict[Space, SpaceIndex] = {}
     for space in Space:
-        term_docs: dict[GeneralizedTerm, list[tuple[int, int]]] = {}
-        for position, doc_id in enumerate(roster):
-            for term, tf in by_doc[doc_id].get(space, {}).items():
-                term_docs.setdefault(term, []).append((position, tf))
-        terms = sorted(term_docs, key=serialize_term)
-        postings = [posting for term in terms for posting in term_docs[term]]
+        bags = [by_doc[doc_id].get(space, {}) for doc_id in roster]
+        # a term's first lookup gives it the next id
+        provisional: dict[GeneralizedTerm, int] = defaultdict(count().__next__)
+        ids = np.fromiter(map(provisional.__getitem__, chain.from_iterable(bags)), np.int64)
+        tf = np.fromiter(chain.from_iterable(bag.values() for bag in bags), np.int64)
+        doc_pos = np.repeat(np.arange(len(roster), dtype=np.int32), [len(bag) for bag in bags])
+        terms = list(provisional)
+        keys = [serialize_term(term) for term in terms]
+        order = sorted(range(len(terms)), key=keys.__getitem__)
+        rank = np.empty(len(terms), dtype=np.int64)  # provisional id -> final id
+        rank[order] = np.arange(len(terms))
+        term_rank = rank[ids]
+        postings = np.lexsort((doc_pos, term_rank))
         spaces[space] = _space_index(
-            terms,
-            [len(term_docs[term]) for term in terms],
-            [position for position, _ in postings],
-            [tf for _, tf in postings],
+            [terms[i] for i in order],
+            np.bincount(term_rank, minlength=len(terms)).tolist(),
+            doc_pos[postings],
+            tf[postings],
             roster,
             len(roster),
         )

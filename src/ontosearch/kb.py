@@ -28,8 +28,10 @@ File format (UTF-8, ``#`` starts a comment line):
     ENTITY<TAB>entity_id<TAB>class_id<TAB>canonical_name<TAB>alias|alias|...
 
 A ``-`` stands for "no parents" / "not top-level"; the alias field may be
-empty or omitted. Top-level classes (``TOP``) act as hierarchy roots and
-are excluded from every superclass closure.
+empty or omitted. A canonical name or alias of only whitespace is
+rejected: its normal form is "", which no text can spell. Top-level
+classes (``TOP``) act as hierarchy roots and are excluded from every
+superclass closure.
 """
 
 from __future__ import annotations
@@ -209,11 +211,14 @@ def parse_kb(text: str, origin: str = "<string>") -> KnowledgeBase:
             entity_id, class_id, canonical = fields[1], fields[2], fields[3]
             if not entity_id:
                 raise KBError(f"{origin}:{lineno}: empty entity id")
-            if not canonical:
+            if not normalize_name(canonical):
                 raise KBError(f"{origin}:{lineno}: empty canonical name for {entity_id!r}")
             if entity_id in entities:
                 raise KBError(f"{origin}:{lineno}: duplicate entity id {entity_id!r}")
             alias_field = fields[4] if len(fields) == 5 else ""
+            for alias in alias_field.split("|"):
+                if alias and not normalize_name(alias):
+                    raise KBError(f"{origin}:{lineno}: blank alias {alias!r} for {entity_id!r}")
             aliases = frozenset(
                 a for a in alias_field.split("|") if a and a != "-" and a != canonical
             )

@@ -13,7 +13,8 @@ from collections import Counter
 
 import numpy as np
 
-from ontosearch.expand import Keyword, Triple
+from ontosearch.expand import Keyword, Space, Triple, serialize_term
+from ontosearch.index import IndexBundle, _space_index
 from ontosearch.kb import normalize_name
 
 
@@ -33,6 +34,16 @@ def closure_walk(parents: dict[str, set[str]], top_level: set[str], class_id: st
     return {c for c in out if c not in top_level} - {class_id}
 
 
+def keywords_outside_entities_any(keywords, entities) -> list:
+    """The keywords not lying wholly inside any entity span, tested span by span."""
+    spans = [e.char_span for e in entities]
+    return [
+        t
+        for t in keywords
+        if not any(s <= t.char_span[0] and t.char_span[1] <= e for s, e in spans)
+    ]
+
+
 def generalized_bag(at, kb) -> Counter:
     """The generalized space G of one annotated document, from the rules.
 
@@ -44,12 +55,9 @@ def generalized_bag(at, kb) -> Counter:
     """
     parents = {c: set(d.parent_ids) for c, d in kb.classes.items()}
     top = {c for c, d in kb.classes.items() if d.is_top_level}
-    spans = [a.char_span for a in at.entities]
     bag: Counter = Counter()
-    for token in at.keywords:
-        start, end = token.char_span
-        if not any(s <= start and end <= e for s, e in spans):
-            bag[Keyword(token.stem)] += 1
+    for token in keywords_outside_entities_any(at.keywords, at.entities):
+        bag[Keyword(token.stem)] += 1
     for ann in at.entities:
         names = {ann.name} if ann.name is not None else set()
         if ann.entity_id is not None:
@@ -117,6 +125,41 @@ def recognize_regex(text: str, kb) -> list[tuple[int, int]]:
     if pattern is None:
         return []
     return [m.span() for m in pattern.finditer(text) if normalize_name(m.group()) in kb.name_index]
+
+
+# --- index build ----------------------------------------------------------------
+
+def build_index_dicts(reps) -> IndexBundle:
+    """build_index by per-term lists: each term's (roster position, tf)
+    postings gathered in a dict, the terms then sorted by serialized form.
+
+    It groups postings independently of the engine and shares only the
+    engine's array assembly, `index._space_index`.
+    """
+    by_doc: dict = {}
+    for rep in reps:
+        if rep.doc_id in by_doc:
+            raise ValueError(f"duplicate doc_id {rep.doc_id!r}")
+        by_doc[rep.doc_id] = rep.space_bags
+    roster = tuple(sorted(by_doc))
+
+    spaces = {}
+    for space in Space:
+        term_docs: dict = {}
+        for position, doc_id in enumerate(roster):
+            for term, tf in by_doc[doc_id].get(space, {}).items():
+                term_docs.setdefault(term, []).append((position, tf))
+        terms = sorted(term_docs, key=serialize_term)
+        postings = [posting for term in terms for posting in term_docs[term]]
+        spaces[space] = _space_index(
+            terms,
+            [len(term_docs[term]) for term in terms],
+            [position for position, _ in postings],
+            [tf for _, tf in postings],
+            roster,
+            len(roster),
+        )
+    return IndexBundle(spaces=spaces, doc_ids=roster)
 
 
 # --- dense tf-idf cosine -----------------------------------------------------

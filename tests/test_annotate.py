@@ -13,6 +13,7 @@ from ontosearch.annotate import (
     DEFAULT_STOPWORDS,
     DEFAULT_WH_MAPPING,
     EntityAnnotation,
+    Token,
     annotate,
     keywords_outside_entities,
     load_stopwords,
@@ -22,11 +23,11 @@ from ontosearch.annotate import (
     tokenize_keywords,
 )
 from ontosearch import kb as kb_module
-from ontosearch.kb import normalize_name, parse_kb
+from ontosearch.kb import KnowledgeBase, normalize_name, parse_kb
 from ontosearch.stem import stem
 
 from conftest import FIGURE_DOC, FIGURE_QUERY
-from oracles import recognize_regex, recognize_scan
+from oracles import keywords_outside_entities_any, recognize_regex, recognize_scan
 
 
 def stems(tokens):
@@ -251,8 +252,10 @@ def test_recognize_equals_the_regex_gazetteer_on_ascii(case):
 
 
 def test_blank_alias_matches_nothing():
-    # an alias of only spaces normalizes to "", which no mention can spell
-    kb = parse_kb("CLASS\tA\t-\t-\nENTITY\te1\tA\tOslo\t  \n")
+    # parse_kb rejects an alias of only spaces; a KB built around it may
+    # still hold its normal form "", which no mention can spell
+    parsed = parse_kb("CLASS\tA\t-\t-\nENTITY\te1\tA\tOslo\t-\n")
+    kb = KnowledgeBase(parsed.classes, parsed.entities, {**parsed.name_index, "": frozenset({"e1"})})
     assert "" in kb.name_index
     assert [a.char_span for a in recognize_entities("Oslo, then Bergen.", kb)] == [(0, 4)]
 
@@ -374,3 +377,27 @@ def test_stopword_and_wh_mapping_files(tmp_path):
     bad.write_text("Who Person\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_wh_mapping(bad)
+
+
+def ordered_spans(min_gap: int):
+    """Disjoint non-empty spans in text order, from (gap, length) steps."""
+    steps = st.lists(st.tuples(st.integers(min_gap, 4), st.integers(1, 6)), max_size=12)
+
+    def lay(pairs):
+        spans, pos = [], 0
+        for gap, length in pairs:
+            spans.append((pos + gap, pos + gap + length))
+            pos += gap + length
+        return spans
+
+    return steps.map(lay)
+
+
+@settings(max_examples=300)
+@given(ordered_spans(min_gap=0), ordered_spans(min_gap=0))
+def test_keywords_outside_entities_equals_the_any_definition(token_spans, entity_spans):
+    keywords = [Token(f"w{i}", f"w{i}", span) for i, span in enumerate(token_spans)]
+    entities = [EntityAnnotation(char_span=span, surface="x", name="x") for span in entity_spans]
+    assert keywords_outside_entities(keywords, entities) == keywords_outside_entities_any(
+        keywords, entities
+    )

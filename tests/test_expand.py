@@ -18,6 +18,7 @@ from ontosearch.annotate import (
 )
 from ontosearch import expand as expand_module
 from ontosearch.expand import (
+    DocRepresentation,
     Keyword,
     Space,
     Triple,
@@ -27,6 +28,7 @@ from ontosearch.expand import (
     parse_term,
     serialize_term,
 )
+from ontosearch.index import build_index
 from ontosearch.kb import parse_kb
 
 from conftest import FIGURE_QUERY
@@ -349,10 +351,16 @@ def test_kbs_never_share_expansions(figure_kb_path, monkeypatch):
 def test_triple_requires_a_slot():
     with pytest.raises(ValueError):
         Triple()
+    with pytest.raises(ValueError, match="at least one specified slot"):
+        Triple(None, None, None)
 
 
 def test_triple_names_are_normalized():
     assert Triple(name="Stanford  UNIVERSITY") == Triple(name="stanford university")
+    spaced, folded = Triple(name="A  B"), Triple(name="a b")
+    assert spaced == folded and hash(spaced) == hash(folded)
+    assert spaced.name == "a b"
+    assert Counter([spaced, folded]) == Counter({folded: 2})
 
 
 def test_serialization_goldens():
@@ -370,19 +378,40 @@ slot_text = st.text(
 )
 
 
-@given(
-    st.one_of(
-        st.builds(Keyword, st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=10)),
-        st.tuples(
-            st.one_of(st.none(), slot_text),
-            st.one_of(st.none(), slot_text),
-            st.one_of(st.none(), slot_text),
-        )
-        .filter(lambda slots: any(s is not None for s in slots))
-        .map(lambda slots: Triple(*slots)),
+terms = st.one_of(
+    st.builds(Keyword, st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=10)),
+    st.tuples(
+        st.one_of(st.none(), slot_text),
+        st.one_of(st.none(), slot_text),
+        st.one_of(st.none(), slot_text),
     )
+    .filter(lambda slots: any(s is not None for s in slots))
+    .map(lambda slots: Triple(*slots)),
 )
+
+
+@given(terms)
 def test_serialization_round_trip(term):
     encoded = serialize_term(term)
     assert "\t" not in encoded and "\n" not in encoded
     assert parse_term(encoded) == term
+
+
+@given(terms)
+def test_parsed_term_finds_its_index_entry(term):
+    space = Space.KW if isinstance(term, Keyword) else Space.N
+    bags = {space: Counter({term: 2, Keyword("other"): 1})}
+    sx = build_index([DocRepresentation("d", bags)]).spaces[space]
+    parsed = parse_term(serialize_term(term))
+    assert parsed == term and hash(parsed) == hash(term)
+    assert sx.term_ids[parsed] == sx.term_ids[term]
+    assert sx.df[parsed] == 1
+
+
+@given(st.text(min_size=1, max_size=6))
+def test_keyword_never_equals_triple(text):
+    keyword = Keyword(text)
+    for triple in (Triple(name=text), Triple(class_id=text), Triple(entity_id=text),
+                   Triple(text, text, text)):
+        assert keyword != triple and triple != keyword
+        assert len({keyword: 1, triple: 1}) == 2

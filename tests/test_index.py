@@ -20,6 +20,8 @@ from ontosearch.index import (
     tfidf_weight,
 )
 
+import oracles
+
 
 def rep(doc_id, **bags):
     """Document representation with the named spaces filled and the rest empty."""
@@ -353,3 +355,59 @@ def test_random_corpora_round_trip_and_conserve(tmp_path_factory, corpus):
     directory = tmp_path_factory.mktemp("idx")
     save_index(built, directory)
     assert load_index(directory) == built
+
+
+# terms whose serialized forms escape `%`, `/` and `*`, or leave non-ASCII as is
+ODD_TERMS = [
+    Keyword("x"), Keyword("straße"), Keyword("日本"), Keyword("a%2fb"), Keyword("*"),
+    Triple(name="a/b"), Triple(name="x%y", class_id="C"), Triple(class_id="*"),
+    Triple(name="İstanbul", class_id="City", entity_id="City/1"), Triple(entity_id="%2A"),
+    Triple(name="Straße Nord"), Triple(class_id="Ort", entity_id="ß"),
+]
+
+
+@st.composite
+def shuffled_reps(draw):
+    """Representations in any order: some spaces absent or empty, terms from
+    one pool shared by every space."""
+    doc_ids = draw(st.lists(st.text(alphabet="ab1é_", min_size=1, max_size=4),
+                            unique=True, max_size=7))
+    bag = st.dictionaries(st.sampled_from(ODD_TERMS), st.integers(min_value=1, max_value=5),
+                          max_size=5)
+    reps = []
+    for doc_id in draw(st.permutations(doc_ids)):
+        spaces = draw(st.sets(st.sampled_from(list(Space))))
+        reps.append(DocRepresentation(doc_id, {space: Counter(draw(bag)) for space in spaces}))
+    return reps
+
+
+def build_both_and_compare(reps, tmp_path_factory):
+    built, reference = build_index(reps), oracles.build_index_dicts(reps)
+    assert built.doc_ids == reference.doc_ids
+    for space in Space:
+        assert built.spaces[space] == reference.spaces[space], space
+    directories = tmp_path_factory.mktemp("lexsort"), tmp_path_factory.mktemp("dicts")
+    save_index(built, directories[0])
+    save_index(reference, directories[1])
+    for name in sorted(p.name for p in directories[1].iterdir()):
+        assert (directories[0] / name).read_bytes() == (directories[1] / name).read_bytes(), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(shuffled_reps())
+def test_build_equals_the_dict_of_lists_build(tmp_path_factory, reps):
+    build_both_and_compare(reps, tmp_path_factory)
+
+
+def test_build_equals_the_dict_of_lists_build_on_a_pinned_corpus(tmp_path_factory):
+    # out of roster order, an empty bag, and one term in two spaces
+    shared = Triple(name="a/b")
+    reps = [
+        rep("z", N={shared: 2}, G={shared: 2, Keyword("日本"): 1}),
+        rep("b"),
+        rep("a", KW={Keyword("straße"): 3}, C={Triple(class_id="*"): 1}, G={shared: 1}),
+        rep("é", I={Triple(name="x%y", class_id="C", entity_id="%2A"): 4}, N={shared: 1}),
+    ]
+    build_both_and_compare(reps, tmp_path_factory)
+    built = build_index(reps)
+    assert [space for space in Space if shared in built.spaces[space].term_ids] == [Space.N, Space.G]

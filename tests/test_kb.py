@@ -150,6 +150,26 @@ def test_parse_errors_carry_line_numbers():
         parse_kb(text)
 
 
+@pytest.mark.parametrize("name", [" ", "  \u00a0 ", "\x1c"])
+def test_whitespace_only_canonical_name_rejected(name):
+    text = kb_text("CLASS\tA\t-\t-", f"ENTITY\tE1\tA\t{name}\tOslo")
+    with pytest.raises(KBError, match=r"<string>:2: empty canonical name for 'E1'"):
+        parse_kb(text)
+
+
+@pytest.mark.parametrize("aliases", ["  ", "Oslo| ", " \u00a0|Oslo"])
+def test_whitespace_only_alias_rejected(aliases):
+    text = kb_text("CLASS\tA\t-\t-", "# comment", f"ENTITY\tE1\tA\tOslo\t{aliases}")
+    with pytest.raises(KBError, match=r"kb\.tsv:3: blank alias '.*' for 'E1'"):
+        parse_kb(text, origin="kb.tsv")
+
+
+def test_empty_alias_slots_are_still_skipped():
+    kb = parse_kb(kb_text("CLASS\tA\t-\t-", "ENTITY\tE1\tA\tOslo\t|Christiania||-"))
+    assert kb.entities["E1"].aliases == {"Christiania"}
+    assert "" not in kb.name_index
+
+
 def test_canonical_name_not_duplicated_into_aliases():
     kb = parse_kb(kb_text("CLASS\tA\t-\t-", "ENTITY\tE1\tA\tSame\tSame|Other"))
     assert kb.entities["E1"].aliases == {"Other"}

@@ -8,7 +8,9 @@ them with
 A `cosine_score` or `rank_documents` round scores or ranks synth's 24 judged
 queries once; a `represent_query` round annotates and expands them under
 one model; a `stem`, `recognize_entities` or `represent_document` round
-analyzes the first 600 documents; a grown-KB `recognize_entities` round
+analyzes the first 600 documents, and an `expand_document` round expands
+their annotations; a `build_index` round indexes all 6000 documents'
+representations; a grown-KB `recognize_entities` round
 analyzes the first 600 documents, half of them extended by a sentence that
 names one of 0, 1000 or 5000 generated extra entities, against synth's KB
 plus those entities, and a gazetteer round builds that KB's gazetteer;
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 import pytest
 
-from ontosearch.annotate import _TOKEN, recognize_entities
+from ontosearch.annotate import _TOKEN, annotate, recognize_entities
 from ontosearch.cli import QuerySpec, parse_corpus, parse_queries
 from ontosearch.evaluation import (
     average_precision,
@@ -35,7 +37,7 @@ from ontosearch.evaluation import (
     parse_run,
     randomization_test,
 )
-from ontosearch.expand import Space
+from ontosearch.expand import DocRepresentation, Space, expand_document
 from ontosearch.index import IndexBundle, build_index
 from ontosearch.kb import KnowledgeBase, _compile_gazetteer, parse_kb
 from ontosearch.rank import (
@@ -67,6 +69,7 @@ class Synth(NamedTuple):
     qrels: dict[str, set[str]]
     texts: list[str]  # document texts, in corpus order
     kb_text: str
+    reps: list[DocRepresentation]  # what `idx` was built from
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +77,10 @@ def synth():
     collection = generate(seed=7, n_docs=N_DOCS)
     kb = parse_kb(collection.kb_text)
     docs = parse_corpus(collection.corpus_text)
-    idx = build_index(represent_document(text, kb, doc_id) for doc_id, text in docs.items())
+    reps = [represent_document(text, kb, doc_id) for doc_id, text in docs.items()]
+    idx = build_index(reps)
     return Synth(kb, idx, parse_queries(collection.queries_text),
-                 parse_qrels(collection.qrels_text), list(docs.values()), collection.kb_text)
+                 parse_qrels(collection.qrels_text), list(docs.values()), collection.kb_text, reps)
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +189,18 @@ def test_represent_document(benchmark, synth):
     texts = synth.texts[:N_ANALYZED]
     reps = benchmark(lambda: [represent_document(text, synth.kb, "d") for text in texts])
     assert sum(len(rep.space_bags[Space.G]) for rep in reps) > 0
+
+
+def test_expand_document(benchmark, synth):
+    annotated = [annotate(text, synth.kb) for text in synth.texts[:N_ANALYZED]]
+    reps = benchmark(lambda: [expand_document(at, synth.kb, "d") for at in annotated])
+    assert sum(len(rep.space_bags[Space.G]) for rep in reps) > 0
+
+
+def test_build_index(benchmark, synth):
+    bundle = benchmark(lambda: build_index(synth.reps))
+    assert bundle.spaces[Space.G] == synth.idx.spaces[Space.G]
+    assert len(bundle.doc_ids) == N_DOCS
 
 
 @pytest.mark.parametrize("model", list(Model), ids=[m.value for m in Model])
