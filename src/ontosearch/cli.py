@@ -8,7 +8,8 @@ File formats:
             may set (kb, stopwords, model, alpha, wn, wc, wnc, wi, k,
             wh-mapping); an unknown key is an error; explicit flags win
   qrels     TREC `query_id 0 doc_id rel`
-  run       TREC `query_id Q0 doc_id rank score tag`
+  run       TREC `query_id Q0 doc_id rank score tag`; the tag (--run-tag)
+            is one non-empty word
 
 Evaluation covers every query in the qrels: a query with no run lines
 contributes an average precision of zero rather than being dropped, so
@@ -197,6 +198,9 @@ def cmd_index(cfg: RunConfig, corpus_path: Path, index_dir: Path) -> None:
 
 def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
                output_path: Path, run_tag: str) -> None:
+    # the tag is the sixth field of whitespace-separated run lines
+    if not run_tag or any(ch.isspace() for ch in run_tag):
+        raise CliError(f"--run-tag {run_tag!r} must be non-empty and contain no whitespace")
     _check_fingerprint(index_dir, _fingerprint(cfg.kb_path, cfg.stopword_path))
     queries = parse_queries(queries_path.read_text(encoding="utf-8"), str(queries_path))
     kb = load_kb(cfg.kb_path)

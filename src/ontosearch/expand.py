@@ -85,10 +85,6 @@ class DocRepresentation:
     space_bags: dict[Space, TermBag]
 
 
-def _empty_bags() -> dict[Space, TermBag]:
-    return {space: Counter() for space in Space}
-
-
 def _expansion_sets(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[set[str], set[str]]:
     """Document-side closure for one annotation: (normalized names, class ids)."""
     if ann.entity_id is not None:
@@ -180,18 +176,26 @@ def _most_specific_term(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[Space
 
 
 def expand_query(at: AnnotatedText, kb: KnowledgeBase) -> DocRepresentation:
-    """Query-side expansion: one most-specific term per annotation, no closure."""
-    bags = _empty_bags()
-    for token in at.keywords:
-        bags[Space.KW][Keyword(token.stem)] += 1
-    for token in keywords_outside_entities(at.keywords, at.entities):
-        bags[Space.G][Keyword(token.stem)] += 1
+    """Query-side expansion: one most-specific term per annotation, no closure.
+
+    The KW and G terms are listed first and each list is counted by one
+    `Counter` call.
+    """
+    entity_bags = {Space.N: Counter(), Space.C: Counter(), Space.NC: Counter(), Space.I: Counter()}
+    generalized = [
+        Keyword(token.stem) for token in keywords_outside_entities(at.keywords, at.entities)
+    ]
     for ann in at.entities:
         space, term = _most_specific_term(ann, kb)
-        bags[space][term] += 1
-        bags[Space.G][term] += 1
-    for class_id in at.wh_classes:
-        bags[Space.G][Triple(class_id=class_id)] += 1
+        bag = entity_bags[space]
+        bag[term] = bag.get(term, 0) + 1
+        generalized.append(term)
+    generalized += [Triple(class_id=class_id) for class_id in at.wh_classes]
+    bags = {
+        Space.KW: Counter([Keyword(token.stem) for token in at.keywords]),
+        **entity_bags,
+        Space.G: Counter(generalized),
+    }
     return DocRepresentation(doc_id="", space_bags=bags)
 
 

@@ -81,6 +81,29 @@ class SpaceIndex:
     def doc_positions(self) -> dict[str, int]:
         return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
 
+    # Query-time views, each built on first use: set `doc_ids` before any
+    # is read, as `load_index` does.
+
+    @cached_property
+    def doc_array(self) -> np.ndarray:
+        """The roster as an object array, so one take maps positions to doc ids."""
+        return np.array(self.doc_ids, dtype=object)
+
+    @cached_property
+    def offset_list(self) -> list[int]:
+        """`offsets` as Python ints, so a query term's slice makes no numpy scalar."""
+        return self.offsets.tolist()
+
+    @cached_property
+    def idf_list(self) -> list[float]:
+        """`idf` as Python floats: the same doubles, read without a numpy scalar."""
+        return self.idf.tolist()
+
+    @cached_property
+    def has_norm(self) -> np.ndarray:
+        """`norms > 0.0`: the documents a cosine may divide by their norm."""
+        return self.norms > 0.0
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpaceIndex):
             return NotImplemented

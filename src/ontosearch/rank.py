@@ -24,14 +24,20 @@ A cosine sorts the query's term ids, which follow serialized-term order,
 and sums each document's products w_q * w_d with `np.bincount` over the
 postings concatenated in that order. bincount adds posting by posting,
 starting from 0.0, so every score is bit-reproducible regardless of input
-ordering. Scorers return a read-only `Scores` mapping: a view over a
-roster-long score array whose keys are the documents that share an
-in-vocabulary term with the query.
+ordering. A term's posting range and idf are read from Python lists that
+its space caches on first use (`offset_list`, `idf_list`), so a query term
+makes no numpy scalar; they hold the same integers and doubles as the
+arrays, so the scores are the same bits. Scorers return a read-only
+`Scores` mapping: a view over a roster-long score array whose keys are the
+documents that share an in-vocabulary term with the query.
 
 `rank_documents`, and so `search`, returns a `Ranking`: two flat lists,
-`doc_ids` and clamped `scores`, in rank order. It is a read-only sequence
-of `ScoredDoc`, but builds a `ScoredDoc` only for an item that is indexed
-or iterated; `format_run_lines` reads the two lists directly.
+`doc_ids` and clamped `scores`, in rank order. The kept roster positions
+become doc ids by one take from the space's cached object array of the
+roster (`doc_array`), which holds the roster's own strings. A `Ranking` is
+a read-only sequence of `ScoredDoc`, but builds a `ScoredDoc` only for an
+item that is indexed or iterated; `format_run_lines` reads the two lists
+directly.
 """
 
 from __future__ import annotations
@@ -152,27 +158,31 @@ class Scores(Mapping):
 
 def cosine_score(query_bag: TermBag, space: SpaceIndex) -> Scores:
     """Cosine between the query bag and every document sharing a term with it."""
-    term_ids = space.term_ids
-    found = sorted((term_ids[term], tf) for term, tf in query_bag.items() if term in term_ids)
+    get = space.term_ids.get
+    found = sorted([(term_id, tf) for term, tf in query_bag.items()
+                    if (term_id := get(term)) is not None])
     n = len(space.doc_ids)
     touched = np.zeros(n, dtype=bool)
     values = np.zeros(n)
     if not found:
         return Scores(space, values, touched)
+    offsets, idf = space.offset_list, space.idf_list
+    doc_idx, weights = space.doc_idx, space.weights
     q_sq = 0.0
     docs, products = [], []
     for term_id, tf in found:
-        w_q = tf * space.idf[term_id]
+        w_q = tf * idf[term_id]
         q_sq += w_q * w_q
-        postings = slice(space.offsets[term_id], space.offsets[term_id + 1])
-        docs.append(space.doc_idx[postings])
-        products.append(space.weights[postings] * w_q)
-    docs = np.concatenate(docs)
+        lo, hi = offsets[term_id], offsets[term_id + 1]
+        docs.append(doc_idx[lo:hi])
+        products.append(weights[lo:hi] * w_q)
+    # as numpy's index type: an int32 index is cast in each fancy assignment and bincount
+    docs = np.concatenate(docs, dtype=np.intp)
     touched[docs] = True
     q_norm = math.sqrt(q_sq)
     if q_norm > 0.0:
         dot = np.bincount(docs, weights=np.concatenate(products), minlength=n)
-        np.divide(dot, q_norm * space.norms, out=values, where=space.norms > 0.0)
+        np.divide(dot, q_norm * space.norms, out=values, where=space.has_norm)
         np.minimum(values, 1.0, out=values)
     return Scores(space, values, touched)
 
@@ -220,12 +230,13 @@ def represent_query(
     """Annotate a query and expand it into all six spaces.
 
     The model changes only whether the interrogative word is read: under
-    kw+ne+wh its class becomes a G term.
+    kw+ne+wh its class becomes a G term. `wh_mapping` None means
+    `DEFAULT_WH_MAPPING`; an empty mapping maps no word.
     """
     wh = cfg.model is Model.KW_PLUS_NE_WH
     at = annotate(
         query_text, kb, stopwords=stopwords,
-        wh_mapping=(wh_mapping or DEFAULT_WH_MAPPING) if wh else None,
+        wh_mapping=(DEFAULT_WH_MAPPING if wh_mapping is None else wh_mapping) if wh else None,
         wh_override=wh_override,
     )
     return expand_query(at, kb)
@@ -263,11 +274,7 @@ def rank_documents(scores: Scores, k: int | None = None) -> Ranking:
     positive = np.flatnonzero(values > 0.0)
     # a stable sort over ascending roster positions breaks ties by ascending doc_id
     kept = positive[np.argsort(-values[positive], kind="stable")][:k]
-    doc_ids = scores.space.doc_ids
-    return Ranking(
-        list(map(doc_ids.__getitem__, kept.tolist())),
-        np.minimum(values[kept], 1.0).tolist(),
-    )
+    return Ranking(scores.space.doc_array[kept].tolist(), np.minimum(values[kept], 1.0).tolist())
 
 
 def search(

@@ -77,6 +77,40 @@ def generalized_bag(at, kb) -> Counter:
     return bag
 
 
+def expand_query_counters(at, kb) -> dict:
+    """A query's six bags, filled one `Counter` increment per term.
+
+    Each keyword counts once in KW; each keyword not wholly inside a
+    mention counts once in G. Each mention's most specific term (its id,
+    else name and class, else class, else name) counts once in its own
+    space and once in G, and each wh class once in G as a class-only term.
+    A mention naming an unknown entity or class raises ValueError.
+    """
+    bags = {space: Counter() for space in Space}
+    for token in at.keywords:
+        bags[Space.KW][Keyword(token.stem)] += 1
+    for token in keywords_outside_entities_any(at.keywords, at.entities):
+        bags[Space.G][Keyword(token.stem)] += 1
+    for ann in at.entities:
+        if ann.entity_id is not None:
+            if ann.entity_id not in kb.entities:
+                raise ValueError(f"annotation references unknown entity id {ann.entity_id!r}")
+            space, term = Space.I, Triple(entity_id=ann.entity_id)
+        elif ann.class_id is not None and ann.class_id not in kb.classes:
+            raise ValueError(f"annotation references unknown class id {ann.class_id!r}")
+        elif ann.name is not None and ann.class_id is not None:
+            space, term = Space.NC, Triple(name=ann.name, class_id=ann.class_id)
+        elif ann.class_id is not None:
+            space, term = Space.C, Triple(class_id=ann.class_id)
+        else:
+            space, term = Space.N, Triple(name=ann.name)
+        bags[space][term] += 1
+        bags[Space.G][term] += 1
+    for class_id in at.wh_classes:
+        bags[Space.G][Triple(class_id=class_id)] += 1
+    return bags
+
+
 # --- entity recognition -------------------------------------------------------
 
 def recognize_scan(text: str, kb) -> list[tuple[int, int]]:

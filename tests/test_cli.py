@@ -221,6 +221,20 @@ def test_search_without_index_fails(workspace, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tag", ["my run", "", "tab\tseparated"])
+def test_search_rejects_a_run_tag_before_reading_kb_or_index(workspace, capsys, monkeypatch, tag):
+    opened = []
+    monkeypatch.setattr(cli, "load_kb", lambda *args: opened.append(args))
+    monkeypatch.setattr(cli, "load_index", lambda *args: opened.append(args))
+    out = workspace / "run.txt"
+    assert run_cli("search", "--kb", KB, "--index-dir", workspace / "missing",
+                   "--queries", workspace / "queries.tsv", "--output", out,
+                   "--run-tag", tag) == 1
+    assert f"error: --run-tag {tag!r} must be non-empty" in capsys.readouterr().err
+    assert opened == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,fragment", [
     (("search", "--model", "bm25"), "unknown model"),
     (("search", "--model", "kw", "--alpha", "0.5"), "alpha"),
@@ -479,6 +493,14 @@ def test_dump_terms_wh_override_flag(capsys):
     assert run_cli("dump-terms", "--kb", KB, "--model", "kw+ne+wh",
                    "--wh", "Location", "fair") == 0
     assert "(*/Location/*)" in capsys.readouterr().out.splitlines()
+
+
+def test_dump_terms_with_an_empty_wh_mapping_adds_no_wh_class(tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
+    assert run_cli("dump-terms", "--kb", KB, "--model", "kw+ne+wh", "--wh-mapping", empty,
+                   "Who founded Stanford University?") == 0
+    assert capsys.readouterr().out.splitlines() == ["(*/*/University_T.52)", "found"]
 
 
 def test_dump_terms_rejects_wh_override_under_kw(capsys):

@@ -165,6 +165,24 @@ def test_round_trip_restores_everything_exactly(tmp_path):
         assert loaded.spaces[space].norms.tolist() == built.spaces[space].norms.tolist()  # exact floats
 
 
+def test_query_views_are_built_on_first_use_from_the_bundle_roster(tmp_path):
+    built = build_index(FIVE_DOCS)
+    save_index(built, tmp_path)
+    loaded = load_index(tmp_path)
+    views = ("doc_array", "offset_list", "idf_list", "has_norm")
+    assert not any(view in vars(sx) for sx in loaded.spaces.values() for view in views)
+    for bundle in (built, loaded):
+        for sx in bundle.spaces.values():
+            assert sx.doc_ids is bundle.doc_ids
+            assert sx.doc_array.dtype == object and len(sx.doc_array) == len(bundle.doc_ids)
+            assert all(a is b for a, b in zip(sx.doc_array, bundle.doc_ids))
+            assert sx.offset_list == sx.offsets.tolist()
+            assert all(type(o) is int for o in sx.offset_list)
+            assert sx.idf_list == sx.idf.tolist()
+            assert all(type(x) is float for x in sx.idf_list)
+            assert sx.has_norm.tolist() == (sx.norms > 0.0).tolist()
+
+
 def test_rewrite_is_byte_identical(tmp_path):
     built = build_index(FIVE_DOCS)
     first, second = tmp_path / "first", tmp_path / "second"

@@ -7,7 +7,8 @@ them with
 
 A `cosine_score` or `rank_documents` round scores or ranks synth's 24 judged
 queries once; a `represent_query` round annotates and expands them under
-one model; a `stem`, `recognize_entities` or `represent_document` round
+one model, and a `search` round represents, scores and ranks them under one
+model at k=1000; a `stem`, `recognize_entities` or `represent_document` round
 analyzes the first 600 documents, and an `expand_document` round expands
 their annotations; a `build_index` round indexes all 6000 documents'
 representations; a grown-KB `recognize_entities` round
@@ -207,6 +208,15 @@ def test_build_index(benchmark, synth):
 def test_represent_query(benchmark, synth, model):
     reps = benchmark(lambda: query_reps(synth, model))
     assert len(reps) == len(synth.queries)
+
+
+@pytest.mark.parametrize("model", list(Model), ids=[m.value for m in Model])
+def test_search(benchmark, synth, model):
+    cfg = ModelConfig(model=model, k=K)
+    rankings = benchmark(lambda: [
+        search(q.text, synth.idx, synth.kb, cfg, wh_override=q.wh_override) for q in synth.queries
+    ])
+    assert sum(map(len, rankings)) > 0
 
 
 def test_randomization_test_10k_permutations(benchmark, synth):

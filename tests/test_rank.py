@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -10,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontosearch.annotate import DEFAULT_WH_MAPPING, annotate
+from ontosearch.annotate import DEFAULT_WH_MAPPING, EntityAnnotation, annotate
 from ontosearch.cli import parse_queries
 from ontosearch.expand import (
     DocRepresentation,
     Keyword,
     Space,
     Triple,
+    expand_query,
     serialize_term,
 )
 from ontosearch.index import build_index, load_index, save_index
@@ -503,6 +506,19 @@ def test_ranking_lists_equal_rank_scores_clamped_at_every_cutoff(values, seed):
         assert format_run_lines("q1", ranking, "tag") == per_hit
 
 
+def test_ranking_holds_the_rosters_own_strings_and_python_floats(figure_kb, corpus_reps, tmp_path):
+    built = build_index(corpus_reps)
+    save_index(built, tmp_path)
+    query = FIGURE_QUERY + " Georgia wine near Moscow"
+    for idx in (built, load_index(tmp_path)):
+        roster = {id(doc_id) for doc_id in idx.doc_ids}
+        for model in Model:
+            ranking = search(query, idx, figure_kb, ModelConfig(model=model))
+            assert len(ranking) > 1, model
+            assert all(type(d) is str and id(d) in roster for d in ranking.doc_ids), model
+            assert all(type(s) is float for s in ranking.scores), model
+
+
 def test_ranking_is_a_sequence_of_scored_docs():
     ranking = Ranking(["b", "a", "c"], [0.9, 0.5, 0.25])
     assert len(ranking) == 3
@@ -542,6 +558,40 @@ def test_one_pass_document_equals_two_pass_bags(figure_kb, pieces, separators):
     assert rep.doc_id == "d"
     assert rep.space_bags[Space.KW] == Counter(Keyword(t.stem) for t in at.keywords)
     assert rep.space_bags[Space.G] == oracles.generalized_bag(at, figure_kb)
+
+
+# a mention past the end of any generated text, naming an id the figure KB lacks
+UNKNOWN_MENTIONS = (
+    EntityAnnotation((10**6, 10**6 + 5), "Atlan", name="Atlan", class_id="Atlantis"),
+    EntityAnnotation((10**6, 10**6 + 5), "Atlan", name="Atlan", class_id="City",
+                     entity_id="City_T.999"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pieces=st.lists(st.sampled_from(TEXT_PIECES), max_size=14),
+    separators=st.lists(st.sampled_from([" ", "  ", "\n", ", ", ". ", "-"]), min_size=14, max_size=14),
+    wh=st.sampled_from([None, "leading word", "Location", "Atlantis"]),
+    unknown=st.sampled_from([None, *UNKNOWN_MENTIONS]),
+)
+def test_query_bags_equal_the_counter_built_bags(figure_kb, pieces, separators, wh, unknown):
+    text = "".join(piece + sep for piece, sep in zip(pieces, separators))
+    if wh is None:
+        at = annotate(text, figure_kb)
+    else:
+        override = None if wh == "leading word" else wh
+        at = annotate(text, figure_kb, wh_mapping=DEFAULT_WH_MAPPING, wh_override=override)
+    if unknown is not None:
+        at = dataclasses.replace(at, entities=[*at.entities, unknown])
+        with pytest.raises(ValueError) as expected:
+            oracles.expand_query_counters(at, figure_kb)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            expand_query(at, figure_kb)
+        return
+    bags = expand_query(at, figure_kb).space_bags
+    assert list(bags) == list(Space)
+    assert bags == oracles.expand_query_counters(at, figure_kb)
 
 
 # --- every model analyses a query the same way ---------------------------------------
