@@ -7,12 +7,10 @@ a deterministic leftmost-longest dictionary match against the KB's
 normalized surface forms: a span matches when `normalize_name` of it (case
 folded, whitespace runs collapsed) is a surface, so "Straße" matches
 "strasse" and a name's words may be split by any whitespace, newlines
-included. The spans come from `KnowledgeBase.find_mentions`, which looks
-the text up in a dict of surface prefixes built once per KB and kept on
-it; no pattern is compiled from the KB. A surface held by exactly one
-entity yields a fully identified annotation; a surface shared by several
-entities of one class yields name+class; mixed classes fall back to name
-only.
+included. The spans, and what each denotes, come from
+`KnowledgeBase.find_mentions`, which looks the text up in a dict of surface
+prefixes built once per KB and kept on it; no pattern is compiled from the
+KB. `ontosearch.kb` says which slots a surface fills.
 """
 
 from __future__ import annotations
@@ -98,42 +96,12 @@ def tokenize_keywords(text: str, stopwords: frozenset[str] | set[str]) -> list[T
 
 
 def recognize_entities(text: str, kb: KnowledgeBase) -> list[EntityAnnotation]:
-    """Leftmost-longest non-overlapping gazetteer matches, in text order.
-
-    The spans are `kb.find_mentions(text)`; see `ontosearch.kb` for what a
-    mention is and how it is found.
-    """
-    annotations = []
-    for start, end, entity_ids in kb.find_mentions(text):
-        span = (start, end)
-        surface = text[start:end]
-        if len(entity_ids) == 1:
-            entity = kb.entities[next(iter(entity_ids))]
-            annotations.append(
-                EntityAnnotation(
-                    char_span=span,
-                    surface=surface,
-                    name=entity.canonical_name,
-                    class_id=entity.class_id,
-                    entity_id=entity.entity_id,
-                )
-            )
-            continue
-        classes = {kb.entities[e].class_id for e in entity_ids}
-        if len(classes) == 1:
-            annotations.append(
-                EntityAnnotation(
-                    char_span=span,
-                    surface=surface,
-                    name=surface,
-                    class_id=next(iter(classes)),
-                )
-            )
-        else:
-            annotations.append(
-                EntityAnnotation(char_span=span, surface=surface, name=surface)
-            )
-    return annotations
+    """Leftmost-longest non-overlapping gazetteer matches, in text order: the
+    spans and slots of `kb.find_mentions(text)`, which `ontosearch.kb` explains."""
+    return [
+        EntityAnnotation((start, end), surface := text[start:end], name or surface, class_id, entity_id)
+        for start, end, (name, class_id, entity_id) in kb.find_mentions(text)
+    ]
 
 
 def keywords_outside_entities(

@@ -233,6 +233,10 @@ def cmd_eval(run_path: Path, qrels_path: Path, output_path: Path) -> None:
 
 def cmd_sigtest(run_a_path: Path, run_b_path: Path, qrels_path: Path,
                 output_path: Path, n_perm: int, seed: int) -> None:
+    if n_perm < 1:
+        raise CliError(f"--permutations {n_perm} must be >= 1")
+    if not 0 <= seed < 2**128:  # the keys Philox takes
+        raise CliError(f"--seed {seed} must be in [0, 2**128)")
     run_a = load_run(run_a_path)
     run_b = load_run(run_b_path)
     qrels = load_qrels(qrels_path)

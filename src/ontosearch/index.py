@@ -142,8 +142,8 @@ def _space_index(
     counts = np.array(df, dtype=np.int64)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    doc_idx = np.array(doc_idx, dtype=np.int32)
-    tf = np.array(tf, dtype=np.int64)
+    doc_idx = np.asarray(doc_idx, dtype=np.int32)
+    tf = np.asarray(tf, dtype=np.int64)
     if tf.size and tf.min() < 1:
         raise ValueError(f"tf must be >= 1, got {tf.min()}")
     # math.log, as tfidf_weight takes it: np.log may differ in the last ulp
@@ -233,7 +233,7 @@ def save_index(bundle: IndexBundle, directory: str | Path) -> None:
 
 
 def load_index(directory: str | Path) -> IndexBundle:
-    """Read an index directory back; verifies stored norms against recomputation."""
+    """Read an index directory back, checking stored norms; a malformed field fails with file:line."""
     directory = Path(directory)
     manifest_path = directory / "manifest.tsv"
     if not manifest_path.is_file():
@@ -241,15 +241,23 @@ def load_index(directory: str | Path) -> IndexBundle:
 
     spaces: dict[Space, SpaceIndex] = {}
     roster: tuple[str, ...] | None = None
-    for line in manifest_path.read_text(encoding="utf-8").splitlines():
-        space_name, n_docs_s, file_name, term_count_s = line.split("\t")
-        sx = _load_space_file(directory / file_name, int(n_docs_s), int(term_count_s))
-        if roster is None:
-            roster = sx.doc_ids
-        elif roster != sx.doc_ids:
-            raise ValueError(f"{file_name}: document roster differs between spaces")
-        sx.doc_ids = roster  # one tuple for the whole bundle
-        spaces[Space(space_name)] = sx
+    for lineno, line in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), start=1):
+        where = f"{manifest_path}:{lineno}"
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(f"{where}: expected 4 tab-separated fields, got {len(fields)}")
+        space_name, n_docs, file_name, n_terms = fields
+        try:
+            space = Space(space_name)
+        except ValueError:
+            raise ValueError(f"{where}: unknown space {space_name!r}") from None
+        if space in spaces:
+            raise ValueError(f"{where}: space {space_name!r} is listed twice")
+        spaces[space] = sx = _load_space_file(directory / file_name, roster)
+        for stated, held, what in ((n_terms, len(sx.term_ids), "terms"), (n_docs, sx.n_docs, "documents")):
+            if stated != str(held):
+                raise ValueError(f"{where}: {file_name}: manifest says {stated} {what}, file has {held}")
+        roster = sx.doc_ids  # one tuple for the whole bundle
 
     missing = set(Space) - set(spaces)
     if missing:
@@ -257,8 +265,10 @@ def load_index(directory: str | Path) -> IndexBundle:
     return IndexBundle(spaces=spaces, doc_ids=roster or ())
 
 
-def _load_space_file(path: Path, n_docs: int, n_terms: int) -> SpaceIndex:
+def _load_space_file(path: Path, roster: tuple[str, ...] | None) -> SpaceIndex:
+    """One space file, whose roster must be `roster` unless that is None."""
     terms: list[str] = []
+    term_lines: list[int] = []
     df: list[int] = []
     docs: list[str] = []
     tfs: list[str] = []
@@ -270,29 +280,51 @@ def _load_space_file(path: Path, n_docs: int, n_terms: int) -> SpaceIndex:
             flat = fields[2].replace(",", ":").split(":")
             if len(flat) != 2 * count:
                 raise ValueError(f"{path}:{lineno}: postings are not doc:tf pairs")
-            if int(fields[1]) != count:
-                raise ValueError(f"{path}:{lineno}: df does not match posting count")
+            if fields[1] != str(count):
+                raise ValueError(f"{path}:{lineno}: df {fields[1]!r} does not match posting count {count}")
             terms.append(fields[0])
+            term_lines.append(lineno)
             df.append(count)
             docs.extend(flat[0::2])
             tfs.extend(flat[1::2])
         elif len(fields) == 2:
-            stored[fields[0]] = float(fields[1])
+            try:
+                stored[fields[0]] = float(fields[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: norm must be a number, got {fields[1]!r}") from None
         else:
             raise ValueError(f"{path}:{lineno}: unrecognized line shape")
 
-    if len(terms) != n_terms:
-        raise ValueError(f"{path.name}: manifest says {n_terms} terms, file has {len(terms)}")
     # term ids are file order, so it must be the canonical accumulation order
     if any(a >= b for a, b in zip(terms, terms[1:])):
         raise ValueError(f"{path.name}: terms are not in strictly ascending serialized order")
-    roster = tuple(sorted(stored))
+    if roster is None:
+        roster = tuple(sorted(stored))
+    elif roster != tuple(sorted(stored)):
+        raise ValueError(f"{path.name}: document roster differs between spaces")
     positions = {doc_id: i for i, doc_id in enumerate(roster)}
     try:
-        doc_idx = [positions[doc_id] for doc_id in docs]
+        doc_idx = np.array([positions[doc_id] for doc_id in docs], dtype=np.int32)
     except KeyError as exc:
         raise ValueError(f"{path.name}: no stored norm for doc {exc.args[0]!r}") from None
-    sx = _space_index([parse_term(t) for t in terms], df, doc_idx, tfs, roster, n_docs)
+    try:
+        tf = np.array(tfs, dtype=np.int64)
+    except (ValueError, OverflowError):
+        tf = None
+    # a term's postings ascend the roster; posting i is on line[i]
+    line = np.repeat(np.array(term_lines, dtype=np.int64), df)
+    unordered = (np.diff(doc_idx, prepend=-1) <= 0) & (np.diff(line, prepend=0) == 0)
+    if tf is None or tf.size and tf.min() < 1 or unordered.any():
+        for i, text in enumerate(tfs):  # name the first bad posting's line
+            try:
+                bad_tf = np.int64(text) < 1
+            except (ValueError, OverflowError):
+                bad_tf = True
+            if bad_tf:
+                raise ValueError(f"{path}:{line[i]}: tf must be an integer >= 1, got {text!r}")
+            if unordered[i]:
+                raise ValueError(f"{path}:{line[i]}: postings repeat a document or leave roster order")
+    sx = _space_index([parse_term(t) for t in terms], df, doc_idx, tf, roster, len(roster))
     _verify_norms(sx, np.array([stored[doc_id] for doc_id in roster], dtype=np.float64), path.name)
     return sx
 

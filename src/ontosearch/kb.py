@@ -13,7 +13,8 @@ The gazetteer is a plain dict keyed by prefixes of the normalized surface
 forms (see `normalize_name`). A unit of text is an alphanumeric run or any
 other single non-whitespace character, and a step is a unit with the
 whitespace before it. Each surface is cut after each of its steps; a key
-maps to entity ids when it is a whole surface, else to None.
+maps to None unless it is a whole surface, which maps to the annotation
+slots (name, class_id, entity_id) that the surface denotes.
 `find_mentions` scans the text for where mentions may start, and from
 each whose first unit's casefold is a key it walks the text step by step,
 appending each step's casefold (its whitespace as one space), while the
@@ -37,6 +38,7 @@ superclass closure.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -62,44 +64,57 @@ _TEXT_STEP = re.compile(r"\s*(?:[^\W_]+|\S)")
 # non-whitespace character that does not follow one
 _MENTION_START = re.compile(r"[^\W_]+|(?<![^\W_])(?:[^\w\s]|_)")
 
+# what a whole surface denotes: (name, class_id, entity_id)
+Slots = tuple[str | None, str | None, str | None]
 
-def _compile_gazetteer(name_index) -> dict[str, frozenset[str] | None]:
-    """Surface prefix -> entity ids, or None for a prefix that is no surface.
+
+def _compile_gazetteer(kb: KnowledgeBase) -> dict[str, Slots | None]:
+    """Surface prefix -> the whole surface's slots, or None for a prefix
+    that is no surface.
 
     A normalized surface is cut after each step and beside each ι; every
-    cut is a key, and the whole surface is a key mapping to its entity ids.
-    No pattern is compiled from the surfaces.
+    cut is a key. No pattern is compiled from the surfaces. The whole
+    surface maps to what it denotes, by one rule: a surface held by one
+    entity gives that entity's canonical name, class and id; one held by
+    several entities of one class gives the name and the class; one whose
+    entities differ in class gives the name only. A shared surface's name
+    is None, which stands for the mention as written.
     """
-    gazetteer: dict[str, frozenset[str] | None] = {}
-    for surface in name_index:
+    gazetteer: dict[str, Slots | None] = {}
+    for surface, entity_ids in kb.name_index.items():
         head = ""
         # one alphanumeric run is one step
         for step in [] if surface.isalnum() else _TEXT_STEP.findall(surface)[:-1]:
             head += step
-            gazetteer[head] = None
+            gazetteer.setdefault(head, None)
         # U+0345 is the one character that is not alphanumeric but casefolds
         # to a letter, this ι: where a text holds it, a step ends beside a ι
         # that the folded surface runs on through
         if "\u03b9" in surface:
             for i, ch in enumerate(surface):
                 if ch == "\u03b9":
-                    gazetteer[surface[: i + 1]] = None
+                    gazetteer.setdefault(surface[: i + 1], None)
                     if i:
-                        gazetteer[surface[:i]] = None
-    gazetteer.update(name_index)
+                        gazetteer.setdefault(surface[:i], None)
+        if len(entity_ids) == 1:
+            entity = kb.entities[next(iter(entity_ids))]
+            gazetteer[surface] = entity.canonical_name, entity.class_id, entity.entity_id
+        else:
+            classes = {kb.entities[e].class_id for e in entity_ids}
+            gazetteer[surface] = None, classes.pop() if len(classes) == 1 else None, None
     return gazetteer
 
 
 def _longest_mention(
-    text: str, pos: int, folded: str, gazetteer: dict[str, frozenset[str] | None]
-) -> tuple[int, frozenset[str]] | None:
-    """(end, entity ids) of the longest mention whose first unit ends at
-    `pos` and casefolds to `folded`, a gazetteer key; else None."""
+    text: str, pos: int, folded: str, gazetteer: dict[str, Slots | None]
+) -> tuple[int, Slots] | None:
+    """(end, slots) of the longest mention whose first unit ends at `pos`
+    and casefolds to `folded`, a gazetteer key; else None."""
     best = None
     while True:
-        entity_ids = gazetteer[folded]
-        if entity_ids is not None and (pos == len(text) or not text[pos].isalnum()):
-            best = pos, entity_ids
+        slots = gazetteer[folded]
+        if slots is not None and (pos == len(text) or not text[pos].isalnum()):
+            best = pos, slots
         m = _TEXT_STEP.match(text, pos)
         if m is None:
             return best
@@ -133,8 +148,8 @@ class KnowledgeBase:
     """Validated ontology: declared classes, entities, and a surface-form index.
 
     ``name_index`` maps every normalized canonical name and alias to the set
-    of entity ids carrying that surface form; it is exactly the lookup the
-    recognizer consults, so annotation and KB share one normalization.
+    of entity ids carrying that surface form; the recognizer's gazetteer is
+    built from it, so annotation and KB share one normalization.
     """
 
     classes: dict[str, ClassDef]
@@ -142,22 +157,22 @@ class KnowledgeBase:
     name_index: dict[str, frozenset[str]]
 
     @cached_property
-    def gazetteer(self) -> dict[str, frozenset[str] | None]:
+    def gazetteer(self) -> dict[str, Slots | None]:
         """Prefix dict over ``name_index`` (see the module docstring), built
         on first use and cached on this instance."""
-        return _compile_gazetteer(self.name_index)
+        return _compile_gazetteer(self)
 
-    def find_mentions(self, text: str) -> list[tuple[int, int, frozenset[str]]]:
-        """(start, end, entity ids) of each leftmost-longest mention in `text`.
+    def find_mentions(self, text: str) -> Iterator[tuple[int, int, Slots]]:
+        """(start, end, slots) of each leftmost-longest mention in `text`.
 
         A mention is a span that neither begins nor ends inside an
         alphanumeric run, whose first and last characters are not
         whitespace, and whose `normalize_name` is a surface. From the first
         position where a mention begins, the longest one is taken, and the
-        scan goes on after it.
+        scan goes on after it. `slots` is (name, class_id, entity_id) by the
+        rule of `_compile_gazetteer`; None for name means ``text[start:end]``.
         """
         gazetteer = self.gazetteer
-        mentions = []
         resume = 0
         for m in _MENTION_START.finditer(text):
             start = m.start()
@@ -168,9 +183,8 @@ class KnowledgeBase:
                 continue
             found = _longest_mention(text, m.end(), folded, gazetteer)
             if found is not None:
-                resume, entity_ids = found
-                mentions.append((start, resume, entity_ids))
-        return mentions
+                resume, slots = found
+                yield start, resume, slots
 
     @cached_property
     def expansions(self) -> dict:
@@ -302,9 +316,3 @@ def alias_set(kb: KnowledgeBase, entity_id: str) -> frozenset[str]:
     edef = kb.entities[entity_id]
     return frozenset({edef.canonical_name, *edef.aliases})
 
-
-def is_subclass_of(kb: KnowledgeBase, c1: str, c2: str) -> bool:
-    """Reflexive subclass test: c2 is c1 itself or in its superclass closure."""
-    if c2 not in kb.classes:
-        raise KeyError(f"unknown class id {c2!r}")
-    return c1 == c2 or c2 in super_classes(kb, c1)

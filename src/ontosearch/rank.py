@@ -187,35 +187,16 @@ def cosine_score(query_bag: TermBag, space: SpaceIndex) -> Scores:
     return Scores(space, values, touched)
 
 
-def score_ne(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> Scores:
-    """Weighted sum of the name, class, name-class, and identifier cosines."""
-    weighted = (
-        (Space.N, cfg.w_n),
-        (Space.C, cfg.w_c),
-        (Space.NC, cfg.w_nc),
-        (Space.I, cfg.w_i),
-    )
-    combined = np.zeros(len(idx.doc_ids))
-    touched = np.zeros(len(idx.doc_ids), dtype=bool)
-    for space, weight in weighted:
-        scores = cosine_score(q.space_bags[space], idx.spaces[space])
-        # outside a space's view its score is 0.0, and x + 0.0 == x for x >= 0
+def _weighted_sum(weighted: list[tuple[float, Scores]]) -> Scores:
+    """Sum of weight * scores, added onto zeros in order, over every touched document."""
+    first = weighted[0][1]
+    combined = np.zeros(len(first.array))
+    touched = np.zeros(len(first.array), dtype=bool)
+    for weight, scores in weighted:
+        # outside a view its score is 0.0, and x + 0.0 == x for x >= 0
         combined += weight * scores.array
         touched |= scores.touched
-    return Scores(idx.spaces[Space.N], combined, touched)
-
-
-def score_kw_union_ne(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> Scores:
-    """alpha * NE + (1 - alpha) * KW; exact at both endpoints of alpha."""
-    ne = score_ne(q, idx, cfg)
-    kw = cosine_score(q.space_bags[Space.KW], idx.spaces[Space.KW])
-    combined = cfg.alpha * ne.array + (1.0 - cfg.alpha) * kw.array
-    return Scores(kw.space, combined, ne.touched | kw.touched)
-
-
-def score_generalized(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> Scores:
-    """Single cosine over the generalized term space."""
-    return cosine_score(q.space_bags[Space.G], idx.spaces[Space.G])
+    return Scores(first.space, combined, touched)
 
 
 def represent_query(
@@ -254,14 +235,18 @@ def represent_document(
 
 
 def score_query(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> Scores:
-    """Dispatch to the configured model's scorer."""
+    """The configured model's scores; `kw-union-ne` is exact at both ends of alpha."""
+    def cosine(space: Space) -> Scores:
+        return cosine_score(q.space_bags[space], idx.spaces[space])
     if cfg.model is Model.KW:
-        return cosine_score(q.space_bags[Space.KW], idx.spaces[Space.KW])
+        return cosine(Space.KW)
+    if cfg.model in (Model.KW_PLUS_NE, Model.KW_PLUS_NE_WH):
+        return cosine(Space.G)
+    ne = _weighted_sum([(cfg.w_n, cosine(Space.N)), (cfg.w_c, cosine(Space.C)),
+                        (cfg.w_nc, cosine(Space.NC)), (cfg.w_i, cosine(Space.I))])
     if cfg.model is Model.NE:
-        return score_ne(q, idx, cfg)
-    if cfg.model is Model.KW_UNION_NE:
-        return score_kw_union_ne(q, idx, cfg)
-    return score_generalized(q, idx, cfg)
+        return ne
+    return _weighted_sum([(cfg.alpha, ne), (1.0 - cfg.alpha, cosine(Space.KW))])
 
 
 def rank_documents(scores: Scores, k: int | None = None) -> Ranking:

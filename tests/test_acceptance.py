@@ -30,7 +30,6 @@ from ontosearch.rank import (
     rank_documents,
     represent_document,
     represent_query,
-    score_generalized,
     score_query,
     search,
 )
@@ -266,7 +265,7 @@ def test_class_subsumption_retrieval(collection, synth_kb, synth_index):
             Space.G: Counter({Triple(class_id="Location"): 1}),
         },
     )
-    scores = score_generalized(location_query, synth_index, ModelConfig(model=Model.KW_PLUS_NE))
+    scores = score_query(location_query, synth_index, ModelConfig(model=Model.KW_PLUS_NE))
     for doc_id in city_only_docs:
         assert scores.get(doc_id, 0.0) > 0.0, doc_id
 

@@ -459,6 +459,25 @@ def test_sigtest_is_symmetric_in_run_order(workspace):
     assert (row_ab[1], row_ab[2]) == (row_ba[2], row_ba[1])  # counts swap
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--permutations", "0", "--permutations 0 must be >= 1"),
+    ("--permutations", "-5", "--permutations -5 must be >= 1"),
+    ("--seed", "-1", "--seed -1 must be in [0, 2**128)"),
+    ("--seed", str(2**128), f"--seed {2**128} must be in [0, 2**128)"),
+], ids=["zero-permutations", "negative-permutations", "negative-seed", "seed-2**128"])
+def test_sigtest_rejects_permutations_and_seed_before_reading_runs(workspace, capsys, monkeypatch,
+                                                                  flag, value, message):
+    opened = []
+    monkeypatch.setattr(cli, "load_run", lambda *args: opened.append(args))
+    monkeypatch.setattr(cli, "load_qrels", lambda *args: opened.append(args))
+    out = workspace / "sig.tsv"
+    assert run_cli("sigtest", "--run-a", workspace / "a.txt", "--run-b", workspace / "b.txt",
+                   "--qrels", workspace / "qrels.txt", "--output", out, flag, value) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert opened == []
+    assert not out.exists()
+
+
 # --- dump-terms ------------------------------------------------------------------------
 
 def test_dump_terms_query_golden(capsys):

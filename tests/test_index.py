@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -292,6 +293,68 @@ def test_load_rejects_terms_out_of_serialized_order(tmp_path):
     lines[0], lines[1] = lines[1], lines[0]
     kw_file.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="KW.tsv: terms are not in strictly ascending serialized order"):
+        load_index(tmp_path)
+
+
+def replace_line(path, lineno, line):
+    """Put `line` in place of line `lineno` (1-based) of a file, or after its end."""
+    lines = path.read_text().splitlines()
+    lines[lineno - 1:lineno] = [line]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("file_name,lineno,line,message", [
+    ("manifest.tsv", 2, "", "expected 4 tab-separated fields, got 1"),
+    ("manifest.tsv", 2, "N\t5\tN.tsv", "expected 4 tab-separated fields, got 3"),
+    ("manifest.tsv", 2, "N\tfive\tN.tsv\t2", "N.tsv: manifest says five documents, file has 5"),
+    ("manifest.tsv", 2, "N\t5\tN.tsv\t2.0", "N.tsv: manifest says 2.0 terms, file has 2"),
+    ("manifest.tsv", 2, "XX\t5\tN.tsv\t2", "unknown space 'XX'"),
+    ("KW.tsv", 2, "k:beta\ttwo\td1:1,d3:2", "df 'two' does not match posting count 2"),
+    ("KW.tsv", 3, "k:delta\t3\td3:1,d4:x,d5:2", "tf must be an integer >= 1, got 'x'"),
+    ("KW.tsv", 3, "k:delta\t3\td3:1,d4:0,d5:2", "tf must be an integer >= 1, got '0'"),
+    ("KW.tsv", 6, "d2\tthree", "norm must be a number, got 'three'"),
+])
+def test_load_names_the_file_and_line_of_a_malformed_field(tmp_path, file_name, lineno, line, message):
+    save_index(build_index(FIVE_DOCS), tmp_path)
+    replace_line(tmp_path / file_name, lineno, line)
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / file_name}:{lineno}: {message}")):
+        load_index(tmp_path)
+
+
+def test_load_rejects_a_space_listed_twice(tmp_path):
+    save_index(build_index(FIVE_DOCS), tmp_path)
+    manifest = tmp_path / "manifest.tsv"
+    replace_line(manifest, 7, "N\t5\tN.tsv\t2")
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}:7: space 'N' is listed twice")):
+        load_index(tmp_path)
+
+
+@pytest.mark.parametrize("lineno,line", [
+    (1, "KW\t4\tKW.tsv\t4"),   # a space with terms
+    (4, "NC\t7\tNC.tsv\t0"),   # a space without terms, whose weights no n_docs changes
+])
+def test_load_rejects_a_manifest_n_docs_that_is_not_the_roster_size(tmp_path, lineno, line):
+    save_index(build_index(FIVE_DOCS), tmp_path)
+    manifest = tmp_path / "manifest.tsv"
+    replace_line(manifest, lineno, line)
+    n_docs, file_name = line.split("\t")[1:3]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{manifest}:{lineno}: {file_name}: manifest says {n_docs} documents, file has 5")):
+        load_index(tmp_path)
+
+
+@pytest.mark.parametrize("postings", ["a:1,a:1", "b:1,a:1"])
+def test_load_rejects_postings_that_repeat_a_document_or_leave_roster_order(tmp_path, postings):
+    # the shared term weighs 0, so the edit changes no stored norm
+    save_index(build_index([
+        rep("a", KW={K("shared"): 1, K("x"): 1}),
+        rep("b", KW={K("shared"): 1, K("y"): 2}),
+    ]), tmp_path)
+    kw_file = tmp_path / f"{Space.KW.value}.tsv"
+    assert kw_file.read_text().splitlines()[0] == "k:shared\t2\ta:1,b:1"
+    replace_line(kw_file, 1, f"k:shared\t2\t{postings}")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{kw_file}:1: postings repeat a document or leave roster order")):
         load_index(tmp_path)
 
 

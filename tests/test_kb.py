@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 from ontosearch.kb import (
     KBError,
     alias_set,
-    is_subclass_of,
     normalize_name,
     parse_kb,
     super_classes,
@@ -75,23 +72,6 @@ def test_alias_sets(figure_kb):
     assert alias_set(figure_kb, "Province_T.4198") == {"California"}
 
 
-def test_subclass_queries(figure_kb):
-    assert is_subclass_of(figure_kb, "Province", "Location")
-    assert is_subclass_of(figure_kb, "Province", "Province")
-    assert not is_subclass_of(figure_kb, "Location", "Province")
-
-
-def test_subclass_transitivity_exhaustive(figure_kb):
-    ids = sorted(figure_kb.classes)
-    sub = {
-        (a, b): is_subclass_of(figure_kb, a, b)
-        for a, b in itertools.product(ids, repeat=2)
-    }
-    for a, b, c in itertools.product(ids, repeat=3):
-        if sub[a, b] and sub[b, c]:
-            assert sub[a, c], f"{a} <= {b} <= {c} but not {a} <= {c}"
-
-
 def test_closures_never_contain_self_or_top_level(figure_kb):
     for c in figure_kb.classes:
         closure = super_classes(figure_kb, c)
@@ -120,8 +100,6 @@ def test_unknown_ids_raise(figure_kb):
         super_classes(figure_kb, "Nope")
     with pytest.raises(KeyError):
         alias_set(figure_kb, "Nope")
-    with pytest.raises(KeyError):
-        is_subclass_of(figure_kb, "Province", "Nope")
 
 
 @pytest.mark.parametrize(

@@ -182,7 +182,7 @@ def test_recognize_entities_grown_kb(benchmark, synth, n_extra):
 @pytest.mark.parametrize("n_extra", [0, 1000, 5000])
 def test_gazetteer_build_grown_kb(benchmark, synth, n_extra):
     kb, _ = grown_collection(synth, n_extra)
-    gazetteer = benchmark(lambda: _compile_gazetteer(kb.name_index))
+    gazetteer = benchmark(lambda: _compile_gazetteer(kb))
     assert len(gazetteer) >= len(kb.name_index) == 25 + 2 * n_extra
 
 

@@ -35,8 +35,6 @@ from ontosearch.rank import (
     rank_documents,
     represent_document,
     represent_query,
-    score_kw_union_ne,
-    score_ne,
     score_query,
     search,
 )
@@ -165,7 +163,7 @@ def test_score_ne_reaches_one_when_all_spaces_match(figure_kb):
     query = match  # identical bags in every entity space
     for cfg in (ModelConfig(model=Model.NE),
                 ModelConfig(model=Model.NE, w_n=0.4, w_c=0.3, w_nc=0.2, w_i=0.1)):
-        scores = score_ne(query, idx, cfg)
+        scores = score_query(query, idx, cfg)
         assert scores["match"] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -175,7 +173,7 @@ def test_rank_clamps_a_weighted_sum_that_overshoots_one(figure_kb):
     idx = build_index([match, other])
     # space weights may sum to 1 + 1e-9, so four perfect cosines sum past 1
     cfg = ModelConfig(model=Model.NE, w_n=0.25, w_c=0.25, w_nc=0.25, w_i=0.25 + 9e-10)
-    scores = score_ne(match, idx, cfg)
+    scores = score_query(match, idx, cfg)
     assert scores["match"] > 1.0
     assert rank_documents(scores)[0] == ScoredDoc("match", 1.0)
 
@@ -186,7 +184,7 @@ def test_score_ne_degenerate_class_weight(corpus_reps, corpus_index):
     from ontosearch.expand import DocRepresentation
     query = DocRepresentation(doc_id="", space_bags=query_bags)
     cfg = ModelConfig(model=Model.NE, w_n=0.0, w_c=1.0, w_nc=0.0, w_i=0.0)
-    combined = rank_documents(score_ne(query, corpus_index, cfg))
+    combined = rank_documents(score_query(query, corpus_index, cfg))
     class_only = rank_documents(cosine_score(query_bags[Space.C], corpus_index.spaces[Space.C]))
     assert combined == class_only
 
@@ -199,7 +197,7 @@ def test_score_ne_matches_dense_oracle(figure_kb, corpus_reps, corpus_index):
         {space.value: dict(bag) for space, bag in query.space_bags.items()},
         {"N": 0.25, "C": 0.25, "NC": 0.25, "I": 0.25},
     )
-    got = score_ne(query, corpus_index, cfg)
+    got = score_query(query, corpus_index, cfg)
     assert got.keys() == expected.keys()
     assert got == pytest.approx(expected, abs=1e-9)
 
@@ -211,7 +209,7 @@ def test_union_alpha_endpoints_reproduce_components(figure_kb, corpus_index):
         blend_cfg = ModelConfig(model=Model.KW_UNION_NE, alpha=alpha)
         reference_cfg = ModelConfig(model=reference_model)
         query = represent_query(FIGURE_QUERY, figure_kb, blend_cfg)
-        blend = rank_documents(score_kw_union_ne(query, corpus_index, blend_cfg))
+        blend = rank_documents(score_query(query, corpus_index, blend_cfg))
         reference = rank_documents(score_query(query, corpus_index, reference_cfg))
         assert blend == reference  # exact, scores included
 
@@ -229,7 +227,7 @@ def test_union_matches_dense_oracle(figure_kb, corpus_reps, corpus_index):
         {d: b["KW"] for d, b in bags.items()}, dict(query.space_bags[Space.KW])
     )
     expected = oracles.dense_union_scores(ne, kw, 0.5)
-    got = score_kw_union_ne(query, corpus_index, cfg)
+    got = score_query(query, corpus_index, cfg)
     assert got.keys() == expected.keys()
     assert got == pytest.approx(expected, abs=1e-9)
 
@@ -237,9 +235,9 @@ def test_union_matches_dense_oracle(figure_kb, corpus_reps, corpus_index):
 def test_union_score_is_affine_in_alpha(figure_kb, corpus_index):
     cfg_mid = ModelConfig(model=Model.KW_UNION_NE, alpha=0.3)
     query = represent_query(FIGURE_QUERY, figure_kb, cfg_mid)
-    lo = score_kw_union_ne(query, corpus_index, ModelConfig(model=Model.KW_UNION_NE, alpha=0.0))
-    hi = score_kw_union_ne(query, corpus_index, ModelConfig(model=Model.KW_UNION_NE, alpha=1.0))
-    mid = score_kw_union_ne(query, corpus_index, cfg_mid)
+    lo = score_query(query, corpus_index, ModelConfig(model=Model.KW_UNION_NE, alpha=0.0))
+    hi = score_query(query, corpus_index, ModelConfig(model=Model.KW_UNION_NE, alpha=1.0))
+    mid = score_query(query, corpus_index, cfg_mid)
     for doc_id in set(lo) | set(hi):
         expected = 0.3 * hi.get(doc_id, 0.0) + 0.7 * lo.get(doc_id, 0.0)
         assert mid.get(doc_id, 0.0) == pytest.approx(expected, abs=1e-12)
