@@ -15,10 +15,14 @@ Evaluation covers every query in the qrels: a query with no run lines
 contributes an average precision of zero rather than being dropped, so
 a system cannot improve its MAP by returning nothing.
 
-An index directory carries a fingerprint of the knowledge base and
-stop-word list used to build it; search refuses to run when the files
-on the command line hash differently. All output files are written
-atomically, so a failed command leaves no partial primary output.
+An index directory holds one file, `index.tsv`, whose header carries a
+fingerprint of the knowledge base and stop-word list used to build it
+(see `ontosearch.index`). Search reads that header first and refuses to
+run when the files on the command line hash differently, or when the
+directory holds a format-1 index, which must be rebuilt. The postings
+and the fingerprint are committed by one rename, so a failed `index`
+leaves the old index with its own fingerprint. All output files are
+written atomically, so a failed command leaves no partial primary output.
 """
 
 from __future__ import annotations
@@ -43,7 +47,14 @@ from .evaluation import (
     randomization_test,
 )
 from .expand import Space, display_term
-from .index import _FORBIDDEN_IN_DOC_ID, _atomic_write, build_index, load_index, save_index
+from .index import (
+    _FORBIDDEN_IN_DOC_ID,
+    _atomic_write,
+    build_index,
+    load_index,
+    read_fingerprint,
+    save_index,
+)
 from .kb import load_kb
 from .rank import (
     Model,
@@ -162,20 +173,8 @@ def _fingerprint(kb_path: Path, stopword_path: Path | None) -> dict[str, str]:
     }
 
 
-def _write_fingerprint(index_dir: Path, fingerprint: dict[str, str]) -> None:
-    lines = [f"{key}\t{value}" for key, value in sorted(fingerprint.items())]
-    _atomic_write(index_dir / "fingerprint.tsv", "\n".join(lines) + "\n")
-
-
 def _check_fingerprint(index_dir: Path, expected: dict[str, str]) -> None:
-    path = index_dir / "fingerprint.tsv"
-    if not path.is_file():
-        raise CliError(f"index at {index_dir} has no fingerprint.tsv; rebuild it")
-    stored = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        key, _, value = line.partition("\t")
-        stored[key] = value
-    if stored != expected:
+    if read_fingerprint(index_dir) != expected:
         raise CliError(
             "index fingerprint mismatch: the knowledge base or stop-word list "
             "differs from the one used at indexing time; rebuild the index"
@@ -192,8 +191,7 @@ def cmd_index(cfg: RunConfig, corpus_path: Path, index_dir: Path) -> None:
         for doc_id, text in corpus.items()
     ]
     bundle = build_index(reps)
-    save_index(bundle, index_dir)
-    _write_fingerprint(index_dir, _fingerprint(cfg.kb_path, cfg.stopword_path))
+    save_index(bundle, index_dir, _fingerprint(cfg.kb_path, cfg.stopword_path))
 
 
 def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,

@@ -22,34 +22,54 @@ ranked once by serialized term; one `np.lexsort` by (term rank, roster
 position) puts the postings in CSR order, and `np.bincount` of the ranks
 gives each term's df.
 
-On-disk layout is a directory with `manifest.tsv` plus one file per space.
-A space file carries the postings lines (`term<TAB>df<TAB>doc:tf,...`,
-sorted by serialized term) followed by the norm lines (`doc_id<TAB>norm`,
-12 significant digits); the two line kinds differ in field count. Because
-postings entries use `:` and `,` as separators, doc_ids may not contain
-them. Loading maps the parsed postings straight into the arrays, recomputes
-the norms from the exact tf/df integers, and checks every stored value
-against them in one vectorized pass, so a loaded index scores
-bit-identically to a freshly built one.
+On disk an index is one file, `index.tsv`, written through `_atomic_write`,
+so the postings and the fingerprint of the inputs they were built from
+are committed by a single rename: a crash leaves the old file or the new
+one. Its lines, in order:
+
+    ontosearch-index<TAB>2                      the format line
+    key<TAB>value                               the fingerprint, by key
+    docs<TAB>n                                  then n roster rows:
+    doc_id<TAB>norm<TAB>... (6 norms)           sorted by doc id, .12g, space order
+    space<TAB>KW<TAB>n_terms                    then n_terms term lines:
+    term<TAB>gaps<TAB>tfs                       sorted by serialized term
+    ...                                         (one section per space)
+
+Postings name roster positions as d-gaps (Zobel & Moffat, as above): a
+term's first gap is its first position and each later gap, at least 1, is
+the step from the one before. Both gap and tf fields are comma lists.
+The saver formats each distinct number once. Doc ids may not contain
+`:`, `,`, tab or newline. The loader parses each space's gaps and tfs
+with one `np.fromstring` each, after a byte-level check that admits only
+ASCII digits in items of 1 to 18 digits, so no sign, space, overflow or
+trailing junk reaches the arrays. It parses each distinct term once, for
+all spaces. It checks that doc ids and terms strictly ascend, that each
+term has as many tfs as gaps, that each tf and each gap after a term's
+first is at least 1, that positions fall inside the roster, and that
+each stored norm matches the norm recomputed from the exact integers.
+A failure names `path:line`. A loaded index scores bit-identically to
+a freshly built one. A directory from format 1 (a `manifest.tsv` and one
+file per space) is refused with a request to rebuild it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .expand import DocRepresentation, GeneralizedTerm, Space, parse_term, serialize_term
 
-_FORBIDDEN_IN_DOC_ID = (":", ",", "\t", "\n")
+_FORBIDDEN_IN_DOC_ID = frozenset(":,\t\n")
 
 _ARRAY_FIELDS = ("offsets", "doc_idx", "tf", "idf", "weights", "norms")
 
@@ -204,133 +224,273 @@ def build_index(reps: Iterable[DocRepresentation]) -> IndexBundle:
 
 # --- persistence --------------------------------------------------------------
 
-def _space_file_name(space: Space) -> str:
-    return f"{space.value}.tsv"
+INDEX_FILE = "index.tsv"
+FORMAT_LINE = "ontosearch-index\t2"
+
+# what format 1 wrote; `save_index` removes them once `index.tsv` is committed
+_FORMAT_1_FILES = ("manifest.tsv", "fingerprint.tsv", *(f"{space.value}.tsv" for space in Space))
+
+# a gap or tf has at most this many digits, so no value saturates an int64
+_MAX_DIGITS = 18
+_COMMA_INTS = re.compile(r"[0-9]{1,%d}(?:,[0-9]{1,%d})*" % (_MAX_DIGITS, _MAX_DIGITS))
 
 
-def save_index(bundle: IndexBundle, directory: str | Path) -> None:
-    """Write manifest.tsv plus one file per space; rewrites are byte-identical."""
+def _formatted(values: np.ndarray, spec: str) -> list[str]:
+    """format(value, spec) of each value, formatting each distinct value once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([format(v, spec) for v in distinct.tolist()], dtype=object)[inverse].tolist()
+
+
+def _comma_lists(items: list[str], offsets: list[int]) -> list[str]:
+    return [",".join(items[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+
+
+def save_index(bundle: IndexBundle, directory: str | Path,
+               fingerprint: Mapping[str, str] | None = None) -> None:
+    """Write the bundle and `fingerprint` as one `index.tsv`, committed by one rename.
+
+    Rewrites are byte-identical. Once the file is in place, any format-1
+    files in the directory are removed.
+    """
     for doc_id in bundle.doc_ids:
-        if any(ch in doc_id for ch in _FORBIDDEN_IN_DOC_ID):
+        if not _FORBIDDEN_IN_DOC_ID.isdisjoint(doc_id):
             raise ValueError(f"doc_id {doc_id!r} contains a reserved separator character")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    fingerprint = dict(fingerprint or {})
+    for key, value in fingerprint.items():
+        if key == "docs" or any(ch in key + value for ch in "\t\n"):
+            raise ValueError(f"fingerprint entry {key!r}: {value!r} cannot be stored")
 
-    manifest_lines = []
+    lines = [FORMAT_LINE, *(f"{key}\t{value}" for key, value in sorted(fingerprint.items()))]
+    lines.append(f"docs\t{len(bundle.doc_ids)}")
+    norms = _formatted(np.column_stack([bundle.spaces[s].norms for s in Space]).ravel(), ".12g")
+    width = len(Space)
+    lines.extend(map("\t".join, zip(bundle.doc_ids, *(norms[k::width] for k in range(width)))))
     for space in Space:
         sx = bundle.spaces[space]
-        file_name = _space_file_name(space)
-        manifest_lines.append(f"{space.value}\t{sx.n_docs}\t{file_name}\t{len(sx.term_ids)}")
-        doc_ids, offsets = sx.doc_ids, sx.offsets.tolist()
-        entries = [f"{doc_ids[i]}:{tf}" for i, tf in zip(sx.doc_idx.tolist(), sx.tf.tolist())]
-        lines = [
-            f"{serialize_term(term)}\t{hi - lo}\t{','.join(entries[lo:hi])}"
-            for term, lo, hi in zip(sx.term_ids, offsets, offsets[1:])
-        ]
-        lines.extend(f"{doc_id}\t{norm:.12g}" for doc_id, norm in zip(doc_ids, sx.norms.tolist()))
-        _atomic_write(directory / file_name, "\n".join(lines) + "\n" if lines else "")
-    _atomic_write(directory / "manifest.tsv", "\n".join(manifest_lines) + "\n")
+        lines.append(f"space\t{space.value}\t{len(sx.term_ids)}")
+        gaps = sx.doc_idx.astype(np.int64)
+        gaps[1:] -= sx.doc_idx[:-1]
+        starts = sx.offsets[:-1]
+        gaps[starts] = sx.doc_idx[starts]  # a term's first gap is its first roster position
+        offsets = sx.offsets.tolist()
+        lines.extend(map("\t".join, zip(
+            map(serialize_term, sx.term_ids),
+            _comma_lists(_formatted(gaps, "d"), offsets),
+            _comma_lists(_formatted(sx.tf, "d"), offsets),
+        )))
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    _atomic_write(directory / INDEX_FILE, "\n".join(lines) + "\n")
+    for name in _FORMAT_1_FILES:
+        (directory / name).unlink(missing_ok=True)
+
+
+def _index_file(directory: str | Path) -> Path:
+    directory = Path(directory)
+    path = directory / INDEX_FILE
+    if not path.is_file():
+        if (directory / "manifest.tsv").is_file():
+            raise ValueError(f"{directory} holds a format-1 index (manifest.tsv, no {INDEX_FILE}); "
+                             "rebuild it with `ontosearch index`")
+        raise FileNotFoundError(f"missing index file: {path}")
+    return path
+
+
+def _count(text: str, where: str) -> int:
+    if not (text.isascii() and text.isdigit() and len(text) <= _MAX_DIGITS):
+        raise ValueError(f"{where}: expected a count, got {text!r}")
+    return int(text)
+
+
+def _read_header(lines: Iterator[str], path: Path) -> tuple[dict[str, str], int, int]:
+    """The format line, the fingerprint and the `docs` line: (fingerprint, n_docs, docs line number)."""
+    first = next(lines, None)
+    if first != FORMAT_LINE:
+        raise ValueError(f"{path}:1: expected the format line {FORMAT_LINE!r}, got {first!r}; "
+                         "rebuild the index")
+    fingerprint: dict[str, str] = {}
+    for lineno, line in enumerate(lines, start=2):
+        if line.count("\t") != 1:
+            raise ValueError(f"{path}:{lineno}: expected key<TAB>value, got {line!r}")
+        key, _, value = line.partition("\t")
+        if key == "docs":
+            return fingerprint, _count(value, f"{path}:{lineno}"), lineno
+        if key in fingerprint:
+            raise ValueError(f"{path}:{lineno}: fingerprint key {key!r} is listed twice")
+        fingerprint[key] = value
+    raise ValueError(f"{path}: no docs line")
+
+
+def read_fingerprint(directory: str | Path) -> dict[str, str]:
+    """The fingerprint stored in an index's header, read without the rest of the file."""
+    path = _index_file(directory)
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        return _read_header((line.removesuffix("\n") for line in fh), path)[0]
 
 
 def load_index(directory: str | Path) -> IndexBundle:
-    """Read an index directory back, checking stored norms; a malformed field fails with file:line."""
-    directory = Path(directory)
-    manifest_path = directory / "manifest.tsv"
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"missing manifest: {manifest_path}")
-
-    spaces: dict[Space, SpaceIndex] = {}
-    roster: tuple[str, ...] | None = None
-    for lineno, line in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), start=1):
-        where = f"{manifest_path}:{lineno}"
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValueError(f"{where}: expected 4 tab-separated fields, got {len(fields)}")
-        space_name, n_docs, file_name, n_terms = fields
+    """Read `index.tsv` back, checking every field; a malformed one fails with path:line."""
+    path = _index_file(directory)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    if lines.pop():
+        raise ValueError(f"{path}:{len(lines) + 1}: the file ends inside a line")
+    _, n_docs, docs_line = _read_header(iter(lines), path)
+    at = docs_line + n_docs  # index of the line after the roster
+    if at > len(lines):
+        raise ValueError(f"{path}:{docs_line}: the docs line states {n_docs} documents, "
+                         f"but the file ends after {len(lines) - docs_line}")
+    sections: dict[Space, tuple[int, int]] = {}  # each space's term lines, as a slice of `lines`
+    counted = f"{n_docs} roster rows that line {docs_line} states"
+    while at < len(lines):
+        where = f"{path}:{at + 1}"
+        fields = lines[at].split("\t")
+        if len(fields) != 3 or fields[0] != "space":
+            raise ValueError(f"{where}: expected space<TAB>name<TAB>n_terms after the {counted}, "
+                             f"got {lines[at]!r}")
         try:
-            space = Space(space_name)
+            space = Space(fields[1])
         except ValueError:
-            raise ValueError(f"{where}: unknown space {space_name!r}") from None
-        if space in spaces:
-            raise ValueError(f"{where}: space {space_name!r} is listed twice")
-        spaces[space] = sx = _load_space_file(directory / file_name, roster)
-        for stated, held, what in ((n_terms, len(sx.term_ids), "terms"), (n_docs, sx.n_docs, "documents")):
-            if stated != str(held):
-                raise ValueError(f"{where}: {file_name}: manifest says {stated} {what}, file has {held}")
-        roster = sx.doc_ids  # one tuple for the whole bundle
-
-    missing = set(Space) - set(spaces)
+            raise ValueError(f"{where}: unknown space {fields[1]!r}") from None
+        if space in sections:
+            raise ValueError(f"{where}: space {space.value!r} is listed twice")
+        end = at + 1 + _count(fields[2], where)
+        if end > len(lines):
+            raise ValueError(f"{where}: space {space.value} states {fields[2]} terms, "
+                             f"but the file ends after {len(lines) - at - 1}")
+        sections[space] = at + 1, end
+        counted = f"{fields[2]} term lines that line {at + 1} states"
+        at = end
+    missing = set(Space) - set(sections)
     if missing:
-        raise ValueError(f"manifest lacks spaces: {sorted(s.value for s in missing)}")
-    return IndexBundle(spaces=spaces, doc_ids=roster or ())
+        raise ValueError(f"{path}: no section for spaces {sorted(s.value for s in missing)}")
+
+    roster, stored = _read_roster(lines[docs_line:docs_line + n_docs], path, docs_line + 1)
+    spaces: dict[Space, SpaceIndex] = {}
+    parsed: dict[str, GeneralizedTerm] = {}  # each distinct term is parsed once
+    for column, space in enumerate(Space):  # a roster row's norms are in space order
+        start, end = sections[space]
+        spaces[space] = sx = _read_space(lines[start:end], path, start + 1, roster, parsed)
+        _verify_norms(sx, stored[:, column], path, docs_line + 1, space)
+    return IndexBundle(spaces=spaces, doc_ids=roster)
 
 
-def _load_space_file(path: Path, roster: tuple[str, ...] | None) -> SpaceIndex:
-    """One space file, whose roster must be `roster` unless that is None."""
-    terms: list[str] = []
-    term_lines: list[int] = []
-    df: list[int] = []
-    docs: list[str] = []
-    tfs: list[str] = []
-    stored: dict[str, float] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        fields = line.split("\t")
-        if len(fields) == 3:
-            count = fields[2].count(",") + 1
-            flat = fields[2].replace(",", ":").split(":")
-            if len(flat) != 2 * count:
-                raise ValueError(f"{path}:{lineno}: postings are not doc:tf pairs")
-            if fields[1] != str(count):
-                raise ValueError(f"{path}:{lineno}: df {fields[1]!r} does not match posting count {count}")
-            terms.append(fields[0])
-            term_lines.append(lineno)
-            df.append(count)
-            docs.extend(flat[0::2])
-            tfs.extend(flat[1::2])
-        elif len(fields) == 2:
+def _cells(rows: list[str], width: int, shape: str, path: Path, first: int) -> list[str]:
+    """The fields of rows that each have `width` tab-separated fields, row after row."""
+    tabs = list(map(str.count, rows, repeat("\t")))
+    if tabs.count(width - 1) != len(rows):
+        i = next(i for i, n in enumerate(tabs) if n != width - 1)
+        raise ValueError(f"{path}:{first + i}: expected {shape}, got {rows[i]!r}")
+    return "\t".join(rows).split("\t") if rows else []
+
+
+def _read_roster(rows: list[str], path: Path, first: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Doc ids, strictly ascending, and their stored norms, one column per space."""
+    width = 1 + len(Space)
+    cells = _cells(rows, width, f"doc_id and {width - 1} norms", path, first)
+    doc_ids = tuple(cells[0::width])
+    for i, (a, b) in enumerate(zip(doc_ids, doc_ids[1:])):
+        if a >= b:
+            problem = "repeats the row above" if a == b else f"sorts before {a!r} on the row above"
+            raise ValueError(f"{path}:{first + i + 1}: doc id {b!r} {problem}")
+    del cells[0::width]
+    try:
+        norms = np.array(cells, dtype=np.float64)
+    except ValueError:
+        for i, text in enumerate(cells):
             try:
-                stored[fields[0]] = float(fields[1])
+                float(text)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: norm must be a number, got {fields[1]!r}") from None
-        else:
-            raise ValueError(f"{path}:{lineno}: unrecognized line shape")
+                raise ValueError(f"{path}:{first + i // (width - 1)}: norm must be a number, "
+                                 f"got {text!r}") from None
+        raise
+    return doc_ids, norms.reshape(len(rows), width - 1)
 
+
+def _comma_ints(fields: list[str], what: str, path: Path, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fields that are each a comma list of decimal integers: (all values, how many per field).
+
+    `np.fromstring` would take signs, spaces and values that saturate, and
+    drop trailing junk with only a warning, so the bytes are checked first:
+    ASCII digits only, no empty item, at most `_MAX_DIGITS` digits an item.
+    """
+    if not fields:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    text = "\n".join(fields)
+    ok = text.isascii()
+    if ok:
+        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        newline = raw == ord("\n")
+        ends = np.flatnonzero(newline | (raw == ord(",")))
+        lengths = np.diff(ends, prepend=-1, append=raw.size) - 1
+        digits = np.count_nonzero((raw >= ord("0")) & (raw <= ord("9")))
+        ok = digits + ends.size == raw.size and lengths.min() >= 1 and lengths.max() <= _MAX_DIGITS
+    if not ok:
+        i = next(i for i, field in enumerate(fields) if not _COMMA_INTS.fullmatch(field))
+        raise ValueError(f"{path}:{first + i}: {what} must be comma-separated integers "
+                         f"of 1 to {_MAX_DIGITS} ASCII digits, got {fields[i]!r}")
+    values = np.fromstring(text.replace("\n", ","), dtype=np.int64, sep=",")
+    counts = np.diff(np.flatnonzero(newline[ends]), prepend=-1, append=ends.size)
+    return values, counts
+
+
+def _read_space(rows: list[str], path: Path, first: int, roster: tuple[str, ...],
+                parsed: dict[str, GeneralizedTerm]) -> SpaceIndex:
+    """One space's term lines, `term<TAB>gaps<TAB>tfs`, the first on line `first`."""
+    cells = _cells(rows, 3, "term<TAB>gaps<TAB>tfs", path, first)
+    texts = cells[0::3]
     # term ids are file order, so it must be the canonical accumulation order
-    if any(a >= b for a, b in zip(terms, terms[1:])):
-        raise ValueError(f"{path.name}: terms are not in strictly ascending serialized order")
-    if roster is None:
-        roster = tuple(sorted(stored))
-    elif roster != tuple(sorted(stored)):
-        raise ValueError(f"{path.name}: document roster differs between spaces")
-    positions = {doc_id: i for i, doc_id in enumerate(roster)}
-    try:
-        doc_idx = np.array([positions[doc_id] for doc_id in docs], dtype=np.int32)
-    except KeyError as exc:
-        raise ValueError(f"{path.name}: no stored norm for doc {exc.args[0]!r}") from None
-    try:
-        tf = np.array(tfs, dtype=np.int64)
-    except (ValueError, OverflowError):
-        tf = None
-    # a term's postings ascend the roster; posting i is on line[i]
-    line = np.repeat(np.array(term_lines, dtype=np.int64), df)
-    unordered = (np.diff(doc_idx, prepend=-1) <= 0) & (np.diff(line, prepend=0) == 0)
-    if tf is None or tf.size and tf.min() < 1 or unordered.any():
-        for i, text in enumerate(tfs):  # name the first bad posting's line
+    for i, (a, b) in enumerate(zip(texts, texts[1:])):
+        if a >= b:
+            raise ValueError(f"{path}:{first + i + 1}: terms are not in strictly ascending serialized order")
+    gaps, df = _comma_ints(cells[1::3], "gaps", path, first)
+    tf, n_tf = _comma_ints(cells[2::3], "tfs", path, first)
+    mismatch = np.flatnonzero(df != n_tf)
+    if mismatch.size:
+        i = mismatch[0]
+        raise ValueError(f"{path}:{first + i}: df {df[i]} (gaps) does not match {n_tf[i]} tfs")
+
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(df, out=offsets[1:])
+    starts = offsets[:-1]
+
+    def fail(mask: np.ndarray, message: str) -> None:
+        bad = np.flatnonzero(mask)
+        if bad.size:  # name the line of the first bad posting
+            raise ValueError(f"{path}:{first + np.searchsorted(offsets, bad[0], 'right') - 1}: {message}")
+
+    n_docs = len(roster)
+    fail(gaps >= n_docs, f"a posting lies outside the roster of {n_docs} documents")
+    later = np.ones(gaps.size, dtype=bool)
+    later[starts] = False
+    fail(later & (gaps == 0), "postings repeat a document or leave roster order")
+    fail(tf == 0, "tf must be an integer >= 1, got 0")
+    total = np.cumsum(gaps)
+    positions = total - np.repeat(total[starts] - gaps[starts], df)
+    fail(positions >= n_docs, f"a posting lies outside the roster of {n_docs} documents")
+
+    terms = []
+    for i, text in enumerate(texts):
+        term = parsed.get(text)
+        if term is None:
             try:
-                bad_tf = np.int64(text) < 1
-            except (ValueError, OverflowError):
-                bad_tf = True
-            if bad_tf:
-                raise ValueError(f"{path}:{line[i]}: tf must be an integer >= 1, got {text!r}")
-            if unordered[i]:
-                raise ValueError(f"{path}:{line[i]}: postings repeat a document or leave roster order")
-    sx = _space_index([parse_term(t) for t in terms], df, doc_idx, tf, roster, len(roster))
-    _verify_norms(sx, np.array([stored[doc_id] for doc_id in roster], dtype=np.float64), path.name)
-    return sx
+                term = parsed[text] = parse_term(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{first + i}: {exc}") from None
+        terms.append(term)
+    if len(set(terms)) < len(terms):  # two spellings of one term, such as `t:X/*/*` and `t:x/*/*`
+        seen: set[GeneralizedTerm] = set()
+        for i, term in enumerate(terms):
+            if term in seen:
+                raise ValueError(f"{path}:{first + i}: term {texts[i]!r} repeats an earlier line's term")
+            seen.add(term)
+    return _space_index(terms, df.tolist(), positions, tf, roster, n_docs)
 
 
-def _verify_norms(sx: SpaceIndex, stored: np.ndarray, file_name: str) -> None:
-    """math.isclose(norm, stored, rel_tol=1e-9, abs_tol=1e-9), for every document at once."""
+def _verify_norms(sx: SpaceIndex, stored: np.ndarray, path: Path, first: int, space: Space) -> None:
+    """math.isclose(norm, stored, rel_tol=1e-9, abs_tol=1e-9), for every document at once.
+
+    Document i's stored norm is on roster line `first + i`.
+    """
     computed = sx.norms
     tolerance = np.maximum(1e-9 * np.maximum(np.abs(computed), np.abs(stored)), 1e-9)
     # an infinite stored norm is never close; the inf tolerance would let it through
@@ -338,8 +498,8 @@ def _verify_norms(sx: SpaceIndex, stored: np.ndarray, file_name: str) -> None:
     if bad.size:
         i = bad[0]
         raise ValueError(
-            f"{file_name}: stored norm {stored[i].item()!r} for doc {sx.doc_ids[i]!r} "
-            f"disagrees with postings (recomputed {computed[i].item()!r})"
+            f"{path}:{first + i}: stored {space.value} norm {stored[i].item()!r} for doc "
+            f"{sx.doc_ids[i]!r} disagrees with postings (recomputed {computed[i].item()!r})"
         )
 
 

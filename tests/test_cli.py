@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 
 import pytest
 
@@ -93,9 +94,10 @@ def test_index_writes_expected_directory_shape(workspace):
     index_dir = workspace / "idx"
     assert run_cli("index", "--kb", KB, "--corpus", workspace / "corpus.tsv",
                    "--index-dir", index_dir) == 0
-    names = {p.name for p in index_dir.iterdir()}
-    assert names == {"manifest.tsv", "fingerprint.tsv",
-                     "KW.tsv", "N.tsv", "C.tsv", "NC.tsv", "I.tsv", "G.tsv"}
+    assert [p.name for p in index_dir.iterdir()] == ["index.tsv"]
+    header = (index_dir / "index.tsv").read_text(encoding="utf-8").splitlines()[:3]
+    assert header[0] == "ontosearch-index\t2"
+    assert [line.split("\t")[0] for line in header[1:]] == ["kb_sha256", "stopwords_sha256"]
 
 
 def test_index_rerun_is_byte_identical(workspace):
@@ -212,6 +214,58 @@ def test_search_rejects_fingerprint_mismatch(workspace, capsys):
                    "--queries", workspace / "queries.tsv", "--output", out) == 1
     assert "fingerprint" in capsys.readouterr().err
     assert not out.exists()
+
+
+def search_exit(workspace, kb, index_dir, out_name="run.txt"):
+    return run_cli("search", "--kb", kb, "--index-dir", index_dir,
+                   "--queries", workspace / "queries.tsv", "--output", workspace / out_name)
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 8])
+def test_a_failed_reindex_keeps_the_old_index_and_its_fingerprint(workspace, capsys, monkeypatch, fail_at):
+    """Whichever rename of a re-index fails, the index left behind is whole and carries its own fingerprint."""
+    index_dir = build_index_dir(workspace)
+    before = read_tree(index_dir)
+    other_kb = workspace / "other_kb.tsv"
+    # one more entity, which the corpus names, so the new index differs in more than its fingerprint
+    other_kb.write_text(open(KB, encoding="utf-8").read() + "ENTITY\tFair_T.1\tDayTime\twinter fair\t-\n",
+                        encoding="utf-8")
+    renames = []
+
+    def flaky_replace(src, dst, real_replace=os.replace):
+        renames.append(dst)
+        if len(renames) == fail_at:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", flaky_replace)  # the commit step of every atomic write
+    failed = run_cli("index", "--kb", other_kb, "--corpus", workspace / "corpus.tsv",
+                     "--index-dir", index_dir) == 1
+    monkeypatch.undo()
+    if failed:
+        assert "disk full" in capsys.readouterr().err
+        assert read_tree(index_dir) == before  # no temp file, no part of the new index
+    else:
+        assert "\nt:winter fair/*/*\t" in (index_dir / "index.tsv").read_text(encoding="utf-8")
+    accepted, refused = (KB, other_kb) if failed else (other_kb, KB)
+    assert search_exit(workspace, accepted, index_dir) == 0
+    assert search_exit(workspace, refused, index_dir, "refused-run.txt") == 1
+    assert "fingerprint mismatch" in capsys.readouterr().err
+    assert not (workspace / "refused-run.txt").exists()
+
+
+def test_a_format_1_directory_is_refused_and_reindexing_replaces_it(workspace, capsys):
+    index_dir = workspace / "idx"
+    index_dir.mkdir()
+    for name in ("manifest.tsv", "fingerprint.tsv", "KW.tsv", "N.tsv", "C.tsv", "NC.tsv", "I.tsv", "G.tsv"):
+        (index_dir / name).write_text("written by format 1\n", encoding="utf-8")
+    assert search_exit(workspace, KB, index_dir) == 1
+    err = capsys.readouterr().err
+    assert "format-1 index" in err and "rebuild it" in err
+    assert not (workspace / "run.txt").exists()
+    assert build_index_dir(workspace) == index_dir
+    assert [p.name for p in index_dir.iterdir()] == ["index.tsv"]
+    assert search_exit(workspace, KB, index_dir) == 0
 
 
 def test_search_without_index_fails(workspace, capsys):

@@ -17,6 +17,7 @@ from ontosearch.index import (
     _atomic_write,
     build_index,
     load_index,
+    read_fingerprint,
     save_index,
     tfidf_weight,
 )
@@ -149,12 +150,20 @@ def test_duplicate_doc_id_rejected():
 
 # --- persistence ---------------------------------------------------------------
 
-def test_save_creates_manifest_plus_one_file_per_space(tmp_path):
-    save_index(build_index(FIVE_DOCS), tmp_path)
-    assert (tmp_path / "manifest.tsv").is_file()
-    for space in Space:
-        assert (tmp_path / f"{space.value}.tsv").is_file()
-    assert len(list(tmp_path.iterdir())) == len(Space) + 1
+def test_save_writes_one_index_file(tmp_path):
+    save_index(build_index(FIVE_DOCS), tmp_path, {"kb_sha256": "ab12"})
+    assert [p.name for p in tmp_path.iterdir()] == ["index.tsv"]
+    lines = (tmp_path / "index.tsv").read_text().splitlines()
+    assert lines[:3] == ["ontosearch-index\t2", "kb_sha256\tab12", "docs\t5"]
+    assert lines[3] == "d1\t1.78551787064\t1.83258146375\t0\t0\t0\t0"  # KW N C NC I G norms
+    assert lines[8:13] == [  # gaps: the first roster position, then steps of at least 1
+        "space\tKW\t4", "k:alpha\t0,1,3\t3,1,2", "k:beta\t0,2\t1,2", "k:delta\t2,1,1\t1,5,2",
+        "k:gamma\t1,1\t4,1",
+    ]
+    assert [line for line in lines if line.startswith("space\t")] == [
+        f"space\t{space.value}\t{len(build_index(FIVE_DOCS).spaces[space].term_ids)}" for space in Space
+    ]
+    assert read_fingerprint(tmp_path) == {"kb_sha256": "ab12"}
 
 
 def test_round_trip_restores_everything_exactly(tmp_path):
@@ -164,6 +173,16 @@ def test_round_trip_restores_everything_exactly(tmp_path):
     assert loaded == built
     for space in Space:
         assert loaded.spaces[space].norms.tolist() == built.spaces[space].norms.tolist()  # exact floats
+
+
+def test_load_parses_each_distinct_term_once(tmp_path):
+    # G's entity terms are the very tuples parsed for N, C, NC and I
+    save_index(build_index(FIVE_DOCS + [rep("d6", N={Triple("x", None, None): 1},
+                                             G={Triple("x", None, None): 1, K("alpha"): 1})]), tmp_path)
+    loaded = load_index(tmp_path)
+    kw, n, g = (list(loaded.spaces[s].term_ids) for s in (Space.KW, Space.N, Space.G))
+    assert g == [K("alpha"), Triple("x", None, None)]
+    assert g[0] is kw[0] and g[1] is n[0]
 
 
 def test_query_views_are_built_on_first_use_from_the_bundle_roster(tmp_path):
@@ -193,75 +212,100 @@ def test_rewrite_is_byte_identical(tmp_path):
         assert (second / path.name).read_bytes() == path.read_bytes()
 
 
-def test_load_rejects_tampered_norm(tmp_path):
+# FIVE_DOCS' index.tsv, by line: 1 format, 2 docs, 3-7 roster rows d1..d5,
+# 8 `space KW 4`, 9-12 k:alpha k:beta k:delta k:gamma, 13 `space N 2`,
+# 14-15 t:x t:y, 16 `space C 1`, 17 t:*/City/*, 18 `space NC 0`,
+# 19 `space I 1`, 20 t:x/City/City_1, 21 `space G 0`
+ROSTER_LINE = {"d1": 3, "d2": 4, "d3": 5, "d4": 6, "d5": 7}
+
+
+def saved_five(tmp_path):
     save_index(build_index(FIVE_DOCS), tmp_path)
-    kw_file = tmp_path / f"{Space.KW.value}.tsv"
-    lines = kw_file.read_text().splitlines()
-    for i, line in enumerate(lines):
-        fields = line.split("\t")
-        if len(fields) == 2 and float(fields[1]) > 0:
-            lines[i] = f"{fields[0]}\t{float(fields[1]) * 2:.12g}"
-            break
-    kw_file.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="norm"):
+    return tmp_path / "index.tsv"
+
+
+def replace_line(path, lineno, *lines):
+    """Put `lines` in place of line `lineno` (1-based) of a file, or after its end."""
+    text = path.read_text().splitlines()
+    text[lineno - 1:lineno] = lines
+    path.write_text("\n".join(text) + "\n")
+
+
+def edit_norm(path, doc_id, space, edit):
+    """Replace doc_id's stored norm of `space` in its roster row with edit(old norm)."""
+    lineno = ROSTER_LINE[doc_id]
+    fields = path.read_text().splitlines()[lineno - 1].split("\t")
+    column = 1 + list(Space).index(space)
+    fields[column] = edit(float(fields[column]))
+    replace_line(path, lineno, "\t".join(fields))
+
+
+def rejects(path, lineno, message):
+    return pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: {message}"))
+
+
+def test_load_rejects_tampered_norm(tmp_path):
+    path = saved_five(tmp_path)
+    edit_norm(path, "d1", Space.KW, lambda x: f"{x * 2:.12g}")
+    with rejects(path, 3, "stored KW norm 3.57103574128 for doc 'd1' disagrees with postings"):
         load_index(tmp_path)
 
 
 def test_load_rejects_df_posting_mismatch(tmp_path):
-    save_index(build_index(FIVE_DOCS), tmp_path)
-    kw_file = tmp_path / f"{Space.KW.value}.tsv"
-    lines = kw_file.read_text().splitlines()
-    fields = lines[0].split("\t")
-    fields[1] = str(int(fields[1]) + 1)
-    lines[0] = "\t".join(fields)
-    kw_file.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="df"):
+    path = saved_five(tmp_path)
+    replace_line(path, 9, "k:alpha\t0,1,3\t3,1")
+    with rejects(path, 9, "df 3 (gaps) does not match 2 tfs"):
         load_index(tmp_path)
 
 
-def edit_norm_line(path, doc_id, edit):
-    """Replace the stored norm of doc_id in a space file with edit(old norm)."""
-    lines = path.read_text().splitlines()
-    for i, line in enumerate(lines):
-        fields = line.split("\t")
-        if len(fields) == 2 and fields[0] == doc_id:
-            lines[i] = f"{doc_id}\t{edit(float(fields[1]))}"
-    path.write_text("\n".join(lines) + "\n")
-
-
-def test_load_rejects_posting_for_doc_without_norm_line(tmp_path):
-    # the shared term weighs 0, so moving its posting changes no stored norm
+def two_doc_index(tmp_path):
+    # the shared term weighs 0, so editing its postings changes no stored norm
     save_index(build_index([
         rep("a", KW={K("shared"): 1, K("x"): 1}),
         rep("b", KW={K("shared"): 1, K("y"): 2}),
     ]), tmp_path)
-    kw_file = tmp_path / f"{Space.KW.value}.tsv"
-    text = kw_file.read_text()
-    assert "k:shared\t2\ta:1,b:1\n" in text
-    kw_file.write_text(text.replace("k:shared\t2\ta:1,b:1\n", "k:shared\t2\tzz:1,b:1\n"))
-    with pytest.raises(ValueError, match="KW.tsv: no stored norm for doc 'zz'"):
+    path = tmp_path / "index.tsv"
+    assert path.read_text().splitlines()[5] == "k:shared\t0,1\t1,1"
+    return path
+
+
+def test_load_rejects_posting_for_doc_without_norm_line(tmp_path):
+    # a roster row holds a document's norms; position 2 of a 2-document roster has none
+    path = two_doc_index(tmp_path)
+    replace_line(path, 6, "k:shared\t0,2\t1,1")
+    with rejects(path, 6, "a posting lies outside the roster of 2 documents"):
         load_index(tmp_path)
 
 
-def test_load_rejects_rosters_that_differ_between_spaces(tmp_path):
-    save_index(build_index(FIVE_DOCS), tmp_path)
-    n_file = tmp_path / f"{Space.N.value}.tsv"
-    n_file.write_text(n_file.read_text() + "zz\t0\n")  # a zero norm verifies
-    with pytest.raises(ValueError, match="N.tsv: document roster differs between spaces"):
+@pytest.mark.parametrize("edit", ["repeat", "order"])
+def test_load_rejects_a_roster_that_repeats_a_row_or_leaves_sorted_order(tmp_path, edit):
+    path = saved_five(tmp_path)
+    rows = path.read_text().splitlines()[2:7]
+    if edit == "repeat":  # a second d2 row, with any norms, before the real one
+        replace_line(path, 2, "docs\t6")
+        replace_line(path, 4, "d2\t999\t0\t0\t0\t0\t0", rows[1])
+        message = "doc id 'd2' repeats the row above"
+    else:
+        replace_line(path, 3, rows[1])
+        replace_line(path, 4, rows[0])
+        message = "doc id 'd1' sorts before 'd2' on the row above"
+    with rejects(path, 4 if edit == "order" else 5, message):
         load_index(tmp_path)
 
 
-def test_load_rejects_manifest_term_count_mismatch(tmp_path):
-    save_index(build_index(FIVE_DOCS), tmp_path)
-    manifest = tmp_path / "manifest.tsv"
-    lines = manifest.read_text().splitlines()
-    for i, line in enumerate(lines):
-        fields = line.split("\t")
-        if fields[0] == Space.KW.value:
-            assert fields[3] == "4"
-            lines[i] = "\t".join(fields[:3] + ["5"])
-    manifest.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="KW.tsv: manifest says 5 terms, file has 4"):
+@pytest.mark.parametrize("lineno,line,at,message", [
+    (2, "docs\t6", 9, "after the 6 roster rows that line 2 states, got 'k:alpha\\t"),
+    (2, "docs\t4", 7, "after the 4 roster rows that line 2 states, got 'd5\\t"),
+    (8, "space\tKW\t5", 14, "after the 5 term lines that line 8 states, got 't:x/*/*\\t"),
+    (8, "space\tKW\t3", 12, "after the 3 term lines that line 8 states, got 'k:gamma\\t"),
+    (8, "space\tKW\t9", None, "no section for spaces ['C', 'N']"),
+    (21, "space\tG\t1", 21, "space G states 1 terms, but the file ends after 0"),
+], ids=["docs-over", "docs-under", "terms-over", "terms-under", "terms-over-a-space", "terms-past-end"])
+def test_load_rejects_a_count_that_is_not_what_follows_it(tmp_path, lineno, line, at, message):
+    path = saved_five(tmp_path)
+    replace_line(path, lineno, line)
+    where = f"{path}:{at}: " if at else f"{path}: "
+    with pytest.raises(ValueError, match=re.escape(where) + ".*" + re.escape(message)):
         load_index(tmp_path)
 
 
@@ -276,86 +320,144 @@ def test_load_rejects_manifest_term_count_mismatch(tmp_path):
 def test_load_verifies_norms_to_within_1e_9(tmp_path, space, doc_id, edit, accepted):
     built = build_index(FIVE_DOCS)
     save_index(built, tmp_path)
-    edit_norm_line(tmp_path / f"{space.value}.tsv", doc_id, edit)
+    path = tmp_path / "index.tsv"
+    edit_norm(path, doc_id, space, edit)
     if accepted:
         assert load_index(tmp_path) == built  # norms are recomputed, not read
     else:
-        with pytest.raises(ValueError, match=f"{space.value}.tsv: stored norm .* for doc '{doc_id}' "
-                                             "disagrees with postings"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{ROSTER_LINE[doc_id]}: stored "
+                                                       f"{space.value} norm ") + f".* for doc '{doc_id}' "
+                                                       "disagrees with postings"):
             load_index(tmp_path)
 
 
 def test_load_rejects_terms_out_of_serialized_order(tmp_path):
     # term ids follow file order, which must be the canonical accumulation order
-    save_index(build_index(FIVE_DOCS), tmp_path)
-    kw_file = tmp_path / f"{Space.KW.value}.tsv"
-    lines = kw_file.read_text().splitlines()
-    lines[0], lines[1] = lines[1], lines[0]
-    kw_file.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="KW.tsv: terms are not in strictly ascending serialized order"):
+    path = saved_five(tmp_path)
+    lines = path.read_text().splitlines()
+    replace_line(path, 9, lines[9])
+    replace_line(path, 10, lines[8])
+    with rejects(path, 10, "terms are not in strictly ascending serialized order"):
         load_index(tmp_path)
 
 
-def replace_line(path, lineno, line):
-    """Put `line` in place of line `lineno` (1-based) of a file, or after its end."""
-    lines = path.read_text().splitlines()
-    lines[lineno - 1:lineno] = [line]
-    path.write_text("\n".join(lines) + "\n")
+def test_load_rejects_two_spellings_of_one_term(tmp_path):
+    # both name the normalized name "x", which would give two term ids one term
+    path = saved_five(tmp_path)
+    replace_line(path, 14, "t:X/*/*\t0\t2")
+    replace_line(path, 15, "t:x/*/*\t3\t1")
+    with rejects(path, 15, "term 't:x/*/*' repeats an earlier line's term"):
+        load_index(tmp_path)
 
 
-@pytest.mark.parametrize("file_name,lineno,line,message", [
-    ("manifest.tsv", 2, "", "expected 4 tab-separated fields, got 1"),
-    ("manifest.tsv", 2, "N\t5\tN.tsv", "expected 4 tab-separated fields, got 3"),
-    ("manifest.tsv", 2, "N\tfive\tN.tsv\t2", "N.tsv: manifest says five documents, file has 5"),
-    ("manifest.tsv", 2, "N\t5\tN.tsv\t2.0", "N.tsv: manifest says 2.0 terms, file has 2"),
-    ("manifest.tsv", 2, "XX\t5\tN.tsv\t2", "unknown space 'XX'"),
-    ("KW.tsv", 2, "k:beta\ttwo\td1:1,d3:2", "df 'two' does not match posting count 2"),
-    ("KW.tsv", 3, "k:delta\t3\td3:1,d4:x,d5:2", "tf must be an integer >= 1, got 'x'"),
-    ("KW.tsv", 3, "k:delta\t3\td3:1,d4:0,d5:2", "tf must be an integer >= 1, got '0'"),
-    ("KW.tsv", 6, "d2\tthree", "norm must be a number, got 'three'"),
+@pytest.mark.parametrize("lineno,line,message", [
+    (1, "ontosearch-index\t1", "expected the format line 'ontosearch-index\\t2', got "
+                               "'ontosearch-index\\t1'; rebuild the index"),
+    (2, "docs\tfive", "expected a count, got 'five'"),
+    (2, "kb_sha256", "expected key<TAB>value, got 'kb_sha256'"),
+    (4, "d2\tthree\t0\t0\t0\t0\t0", "norm must be a number, got 'three'"),
+    (4, "d2\t3.70058942643", "expected doc_id and 6 norms, got 'd2\\t3.70058942643'"),
+    (8, "", "expected space<TAB>name<TAB>n_terms after the 5 roster rows that line 2 states, got ''"),
+    (8, "space\tKW", "expected space<TAB>name<TAB>n_terms after the 5 roster rows that line 2 "
+                    "states, got 'space\\tKW'"),
+    (13, "space\tN\t2.0", "expected a count, got '2.0'"),
+    (13, "space\tXX\t2", "unknown space 'XX'"),
+    (9, "k:alpha\t0,1,3", "expected term<TAB>gaps<TAB>tfs, got 'k:alpha\\t0,1,3'"),
+    (10, "k:beta\t0,2\t1", "df 2 (gaps) does not match 1 tfs"),
+    (11, "k:delta\t2,1,1\t1,x,2", "tfs must be comma-separated integers of 1 to 18 ASCII digits, "
+                                  "got '1,x,2'"),
+    (11, "k:delta\t2,1,1\t1,0,2", "tf must be an integer >= 1, got 0"),
+    (11, "k:delta\t2,1,2\t1,5,2", "a posting lies outside the roster of 5 documents"),
+    (11, "k:delta\t5\t1", "a posting lies outside the roster of 5 documents"),
+    (11, "k:delta\t2,0,1\t1,5,2", "postings repeat a document or leave roster order"),
+    (17, "t:*/City\t2\t1", "malformed triple term 't:*/City'"),
+    (17, "q:City\t2\t1", "unknown term serialization 'q:City'"),
+], ids=[
+    "format-line", "docs-count", "fingerprint-line", "norm", "roster-row", "space-line-empty",
+    "space-line-short", "space-term-count", "space-name", "term-line-short", "df",
+    "tf-field", "tf-zero", "past-roster-by-steps", "past-roster-first", "repeated-doc",
+    "malformed-triple", "unknown-term-kind",
 ])
-def test_load_names_the_file_and_line_of_a_malformed_field(tmp_path, file_name, lineno, line, message):
-    save_index(build_index(FIVE_DOCS), tmp_path)
-    replace_line(tmp_path / file_name, lineno, line)
-    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / file_name}:{lineno}: {message}")):
+def test_load_names_the_file_and_line_of_a_malformed_field(tmp_path, lineno, line, message):
+    path = saved_five(tmp_path)
+    replace_line(path, lineno, line)
+    with rejects(path, lineno, message):
+        load_index(tmp_path)
+
+
+def test_load_rejects_rows_whose_field_counts_only_add_up(tmp_path):
+    # one field too many on d1's row and one too few on d2's would shift every cell after them
+    path = saved_five(tmp_path)
+    replace_line(path, 3, "d1\t1.78551787064\t1.83258146375\t0\t0\t0\t0\t0")
+    replace_line(path, 4, "d2\t3.70058942643\t0\t0\t0\t0")
+    with rejects(path, 3, "expected doc_id and 6 norms"):
         load_index(tmp_path)
 
 
 def test_load_rejects_a_space_listed_twice(tmp_path):
-    save_index(build_index(FIVE_DOCS), tmp_path)
-    manifest = tmp_path / "manifest.tsv"
-    replace_line(manifest, 7, "N\t5\tN.tsv\t2")
-    with pytest.raises(ValueError, match=re.escape(f"{manifest}:7: space 'N' is listed twice")):
+    path = saved_five(tmp_path)
+    replace_line(path, 19, "space\tN\t1")
+    with rejects(path, 19, "space 'N' is listed twice"):
         load_index(tmp_path)
 
 
-@pytest.mark.parametrize("lineno,line", [
-    (1, "KW\t4\tKW.tsv\t4"),   # a space with terms
-    (4, "NC\t7\tNC.tsv\t0"),   # a space without terms, whose weights no n_docs changes
-])
-def test_load_rejects_a_manifest_n_docs_that_is_not_the_roster_size(tmp_path, lineno, line):
-    save_index(build_index(FIVE_DOCS), tmp_path)
-    manifest = tmp_path / "manifest.tsv"
-    replace_line(manifest, lineno, line)
-    n_docs, file_name = line.split("\t")[1:3]
-    with pytest.raises(ValueError, match=re.escape(
-            f"{manifest}:{lineno}: {file_name}: manifest says {n_docs} documents, file has 5")):
+def test_load_rejects_a_missing_space_and_a_cut_file(tmp_path):
+    path = saved_five(tmp_path)
+    text = path.read_text()
+    path.write_text(text[:text.index("space\tG")])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no section for spaces ['G']")):
+        load_index(tmp_path)
+    path.write_text(text[:-1])
+    with rejects(path, 21, "the file ends inside a line"):
         load_index(tmp_path)
 
 
 @pytest.mark.parametrize("postings", ["a:1,a:1", "b:1,a:1"])
 def test_load_rejects_postings_that_repeat_a_document_or_leave_roster_order(tmp_path, postings):
-    # the shared term weighs 0, so the edit changes no stored norm
-    save_index(build_index([
-        rep("a", KW={K("shared"): 1, K("x"): 1}),
-        rep("b", KW={K("shared"): 1, K("y"): 2}),
-    ]), tmp_path)
-    kw_file = tmp_path / f"{Space.KW.value}.tsv"
-    assert kw_file.read_text().splitlines()[0] == "k:shared\t2\ta:1,b:1"
-    replace_line(kw_file, 1, f"k:shared\t2\t{postings}")
-    with pytest.raises(ValueError, match=re.escape(
-            f"{kw_file}:1: postings repeat a document or leave roster order")):
+    # as gaps, a repeat is a step of 0 and a step back a negative gap, which no field holds
+    path = two_doc_index(tmp_path)
+    positions = [{"a": 0, "b": 1}[p.split(":")[0]] for p in postings.split(",")]
+    gaps = ",".join(str(p - q) for p, q in zip(positions, [0] + positions))
+    replace_line(path, 6, f"k:shared\t{gaps}\t1,1")
+    message = {
+        "a:1,a:1": "postings repeat a document or leave roster order",
+        "b:1,a:1": "gaps must be comma-separated integers of 1 to 18 ASCII digits, got '1,-1'",
+    }[postings]
+    with rejects(path, 6, message):
         load_index(tmp_path)
+
+
+@pytest.mark.parametrize("field", ["gaps", "tfs"])
+@pytest.mark.parametrize("value", ["+1", " 1", "-1", "1.5", "1,,2", "1,", "99999999999999999999",
+                                   "１"])
+def test_load_takes_only_plain_ascii_integers_in_gaps_and_tfs(tmp_path, field, value):
+    # np.fromstring alone would read each of these as some number, or drop the rest
+    path = saved_five(tmp_path)
+    gaps, tfs = (value, "4,1") if field == "gaps" else ("1,1", value)
+    replace_line(path, 12, f"k:gamma\t{gaps}\t{tfs}")
+    with rejects(path, 12, f"{field} must be comma-separated integers of 1 to 18 ASCII digits, "
+                           f"got {value!r}"):
+        load_index(tmp_path)
+
+
+def test_load_refuses_a_format_1_directory_and_save_replaces_it(tmp_path):
+    for name in ["manifest.tsv", "fingerprint.tsv"] + [f"{space.value}.tsv" for space in Space]:
+        (tmp_path / name).write_text("format 1\n")
+    (tmp_path / "notes.txt").write_text("kept\n")
+    for read in (load_index, read_fingerprint):
+        with pytest.raises(ValueError, match="format-1 index .*; rebuild it"):
+            read(tmp_path)
+    built = build_index(FIVE_DOCS)
+    save_index(built, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["index.tsv", "notes.txt"]
+    assert load_index(tmp_path) == built
+
+
+def test_save_rejects_a_fingerprint_it_cannot_store(tmp_path):
+    for fingerprint in ({"docs": "1"}, {"kb": "a\tb"}, {"k\nb": "a"}):
+        with pytest.raises(ValueError, match="cannot be stored"):
+            save_index(build_index(FIVE_DOCS), tmp_path, fingerprint)
+    assert not (tmp_path / "index.tsv").exists()
 
 
 def test_save_rejects_reserved_characters_in_doc_id(tmp_path):

@@ -11,8 +11,9 @@ one model, and a `search` round represents, scores and ranks them under one
 model at k=1000; a `stem`, `recognize_entities` or `represent_document` round
 analyzes the first 600 documents, and an `expand_document` round expands
 their annotations; a `build_index` round indexes all 6000 documents'
-representations; a grown-KB `recognize_entities` round
-analyzes the first 600 documents, half of them extended by a sentence that
+representations, and a `save_index` or `load_index` round writes that
+index to one `index.tsv` or reads it back; a grown-KB `recognize_entities`
+round analyzes the first 600 documents, half of them extended by a sentence that
 names one of 0, 1000 or 5000 generated extra entities, against synth's KB
 plus those entities, and a gazetteer round builds that KB's gazetteer;
 a `randomization_test` round compares two
@@ -39,7 +40,7 @@ from ontosearch.evaluation import (
     randomization_test,
 )
 from ontosearch.expand import DocRepresentation, Space, expand_document
-from ontosearch.index import IndexBundle, build_index
+from ontosearch.index import IndexBundle, build_index, load_index, save_index
 from ontosearch.kb import KnowledgeBase, _compile_gazetteer, parse_kb
 from ontosearch.rank import (
     Model,
@@ -202,6 +203,17 @@ def test_build_index(benchmark, synth):
     bundle = benchmark(lambda: build_index(synth.reps))
     assert bundle.spaces[Space.G] == synth.idx.spaces[Space.G]
     assert len(bundle.doc_ids) == N_DOCS
+
+
+def test_save_index(benchmark, synth, tmp_path):
+    benchmark(lambda: save_index(synth.idx, tmp_path))
+    assert load_index(tmp_path) == synth.idx
+
+
+def test_load_index(benchmark, synth, tmp_path):
+    save_index(synth.idx, tmp_path)
+    loaded = benchmark(lambda: load_index(tmp_path))
+    assert loaded == synth.idx
 
 
 @pytest.mark.parametrize("model", list(Model), ids=[m.value for m in Model])
