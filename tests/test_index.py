@@ -296,16 +296,25 @@ def test_load_rejects_a_roster_that_repeats_a_row_or_leaves_sorted_order(tmp_pat
 @pytest.mark.parametrize("lineno,line,at,message", [
     (2, "docs\t6", 9, "after the 6 roster rows that line 2 states, got 'k:alpha\\t"),
     (2, "docs\t4", 7, "after the 4 roster rows that line 2 states, got 'd5\\t"),
-    (8, "space\tKW\t5", 14, "after the 5 term lines that line 8 states, got 't:x/*/*\\t"),
     (8, "space\tKW\t3", 12, "after the 3 term lines that line 8 states, got 'k:gamma\\t"),
     (8, "space\tKW\t9", None, "no section for spaces ['C', 'N']"),
     (21, "space\tG\t1", 21, "space G states 1 terms, but the file ends after 0"),
-], ids=["docs-over", "docs-under", "terms-over", "terms-under", "terms-over-a-space", "terms-past-end"])
+], ids=["docs-over", "docs-under", "terms-under", "terms-over-a-space", "terms-past-end"])
 def test_load_rejects_a_count_that_is_not_what_follows_it(tmp_path, lineno, line, at, message):
     path = saved_five(tmp_path)
     replace_line(path, lineno, line)
     where = f"{path}:{at}: " if at else f"{path}: "
     with pytest.raises(ValueError, match=re.escape(where) + ".*" + re.escape(message)):
+        load_index(tmp_path)
+
+
+def test_load_rejects_manifest_term_count_mismatch(tmp_path):
+    # the term count manifest.tsv held now sits on each space line
+    path = saved_five(tmp_path)
+    assert path.read_text().splitlines()[7] == "space\tKW\t4"
+    replace_line(path, 8, "space\tKW\t5")
+    with rejects(path, 14, "expected space<TAB>name<TAB>n_terms after the 5 term lines that line 8 "
+                 "states, got 't:x/*/*\\t0,3\\t2,1'"):
         load_index(tmp_path)
 
 
