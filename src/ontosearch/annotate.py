@@ -55,25 +55,32 @@ class Token(NamedTuple):
     char_span: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class EntityAnnotation:
-    """A recognized mention; unspecified slots are None.
-
-    At least one slot must be specified, and a known identifier implies the
-    name and class are known too (they are derivable from it).
-    """
-
+class _EntityAnnotationSlots(NamedTuple):
     char_span: tuple[int, int]
     surface: str
     name: str | None = None
     class_id: str | None = None
     entity_id: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.name is None and self.class_id is None and self.entity_id is None:
+
+class EntityAnnotation(_EntityAnnotationSlots):
+    """A recognized mention; unspecified slots are None.
+
+    At least one slot must be specified, and a known identifier implies the
+    name and class are known too (they are derivable from it). Like `Token`,
+    a tuple; build one by calling the class, since the tuple helpers `_make`
+    and `_replace` skip these checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, char_span: tuple[int, int], surface: str, name: str | None = None,
+                class_id: str | None = None, entity_id: str | None = None) -> EntityAnnotation:
+        if name is None and class_id is None and entity_id is None:
             raise ValueError("annotation must specify at least one of name/class/id")
-        if self.entity_id is not None and (self.name is None or self.class_id is None):
+        if entity_id is not None and (name is None or class_id is None):
             raise ValueError("an identified annotation must carry name and class")
+        return tuple.__new__(cls, (char_span, surface, name, class_id, entity_id))
 
 
 @dataclass(frozen=True)
@@ -172,13 +179,19 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 
 def load_wh_mapping(path: str | Path) -> dict[str, str]:
-    """TSV `word<TAB>class_id`; word keys are case-folded."""
+    """TSV `word<TAB>class_id`; word keys are case-folded, and each is mapped once."""
     mapping: dict[str, str] = {}
+    mapped_at: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0] or not fields[1]:
             raise ValueError(f"{path}:{lineno}: expected `word<TAB>class_id`")
-        mapping[fields[0].casefold()] = fields[1]
+        word = fields[0].casefold()
+        if word in mapped_at:
+            raise ValueError(f"{path}:{lineno}: word {word!r} is mapped again; "
+                             f"line {mapped_at[word]} mapped it first")
+        mapped_at[word] = lineno
+        mapping[word] = fields[1]
     return mapping

@@ -4,12 +4,18 @@ File formats:
   corpus    records starting with `DOC<TAB>doc_id`, followed by the
             document's text lines until the next DOC record
   queries   `query_id<TAB>query text[<TAB>WH=class_id]`
-  config    optional TSV of `key<TAB>value` pairs, one key per flag it
-            may set (kb, stopwords, model, alpha, wn, wc, wnc, wi, k,
-            wh-mapping); an unknown key is an error; explicit flags win
+  config    optional TSV of `key<TAB>value` pairs, shared by index,
+            search and dump-terms: kb, stopwords, model, alpha, wn, wc,
+            wnc, wi, k, wh-mapping, each set at most once; every command
+            checks every key, and an unknown key is an error; explicit
+            flags win
   qrels     TREC `query_id 0 doc_id rel`
   run       TREC `query_id Q0 doc_id rank score tag`; the tag (--run-tag)
             is one non-empty word
+
+Each command takes only the flags it reads: index takes --kb and
+--stopwords, dump-terms adds --model and --wh-mapping, and search takes
+all ten config keys as flags.
 
 Evaluation covers every query in the qrels: a query with no run lines
 contributes an average precision of zero rather than being dropped, so
@@ -269,7 +275,8 @@ def cmd_dump_terms(cfg: RunConfig, text: str, side: str, wh_override: str | None
 
 # --- argument plumbing ---------------------------------------------------------------
 
-# the flags of index, search and dump-terms that a --config file may set
+# the keys a --config file may set, with the help of their flags; search takes
+# every one as a flag, index and dump-terms only those they read
 _CONFIG_FLAGS = {
     "kb": "knowledge base TSV",
     "stopwords": "stop-word list, one word per line",
@@ -302,6 +309,9 @@ def _load_config_file(path: Path) -> dict[str, ConfigValue]:
         if key not in _CONFIG_FLAGS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}; a config file sets "
                            + ", ".join(_CONFIG_FLAGS))
+        if key in values:
+            raise CliError(f"{path}:{lineno}: key {key!r} is set again; "
+                           f"{values[key].where} set it first")
         values[key] = ConfigValue(value.strip(), f"{path}:{lineno}")
     return values
 
@@ -393,18 +403,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, keys):
         p.add_argument("--config", type=Path, help="optional TSV of key/value defaults")
-        for key, help_text in _CONFIG_FLAGS.items():
-            p.add_argument(f"--{key}", help=help_text)
+        for key in keys:
+            p.add_argument(f"--{key}", help=_CONFIG_FLAGS[key])
 
-    p_index = sub.add_parser("index", help="build an index directory from a corpus")
-    add_common(p_index)
+    # index and dump-terms take no abbreviations, so a flag only search takes
+    # (--k) is not read as one they do (--kb)
+    p_index = sub.add_parser("index", help="build an index directory from a corpus",
+                             allow_abbrev=False)
+    add_common(p_index, ("kb", "stopwords"))
     p_index.add_argument("--corpus", required=True, type=Path)
     p_index.add_argument("--index-dir", required=True, type=Path)
 
     p_search = sub.add_parser("search", help="run a query file against an index")
-    add_common(p_search)
+    add_common(p_search, _CONFIG_FLAGS)
     p_search.add_argument("--index-dir", required=True, type=Path)
     p_search.add_argument("--queries", required=True, type=Path)
     p_search.add_argument("--output", required=True, type=Path)
@@ -423,8 +436,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sig.add_argument("--permutations", type=int, default=100_000)
     p_sig.add_argument("--seed", type=int, default=0)
 
-    p_dump = sub.add_parser("dump-terms", help="print a text's expanded term set")
-    add_common(p_dump)
+    p_dump = sub.add_parser("dump-terms", help="print a text's expanded term set",
+                            allow_abbrev=False)
+    add_common(p_dump, ("kb", "stopwords", "model", "wh-mapping"))
     p_dump.add_argument("--side", choices=("query", "document"), default="query")
     p_dump.add_argument("--wh", help="override the query's wh class (model kw+ne+wh, --side query only)")
     p_dump.add_argument("text", help="query or document text")

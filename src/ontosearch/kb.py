@@ -41,6 +41,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 
@@ -270,27 +271,14 @@ def load_kb(path: str | Path) -> KnowledgeBase:
 
 
 def _check_acyclic(classes: dict[str, ClassDef], origin: str) -> None:
-    # iterative three-color DFS over the parent relation
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {c: WHITE for c in classes}
-    for root in classes:
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[str, bool]] = [(root, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                color[node] = BLACK
-                continue
-            if color[node] == BLACK:
-                continue
-            color[node] = GRAY
-            stack.append((node, True))
-            for parent in classes[node].parent_ids:
-                if color[parent] == GRAY:
-                    raise KBError(f"{origin}: cycle in class hierarchy involving {parent!r}")
-                if color[parent] == WHITE:
-                    stack.append((parent, False))
+    # parents sorted, so the cycle named does not depend on string hashing
+    graph = {class_id: sorted(cdef.parent_ids) for class_id, cdef in classes.items()}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        # the nodes come each before its child; list them child first
+        cycle = " -> ".join(map(repr, reversed(exc.args[1])))
+        raise KBError(f"{origin}: cycle in class hierarchy (class -> parent): {cycle}") from None
 
 
 def super_classes(kb: KnowledgeBase, class_id: str) -> frozenset[str]:

@@ -379,6 +379,14 @@ def test_stopword_and_wh_mapping_files(tmp_path):
         load_wh_mapping(bad)
 
 
+def test_wh_mapping_file_maps_each_word_once(tmp_path):
+    wh = tmp_path / "wh.tsv"
+    wh.write_text("who\tPerson\n# again\nWHO\tLocation\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc_info:
+        load_wh_mapping(wh)
+    assert str(exc_info.value) == f"{wh}:3: word 'who' is mapped again; line 1 mapped it first"
+
+
 def ordered_spans(min_gap: int):
     """Disjoint non-empty spans in text order, from (gap, length) steps."""
     steps = st.lists(st.tuples(st.integers(min_gap, 4), st.integers(1, 6)), max_size=12)

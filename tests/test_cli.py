@@ -319,6 +319,12 @@ def test_config_file_supplies_defaults_and_flags_win(workspace):
     assert out_ne.read_text() != kw_lines  # the flag really overrode the config
 
 
+def unread_search_paths(tmp_path):
+    """The path flags of a search that fails on its settings, before it opens a file."""
+    return ("--index-dir", tmp_path / "index", "--queries", tmp_path / "queries.tsv",
+            "--output", tmp_path / "run.txt")
+
+
 @pytest.mark.parametrize("flag,value,model,message", [
     ("k", "ten", "kw", "--k 'ten' is not an integer"),
     ("k", "2.5", "kw", "--k '2.5' is not an integer"),
@@ -327,7 +333,8 @@ def test_config_file_supplies_defaults_and_flags_win(workspace):
 ], ids=["k-word", "k-fraction", "alpha", "wn"])
 def test_unparseable_number_names_its_flag_or_config_line(tmp_path, capsys, flag, value,
                                                            model, message):
-    assert run_cli("dump-terms", "--kb", KB, "--model", model, f"--{flag}", value, "Moscow") == 1
+    assert run_cli("search", "--kb", KB, "--model", model, f"--{flag}", value,
+                   *unread_search_paths(tmp_path)) == 1
     assert f"error: {message}\n" == capsys.readouterr().err
     config = tmp_path / "config.tsv"
     config.write_text(f"# defaults\nmodel\t{model}\n{flag}\t{value}\n", encoding="utf-8")
@@ -335,8 +342,9 @@ def test_unparseable_number_names_its_flag_or_config_line(tmp_path, capsys, flag
     assert f"error: {config}:3: {flag} {value!r} is not " in capsys.readouterr().err
 
 
-def test_nan_space_weight_is_rejected(capsys):
-    assert run_cli("dump-terms", "--kb", KB, "--model", "ne", "--wn", "nan", "Moscow") == 1
+def test_nan_space_weight_is_rejected(tmp_path, capsys):
+    assert run_cli("search", "--kb", KB, "--model", "ne", "--wn", "nan",
+                   *unread_search_paths(tmp_path)) == 1
     assert "space weights must sum to 1" in capsys.readouterr().err
 
 
@@ -361,6 +369,47 @@ def test_seed_is_not_a_flag_of_the_analysis_commands(workspace, capsys, command)
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
     assert not (workspace / "index").exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    *(("index", flag) for flag in ("model", "alpha", "wn", "wc", "wnc", "wi", "k", "wh-mapping")),
+    *(("dump-terms", flag) for flag in ("alpha", "wn", "wc", "wnc", "wi", "k")),
+])
+def test_index_and_dump_terms_take_no_flag_they_do_not_read(workspace, capsys, command, flag):
+    argv = {
+        "index": ["--corpus", workspace / "corpus.tsv", "--index-dir", workspace / "index"],
+        "dump-terms": ["Moscow"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--kb", KB, *argv, f"--{flag}", "1")
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: --{flag} 1" in capsys.readouterr().err
+    assert not (workspace / "index").exists()
+
+
+def test_search_takes_every_config_key_as_a_flag(tmp_path):
+    keys = ("kb", "stopwords", "model", "alpha", "wn", "wc", "wnc", "wi", "k", "wh-mapping")
+    argv = ["search", *(f"--{key}=v-{key}" for key in keys), *unread_search_paths(tmp_path)]
+    args = cli._build_parser().parse_args([str(a) for a in argv])
+    assert {key: getattr(args, key.replace("-", "_")) for key in keys} == {
+        key: f"v-{key}" for key in keys}
+
+
+def test_index_checks_every_key_of_its_config_file(workspace, capsys):
+    config = workspace / "config.tsv"
+    config.write_text(f"kb\t{KB}\nmodel\tkw\nk\tten\n", encoding="utf-8")
+    assert run_cli("index", "--config", config, "--corpus", workspace / "corpus.tsv",
+                   "--index-dir", workspace / "index") == 1
+    assert f"error: {config}:3: k 'ten' is not an integer" in capsys.readouterr().err
+    assert not (workspace / "index").exists()
+
+
+def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):
+    config = tmp_path / "config.tsv"
+    config.write_text(f"kb\t{KB}\nmodel\tkw\n# later\nmodel\tkw+ne+wh\n", encoding="utf-8")
+    assert run_cli("search", "--config", config, *unread_search_paths(tmp_path)) == 1
+    assert (f"error: {config}:4: key 'model' is set again; {config}:2 set it first\n"
+            == capsys.readouterr().err)
 
 
 # sha256 of each run file `ontosearch search` writes with default flags for the

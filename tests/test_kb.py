@@ -47,6 +47,21 @@ def test_two_node_cycle_rejected():
         parse_kb(text)
 
 
+def test_self_parent_is_a_cycle():
+    text = kb_text("CLASS\tTop\t-\tTOP", "CLASS\tA\tTop,A\t-")
+    with pytest.raises(KBError, match=r"^kb\.tsv: cycle in class hierarchy .*: 'A' -> 'A'$"):
+        parse_kb(text, origin="kb.tsv")
+
+
+def test_three_class_cycle_names_its_classes_child_first():
+    # A's parent is C, C's is B, B's is A; D hangs off the cycle and is not named
+    text = kb_text("CLASS\tA\tC\t-", "CLASS\tB\tA\t-", "CLASS\tC\tB\t-",
+                   "CLASS\tD\tA\t-")
+    with pytest.raises(KBError, match=r"^kb\.tsv: cycle in class hierarchy "
+                                      r"\(class -> parent\): 'A' -> 'C' -> 'B' -> 'A'$"):
+        parse_kb(text, origin="kb.tsv")
+
+
 def test_rootless_class_has_empty_closure():
     kb = parse_kb(kb_text("CLASS\tSolo\t-\t-"))
     assert super_classes(kb, "Solo") == frozenset()
