@@ -4,18 +4,18 @@ File formats:
   corpus    records starting with `DOC<TAB>doc_id`, followed by the
             document's text lines until the next DOC record
   queries   `query_id<TAB>query text[<TAB>WH=class_id]`
-  config    optional TSV of `key<TAB>value` pairs, shared by index,
-            search and dump-terms: kb, stopwords, model, alpha, wn, wc,
-            wnc, wi, k, wh-mapping, each set at most once; every command
-            checks every key, and an unknown key is an error; explicit
-            flags win
+  config    optional TSV of `key<TAB>value` lines, each key set at most
+            once; an unknown key is an error and explicit flags win
   qrels     TREC `query_id 0 doc_id rel`
   run       TREC `query_id Q0 doc_id rank score tag`; the tag (--run-tag)
             is one non-empty word
 
-Each command takes only the flags it reads: index takes --kb and
---stopwords, dump-terms adds --model and --wh-mapping, and search takes
-all ten config keys as flags.
+Flags and config keys come from one table, `_SETTINGS`: each of the ten
+keys has its help, its converter, the models that read it and the
+commands that take it as a flag. index, search and dump-terms each check
+every key a config file sets, as search would, and a failure names the
+flag or the config line. No command takes abbreviated flags, and an
+empty path is an error.
 
 Evaluation covers every query in the qrels: a query with no run lines
 contributes an average precision of zero rather than being dropped, so
@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .annotate import DEFAULT_STOPWORDS, DEFAULT_WH_MAPPING, load_stopwords, load_wh_mapping
 from .evaluation import (
@@ -275,29 +275,53 @@ def cmd_dump_terms(cfg: RunConfig, text: str, side: str, wh_override: str | None
 
 # --- argument plumbing ---------------------------------------------------------------
 
-# the keys a --config file may set, with the help of their flags; search takes
-# every one as a flag, index and dump-terms only those they read
-_CONFIG_FLAGS = {
-    "kb": "knowledge base TSV",
-    "stopwords": "stop-word list, one word per line",
-    "model": "kw | ne | kw-union-ne | kw+ne | kw+ne+wh",
-    "alpha": "keyword/entity blend for kw-union-ne",
-    "wn": "name-space weight",
-    "wc": "class-space weight",
-    "wnc": "name-class-space weight",
-    "wi": "identifier-space weight",
-    "k": "result cutoff",
-    "wh-mapping": "interrogative-to-class TSV",
+def _path(text: str) -> Path:
+    if not text:
+        raise ValueError("empty path")
+    return Path(text)
+
+
+class Setting(NamedTuple):
+    help: str
+    convert: Callable[[str], object]  # int, float, Model, or _path for a file
+    models: frozenset[Model]  # the models that read it
+    commands: tuple[str, ...]  # the commands that take it as a flag
+    field: str | None = None  # the ModelConfig field it sets
+
+
+_ALL_MODELS = frozenset(Model)
+_SPACE_WEIGHTED = frozenset({Model.NE, Model.KW_UNION_NE})
+_ANALYSIS = ("index", "search", "dump-terms")
+
+# the keys a --config file may set, in the order they are read: model comes
+# before every key that only some models read
+_SETTINGS = {
+    "kb": Setting("knowledge base TSV", _path, _ALL_MODELS, _ANALYSIS),
+    "stopwords": Setting("stop-word list, one word per line", _path, _ALL_MODELS, _ANALYSIS),
+    "model": Setting("kw | ne | kw-union-ne | kw+ne | kw+ne+wh", Model, _ALL_MODELS,
+                     ("search", "dump-terms"), "model"),
+    "alpha": Setting("keyword/entity blend for kw-union-ne", float,
+                     frozenset({Model.KW_UNION_NE}), ("search",), "alpha"),
+    "wn": Setting("name-space weight", float, _SPACE_WEIGHTED, ("search",), "w_n"),
+    "wc": Setting("class-space weight", float, _SPACE_WEIGHTED, ("search",), "w_c"),
+    "wnc": Setting("name-class-space weight", float, _SPACE_WEIGHTED, ("search",), "w_nc"),
+    "wi": Setting("identifier-space weight", float, _SPACE_WEIGHTED, ("search",), "w_i"),
+    "k": Setting("result cutoff", int, _ALL_MODELS, ("search",), "k"),
+    "wh-mapping": Setting("interrogative-to-class TSV", _path,
+                          frozenset({Model.KW_PLUS_NE_WH}), ("search", "dump-terms")),
+}
+# the error for a value each converter rejects
+_INVALID = {
+    int: "{where} {text!r} is not an integer",
+    float: "{where} {text!r} is not a number",
+    _path: "{where} {text!r} is not a path",
+    Model: "unknown model {text!r}; choose from " + ", ".join(m.value for m in Model),
 }
 
 
-class ConfigValue(NamedTuple):
-    value: str
-    where: str  # `path:lineno` of the line that set it
-
-
-def _load_config_file(path: Path) -> dict[str, ConfigValue]:
-    values: dict[str, ConfigValue] = {}
+def _load_config_file(path: Path) -> dict[str, tuple[str, str]]:
+    """key -> (value, `path:lineno` of the line that set it)."""
+    values: dict[str, tuple[str, str]] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -306,94 +330,48 @@ def _load_config_file(path: Path) -> dict[str, ConfigValue]:
         if not sep:
             raise CliError(f"{path}:{lineno}: expected key<TAB>value")
         key = key.strip()
-        if key not in _CONFIG_FLAGS:
+        if key not in _SETTINGS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}; a config file sets "
-                           + ", ".join(_CONFIG_FLAGS))
+                           + ", ".join(_SETTINGS))
         if key in values:
             raise CliError(f"{path}:{lineno}: key {key!r} is set again; "
-                           f"{values[key].where} set it first")
-        values[key] = ConfigValue(value.strip(), f"{path}:{lineno}")
+                           f"{values[key][1]} set it first")
+        values[key] = (value.strip(), f"{path}:{lineno}")
     return values
 
 
-def _merged(args: argparse.Namespace, config: dict[str, ConfigValue], key: str, default=None):
-    flag_value = getattr(args, key.replace("-", "_"), None)
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key].value
-    return default
-
-
-def _number(args: argparse.Namespace, config: dict[str, ConfigValue], key: str, convert):
-    """The value of `key` converted by `int` or `float`, or None when it is not set.
-
-    A value that does not convert is reported with its flag, or with the
-    config file line that set it.
-    """
-    value = _merged(args, config, key)
-    if value is None:
-        return None
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """Each setting from its flag, or else its config line, converted and checked
+    against the model; a failure names the flag or the config line."""
+    config = _load_config_file(args.config) if args.config else {}
+    values = {}
+    model = Model.KW_PLUS_NE
+    for key, setting in _SETTINGS.items():
+        text, where = getattr(args, key.replace("-", "_"), None), f"--{key}"
+        if text is None and key in config:
+            text, line = config[key]
+            where = f"{line}: {key}"
+        if text is None:
+            if key == "kb":
+                raise CliError("--kb is required")
+            continue
+        try:
+            values[key] = setting.convert(text)
+        except ValueError:
+            raise CliError(_INVALID[setting.convert].format(where=where, text=text)) from None
+        model = values.get("model", model)
+        if model not in setting.models:
+            names = [m.value for m in Model if m in setting.models]
+            raise CliError(f"{where} applies only to model{'s' * (len(names) > 1)} "
+                           + " and ".join(names))
     try:
-        return convert(value)
-    except ValueError:
-        if getattr(args, key, None) is not None:
-            where = f"--{key}"
-        else:
-            where = f"{config[key].where}: {key}"
-        kind = "an integer" if convert is int else "a number"
-        raise CliError(f"{where} {value!r} is not {kind}") from None
-
-
-def _model_config(args: argparse.Namespace, config: dict[str, ConfigValue]) -> ModelConfig:
-    model_name = _merged(args, config, "model", Model.KW_PLUS_NE.value)
-    try:
-        model = Model(model_name)
-    except ValueError:
-        raise CliError(f"unknown model {model_name!r}; choose from "
-                       + ", ".join(m.value for m in Model)) from None
-
-    weight_keys = ("wn", "wc", "wnc", "wi")
-    given_weights = {k: _number(args, config, k, float) for k in weight_keys}
-    alpha = _number(args, config, "alpha", float)
-    if model not in (Model.NE, Model.KW_UNION_NE) and any(
-        v is not None for v in given_weights.values()
-    ):
-        raise CliError("space weights apply only to models ne and kw-union-ne")
-    if model is not Model.KW_UNION_NE and alpha is not None:
-        raise CliError("--alpha applies only to model kw-union-ne")
-
-    kwargs = {}
-    names = {"wn": "w_n", "wc": "w_c", "wnc": "w_nc", "wi": "w_i"}
-    for key, value in given_weights.items():
-        if value is not None:
-            kwargs[names[key]] = value
-    if alpha is not None:
-        kwargs["alpha"] = alpha
-    k = _number(args, config, "k", int)
-    if k is not None:
-        kwargs["k"] = k
-    try:
-        return ModelConfig(model=model, **kwargs)
+        model_config = ModelConfig(**{
+            _SETTINGS[key].field: value for key, value in values.items() if _SETTINGS[key].field})
     except ValueError as exc:
         raise CliError(str(exc)) from None
-
-
-def _run_config(args: argparse.Namespace, config: dict[str, ConfigValue]) -> RunConfig:
-    kb = _merged(args, config, "kb")
-    if kb is None:
-        raise CliError("--kb is required")
-    model = _model_config(args, config)
-    wh_mapping = _merged(args, config, "wh-mapping")
-    if wh_mapping is not None and model.model is not Model.KW_PLUS_NE_WH:
-        raise CliError("--wh-mapping applies only to model kw+ne+wh")
-    stopwords = _merged(args, config, "stopwords")
-    return RunConfig(
-        kb_path=Path(kb),
-        model=model,
-        stopword_path=Path(stopwords) if stopwords else None,
-        wh_mapping_path=Path(wh_mapping) if wh_mapping else None,
-    )
+    return RunConfig(kb_path=values["kb"], model=model_config,
+                     stopword_path=values.get("stopwords"),
+                     wh_mapping_path=values.get("wh-mapping"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -403,32 +381,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, keys):
-        p.add_argument("--config", type=Path, help="optional TSV of key/value defaults")
+    def add_command(name, help):
+        # no abbreviations, so a flag one command takes (--run-tag) is not
+        # read for one it lacks (--run)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        keys = [key for key, setting in _SETTINGS.items() if name in setting.commands]
+        if keys:
+            p.add_argument("--config", type=Path, help="optional TSV of key/value defaults")
         for key in keys:
-            p.add_argument(f"--{key}", help=_CONFIG_FLAGS[key])
+            p.add_argument(f"--{key}", help=_SETTINGS[key].help)
+        return p
 
-    # index and dump-terms take no abbreviations, so a flag only search takes
-    # (--k) is not read as one they do (--kb)
-    p_index = sub.add_parser("index", help="build an index directory from a corpus",
-                             allow_abbrev=False)
-    add_common(p_index, ("kb", "stopwords"))
+    p_index = add_command("index", "build an index directory from a corpus")
     p_index.add_argument("--corpus", required=True, type=Path)
     p_index.add_argument("--index-dir", required=True, type=Path)
 
-    p_search = sub.add_parser("search", help="run a query file against an index")
-    add_common(p_search, _CONFIG_FLAGS)
+    p_search = add_command("search", "run a query file against an index")
     p_search.add_argument("--index-dir", required=True, type=Path)
     p_search.add_argument("--queries", required=True, type=Path)
     p_search.add_argument("--output", required=True, type=Path)
     p_search.add_argument("--run-tag", default="ontosearch")
 
-    p_eval = sub.add_parser("eval", help="score a run file against qrels")
+    p_eval = add_command("eval", "score a run file against qrels")
     p_eval.add_argument("--run", required=True, type=Path)
     p_eval.add_argument("--qrels", required=True, type=Path)
     p_eval.add_argument("--output", required=True, type=Path)
 
-    p_sig = sub.add_parser("sigtest", help="paired randomization test between two runs")
+    p_sig = add_command("sigtest", "paired randomization test between two runs")
     p_sig.add_argument("--run-a", required=True, type=Path)
     p_sig.add_argument("--run-b", required=True, type=Path)
     p_sig.add_argument("--qrels", required=True, type=Path)
@@ -436,9 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sig.add_argument("--permutations", type=int, default=100_000)
     p_sig.add_argument("--seed", type=int, default=0)
 
-    p_dump = sub.add_parser("dump-terms", help="print a text's expanded term set",
-                            allow_abbrev=False)
-    add_common(p_dump, ("kb", "stopwords", "model", "wh-mapping"))
+    p_dump = add_command("dump-terms", "print a text's expanded term set")
     p_dump.add_argument("--side", choices=("query", "document"), default="query")
     p_dump.add_argument("--wh", help="override the query's wh class (model kw+ne+wh, --side query only)")
     p_dump.add_argument("text", help="query or document text")
@@ -450,19 +427,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config_file(args.config) if getattr(args, "config", None) else {}
         if args.command == "index":
-            cmd_index(_run_config(args, config), args.corpus, args.index_dir)
+            cmd_index(_run_config(args), args.corpus, args.index_dir)
         elif args.command == "search":
-            cfg = _run_config(args, config)
-            cmd_search(cfg, args.index_dir, args.queries, args.output, args.run_tag)
+            cmd_search(_run_config(args), args.index_dir, args.queries, args.output, args.run_tag)
         elif args.command == "eval":
             cmd_eval(args.run, args.qrels, args.output)
         elif args.command == "sigtest":
             cmd_sigtest(args.run_a, args.run_b, args.qrels, args.output,
                         args.permutations, args.seed)
         elif args.command == "dump-terms":
-            cfg = _run_config(args, config)
+            cfg = _run_config(args)
             if args.wh is not None and cfg.model.model is not Model.KW_PLUS_NE_WH:
                 raise CliError("--wh applies only to model kw+ne+wh")
             if args.wh is not None and args.side == "document":

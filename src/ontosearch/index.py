@@ -331,7 +331,10 @@ def read_fingerprint(directory: str | Path) -> dict[str, str]:
 def load_index(directory: str | Path) -> IndexBundle:
     """Read `index.tsv` back, checking every field; a malformed one fails with path:line."""
     path = _index_file(directory)
-    lines = path.read_text(encoding="utf-8").split("\n")
+    # no newline translation: a "\r" in a doc id or fingerprint value stays
+    # inside its line, as read_fingerprint reads it
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
     if lines.pop():
         raise ValueError(f"{path}:{len(lines) + 1}: the file ends inside a line")
     _, n_docs, docs_line = _read_header(iter(lines), path)

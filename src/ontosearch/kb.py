@@ -283,8 +283,6 @@ def _check_acyclic(classes: dict[str, ClassDef], origin: str) -> None:
 
 def super_classes(kb: KnowledgeBase, class_id: str) -> frozenset[str]:
     """Transitive parent closure of ``class_id``, minus top-level classes and itself."""
-    if class_id not in kb.classes:
-        raise KeyError(f"unknown class id {class_id!r}")
     seen: set[str] = set()
     stack = list(kb.classes[class_id].parent_ids)
     while stack:
@@ -299,8 +297,6 @@ def super_classes(kb: KnowledgeBase, class_id: str) -> frozenset[str]:
 
 def alias_set(kb: KnowledgeBase, entity_id: str) -> frozenset[str]:
     """All surface forms of the entity, canonical name included."""
-    if entity_id not in kb.entities:
-        raise KeyError(f"unknown entity id {entity_id!r}")
     edef = kb.entities[entity_id]
     return frozenset({edef.canonical_name, *edef.aliases})
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import math
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -292,7 +295,7 @@ def test_search_rejects_a_run_tag_before_reading_kb_or_index(workspace, capsys, 
 @pytest.mark.parametrize("argv,fragment", [
     (("search", "--model", "bm25"), "unknown model"),
     (("search", "--model", "kw", "--alpha", "0.5"), "alpha"),
-    (("search", "--model", "kw+ne", "--wn", "1.0"), "weights"),
+    (("search", "--model", "kw+ne", "--wn", "1.0"), "--wn"),
     (("search", "--model", "kw", "--wh-mapping", "x.tsv"), "wh-mapping"),
 ])
 def test_model_flag_validation(workspace, capsys, argv, fragment):
@@ -342,6 +345,47 @@ def test_unparseable_number_names_its_flag_or_config_line(tmp_path, capsys, flag
     assert f"error: {config}:3: {flag} {value!r} is not " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,model,message", [
+    ("wn", "1.0", "kw+ne", "applies only to models ne and kw-union-ne"),
+    ("alpha", "0.5", "ne", "applies only to model kw-union-ne"),
+    ("wh-mapping", "wh.tsv", "kw+ne", "applies only to model kw+ne+wh"),
+], ids=["wn", "alpha", "wh-mapping"])
+def test_a_setting_the_model_does_not_read_names_its_flag_or_config_line(tmp_path, capsys, key,
+                                                                         value, model, message):
+    assert run_cli("search", "--kb", KB, "--model", model, f"--{key}", value,
+                   *unread_search_paths(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: --{key} {message}\n"
+    config = tmp_path / "config.tsv"
+    config.write_text(f"model\t{model}\n# the key no model {model} reads\n{key}\t{value}\n",
+                      encoding="utf-8")
+    assert run_cli("search", "--kb", KB, "--config", config, *unread_search_paths(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {config}:3: {key} {message}\n"
+
+
+def test_kb_is_required_before_any_other_setting_is_checked(tmp_path, capsys):
+    config = tmp_path / "config.tsv"
+    config.write_text("model\tbm25\nk\tten\n", encoding="utf-8")
+    assert run_cli("search", "--config", config, "--stopwords", "", "--wn", "x",
+                   *unread_search_paths(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: --kb is required\n"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("dump-terms", "kb"), ("dump-terms", "stopwords"), ("dump-terms", "wh-mapping"),
+    ("index", "stopwords"),
+])
+def test_an_empty_path_flag_is_an_error_not_the_default(workspace, capsys, command, flag):
+    rest = {
+        "dump-terms": ["--model", "kw+ne+wh", "Who founded Stanford University?"],
+        "index": ["--corpus", workspace / "corpus.tsv", "--index-dir", workspace / "index"],
+    }[command]
+    assert run_cli(command, "--kb", KB, f"--{flag}", "", *rest) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --{flag} '' is not a path\n"
+    assert captured.out == ""
+    assert not (workspace / "index").exists()
+
+
 def test_nan_space_weight_is_rejected(tmp_path, capsys):
     assert run_cli("search", "--kb", KB, "--model", "ne", "--wn", "nan",
                    *unread_search_paths(tmp_path)) == 1
@@ -387,12 +431,53 @@ def test_index_and_dump_terms_take_no_flag_they_do_not_read(workspace, capsys, c
     assert not (workspace / "index").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--kb", KB, "--index-dir", "idx", "--queries", "queries.tsv",
+     "--output", "out.tsv", "--run", "eval.txt"),
+    ("search", "--kb", KB, "--index-dir", "idx", "--que", "queries.tsv", "--output", "out.tsv"),
+    ("eval", "--run", "run.txt", "--qrels", "qrels.txt", "--out", "out.tsv"),
+    ("sigtest", "--run-a", "run.txt", "--run-b", "run.txt", "--qrels", "qrels.txt",
+     "--output", "out.tsv", "--perm", "5"),
+], ids=["search-run", "search-que", "eval-out", "sigtest-perm"])
+def test_no_command_takes_an_abbreviated_flag(workspace, capsys, monkeypatch, argv):
+    # each command line would succeed if its abbreviation were read as the full flag
+    build_index_dir(workspace)
+    (workspace / "run.txt").write_text(RUN_A, encoding="utf-8")
+    (workspace / "qrels.txt").write_text(QRELS, encoding="utf-8")
+    monkeypatch.chdir(workspace)
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (workspace / "out.tsv").exists()
+
+
 def test_search_takes_every_config_key_as_a_flag(tmp_path):
     keys = ("kb", "stopwords", "model", "alpha", "wn", "wc", "wnc", "wi", "k", "wh-mapping")
     argv = ["search", *(f"--{key}=v-{key}" for key in keys), *unread_search_paths(tmp_path)]
     args = cli._build_parser().parse_args([str(a) for a in argv])
     assert {key: getattr(args, key.replace("-", "_")) for key in keys} == {
         key: f"v-{key}" for key in keys}
+
+
+def test_readme_flag_table_lists_each_commands_settings_flags():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = {
+        row[0].strip("` "): re.findall(r"`(--[a-z-]+)`", row[1])
+        for row in (line.strip("|").split("|") for line in section.splitlines()
+                    if line.startswith("| `"))
+    }
+    settings = {f"--{key}" for key in cli._SETTINGS}
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices
+    taken = {}
+    for command, parser in subparsers.items():
+        flags = [flag for action in parser._actions for flag in action.option_strings
+                 if flag in settings]
+        if flags:
+            taken[command] = flags
+    assert documented == taken
 
 
 def test_index_checks_every_key_of_its_config_file(workspace, capsys):

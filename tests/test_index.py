@@ -175,6 +175,14 @@ def test_round_trip_restores_everything_exactly(tmp_path):
         assert loaded.spaces[space].norms.tolist() == built.spaces[space].norms.tolist()  # exact floats
 
 
+def test_a_carriage_return_in_a_doc_id_or_fingerprint_value_round_trips(tmp_path):
+    # save_index reserves only ':', ',', tab and newline; a "\r" must not split a line on load
+    built = build_index([rep("a\rb", KW={K("alpha"): 1}), *FIVE_DOCS])
+    save_index(built, tmp_path, {"kb_sha256": "v\rw"})
+    assert load_index(tmp_path) == built
+    assert read_fingerprint(tmp_path) == {"kb_sha256": "v\rw"}
+
+
 def test_load_parses_each_distinct_term_once(tmp_path):
     # G's entity terms are the very tuples parsed for N, C, NC and I
     save_index(build_index(FIVE_DOCS + [rep("d6", N={Triple("x", None, None): 1},
