@@ -14,18 +14,20 @@ Flags and config keys come from one table, `_SETTINGS`: each of the ten
 keys has its help, its converter, the models that read it and the
 commands that take it as a flag. index, search and dump-terms each check
 every key a config file sets, as search would, and a failure names the
-flag or the config line. No command takes abbreviated flags, and an
-empty path is an error.
+flag or the config line; then the stop-word and wh-mapping files are
+read, once. No command takes abbreviated flags, and an empty path is an
+error.
 
 Evaluation covers every query in the qrels: a query with no run lines
 contributes an average precision of zero rather than being dropped, so
 a system cannot improve its MAP by returning nothing.
 
 An index directory holds one file, `index.tsv`, whose header carries a
-fingerprint of the knowledge base and stop-word list used to build it
-(see `ontosearch.index`). Search reads that header first and refuses to
-run when the files on the command line hash differently, or when the
-directory holds a format-1 index, which must be rebuilt. The postings
+fingerprint of the knowledge base file and of the stop-word set (its
+sorted words, one a line) used to build it (see `ontosearch.index`).
+Search reads that header first and refuses to run when the inputs on
+the command line hash differently, or when the directory holds a
+format-1 index, which must be rebuilt. The postings
 and the fingerprint are committed by one rename, so a failed `index`
 leaves the old index with its own fingerprint. All output files are
 written atomically, so a failed command leaves no partial primary output.
@@ -36,8 +38,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -53,14 +53,7 @@ from .evaluation import (
     randomization_test,
 )
 from .expand import Space, display_term
-from .index import (
-    _FORBIDDEN_IN_DOC_ID,
-    _atomic_write,
-    build_index,
-    load_index,
-    read_fingerprint,
-    save_index,
-)
+from .index import _atomic_write, build_index, load_index, read_fingerprint, save_index
 from .kb import load_kb
 from .rank import (
     Model,
@@ -82,25 +75,11 @@ class QuerySpec(NamedTuple):
     wh_override: str | None
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     kb_path: Path
     model: ModelConfig
-    stopword_path: Path | None = None
-    wh_mapping_path: Path | None = None
-
-    # read once per config; a frozen dataclass still has the __dict__ these cache in
-    @cached_property
-    def stopwords(self):
-        if self.stopword_path is None:
-            return DEFAULT_STOPWORDS
-        return load_stopwords(self.stopword_path)
-
-    @cached_property
-    def wh_mapping(self):
-        if self.wh_mapping_path is None:
-            return DEFAULT_WH_MAPPING
-        return load_wh_mapping(self.wh_mapping_path)
+    stopwords: frozenset[str]
+    wh_mapping: dict[str, str]
 
 
 # --- corpus and query files -----------------------------------------------------
@@ -108,9 +87,10 @@ class RunConfig:
 def parse_corpus(text: str, origin: str = "<corpus>") -> dict[str, str]:
     """Ordered doc_id -> document text.
 
-    Doc ids may not contain the index's separator characters, nor
-    whitespace, which would split a whitespace-separated run or qrels
-    line; they are rejected here, before any document is analyzed.
+    Doc ids may not contain whitespace, which would split a
+    whitespace-separated run or qrels line (tab and newline also separate
+    the index's fields); they are rejected here, before any document is
+    analyzed.
     """
     docs: dict[str, list[str]] = {}
     current: list[str] | None = None
@@ -119,11 +99,6 @@ def parse_corpus(text: str, origin: str = "<corpus>") -> dict[str, str]:
             doc_id = raw[len("DOC\t"):].strip()
             if not doc_id:
                 raise CliError(f"{origin}:{lineno}: DOC record with empty id")
-            if any(ch in doc_id for ch in _FORBIDDEN_IN_DOC_ID):
-                raise CliError(
-                    f"{origin}:{lineno}: doc id {doc_id!r} contains a reserved "
-                    "separator character (':', ',' or tab)"
-                )
             if any(ch.isspace() for ch in doc_id):
                 raise CliError(f"{origin}:{lineno}: doc id {doc_id!r} contains whitespace")
             if doc_id in docs:
@@ -139,8 +114,7 @@ def parse_corpus(text: str, origin: str = "<corpus>") -> dict[str, str]:
 def parse_queries(text: str, origin: str = "<queries>") -> list[QuerySpec]:
     queries: list[QuerySpec] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -167,14 +141,11 @@ def parse_queries(text: str, origin: str = "<queries>") -> list[QuerySpec]:
 
 # --- fingerprinting ---------------------------------------------------------------
 
-def _fingerprint(kb_path: Path, stopword_path: Path | None) -> dict[str, str]:
-    kb_hash = hashlib.sha256(Path(kb_path).read_bytes()).hexdigest()
-    if stopword_path is None:
-        stop_bytes = "\n".join(sorted(DEFAULT_STOPWORDS)).encode("utf-8")
-    else:
-        stop_bytes = Path(stopword_path).read_bytes()
+def _fingerprint(kb_path: Path, stopwords: frozenset[str]) -> dict[str, str]:
+    """sha256 of the KB file and of the stop-word set, its sorted words one a line."""
+    stop_bytes = "\n".join(sorted(stopwords)).encode("utf-8")
     return {
-        "kb_sha256": kb_hash,
+        "kb_sha256": hashlib.sha256(kb_path.read_bytes()).hexdigest(),
         "stopwords_sha256": hashlib.sha256(stop_bytes).hexdigest(),
     }
 
@@ -197,7 +168,7 @@ def cmd_index(cfg: RunConfig, corpus_path: Path, index_dir: Path) -> None:
         for doc_id, text in corpus.items()
     ]
     bundle = build_index(reps)
-    save_index(bundle, index_dir, _fingerprint(cfg.kb_path, cfg.stopword_path))
+    save_index(bundle, index_dir, _fingerprint(cfg.kb_path, cfg.stopwords))
 
 
 def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
@@ -205,7 +176,7 @@ def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
     # the tag is the sixth field of whitespace-separated run lines
     if not run_tag or any(ch.isspace() for ch in run_tag):
         raise CliError(f"--run-tag {run_tag!r} must be non-empty and contain no whitespace")
-    _check_fingerprint(index_dir, _fingerprint(cfg.kb_path, cfg.stopword_path))
+    _check_fingerprint(index_dir, _fingerprint(cfg.kb_path, cfg.stopwords))
     queries = parse_queries(queries_path.read_text(encoding="utf-8"), str(queries_path))
     kb = load_kb(cfg.kb_path)
     idx = load_index(index_dir)
@@ -342,10 +313,11 @@ def _load_config_file(path: Path) -> dict[str, tuple[str, str]]:
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     """Each setting from its flag, or else its config line, converted and checked
-    against the model; a failure names the flag or the config line."""
+    against the model; a failure names the flag or the config line. Then the
+    stop-word and wh-mapping files are read, or the built-in ones taken."""
     config = _load_config_file(args.config) if args.config else {}
     values = {}
-    model = Model.KW_PLUS_NE
+    model = ModelConfig.model
     for key, setting in _SETTINGS.items():
         text, where = getattr(args, key.replace("-", "_"), None), f"--{key}"
         if text is None and key in config:
@@ -369,9 +341,10 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
             _SETTINGS[key].field: value for key, value in values.items() if _SETTINGS[key].field})
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    return RunConfig(kb_path=values["kb"], model=model_config,
-                     stopword_path=values.get("stopwords"),
-                     wh_mapping_path=values.get("wh-mapping"))
+    return RunConfig(
+        values["kb"], model_config,
+        load_stopwords(values["stopwords"]) if "stopwords" in values else DEFAULT_STOPWORDS,
+        load_wh_mapping(values["wh-mapping"]) if "wh-mapping" in values else DEFAULT_WH_MAPPING)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -387,31 +360,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         keys = [key for key, setting in _SETTINGS.items() if name in setting.commands]
         if keys:
-            p.add_argument("--config", type=Path, help="optional TSV of key/value defaults")
+            p.add_argument("--config", type=_path, help="optional TSV of key/value defaults")
         for key in keys:
             p.add_argument(f"--{key}", help=_SETTINGS[key].help)
         return p
 
     p_index = add_command("index", "build an index directory from a corpus")
-    p_index.add_argument("--corpus", required=True, type=Path)
-    p_index.add_argument("--index-dir", required=True, type=Path)
+    p_index.add_argument("--corpus", required=True, type=_path)
+    p_index.add_argument("--index-dir", required=True, type=_path)
 
     p_search = add_command("search", "run a query file against an index")
-    p_search.add_argument("--index-dir", required=True, type=Path)
-    p_search.add_argument("--queries", required=True, type=Path)
-    p_search.add_argument("--output", required=True, type=Path)
+    p_search.add_argument("--index-dir", required=True, type=_path)
+    p_search.add_argument("--queries", required=True, type=_path)
+    p_search.add_argument("--output", required=True, type=_path)
     p_search.add_argument("--run-tag", default="ontosearch")
 
     p_eval = add_command("eval", "score a run file against qrels")
-    p_eval.add_argument("--run", required=True, type=Path)
-    p_eval.add_argument("--qrels", required=True, type=Path)
-    p_eval.add_argument("--output", required=True, type=Path)
+    p_eval.add_argument("--run", required=True, type=_path)
+    p_eval.add_argument("--qrels", required=True, type=_path)
+    p_eval.add_argument("--output", required=True, type=_path)
 
     p_sig = add_command("sigtest", "paired randomization test between two runs")
-    p_sig.add_argument("--run-a", required=True, type=Path)
-    p_sig.add_argument("--run-b", required=True, type=Path)
-    p_sig.add_argument("--qrels", required=True, type=Path)
-    p_sig.add_argument("--output", required=True, type=Path)
+    p_sig.add_argument("--run-a", required=True, type=_path)
+    p_sig.add_argument("--run-b", required=True, type=_path)
+    p_sig.add_argument("--qrels", required=True, type=_path)
+    p_sig.add_argument("--output", required=True, type=_path)
     p_sig.add_argument("--permutations", type=int, default=100_000)
     p_sig.add_argument("--seed", type=int, default=0)
 

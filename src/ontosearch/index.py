@@ -39,7 +39,7 @@ Postings name roster positions as d-gaps (Zobel & Moffat, as above): a
 term's first gap is its first position and each later gap, at least 1, is
 the step from the one before. Both gap and tf fields are comma lists.
 The saver formats each distinct number once. Doc ids may not contain
-`:`, `,`, tab or newline. The loader parses each space's gaps and tfs
+tab or newline. The loader parses each space's gaps and tfs
 with one `np.fromstring` each, after a byte-level check that admits only
 ASCII digits in items of 1 to 18 digits, so no sign, space, overflow or
 trailing junk reaches the arrays. It parses each distinct term once, for
@@ -69,7 +69,7 @@ import numpy as np
 
 from .expand import DocRepresentation, GeneralizedTerm, Space, parse_term, serialize_term
 
-_FORBIDDEN_IN_DOC_ID = frozenset(":,\t\n")
+_FORBIDDEN_IN_DOC_ID = frozenset("\t\n")
 
 _ARRAY_FIELDS = ("offsets", "doc_idx", "tf", "idf", "weights", "norms")
 
@@ -101,8 +101,7 @@ class SpaceIndex:
     def doc_positions(self) -> dict[str, int]:
         return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
 
-    # Query-time views, each built on first use: set `doc_ids` before any
-    # is read, as `load_index` does.
+    # Query-time views, each built on first use.
 
     @cached_property
     def doc_array(self) -> np.ndarray:

@@ -199,8 +199,7 @@ def parse_kb(text: str, origin: str = "<string>") -> KnowledgeBase:
     classes: dict[str, ClassDef] = {}
     entities: dict[str, EntityDef] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

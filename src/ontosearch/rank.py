@@ -205,19 +205,18 @@ def represent_query(
     cfg: ModelConfig,
     *,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    wh_mapping: dict[str, str] | None = None,
+    wh_mapping: dict[str, str] = DEFAULT_WH_MAPPING,
     wh_override: str | None = None,
 ) -> DocRepresentation:
     """Annotate a query and expand it into all six spaces.
 
     The model changes only whether the interrogative word is read: under
-    kw+ne+wh its class becomes a G term. `wh_mapping` None means
-    `DEFAULT_WH_MAPPING`; an empty mapping maps no word.
+    kw+ne+wh its class becomes a G term; an empty `wh_mapping` maps no word.
     """
     wh = cfg.model is Model.KW_PLUS_NE_WH
     at = annotate(
         query_text, kb, stopwords=stopwords,
-        wh_mapping=(DEFAULT_WH_MAPPING if wh_mapping is None else wh_mapping) if wh else None,
+        wh_mapping=wh_mapping if wh else None,
         wh_override=wh_override,
     )
     return expand_query(at, kb)
@@ -269,7 +268,7 @@ def search(
     cfg: ModelConfig,
     *,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    wh_mapping: dict[str, str] | None = None,
+    wh_mapping: dict[str, str] = DEFAULT_WH_MAPPING,
     wh_override: str | None = None,
 ) -> Ranking:
     """Full query pipeline: annotate, expand, score, rank."""

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from ontosearch import cli
+from ontosearch.annotate import DEFAULT_STOPWORDS
 from ontosearch.cli import CliError, main, parse_corpus, parse_queries
 from ontosearch.evaluation import load_run
 from ontosearch.rank import Model, ModelConfig
@@ -91,6 +92,18 @@ def test_parse_queries_rejects_duplicate_ids():
         parse_queries("q1\ta\nq1\tb\n")
 
 
+def test_parse_queries_skips_comments_and_blank_lines_and_rejects_an_empty_id():
+    queries = parse_queries("# judged\n\nq1\tGeorgia wine\n   \n#q2\tnot a query\nq3\tfair\n")
+    assert [(q.query_id, q.text) for q in queries] == [("q1", "Georgia wine"), ("q3", "fair")]
+    with pytest.raises(CliError, match=r"^<queries>:2: empty query id$"):
+        parse_queries("q1\tx\n \tGeorgia wine\n")
+
+
+def test_parse_corpus_rejects_a_doc_record_with_an_empty_id():
+    with pytest.raises(CliError, match=r"^<corpus>:3: DOC record with empty id$"):
+        parse_corpus("DOC\td1\ntext\nDOC\t \nmore\n")
+
+
 # --- index command -----------------------------------------------------------------
 
 def test_index_writes_expected_directory_shape(workspace):
@@ -120,18 +133,36 @@ def test_index_duplicate_doc_id_fails_without_output(workspace, capsys):
     assert not index_dir.exists()
 
 
-@pytest.mark.parametrize("doc_id", ["d:1", "d,1", "d\t1"])
+@pytest.mark.parametrize("doc_id", ["d\t1"])
 def test_index_rejects_reserved_doc_id_before_analysis(workspace, capsys, monkeypatch, doc_id):
+    # a tab, which separates the index's fields, is whitespace too
     (workspace / "bad.tsv").write_text(f"DOC\tok\nfine text\nDOC\t{doc_id}\ny\n", encoding="utf-8")
     analyzed = []
     monkeypatch.setattr(cli, "represent_document", lambda *args, **kwargs: analyzed.append(args))
     index_dir = workspace / "idx-bad"
     assert run_cli("index", "--kb", KB, "--corpus", workspace / "bad.tsv",
                    "--index-dir", index_dir) == 1
-    err = capsys.readouterr().err
-    assert f"bad.tsv:3: doc id {doc_id!r} contains a reserved separator character" in err
+    assert f"bad.tsv:3: doc id {doc_id!r} contains whitespace" in capsys.readouterr().err
     assert analyzed == []
     assert not index_dir.exists()
+
+
+def test_doc_ids_with_colons_and_commas_round_trip_through_index_search_and_eval(tmp_path):
+    (tmp_path / "corpus.tsv").write_text(
+        "DOC\ta:1,b\nGeorgia signed the wine accord.\n"
+        "DOC\tz,2\nMoscow hosts the winter fair.\n"
+        "DOC\tplain\nA river runs past the fair.\n", encoding="utf-8")
+    (tmp_path / "queries.tsv").write_text("q1\tGeorgia wine\nq2\twinter fair\n", encoding="utf-8")
+    (tmp_path / "qrels.txt").write_text("q1 0 a:1,b 1\nq2 0 z,2 1\n", encoding="utf-8")
+    index_dir, run, report = tmp_path / "idx", tmp_path / "run.txt", tmp_path / "eval.tsv"
+    assert run_cli("index", "--kb", KB, "--corpus", tmp_path / "corpus.tsv",
+                   "--index-dir", index_dir) == 0
+    assert run_cli("search", "--kb", KB, "--index-dir", index_dir, "--model", "kw",
+                   "--queries", tmp_path / "queries.tsv", "--output", run) == 0
+    assert [line.split()[:3] for line in run.read_text().splitlines()] == [
+        ["q1", "Q0", "a:1,b"], ["q2", "Q0", "z,2"], ["q2", "Q0", "plain"]]
+    assert run_cli("eval", "--run", run, "--qrels", tmp_path / "qrels.txt", "--output", report) == 0
+    assert "map\t1.000000" in report.read_text().splitlines()
 
 
 @pytest.mark.parametrize("doc_id", ["d 1", "d\u00a01", "d\u20031"])
@@ -217,6 +248,46 @@ def test_search_rejects_fingerprint_mismatch(workspace, capsys):
                    "--queries", workspace / "queries.tsv", "--output", out) == 1
     assert "fingerprint" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_the_fingerprint_covers_the_stop_word_set_not_the_file(workspace, capsys):
+    (workspace / "stop.txt").write_text("the\nof\nis\nwho\n", encoding="utf-8")
+    (workspace / "same.txt").write_text("\nWHO\n  Is\n\nof\nThe\n\n", encoding="utf-8")
+    (workspace / "other.txt").write_text("the\nof\n", encoding="utf-8")
+    index_dir = workspace / "idx"
+    assert run_cli("index", "--kb", KB, "--stopwords", workspace / "stop.txt",
+                   "--corpus", workspace / "corpus.tsv", "--index-dir", index_dir) == 0
+
+    def search_with(*stopwords, out):
+        return run_cli("search", "--kb", KB, *stopwords, "--index-dir", index_dir,
+                       "--queries", workspace / "queries.tsv", "--output", workspace / out)
+
+    assert search_with("--stopwords", workspace / "stop.txt", out="run.txt") == 0
+    assert search_with("--stopwords", workspace / "same.txt", out="same-run.txt") == 0
+    assert (workspace / "same-run.txt").read_bytes() == (workspace / "run.txt").read_bytes()
+    assert search_with("--stopwords", workspace / "other.txt", out="other-run.txt") == 1
+    assert search_with(out="default-run.txt") == 1
+    assert capsys.readouterr().err.count("error: index fingerprint mismatch") == 2
+    assert not (workspace / "other-run.txt").exists()
+    assert not (workspace / "default-run.txt").exists()
+
+
+def test_the_built_in_stop_words_keep_their_fingerprint(workspace):
+    # the sha256 of the sorted built-in words, one a line, as every index built with them records
+    header = (build_index_dir(workspace) / "index.tsv").read_text(encoding="utf-8").splitlines()
+    assert header[2] == ("stopwords_sha256\t"
+                         "6fe251d7cea0ca18b7ed9d899091d7e565bd84b10eb7ca939a37a63d0beb5f64")
+
+
+def test_the_built_in_stop_words_as_a_file_build_the_same_index(workspace):
+    (workspace / "stop.txt").write_text("\n".join(sorted(DEFAULT_STOPWORDS, reverse=True)),
+                                        encoding="utf-8")
+    default_dir = build_index_dir(workspace)
+    file_dir = workspace / "idx-file"
+    assert run_cli("index", "--kb", KB, "--stopwords", workspace / "stop.txt",
+                   "--corpus", workspace / "corpus.tsv", "--index-dir", file_dir) == 0
+    assert read_tree(file_dir) == read_tree(default_dir)
+    assert search_exit(workspace, KB, file_dir) == 0
 
 
 def search_exit(workspace, kb, index_dir, out_name="run.txt"):
@@ -386,6 +457,45 @@ def test_an_empty_path_flag_is_an_error_not_the_default(workspace, capsys, comma
     assert not (workspace / "index").exists()
 
 
+EMPTY_PATH_ARGV = {
+    "index": ["--kb", KB, "--corpus", "corpus.tsv", "--index-dir", "new-idx"],
+    "search": ["--kb", KB, "--index-dir", "idx", "--queries", "queries.tsv", "--output", "out.txt"],
+    "eval": ["--run", "run.txt", "--qrels", "qrels.txt", "--output", "out.txt"],
+    "sigtest": ["--run-a", "run.txt", "--run-b", "run.txt", "--qrels", "qrels.txt",
+                "--output", "out.txt", "--permutations", "10"],
+    "dump-terms": ["--kb", KB, "Moscow"],
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("index", "--corpus"), ("index", "--index-dir"), ("index", "--config"),
+    ("search", "--index-dir"), ("search", "--queries"), ("search", "--output"),
+    ("search", "--config"),
+    ("eval", "--run"), ("eval", "--qrels"), ("eval", "--output"),
+    ("sigtest", "--run-a"), ("sigtest", "--run-b"), ("sigtest", "--qrels"), ("sigtest", "--output"),
+    ("dump-terms", "--config"),
+])
+def test_an_empty_path_flag_exits_2_and_writes_nothing(workspace, capsys, monkeypatch, command, flag):
+    # without the empty flag each command line succeeds in this directory
+    build_index_dir(workspace)
+    (workspace / "run.txt").write_text(RUN_A, encoding="utf-8")
+    (workspace / "qrels.txt").write_text(QRELS, encoding="utf-8")
+    monkeypatch.chdir(workspace)
+    before = {p: p.read_bytes() for p in sorted(workspace.rglob("*")) if p.is_file()}
+    argv = list(EMPTY_PATH_ARGV[command])
+    if flag in argv:
+        argv[argv.index(flag) + 1] = ""
+    else:
+        argv[:0] = [flag, ""]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, *argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: invalid" in captured.err
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in sorted(workspace.rglob("*")) if p.is_file()} == before
+
+
 def test_nan_space_weight_is_rejected(tmp_path, capsys):
     assert run_cli("search", "--kb", KB, "--model", "ne", "--wn", "nan",
                    *unread_search_paths(tmp_path)) == 1
@@ -489,6 +599,24 @@ def test_index_checks_every_key_of_its_config_file(workspace, capsys):
     assert not (workspace / "index").exists()
 
 
+def test_index_checks_a_wh_mapping_file_its_config_names(workspace, capsys):
+    (workspace / "wh.tsv").write_text("who Person\n", encoding="utf-8")
+    config = workspace / "config.tsv"
+    config.write_text(f"kb\t{KB}\nmodel\tkw+ne+wh\nwh-mapping\t{workspace / 'wh.tsv'}\n",
+                      encoding="utf-8")
+    assert run_cli("index", "--config", config, "--corpus", workspace / "corpus.tsv",
+                   "--index-dir", workspace / "index") == 1
+    assert capsys.readouterr().err == f"error: {workspace / 'wh.tsv'}:1: expected `word<TAB>class_id`\n"
+    assert not (workspace / "index").exists()
+
+
+def test_config_file_line_needs_a_tab(tmp_path, capsys):
+    config = tmp_path / "config.tsv"
+    config.write_text(f"kb\t{KB}\nmodel kw\n", encoding="utf-8")
+    assert run_cli("dump-terms", "--config", config, "Moscow") == 1
+    assert capsys.readouterr().err == f"error: {config}:2: expected key<TAB>value\n"
+
+
 def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):
     config = tmp_path / "config.tsv"
     config.write_text(f"kb\t{KB}\nmodel\tkw\n# later\nmodel\tkw+ne+wh\n", encoding="utf-8")
@@ -524,26 +652,32 @@ def test_judged_synth_run_files_match_their_recorded_digests(tmp_path):
     assert digests == JUDGED_RUN_SHA256
 
 
-def test_run_config_reads_stopword_and_wh_mapping_files_once(tmp_path, monkeypatch):
-    (tmp_path / "stop.txt").write_text("the\nof\n", encoding="utf-8")
-    (tmp_path / "wh.tsv").write_text("who\tPerson\n", encoding="utf-8")
+def test_run_config_reads_stopword_and_wh_mapping_files_once(workspace, capsys, monkeypatch):
+    (workspace / "stop.txt").write_text("the\nof\nis\n", encoding="utf-8")
+    (workspace / "wh.tsv").write_text("who\tPerson\nwhere\tLocation\n", encoding="utf-8")
     reads = []
-
-    def counted(loader):
-        def load(path):
-            reads.append(loader.__name__)
-            return loader(path)
-        return load
-
-    monkeypatch.setattr(cli, "load_stopwords", counted(cli.load_stopwords))
-    monkeypatch.setattr(cli, "load_wh_mapping", counted(cli.load_wh_mapping))
-    cfg = cli.RunConfig(kb_path=DATA_DIR / "figure_kb.tsv",
-                        model=ModelConfig(model=Model.KW_PLUS_NE_WH),
-                        stopword_path=tmp_path / "stop.txt", wh_mapping_path=tmp_path / "wh.tsv")
-    for _ in range(3):
-        assert cfg.stopwords == frozenset({"the", "of"})
-        assert cfg.wh_mapping == {"who": "Person"}
-    assert sorted(reads) == ["load_stopwords", "load_wh_mapping"]
+    for method in ("read_text", "read_bytes"):
+        def counted(path, *args, real=getattr(Path, method), **kwargs):
+            reads.append(path.name)
+            return real(path, *args, **kwargs)
+        monkeypatch.setattr(Path, method, counted)
+    files = ["--stopwords", workspace / "stop.txt"]
+    with_wh = [*files, "--model", "kw+ne+wh", "--wh-mapping", workspace / "wh.tsv"]
+    commands = [
+        ["index", *files, "--corpus", workspace / "corpus.tsv", "--index-dir", workspace / "idx"],
+        ["search", *with_wh, "--index-dir", workspace / "idx",
+         "--queries", workspace / "queries.tsv", "--output", workspace / "run.txt"],
+        ["dump-terms", *with_wh, FIGURE_QUERY],
+    ]
+    for argv in commands:
+        reads.clear()
+        assert run_cli(*argv[:1], "--kb", KB, *argv[1:]) == 0
+        assert reads.count("stop.txt") == 1
+        assert reads.count("wh.tsv") == (argv[0] != "index")
+    run_lines = (workspace / "run.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split()[0] for line in run_lines] == ["q1", "q2", "q3"]
+    # "who" is no stop word of stop.txt, and wh.tsv maps it
+    assert {"who", "(*/Person/*)"} <= set(capsys.readouterr().out.splitlines())
 
 
 # --- eval and sigtest commands -----------------------------------------------------------
@@ -592,6 +726,32 @@ def test_eval_requires_query_overlap(workspace, capsys):
     assert run_cli("eval", "--run", workspace / "run.txt",
                    "--qrels", workspace / "qrels.txt", "--output", out) == 1
     assert "share no query ids" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sigtest"])
+def test_eval_and_sigtest_require_relevance_judgments(workspace, capsys, command):
+    (workspace / "run.txt").write_text(RUN_A, encoding="utf-8")
+    (workspace / "qrels.txt").write_text("\n", encoding="utf-8")
+    runs = {"eval": ["--run", workspace / "run.txt"],
+            "sigtest": ["--run-a", workspace / "run.txt", "--run-b", workspace / "run.txt"]}
+    out = workspace / "out.tsv"
+    assert run_cli(command, *runs[command], "--qrels", workspace / "qrels.txt",
+                   "--output", out) == 1
+    assert capsys.readouterr().err == f"error: no relevance judgments in {workspace / 'qrels.txt'}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order", ["ab", "ba"])
+def test_sigtest_requires_both_runs_to_share_query_ids_with_the_qrels(workspace, capsys, order):
+    (workspace / "a.txt").write_text(RUN_A, encoding="utf-8")
+    (workspace / "b.txt").write_text("q9 Q0 d1 1 0.5 b\n", encoding="utf-8")
+    (workspace / "qrels.txt").write_text(QRELS, encoding="utf-8")
+    run_a, run_b = (workspace / f"{name}.txt" for name in order)
+    out = workspace / "sig.tsv"
+    assert run_cli("sigtest", "--run-a", run_a, "--run-b", run_b, "--qrels", workspace / "qrels.txt",
+                   "--output", out, "--permutations", "10") == 1
+    assert capsys.readouterr().err == "error: both runs must share query ids with the qrels\n"
     assert not out.exists()
 
 
@@ -679,6 +839,31 @@ def test_dump_terms_query_golden(capsys):
     assert capsys.readouterr().out.splitlines() == [
         "(*/*/University_T.52)",
         "presid",
+    ]
+
+
+@pytest.mark.parametrize("model", ["kw", "ne", "kw-union-ne"])
+def test_dump_terms_golden_for_the_models_that_score_the_five_spaces(capsys, model):
+    # the keyword and entity terms of the five spaces; G's mixed terms are not printed
+    assert run_cli("dump-terms", "--kb", KB, "--model", model, FIGURE_QUERY) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "(*/*/University_T.52)",
+        "presid",
+        "stanford",
+        "univers",
+    ]
+    assert run_cli("dump-terms", "--kb", KB, "--model", model, "--side", "document",
+                   "California") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "(*/*/Province_T.4198)",
+        "(*/Location/*)",
+        "(*/PoliticalRegion/*)",
+        "(*/Province/*)",
+        "(california/*/*)",
+        "(california/Location/*)",
+        "(california/PoliticalRegion/*)",
+        "(california/Province/*)",
+        "california",
     ]
 
 

@@ -80,6 +80,16 @@ def test_name_only_annotation_expands_to_single_term(figure_kb):
     assert rep.space_bags[Space.G] == Counter({Triple(name="Zork"): 1})
 
 
+def test_class_only_annotation_expands_to_its_class_closure(figure_kb):
+    ann = EntityAnnotation(char_span=(0, 3), surface="man", class_id="Man")
+    rep = expand_document(entity_only(ann), figure_kb)
+    closure = Counter({Triple(class_id=c): 1 for c in ("Man", "Person", "Agent")})
+    assert rep.space_bags[Space.C] == closure
+    assert not rep.space_bags[Space.N] and not rep.space_bags[Space.NC]
+    assert not rep.space_bags[Space.I]
+    assert rep.space_bags[Space.G] == closure
+
+
 def test_stanford_block_has_18_distinct_terms(figure_kb):
     ann = EntityAnnotation(
         char_span=(0, 19),

@@ -411,6 +411,30 @@ def test_load_rejects_rows_whose_field_counts_only_add_up(tmp_path):
         load_index(tmp_path)
 
 
+def test_load_rejects_a_fingerprint_key_listed_twice(tmp_path):
+    path = saved_five(tmp_path)
+    replace_line(path, 2, "kb_sha256\tab12", "kb_sha256\tcd34", "docs\t5")
+    for read in (load_index, read_fingerprint):
+        with rejects(path, 3, "fingerprint key 'kb_sha256' is listed twice"):
+            read(tmp_path)
+
+
+def test_load_rejects_a_header_without_a_docs_line(tmp_path):
+    path = tmp_path / "index.tsv"
+    path.write_text("ontosearch-index\t2\nkb_sha256\tab12\n", encoding="utf-8")
+    for read in (load_index, read_fingerprint):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no docs line")):
+            read(tmp_path)
+
+
+def test_load_rejects_a_docs_line_that_states_more_rows_than_the_file_holds(tmp_path):
+    path = saved_five(tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:4]) + "\n")  # the docs line and two of its five rows
+    with rejects(path, 2, "the docs line states 5 documents, but the file ends after 2"):
+        load_index(tmp_path)
+
+
 def test_load_rejects_a_space_listed_twice(tmp_path):
     path = saved_five(tmp_path)
     replace_line(path, 19, "space\tN\t1")
@@ -478,7 +502,7 @@ def test_save_rejects_a_fingerprint_it_cannot_store(tmp_path):
 
 
 def test_save_rejects_reserved_characters_in_doc_id(tmp_path):
-    bundle = build_index([rep("bad:doc", KW={K("a"): 1})])
+    bundle = build_index([rep("bad\tdoc", KW={K("a"): 1})])
     with pytest.raises(ValueError, match="reserved"):
         save_index(bundle, tmp_path)
 

@@ -130,6 +130,12 @@ def test_unknown_ids_raise(figure_kb):
         (kb_text("CLASS\tRoot\t-\tTOP", "CLASS\tBad\tRoot\tTOP"), "must not have parents"),
         (kb_text("WHAT\tis\tthis"), "unknown record tag"),
         (kb_text("CLASS\tA\t-"), "4 fields"),
+        (kb_text("CLASS\t\t-\t-"), "empty class id"),
+        (kb_text("CLASS\tA\t-\ttop"), "top-level flag must be TOP or -, got 'top'"),
+        (kb_text("CLASS\tA\t-\t-", "ENTITY\tE1\tA"), "ENTITY line needs 4 or 5 fields, got 3"),
+        (kb_text("CLASS\tA\t-\t-", "ENTITY\tE1\tA\tX\t-\textra"),
+         "ENTITY line needs 4 or 5 fields, got 6"),
+        (kb_text("CLASS\tA\t-\t-", "ENTITY\t\tA\tX\t-"), "empty entity id"),
     ],
 )
 def test_malformed_files_rejected(text, fragment):

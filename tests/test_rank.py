@@ -311,6 +311,18 @@ def test_wh_mapping_applies_only_to_wh_model(figure_kb, corpus_index):
     assert any(r.doc_id == "d-moscow" for r in with_wh)
 
 
+def test_represent_query_reads_the_built_in_wh_mapping_unless_given_another(figure_kb):
+    cfg = ModelConfig(model=Model.KW_PLUS_NE_WH)
+
+    def g_bag(**kwargs):
+        return represent_query(FIGURE_QUERY, figure_kb, cfg, **kwargs).space_bags[Space.G]
+
+    assert Triple(class_id="Person") in g_bag()
+    assert Triple(class_id="Person") not in g_bag(wh_mapping={})
+    # an empty mapping maps no word but still takes an override
+    assert Triple(class_id="Location") in g_bag(wh_mapping={}, wh_override="Location")
+
+
 @pytest.mark.parametrize("model", list(Model))
 def test_empty_query_yields_empty_results(figure_kb, corpus_index, model):
     cfg = ModelConfig(model=model)
