@@ -133,18 +133,32 @@ def test_index_duplicate_doc_id_fails_without_output(workspace, capsys):
     assert not index_dir.exists()
 
 
-@pytest.mark.parametrize("doc_id", ["d\t1"])
+@pytest.mark.parametrize("doc_id", ["d:1", "d,1", "d\t1"])
 def test_index_rejects_reserved_doc_id_before_analysis(workspace, capsys, monkeypatch, doc_id):
-    # a tab, which separates the index's fields, is whitespace too
+    # a tab, which separates the index's fields, is whitespace too; ':' and ','
+    # are not reserved, so those ids pass the check and both documents are indexed
     (workspace / "bad.tsv").write_text(f"DOC\tok\nfine text\nDOC\t{doc_id}\ny\n", encoding="utf-8")
     analyzed = []
-    monkeypatch.setattr(cli, "represent_document", lambda *args, **kwargs: analyzed.append(args))
+    represent = cli.represent_document
+
+    def recording(*args, **kwargs):
+        rep = represent(*args, **kwargs)
+        analyzed.append(rep.doc_id)
+        return rep
+
+    monkeypatch.setattr(cli, "represent_document", recording)
     index_dir = workspace / "idx-bad"
-    assert run_cli("index", "--kb", KB, "--corpus", workspace / "bad.tsv",
-                   "--index-dir", index_dir) == 1
-    assert f"bad.tsv:3: doc id {doc_id!r} contains whitespace" in capsys.readouterr().err
-    assert analyzed == []
-    assert not index_dir.exists()
+    code = run_cli("index", "--kb", KB, "--corpus", workspace / "bad.tsv", "--index-dir", index_dir)
+    err = capsys.readouterr().err
+    if "\t" in doc_id:
+        assert code == 1
+        assert f"bad.tsv:3: doc id {doc_id!r} contains whitespace" in err
+        assert analyzed == []
+        assert not index_dir.exists()
+    else:
+        assert (code, err) == (0, "")
+        assert analyzed == ["ok", doc_id]
+        assert (index_dir / "index.tsv").exists()
 
 
 def test_doc_ids_with_colons_and_commas_round_trip_through_index_search_and_eval(tmp_path):
