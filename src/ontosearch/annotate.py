@@ -1,6 +1,10 @@
 """Text analysis: stemmed keyword tokens, gazetteer entity annotations,
 and interrogative-word mapping.
 
+`annotate` analyses every text, document or query, the same way under
+every model; only `rank.represent_query` reads a query's interrogative
+word, with `wh_class`, and only under kw+ne+wh.
+
 Entity recognition runs on the raw text, before stop-word removal, so
 multiword surface forms that contain stop-words still match. Recognition is
 a deterministic leftmost-longest dictionary match against the KB's
@@ -16,7 +20,7 @@ KB. `ontosearch.kb` says which slots a surface fills.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -85,10 +89,8 @@ class EntityAnnotation(_EntityAnnotationSlots):
 
 @dataclass(frozen=True)
 class AnnotatedText:
-    source: str
     keywords: list[Token]
     entities: list[EntityAnnotation]
-    wh_classes: list[str] = field(default_factory=list)
 
 
 def tokenize_keywords(text: str, stopwords: frozenset[str] | set[str]) -> list[Token]:
@@ -134,38 +136,21 @@ def keywords_outside_entities(
     return outside
 
 
-def map_interrogative(word: str, mapping: dict[str, str]) -> str | None:
-    """Configured class for an interrogative word, or None if unmapped."""
-    return mapping.get(word.casefold())
+def wh_class(text: str, mapping: dict[str, str]) -> str | None:
+    """The configured class of the text's leading word, or None if it is unmapped."""
+    lead = _TOKEN.search(text)
+    return mapping.get(lead.group().casefold()) if lead else None
 
 
 def annotate(
-    text: str,
-    kb: KnowledgeBase,
-    *,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    wh_mapping: dict[str, str] | None = None,
-    wh_override: str | None = None,
+    text: str, kb: KnowledgeBase, *, stopwords: frozenset[str] = DEFAULT_STOPWORDS
 ) -> AnnotatedText:
-    """Full analysis of one text: every keyword, entity annotations, wh classes.
+    """Full analysis of one text: every keyword and the entity annotations.
 
     Keywords inside entity mentions are kept; `keywords_outside_entities`
-    drops them. `wh_mapping` None disables wh-class extraction;
-    `wh_override` replaces the leading-word lookup with a given class.
+    drops them.
     """
-    entities = recognize_entities(text, kb)
-    keywords = tokenize_keywords(text, stopwords)
-    wh_classes: list[str] = []
-    if wh_mapping is not None:
-        if wh_override is not None:
-            wh_classes = [wh_override]
-        else:
-            lead = _TOKEN.search(text)
-            if lead:
-                mapped = map_interrogative(lead.group(), wh_mapping)
-                if mapped is not None:
-                    wh_classes = [mapped]
-    return AnnotatedText(source=text, keywords=keywords, entities=entities, wh_classes=wh_classes)
+    return AnnotatedText(tokenize_keywords(text, stopwords), recognize_entities(text, kb))
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

@@ -248,7 +248,7 @@ def cmd_dump_terms(cfg: RunConfig, text: str, side: str, wh_override: str | None
 
 def _path(text: str) -> Path:
     if not text:
-        raise ValueError("empty path")
+        raise argparse.ArgumentTypeError(f"invalid path {text!r}")
     return Path(text)
 
 
@@ -329,7 +329,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
             continue
         try:
             values[key] = setting.convert(text)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise CliError(_INVALID[setting.convert].format(where=where, text=text)) from None
         model = values.get("model", model)
         if model not in setting.models:

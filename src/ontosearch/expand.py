@@ -1,10 +1,14 @@
 """Per-space term bags: every text is expanded into all six spaces.
 
-A text's expansion does not depend on the retrieval model. The keyword
-space KW holds every keyword; the name, class, name-class and identifier
-spaces N, C, NC and I hold the entity terms; the generalized space G holds
-the keywords outside entity mentions plus the same entity terms. A model
-only chooses which spaces it scores.
+A text's expansion does not depend on the retrieval model, and its analysis
+(`annotate`) is the same for every text. The keyword space KW holds every
+keyword; the name, class, name-class and identifier spaces N, C, NC and I
+hold the entity terms; the generalized space G holds the keywords outside
+entity mentions plus the same entity terms. A model only chooses which
+spaces it scores; under kw+ne+wh, `rank.represent_query` also passes the
+query's wh class to `expand_query`, which adds it to G as one class-only
+term. A wh class is configuration, not an annotation, so it is not
+validated against the KB (an unknown class simply never matches a posting).
 
 Documents are expanded aggressively: each entity occurrence contributes its
 name plus every alias, its class plus every non-top-level superclass, all
@@ -12,15 +16,16 @@ name-class pairs, and its identifier (when known), with one count per
 occurrence. Queries stay minimal: each annotation contributes exactly one
 term, the most specific available (id, then name+class, then class or name
 alone), with no alias or superclass closure; the document side of the match
-carries the burden. Wh classes contribute one class-only G term each; they are
-configuration, not annotations, so they are not validated against the KB
-(an unknown class simply never matches a posting).
+carries the burden.
 
 Terms are named tuples, so bags hash and compare them in C. A document is
 expanded count first, add second: its stems are counted as strings and its
 annotations by key (name, class, id), and each distinct stem becomes one
-`Keyword`. A key's terms are built once per KB, and a key seen n times adds
-n to each of them.
+`Keyword`. A key's N, C, NC and I terms are built once per KB, and a key
+seen n times adds n to each of them. A document's G is then merged from
+its outside keywords and its four entity bags: a term's set slots (name,
+class, id) name its space, so no term is in two of them and G is their
+union, each term keeping its count.
 """
 
 from __future__ import annotations
@@ -85,11 +90,18 @@ class DocRepresentation:
     space_bags: dict[Space, TermBag]
 
 
+def _check_ids(ann: EntityAnnotation, kb: KnowledgeBase) -> None:
+    """Reject an annotation naming an entity or class the KB lacks."""
+    if ann.entity_id is not None and ann.entity_id not in kb.entities:
+        raise ValueError(f"annotation references unknown entity id {ann.entity_id!r}")
+    if ann.class_id is not None and ann.class_id not in kb.classes:
+        raise ValueError(f"annotation references unknown class id {ann.class_id!r}")
+
+
 def _expansion_sets(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[set[str], set[str]]:
     """Document-side closure for one annotation: (normalized names, class ids)."""
+    _check_ids(ann, kb)
     if ann.entity_id is not None:
-        if ann.entity_id not in kb.entities:
-            raise ValueError(f"annotation references unknown entity id {ann.entity_id!r}")
         names = {normalize_name(s) for s in alias_set(kb, ann.entity_id)}
         names.add(normalize_name(ann.name))
     elif ann.name is not None:
@@ -97,8 +109,6 @@ def _expansion_sets(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[set[str],
     else:
         names = set()
     if ann.class_id is not None:
-        if ann.class_id not in kb.classes:
-            raise ValueError(f"annotation references unknown class id {ann.class_id!r}")
         classes = {ann.class_id, *super_classes(kb, ann.class_id)}
     else:
         classes = set()
@@ -106,16 +116,17 @@ def _expansion_sets(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[set[str],
 
 
 def _document_terms(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[tuple[Triple, ...], ...]:
-    """One annotation's N, C, NC and I terms, then all of them for G."""
+    """One annotation's N, C, NC and I terms."""
     names, classes = _expansion_sets(ann, kb)
-    n_terms = tuple(Triple(name=n) for n in names)
-    c_terms = tuple(Triple(class_id=c) for c in classes)
-    nc_terms = tuple(Triple(name=n, class_id=c) for n in names for c in classes)
-    i_terms = (Triple(entity_id=ann.entity_id),) if ann.entity_id is not None else ()
-    return n_terms, c_terms, nc_terms, i_terms, n_terms + c_terms + nc_terms + i_terms
+    return (
+        tuple(Triple(name=n) for n in names),
+        tuple(Triple(class_id=c) for c in classes),
+        tuple(Triple(name=n, class_id=c) for n in names for c in classes),
+        (Triple(entity_id=ann.entity_id),) if ann.entity_id is not None else (),
+    )
 
 
-_DOCUMENT_SPACES = (Space.N, Space.C, Space.NC, Space.I, Space.G)
+_ENTITY_SPACES = (Space.N, Space.C, Space.NC, Space.I)
 
 
 def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> DocRepresentation:
@@ -129,14 +140,7 @@ def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> D
     outside = Counter(
         [token.stem for token in keywords_outside_entities(at.keywords, at.entities)]
     )
-    bags = {
-        Space.KW: Counter({keywords[stem]: n for stem, n in stems.items()}),
-        Space.N: Counter(),
-        Space.C: Counter(),
-        Space.NC: Counter(),
-        Space.I: Counter(),
-        Space.G: Counter({keywords[stem]: n for stem, n in outside.items()}),
-    }
+    entity_bags = {space: Counter() for space in _ENTITY_SPACES}
     memo = kb.expansions
     counts: dict[tuple, int] = {}
     for ann in at.entities:
@@ -153,21 +157,27 @@ def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> D
             if key not in memo:
                 memo[key] = _document_terms(ann, kb)
     for key, n in counts.items():
-        for space, space_terms in zip(_DOCUMENT_SPACES, memo[key]):
-            bag = bags[space]
+        for bag, space_terms in zip(entity_bags.values(), memo[key]):
             get = bag.get
             for term in space_terms:
                 bag[term] = get(term, 0) + n
+    generalized = Counter({keywords[stem]: n for stem, n in outside.items()})
+    for bag in entity_bags.values():
+        # a term's set slots name its space, so the bags share no term and
+        # G is their union: dict.update copies each count, no sum is needed
+        dict.update(generalized, bag)
+    bags = {
+        Space.KW: Counter({keywords[stem]: n for stem, n in stems.items()}),
+        **entity_bags,
+        Space.G: generalized,
+    }
     return DocRepresentation(doc_id=doc_id, space_bags=bags)
 
 
 def _most_specific_term(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[Space, Triple]:
+    _check_ids(ann, kb)
     if ann.entity_id is not None:
-        if ann.entity_id not in kb.entities:
-            raise ValueError(f"annotation references unknown entity id {ann.entity_id!r}")
         return Space.I, Triple(entity_id=ann.entity_id)
-    if ann.class_id is not None and ann.class_id not in kb.classes:
-        raise ValueError(f"annotation references unknown class id {ann.class_id!r}")
     if ann.name is not None and ann.class_id is not None:
         return Space.NC, Triple(name=ann.name, class_id=ann.class_id)
     if ann.class_id is not None:
@@ -175,13 +185,15 @@ def _most_specific_term(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[Space
     return Space.N, Triple(name=ann.name)
 
 
-def expand_query(at: AnnotatedText, kb: KnowledgeBase) -> DocRepresentation:
-    """Query-side expansion: one most-specific term per annotation, no closure.
+def expand_query(at: AnnotatedText, kb: KnowledgeBase,
+                 wh_class: str | None = None) -> DocRepresentation:
+    """Query-side expansion: one most-specific term per annotation, no closure,
+    and `wh_class`, when given, as one class-only G term.
 
     The KW and G terms are listed first and each list is counted by one
     `Counter` call.
     """
-    entity_bags = {Space.N: Counter(), Space.C: Counter(), Space.NC: Counter(), Space.I: Counter()}
+    entity_bags = {space: Counter() for space in _ENTITY_SPACES}
     generalized = [
         Keyword(token.stem) for token in keywords_outside_entities(at.keywords, at.entities)
     ]
@@ -190,7 +202,8 @@ def expand_query(at: AnnotatedText, kb: KnowledgeBase) -> DocRepresentation:
         bag = entity_bags[space]
         bag[term] = bag.get(term, 0) + 1
         generalized.append(term)
-    generalized += [Triple(class_id=class_id) for class_id in at.wh_classes]
+    if wh_class is not None:
+        generalized.append(Triple(class_id=wh_class))
     bags = {
         Space.KW: Counter([Keyword(token.stem) for token in at.keywords]),
         **entity_bags,

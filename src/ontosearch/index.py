@@ -4,8 +4,7 @@ Weighting is the classic tf * ln(n_docs / df), with df computed per space:
 a term's document frequency counts documents within the one space it lives
 in. Build output is canonical (rosters, term ids, postings, and norm
 accumulation all follow sorted order), so any permutation of the input
-stream produces a bit-identical bundle, and partial indexes built over
-document shards can be merged in any order.
+stream produces a bit-identical bundle.
 
 In memory a space is a CSR matrix over integer term ids. Term ids follow
 serialized-term order, so term-id order is the canonical accumulation

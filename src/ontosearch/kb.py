@@ -6,7 +6,7 @@ are built lazily and cached on the KB object itself, never in a
 module-level table, so they go when the KB goes: the gazetteer that
 `find_mentions` looks text up in, built on first use; and `expansions`,
 a memo that `expand.expand_document` writes each annotation key's
-document-side terms into on that key's first use. Two users of one KB can
+N, C, NC and I terms into on that key's first use. Two users of one KB can
 at worst build the same entry twice, with equal values.
 
 The gazetteer is a plain dict keyed by prefixes of the normalized surface
@@ -189,8 +189,9 @@ class KnowledgeBase:
 
     @cached_property
     def expansions(self) -> dict:
-        """Annotation key -> its document-side terms: a memo that
-        `expand.expand_document` writes each key into on its first use."""
+        """Annotation key -> its document-side terms, as four tuples: its N,
+        C, NC and I terms. A memo that `expand.expand_document` writes each
+        key into on its first use; a document's G is merged from those bags."""
         return {}
 
 

@@ -4,10 +4,11 @@ Model names follow the CLI spelling: `kw` scores over the keyword space
 alone; `ne` is the weighted sum of the four entity-space cosines
 (w_N + w_C + w_NC + w_I = 1); `kw-union-ne` blends the two with
 alpha * NE + (1 - alpha) * KW; `kw+ne` and `kw+ne+wh` are single cosines
-over the generalized term space, the latter adding class terms derived
-from the query's interrogative word. Every query and document is expanded
-into all six spaces whatever the model; a model only picks the spaces it
-scores.
+over the generalized term space. Every query and document is analysed the
+same way and expanded into all six spaces whatever the model; a model only
+picks the spaces it scores. The one exception is kw+ne+wh, under which
+`represent_query` adds the class of the query's interrogative word (or the
+query's override) to G as one class term.
 
 Scoring conventions, applied uniformly:
   * a query term missing from a space's vocabulary has no document
@@ -50,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .annotate import DEFAULT_STOPWORDS, DEFAULT_WH_MAPPING, annotate
+from .annotate import DEFAULT_STOPWORDS, DEFAULT_WH_MAPPING, annotate, wh_class
 from .expand import DocRepresentation, Space, TermBag, expand_document, expand_query
 from .index import IndexBundle, SpaceIndex
 from .kb import KnowledgeBase
@@ -211,15 +212,13 @@ def represent_query(
     """Annotate a query and expand it into all six spaces.
 
     The model changes only whether the interrogative word is read: under
-    kw+ne+wh its class becomes a G term; an empty `wh_mapping` maps no word.
+    kw+ne+wh, `wh_override` or else the leading word's class in `wh_mapping`
+    becomes a G term; an empty `wh_mapping` maps no word.
     """
-    wh = cfg.model is Model.KW_PLUS_NE_WH
-    at = annotate(
-        query_text, kb, stopwords=stopwords,
-        wh_mapping=wh_mapping if wh else None,
-        wh_override=wh_override,
-    )
-    return expand_query(at, kb)
+    wh = None
+    if cfg.model is Model.KW_PLUS_NE_WH:
+        wh = wh_override if wh_override is not None else wh_class(query_text, wh_mapping)
+    return expand_query(annotate(query_text, kb, stopwords=stopwords), kb, wh_class=wh)
 
 
 def represent_document(

@@ -77,13 +77,14 @@ def generalized_bag(at, kb) -> Counter:
     return bag
 
 
-def expand_query_counters(at, kb) -> dict:
+def expand_query_counters(at, kb, wh_class=None) -> dict:
     """A query's six bags, filled one `Counter` increment per term.
 
     Each keyword counts once in KW; each keyword not wholly inside a
     mention counts once in G. Each mention's most specific term (its id,
     else name and class, else class, else name) counts once in its own
-    space and once in G, and each wh class once in G as a class-only term.
+    space and once in G, and `wh_class`, when given, once in G as a
+    class-only term.
     A mention naming an unknown entity or class raises ValueError.
     """
     bags = {space: Counter() for space in Space}
@@ -106,8 +107,8 @@ def expand_query_counters(at, kb) -> dict:
             space, term = Space.N, Triple(name=ann.name)
         bags[space][term] += 1
         bags[Space.G][term] += 1
-    for class_id in at.wh_classes:
-        bags[Space.G][Triple(class_id=class_id)] += 1
+    if wh_class is not None:
+        bags[Space.G][Triple(class_id=wh_class)] += 1
     return bags
 
 

@@ -18,10 +18,12 @@ from ontosearch.annotate import (
     keywords_outside_entities,
     load_stopwords,
     load_wh_mapping,
-    map_interrogative,
     recognize_entities,
     tokenize_keywords,
+    wh_class,
 )
+from ontosearch.expand import Space, Triple
+from ontosearch.rank import Model, ModelConfig, represent_query
 from ontosearch import kb as kb_module
 from ontosearch.kb import KnowledgeBase, normalize_name, parse_kb
 from ontosearch.stem import stem
@@ -309,9 +311,9 @@ def test_gazetteer_builds_no_regular_expression(monkeypatch):
 
 
 def test_map_interrogative():
-    assert map_interrogative("Who", DEFAULT_WH_MAPPING) == "Person"
-    assert map_interrogative("Where", DEFAULT_WH_MAPPING) == "Location"
-    assert map_interrogative("Zorp", DEFAULT_WH_MAPPING) is None
+    assert wh_class("Who", DEFAULT_WH_MAPPING) == "Person"
+    assert wh_class("Where", DEFAULT_WH_MAPPING) == "Location"
+    assert wh_class("Zorp", DEFAULT_WH_MAPPING) is None
 
 
 def test_annotate_generalized_keywords(figure_kb):
@@ -336,25 +338,28 @@ def test_annotate_entity_only_text(figure_kb):
 
 
 def test_annotate_is_deterministic(figure_kb):
-    wh_mapping = dict(DEFAULT_WH_MAPPING)
-    assert annotate(FIGURE_QUERY, figure_kb, wh_mapping=wh_mapping) == annotate(
-        FIGURE_QUERY, figure_kb, wh_mapping=wh_mapping
-    )
+    assert annotate(FIGURE_QUERY, figure_kb) == annotate(FIGURE_QUERY, figure_kb)
 
 
 def test_annotate_wh_classes(figure_kb):
     enabled = dict(DEFAULT_WH_MAPPING)
-    assert annotate(FIGURE_QUERY, figure_kb, wh_mapping=enabled).wh_classes == ["Person"]
 
-    assert annotate(FIGURE_QUERY, figure_kb, wh_mapping=None).wh_classes == []
+    def wh_classes(model, **kwargs):
+        """The class-only G terms of the query's representation under `model`."""
+        bag = represent_query(FIGURE_QUERY, figure_kb, ModelConfig(model=model),
+                              wh_mapping=enabled, **kwargs).space_bags[Space.G]
+        return [t.class_id for t in bag if isinstance(t, Triple) and t.name is None and t.entity_id is None]
 
-    overridden = annotate(FIGURE_QUERY, figure_kb, wh_mapping=enabled, wh_override="Location")
-    assert overridden.wh_classes == ["Location"]
+    assert wh_class(FIGURE_QUERY, enabled) == "Person"
+    assert wh_classes(Model.KW_PLUS_NE_WH) == ["Person"]
+
+    assert wh_classes(Model.KW_PLUS_NE) == []
+
+    assert wh_classes(Model.KW_PLUS_NE_WH, wh_override="Location") == ["Location"]
 
 
-def test_wh_only_considers_leading_token(figure_kb):
-    at = annotate("Tell me where Moscow is", figure_kb, wh_mapping=dict(DEFAULT_WH_MAPPING))
-    assert at.wh_classes == []
+def test_wh_only_considers_leading_token():
+    assert wh_class("Tell me where Moscow is", dict(DEFAULT_WH_MAPPING)) is None
 
 
 def test_annotation_invariants_enforced():

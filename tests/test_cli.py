@@ -505,7 +505,8 @@ def test_an_empty_path_flag_exits_2_and_writes_nothing(workspace, capsys, monkey
         run_cli(command, *argv)
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
-    assert f"argument {flag}: invalid" in captured.err
+    assert f"argument {flag}: invalid path ''" in captured.err
+    assert "_path" not in captured.err
     assert captured.out == ""
     assert {p: p.read_bytes() for p in sorted(workspace.rglob("*")) if p.is_file()} == before
 

@@ -15,6 +15,7 @@ from ontosearch.annotate import (
     annotate,
     keywords_outside_entities,
     tokenize_keywords,
+    wh_class,
 )
 from ontosearch import expand as expand_module
 from ontosearch.expand import (
@@ -35,7 +36,7 @@ from conftest import FIGURE_QUERY
 from oracles import closure_walk
 
 def entity_only(ann: EntityAnnotation) -> AnnotatedText:
-    return AnnotatedText(source=ann.surface, keywords=[], entities=[ann])
+    return AnnotatedText(keywords=[], entities=[ann])
 
 
 def generalized_from_other_spaces(at: AnnotatedText, rep) -> Counter:
@@ -167,8 +168,8 @@ def test_space_shape_invariants(figure_kb):
 
 
 def test_query_golden_terms_with_and_without_wh(figure_kb):
-    at = annotate(FIGURE_QUERY, figure_kb, wh_mapping=dict(DEFAULT_WH_MAPPING))
-    with_wh = expand_query(at, figure_kb)
+    at = annotate(FIGURE_QUERY, figure_kb)
+    with_wh = expand_query(at, figure_kb, wh_class=wh_class(FIGURE_QUERY, dict(DEFAULT_WH_MAPPING)))
     assert set(with_wh.space_bags[Space.G]) == {
         Triple(class_id="Person"),
         Keyword("presid"),
@@ -194,11 +195,7 @@ def test_query_multivector_space_placement(figure_kb):
             entity_id="InternationalOrganization_T.17",
         ),
     ]
-    at = AnnotatedText(
-        source="Countries have newly joined the United Nations",
-        keywords=keywords,
-        entities=entities,
-    )
+    at = AnnotatedText(keywords=keywords, entities=entities)
     rep = expand_query(at, figure_kb)
     assert rep.space_bags[Space.C] == Counter({Triple(class_id="Country"): 1})
     assert rep.space_bags[Space.I] == Counter(

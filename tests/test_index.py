@@ -135,6 +135,16 @@ def test_build_is_invariant_under_input_permutation():
             assert list(bundle.spaces[space].term_ids) == list(reference.spaces[space].term_ids)
 
 
+@pytest.mark.parametrize("tf", [0, -2])
+def test_build_rejects_a_bag_count_below_one(tf):
+    reps = [
+        DocRepresentation("d1", {Space.KW: Counter({Keyword("a"): 1, Keyword("b"): tf})}),
+        DocRepresentation("d2", {Space.KW: Counter({Keyword("a"): 2})}),
+    ]
+    with pytest.raises(ValueError, match=f"^tf must be >= 1, got {tf}$"):
+        build_index(reps)
+
+
 def test_postings_tf_sums_are_conserved():
     bundle = build_index(FIVE_DOCS)
     for space in Space:

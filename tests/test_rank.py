@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontosearch.annotate import DEFAULT_WH_MAPPING, EntityAnnotation, annotate
+from ontosearch.annotate import DEFAULT_WH_MAPPING, EntityAnnotation, annotate, wh_class
 from ontosearch.cli import parse_queries
 from ontosearch.expand import (
     DocRepresentation,
@@ -587,21 +587,19 @@ UNKNOWN_MENTIONS = (
 )
 def test_query_bags_equal_the_counter_built_bags(figure_kb, pieces, separators, wh, unknown):
     text = "".join(piece + sep for piece, sep in zip(pieces, separators))
-    if wh is None:
-        at = annotate(text, figure_kb)
-    else:
-        override = None if wh == "leading word" else wh
-        at = annotate(text, figure_kb, wh_mapping=DEFAULT_WH_MAPPING, wh_override=override)
+    at = annotate(text, figure_kb)
+    if wh == "leading word":
+        wh = wh_class(text, DEFAULT_WH_MAPPING)
     if unknown is not None:
         at = dataclasses.replace(at, entities=[*at.entities, unknown])
         with pytest.raises(ValueError) as expected:
-            oracles.expand_query_counters(at, figure_kb)
+            oracles.expand_query_counters(at, figure_kb, wh)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            expand_query(at, figure_kb)
+            expand_query(at, figure_kb, wh_class=wh)
         return
-    bags = expand_query(at, figure_kb).space_bags
+    bags = expand_query(at, figure_kb, wh_class=wh).space_bags
     assert list(bags) == list(Space)
-    assert bags == oracles.expand_query_counters(at, figure_kb)
+    assert bags == oracles.expand_query_counters(at, figure_kb, wh)
 
 
 # --- every model analyses a query the same way ---------------------------------------
@@ -620,9 +618,8 @@ def test_query_bags_are_the_same_under_every_model(figure_kb):
         base = reps[Model.KW].space_bags
         for model in (Model.NE, Model.KW_UNION_NE, Model.KW_PLUS_NE):
             assert reps[model].space_bags == base, (text, model)
-        wh_classes = annotate(
-            text, kb, wh_mapping=DEFAULT_WH_MAPPING, wh_override=wh_override
-        ).wh_classes
+        wh = wh_override if wh_override is not None else wh_class(text, DEFAULT_WH_MAPPING)
+        wh_classes = [wh] if wh is not None else []
         with_wh = dict(base)
         with_wh[Space.G] = base[Space.G] + Counter(Triple(class_id=c) for c in wh_classes)
         assert reps[Model.KW_PLUS_NE_WH].space_bags == with_wh, text
