@@ -26,8 +26,8 @@ An index directory holds one file, `index.tsv`, whose header carries a
 fingerprint of the knowledge base file and of the stop-word set (its
 sorted words, one a line) used to build it (see `ontosearch.index`).
 Search reads that header first and refuses to run when the inputs on
-the command line hash differently, or when the directory holds a
-format-1 index, which must be rebuilt. The postings
+the command line hash differently, or when the directory holds an index
+of an earlier format, which must be rebuilt. The postings
 and the fingerprint are committed by one rename, so a failed `index`
 leaves the old index with its own fingerprint. All output files are
 written atomically, so a failed command leaves no partial primary output.

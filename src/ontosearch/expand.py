@@ -251,10 +251,11 @@ def parse_term(text: str) -> GeneralizedTerm:
         parts = text[2:].split("/")
         if len(parts) != 3:
             raise ValueError(f"malformed triple term {text!r}")
-        name, class_id, entity_id = (
-            None if p == "*" else _decode_slot(p) for p in parts
-        )
-        return Triple(name=name, class_id=class_id, entity_id=entity_id)
+        # only a slot holding `%` holds an escape
+        name, class_id, entity_id = [
+            None if p == "*" else _decode_slot(p) if "%" in p else p for p in parts
+        ]
+        return Triple(name, class_id, entity_id)
     raise ValueError(f"unknown term serialization {text!r}")
 
 

@@ -17,42 +17,42 @@ posting, that is in term-id order.
 The build is a sort-based inversion (Zobel & Moffat, "Inverted files for
 text search engines", 2006). Per space, one pass over the bags lists each
 posting's provisional term id, tf and roster position; the vocabulary is
-ranked once by serialized term; one `np.lexsort` by (term rank, roster
-position) puts the postings in CSR order, and `np.bincount` of the ranks
-gives each term's df.
+ranked once by serialized term, and one stable argsort by term rank puts
+the postings in CSR order. A document's G is its outside keywords plus the
+union of its N, C, NC and I bags, which share no term, so build and load
+alike merge G's entity postings from those four spaces (`_bundle`).
 
 On disk an index is one file, `index.tsv`, written through `_atomic_write`,
 so the postings and the fingerprint of the inputs they were built from
-are committed by a single rename: a crash leaves the old file or the new
-one. Its lines, in order:
+are committed by a single rename. It stores only what the loader cannot
+recompute (Zobel & Moffat again): no norms, and of G only its keywords.
 
-    ontosearch-index<TAB>2                      the format line
+    ontosearch-index<TAB>3                      the format line
     key<TAB>value                               the fingerprint, by key
     docs<TAB>n                                  then n roster rows:
-    doc_id<TAB>norm<TAB>... (6 norms)           sorted by doc id, .12g, space order
+    doc_id                                      sorted by doc id
     space<TAB>KW<TAB>n_terms                    then n_terms term lines:
     term<TAB>gaps<TAB>tfs                       sorted by serialized term
     ...                                         (one section per space)
+    sha256<TAB>hex                              of all the bytes above
 
-Postings name roster positions as d-gaps (Zobel & Moffat, as above): a
-term's first gap is its first position and each later gap, at least 1, is
-the step from the one before. Both gap and tf fields are comma lists.
-The saver formats each distinct number once. Doc ids may not contain
-tab or newline. The loader parses each space's gaps and tfs
-with one `np.fromstring` each, after a byte-level check that admits only
-ASCII digits in items of 1 to 18 digits, so no sign, space, overflow or
-trailing junk reaches the arrays. It parses each distinct term once, for
-all spaces. It checks that doc ids and terms strictly ascend, that each
-term has as many tfs as gaps, that each tf and each gap after a term's
-first is at least 1, that positions fall inside the roster, and that
-each stored norm matches the norm recomputed from the exact integers.
-A failure names `path:line`. A loaded index scores bit-identically to
-a freshly built one. A directory from format 1 (a `manifest.tsv` and one
-file per space) is refused with a request to rebuild it.
+Gaps and tfs are comma lists. A term's first gap is its first roster
+position and each later gap, at least 1, the step from the one before.
+Doc ids may not contain tab or newline. The loader parses each space's
+gaps and tfs with one `np.fromstring` each, after a byte-level check that
+admits only items of 1 to 18 ASCII digits, and each distinct term once.
+It checks that doc ids and terms strictly ascend, that each term has as
+many tfs as gaps, that tfs and later gaps are at least 1, that positions
+fall inside the roster and that G's lines hold keywords; a failure names
+`path:line`. Only then does it check the sha256, which also catches an
+edit that leaves every field well formed. A loaded index equals a freshly
+built one. Earlier formats are refused with a request to rebuild: format 2
+by its format line, format 1 (`manifest.tsv` and a file per space) by its files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import re
@@ -62,11 +62,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .expand import DocRepresentation, GeneralizedTerm, Space, parse_term, serialize_term
+from .expand import (_ENTITY_SPACES, DocRepresentation, GeneralizedTerm, Keyword, Space, parse_term,
+                     serialize_term)
 
 _FORBIDDEN_IN_DOC_ID = frozenset("\t\n")
 
@@ -148,14 +149,8 @@ def tfidf_weight(tf: int, df: int, n_docs: int) -> float:
     return tf * math.log(n_docs / df)
 
 
-def _space_index(
-    terms: Sequence[GeneralizedTerm],
-    df: Sequence[int],
-    doc_idx: Sequence[int],
-    tf: Sequence,
-    doc_ids: tuple[str, ...],
-    n_docs: int,
-) -> SpaceIndex:
+def _space_index(terms: Sequence[GeneralizedTerm], df: Sequence[int], doc_idx: Sequence[int],
+                 tf: Sequence, doc_ids: tuple[str, ...], n_docs: int) -> SpaceIndex:
     """Arrays for postings listed term by term, terms in serialized order."""
     counts = np.array(df, dtype=np.int64)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -165,65 +160,92 @@ def _space_index(
     if tf.size and tf.min() < 1:
         raise ValueError(f"tf must be >= 1, got {tf.min()}")
     # math.log, as tfidf_weight takes it: np.log may differ in the last ulp
-    idf = np.array([tfidf_weight(1, d, n_docs) for d in df], dtype=np.float64)
+    idf = np.array([tfidf_weight(1, d, n_docs) for d in counts.tolist()], dtype=np.float64)
     weights = tf * np.repeat(idf, counts)
     norms = np.sqrt(np.bincount(doc_idx, weights=weights * weights, minlength=len(doc_ids)))
-    return SpaceIndex(
-        term_ids={term: i for i, term in enumerate(terms)},
-        doc_ids=doc_ids,
-        offsets=offsets,
-        doc_idx=doc_idx,
-        tf=tf,
-        idf=idf,
-        weights=weights,
-        norms=norms,
-        n_docs=n_docs,
-    )
+    return SpaceIndex(term_ids={term: i for i, term in enumerate(terms)}, doc_ids=doc_ids,
+                      offsets=offsets, doc_idx=doc_idx, tf=tf, idf=idf, weights=weights,
+                      norms=norms, n_docs=n_docs)
+
+
+class _Postings(NamedTuple):
+    """One space's postings listed term by term, terms in serialized order."""
+
+    keys: list[str]  # the terms serialized
+    terms: list[GeneralizedTerm]
+    df: np.ndarray
+    doc_idx: np.ndarray
+    tf: np.ndarray
+
+
+def _ranked(keys: list[str], terms: list[GeneralizedTerm], ids: np.ndarray, doc_pos: np.ndarray,
+            tf: np.ndarray) -> _Postings:
+    """Postings under provisional term ids, each term's in roster order, put in CSR order:
+    the terms ranked by serialized key, then one stable argsort of the postings by rank."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = np.empty(len(keys), dtype=np.int64)  # provisional id -> final id
+    rank[order] = np.arange(len(keys))
+    term_rank = rank[ids]
+    postings = np.argsort(term_rank, kind="stable")
+    return _Postings([keys[i] for i in order], [terms[i] for i in order],
+                     np.bincount(term_rank, minlength=len(keys)), doc_pos[postings], tf[postings])
+
+
+def _invert(bags: list[Mapping[GeneralizedTerm, int]]) -> _Postings:
+    """The postings of one space's bags, listed in roster order (see the module docstring)."""
+    provisional: dict[GeneralizedTerm, int] = defaultdict(count().__next__)  # ids in order of first sight
+    ids = np.fromiter(map(provisional.__getitem__, chain.from_iterable(bags)), np.int64)
+    tf = np.fromiter(chain.from_iterable(bag.values() for bag in bags), np.int64)
+    doc_pos = np.repeat(np.arange(len(bags), dtype=np.int32), [len(bag) for bag in bags])
+    terms = list(provisional)
+    return _ranked([serialize_term(term) for term in terms], terms, ids, doc_pos, tf)
+
+
+def _bundle(parts: Mapping[Space, _Postings], roster: tuple[str, ...]) -> IndexBundle:
+    """Every space's index, G's postings merged from its keywords' and those of N, C, NC and I
+    in serialized order, so G's ids and norms are those of G inverted whole."""
+    sources = [parts[space] for space in (Space.G, *_ENTITY_SPACES)]
+    keys = list(chain.from_iterable(source.keys for source in sources))
+    if len(set(keys)) < len(keys):
+        raise ValueError("a term lies in two of the spaces G is merged from (its keywords, N, C, NC and I)")
+    df = np.concatenate([source.df for source in sources])
+    parts = {**parts, Space.G: _ranked(
+        keys, list(chain.from_iterable(source.terms for source in sources)),
+        np.repeat(np.arange(len(keys)), df), np.concatenate([source.doc_idx for source in sources]),
+        np.concatenate([source.tf for source in sources]))}
+    spaces = {space: _space_index(*parts[space][1:], roster, len(roster)) for space in Space}
+    return IndexBundle(spaces=spaces, doc_ids=roster)
 
 
 def build_index(reps: Iterable[DocRepresentation]) -> IndexBundle:
     """Build all six space indexes from a stream of document representations.
 
-    A term's provisional id is the order in which the bags, in roster order,
-    first show it; see the module docstring for the rest.
+    G is inverted whole, then rebuilt by `_bundle` from its keywords and the
+    four entity spaces, as `load_index` rebuilds it; the two must be equal.
     """
-    by_doc: dict[str, dict[Space, dict]] = {}
+    by_doc: dict[str, dict[Space, Mapping]] = {}
     for rep in reps:
         if rep.doc_id in by_doc:
             raise ValueError(f"duplicate doc_id {rep.doc_id!r}")
         by_doc[rep.doc_id] = rep.space_bags
     roster = tuple(sorted(by_doc))
-
-    spaces: dict[Space, SpaceIndex] = {}
-    for space in Space:
-        bags = [by_doc[doc_id].get(space, {}) for doc_id in roster]
-        # a term's first lookup gives it the next id
-        provisional: dict[GeneralizedTerm, int] = defaultdict(count().__next__)
-        ids = np.fromiter(map(provisional.__getitem__, chain.from_iterable(bags)), np.int64)
-        tf = np.fromiter(chain.from_iterable(bag.values() for bag in bags), np.int64)
-        doc_pos = np.repeat(np.arange(len(roster), dtype=np.int32), [len(bag) for bag in bags])
-        terms = list(provisional)
-        keys = [serialize_term(term) for term in terms]
-        order = sorted(range(len(terms)), key=keys.__getitem__)
-        rank = np.empty(len(terms), dtype=np.int64)  # provisional id -> final id
-        rank[order] = np.arange(len(terms))
-        term_rank = rank[ids]
-        postings = np.lexsort((doc_pos, term_rank))
-        spaces[space] = _space_index(
-            [terms[i] for i in order],
-            np.bincount(term_rank, minlength=len(terms)).tolist(),
-            doc_pos[postings],
-            tf[postings],
-            roster,
-            len(roster),
-        )
-    return IndexBundle(spaces=spaces, doc_ids=roster)
+    parts = {space: _invert([by_doc[doc_id].get(space, {}) for doc_id in roster]) for space in Space}
+    whole = parts[Space.G]
+    n = sum(type(term) is Keyword for term in whole.terms)  # keywords sort first
+    end = int(whole.df[:n].sum())
+    parts[Space.G] = _Postings(whole.keys[:n], whole.terms[:n], whole.df[:n], whole.doc_idx[:end],
+                               whole.tf[:end])
+    bundle = _bundle(parts, roster)
+    if bundle.spaces[Space.G] != _space_index(*whole[1:], roster, len(roster)):
+        raise ValueError("G's entity terms are not the union of each document's N, C, NC and I bags")
+    return bundle
 
 
 # --- persistence --------------------------------------------------------------
 
 INDEX_FILE = "index.tsv"
-FORMAT_LINE = "ontosearch-index\t2"
+FORMAT_LINE = "ontosearch-index\t3"
+_DIGEST = "sha256\t"  # how the last line starts
 
 # what format 1 wrote; `save_index` removes them once `index.tsv` is committed
 _FORMAT_1_FILES = ("manifest.tsv", "fingerprint.tsv", *(f"{space.value}.tsv" for space in Space))
@@ -233,10 +255,10 @@ _MAX_DIGITS = 18
 _COMMA_INTS = re.compile(r"[0-9]{1,%d}(?:,[0-9]{1,%d})*" % (_MAX_DIGITS, _MAX_DIGITS))
 
 
-def _formatted(values: np.ndarray, spec: str) -> list[str]:
-    """format(value, spec) of each value, formatting each distinct value once."""
+def _formatted(values: np.ndarray) -> list[str]:
+    """str(value) of each value, formatting each distinct value once."""
     distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([format(v, spec) for v in distinct.tolist()], dtype=object)[inverse].tolist()
+    return np.array(list(map(str, distinct.tolist())), dtype=object)[inverse].tolist()
 
 
 def _comma_lists(items: list[str], offsets: list[int]) -> list[str]:
@@ -247,8 +269,8 @@ def save_index(bundle: IndexBundle, directory: str | Path,
                fingerprint: Mapping[str, str] | None = None) -> None:
     """Write the bundle and `fingerprint` as one `index.tsv`, committed by one rename.
 
-    Rewrites are byte-identical. Once the file is in place, any format-1
-    files in the directory are removed.
+    Of G only the keywords are written, as `_bundle` rebuilds the rest. Rewrites
+    are byte-identical. Once the file is in place, any format-1 files are removed.
     """
     for doc_id in bundle.doc_ids:
         if not _FORBIDDEN_IN_DOC_ID.isdisjoint(doc_id):
@@ -260,25 +282,31 @@ def save_index(bundle: IndexBundle, directory: str | Path,
 
     lines = [FORMAT_LINE, *(f"{key}\t{value}" for key, value in sorted(fingerprint.items()))]
     lines.append(f"docs\t{len(bundle.doc_ids)}")
-    norms = _formatted(np.column_stack([bundle.spaces[s].norms for s in Space]).ravel(), ".12g")
-    width = len(Space)
-    lines.extend(map("\t".join, zip(bundle.doc_ids, *(norms[k::width] for k in range(width)))))
+    lines.extend(bundle.doc_ids)
+    # every gap is a roster position or a step between two, so below n_docs
+    numbers = np.array([str(i) for i in range(len(bundle.doc_ids))], dtype=object)
     for space in Space:
         sx = bundle.spaces[space]
-        lines.append(f"space\t{space.value}\t{len(sx.term_ids)}")
-        gaps = sx.doc_idx.astype(np.int64)
-        gaps[1:] -= sx.doc_idx[:-1]
-        starts = sx.offsets[:-1]
-        gaps[starts] = sx.doc_idx[starts]  # a term's first gap is its first roster position
-        offsets = sx.offsets.tolist()
+        terms = list(sx.term_ids)
+        if space is Space.G:  # keywords sort first; the rest is derived on load
+            terms = terms[:sum(type(term) is Keyword for term in terms)]
+        offsets = sx.offsets[:len(terms) + 1].tolist()
+        doc_idx = sx.doc_idx[:offsets[-1]]
+        lines.append(f"space\t{space.value}\t{len(terms)}")
+        gaps = doc_idx.astype(np.int64)
+        gaps[1:] -= doc_idx[:-1]
+        starts = offsets[:-1]
+        gaps[starts] = doc_idx[starts]  # a term's first gap is its first roster position
         lines.extend(map("\t".join, zip(
-            map(serialize_term, sx.term_ids),
-            _comma_lists(_formatted(gaps, "d"), offsets),
-            _comma_lists(_formatted(sx.tf, "d"), offsets),
+            map(serialize_term, terms),
+            _comma_lists(numbers[gaps].tolist(), offsets),
+            _comma_lists(_formatted(sx.tf[:offsets[-1]]), offsets),
         )))
+    content = "\n".join(lines) + "\n"
+    content += f"{_DIGEST}{hashlib.sha256(content.encode('utf-8')).hexdigest()}\n"
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _atomic_write(directory / INDEX_FILE, "\n".join(lines) + "\n")
+    _atomic_write(directory / INDEX_FILE, content)
     for name in _FORMAT_1_FILES:
         (directory / name).unlink(missing_ok=True)
 
@@ -305,7 +333,7 @@ def _read_header(lines: Iterator[str], path: Path) -> tuple[dict[str, str], int,
     first = next(lines, None)
     if first != FORMAT_LINE:
         raise ValueError(f"{path}:1: expected the format line {FORMAT_LINE!r}, got {first!r}; "
-                         "rebuild the index")
+                         "rebuild it with `ontosearch index`")
     fingerprint: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=2):
         if line.count("\t") != 1:
@@ -327,14 +355,15 @@ def read_fingerprint(directory: str | Path) -> dict[str, str]:
 
 
 def load_index(directory: str | Path) -> IndexBundle:
-    """Read `index.tsv` back, checking every field; a malformed one fails with path:line."""
+    """Read `index.tsv` back, checking every field, then the sha256; a malformed field fails with path:line."""
     path = _index_file(directory)
-    # no newline translation: a "\r" in a doc id or fingerprint value stays
+    data = path.read_bytes()
+    # split on "\n" alone: a "\r" in a doc id or fingerprint value stays
     # inside its line, as read_fingerprint reads it
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
+    lines = data.decode("utf-8").split("\n")
     if lines.pop():
         raise ValueError(f"{path}:{len(lines) + 1}: the file ends inside a line")
+    digest = lines.pop() if lines and lines[-1].startswith(_DIGEST) else None
     _, n_docs, docs_line = _read_header(iter(lines), path)
     at = docs_line + n_docs  # index of the line after the roster
     if at > len(lines):
@@ -365,14 +394,26 @@ def load_index(directory: str | Path) -> IndexBundle:
     if missing:
         raise ValueError(f"{path}: no section for spaces {sorted(s.value for s in missing)}")
 
-    roster, stored = _read_roster(lines[docs_line:docs_line + n_docs], path, docs_line + 1)
-    spaces: dict[Space, SpaceIndex] = {}
+    roster = tuple(_cells(lines[docs_line:docs_line + n_docs], 1, "a doc id alone", path, docs_line + 1))
+    for i, (a, b) in enumerate(zip(roster, roster[1:])):
+        if a >= b:
+            problem = "repeats the row above" if a == b else f"sorts before {a!r} on the row above"
+            raise ValueError(f"{path}:{docs_line + i + 2}: doc id {b!r} {problem}")
     parsed: dict[str, GeneralizedTerm] = {}  # each distinct term is parsed once
-    for column, space in enumerate(Space):  # a roster row's norms are in space order
-        start, end = sections[space]
-        spaces[space] = sx = _read_space(lines[start:end], path, start + 1, roster, parsed)
-        _verify_norms(sx, stored[:, column], path, docs_line + 1, space)
-    return IndexBundle(spaces=spaces, doc_ids=roster)
+    parts = {space: _read_space(lines[start:end], path, start + 1, len(roster), parsed)
+             for space, (start, end) in sections.items()}
+    keys = parts[Space.G].keys
+    if keys and not keys[-1].startswith("k:"):  # keywords sort first, so the last line is a term
+        raise ValueError(f"{path}:{sections[Space.G][1]}: G's lines hold keywords only, got {keys[-1]!r}")
+    try:
+        bundle = _bundle(parts, roster)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    # a digest line that can match is ASCII, so len(digest) counts its bytes
+    if digest is None or hashlib.sha256(data[:-len(digest) - 1]).hexdigest() != digest[len(_DIGEST):]:
+        raise ValueError(f"{path}:{len(lines) + 1}: expected the sha256 of the lines above; the "
+                         "file was changed after it was written, so rebuild it")
+    return bundle
 
 
 def _cells(rows: list[str], width: int, shape: str, path: Path, first: int) -> list[str]:
@@ -384,35 +425,11 @@ def _cells(rows: list[str], width: int, shape: str, path: Path, first: int) -> l
     return "\t".join(rows).split("\t") if rows else []
 
 
-def _read_roster(rows: list[str], path: Path, first: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """Doc ids, strictly ascending, and their stored norms, one column per space."""
-    width = 1 + len(Space)
-    cells = _cells(rows, width, f"doc_id and {width - 1} norms", path, first)
-    doc_ids = tuple(cells[0::width])
-    for i, (a, b) in enumerate(zip(doc_ids, doc_ids[1:])):
-        if a >= b:
-            problem = "repeats the row above" if a == b else f"sorts before {a!r} on the row above"
-            raise ValueError(f"{path}:{first + i + 1}: doc id {b!r} {problem}")
-    del cells[0::width]
-    try:
-        norms = np.array(cells, dtype=np.float64)
-    except ValueError:
-        for i, text in enumerate(cells):
-            try:
-                float(text)
-            except ValueError:
-                raise ValueError(f"{path}:{first + i // (width - 1)}: norm must be a number, "
-                                 f"got {text!r}") from None
-        raise
-    return doc_ids, norms.reshape(len(rows), width - 1)
-
-
 def _comma_ints(fields: list[str], what: str, path: Path, first: int) -> tuple[np.ndarray, np.ndarray]:
     """Fields that are each a comma list of decimal integers: (all values, how many per field).
 
-    `np.fromstring` would take signs, spaces and values that saturate, and
-    drop trailing junk with only a warning, so the bytes are checked first:
-    ASCII digits only, no empty item, at most `_MAX_DIGITS` digits an item.
+    `np.fromstring` would take signs, spaces, values that saturate and (with a
+    warning) trailing junk, so the bytes are checked first.
     """
     if not fields:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -434,8 +451,8 @@ def _comma_ints(fields: list[str], what: str, path: Path, first: int) -> tuple[n
     return values, counts
 
 
-def _read_space(rows: list[str], path: Path, first: int, roster: tuple[str, ...],
-                parsed: dict[str, GeneralizedTerm]) -> SpaceIndex:
+def _read_space(rows: list[str], path: Path, first: int, n_docs: int,
+                parsed: dict[str, GeneralizedTerm]) -> _Postings:
     """One space's term lines, `term<TAB>gaps<TAB>tfs`, the first on line `first`."""
     cells = _cells(rows, 3, "term<TAB>gaps<TAB>tfs", path, first)
     texts = cells[0::3]
@@ -459,7 +476,6 @@ def _read_space(rows: list[str], path: Path, first: int, roster: tuple[str, ...]
         if bad.size:  # name the line of the first bad posting
             raise ValueError(f"{path}:{first + np.searchsorted(offsets, bad[0], 'right') - 1}: {message}")
 
-    n_docs = len(roster)
     fail(gaps >= n_docs, f"a posting lies outside the roster of {n_docs} documents")
     later = np.ones(gaps.size, dtype=bool)
     later[starts] = False
@@ -484,24 +500,7 @@ def _read_space(rows: list[str], path: Path, first: int, roster: tuple[str, ...]
             if term in seen:
                 raise ValueError(f"{path}:{first + i}: term {texts[i]!r} repeats an earlier line's term")
             seen.add(term)
-    return _space_index(terms, df.tolist(), positions, tf, roster, n_docs)
-
-
-def _verify_norms(sx: SpaceIndex, stored: np.ndarray, path: Path, first: int, space: Space) -> None:
-    """math.isclose(norm, stored, rel_tol=1e-9, abs_tol=1e-9), for every document at once.
-
-    Document i's stored norm is on roster line `first + i`.
-    """
-    computed = sx.norms
-    tolerance = np.maximum(1e-9 * np.maximum(np.abs(computed), np.abs(stored)), 1e-9)
-    # an infinite stored norm is never close; the inf tolerance would let it through
-    bad = np.flatnonzero(~(np.abs(computed - stored) <= tolerance) | np.isinf(stored))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(
-            f"{path}:{first + i}: stored {space.value} norm {stored[i].item()!r} for doc "
-            f"{sx.doc_ids[i]!r} disagrees with postings (recomputed {computed[i].item()!r})"
-        )
+    return _Postings(texts, terms, df, positions, tf)
 
 
 def _current_umask() -> int:

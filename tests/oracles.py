@@ -167,6 +167,7 @@ def recognize_regex(text: str, kb) -> list[tuple[int, int]]:
 def build_index_dicts(reps) -> IndexBundle:
     """build_index by per-term lists: each term's (roster position, tf)
     postings gathered in a dict, the terms then sorted by serialized form.
+    G is each document's G keywords united with its N, C, NC and I bags.
 
     It groups postings independently of the engine and shares only the
     engine's array assembly, `index._space_index`.
@@ -175,7 +176,11 @@ def build_index_dicts(reps) -> IndexBundle:
     for rep in reps:
         if rep.doc_id in by_doc:
             raise ValueError(f"duplicate doc_id {rep.doc_id!r}")
-        by_doc[rep.doc_id] = rep.space_bags
+        bags = rep.space_bags
+        generalized = {t: n for t, n in bags.get(Space.G, {}).items() if isinstance(t, Keyword)}
+        for space in (Space.N, Space.C, Space.NC, Space.I):
+            generalized |= bags.get(space, {})
+        by_doc[rep.doc_id] = {**bags, Space.G: generalized}
     roster = tuple(sorted(by_doc))
 
     spaces = {}

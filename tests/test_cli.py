@@ -112,7 +112,7 @@ def test_index_writes_expected_directory_shape(workspace):
                    "--index-dir", index_dir) == 0
     assert [p.name for p in index_dir.iterdir()] == ["index.tsv"]
     header = (index_dir / "index.tsv").read_text(encoding="utf-8").splitlines()[:3]
-    assert header[0] == "ontosearch-index\t2"
+    assert header[0] == "ontosearch-index\t3"
     assert [line.split("\t")[0] for line in header[1:]] == ["kb_sha256", "stopwords_sha256"]
 
 
@@ -353,6 +353,22 @@ def test_a_format_1_directory_is_refused_and_reindexing_replaces_it(workspace, c
     assert not (workspace / "run.txt").exists()
     assert build_index_dir(workspace) == index_dir
     assert [p.name for p in index_dir.iterdir()] == ["index.tsv"]
+    assert search_exit(workspace, KB, index_dir) == 0
+
+
+def test_a_format_2_index_is_refused_and_reindexing_replaces_it(workspace, capsys):
+    index_dir = build_index_dir(workspace)
+    path = index_dir / "index.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    # format 2's header line, over a body without its sha256 line
+    path.write_text("\n".join(["ontosearch-index\t2", *lines[1:-1]]) + "\n", encoding="utf-8")
+    assert search_exit(workspace, KB, index_dir) == 1
+    err = capsys.readouterr().err
+    assert "expected the format line 'ontosearch-index\\t3', got 'ontosearch-index\\t2'" in err
+    assert "rebuild it" in err
+    assert not (workspace / "run.txt").exists()
+    assert build_index_dir(workspace) == index_dir
+    assert path.read_text(encoding="utf-8").splitlines() == lines
     assert search_exit(workspace, KB, index_dir) == 0
 
 

@@ -406,8 +406,10 @@ def test_serialization_round_trip(term):
 
 @given(terms)
 def test_parsed_term_finds_its_index_entry(term):
-    space = Space.KW if isinstance(term, Keyword) else Space.N
-    bags = {space: Counter({term: 2, Keyword("other"): 1})}
+    if isinstance(term, Keyword):
+        space, bags = Space.KW, {Space.KW: Counter({term: 2, Keyword("other"): 1})}
+    else:  # a document's G holds its N terms too
+        space, bags = Space.N, {s: Counter({term: 2, Triple(name="other"): 1}) for s in (Space.N, Space.G)}
     sx = build_index([DocRepresentation("d", bags)]).spaces[space]
     parsed = parse_term(serialize_term(term))
     assert parsed == term and hash(parsed) == hash(term)

@@ -1,5 +1,6 @@
 """Inverted-index construction, tf-idf weighting, and persistence."""
 
+import hashlib
 import math
 import random
 import re
@@ -25,11 +26,20 @@ from ontosearch.index import (
 import oracles
 
 
+ENTITY_SPACES = (Space.N, Space.C, Space.NC, Space.I)
+
+
 def rep(doc_id, **bags):
-    """Document representation with the named spaces filled and the rest empty."""
+    """Document representation with the named spaces filled and the rest empty.
+
+    G holds the keywords given for it plus the N, C, NC and I terms, as a
+    document's G does.
+    """
     space_bags = {space: Counter() for space in Space}
     for name, counts in bags.items():
         space_bags[Space[name]] = Counter(counts)
+    for space in ENTITY_SPACES:
+        space_bags[Space.G].update(space_bags[space])
     return DocRepresentation(doc_id=doc_id, space_bags=space_bags)
 
 
@@ -158,21 +168,48 @@ def test_duplicate_doc_id_rejected():
         build_index([rep("same", KW={K("a"): 1}), rep("same", KW={K("b"): 1})])
 
 
+x = Triple("x", None, None)
+NOT_THE_UNION = "G's entity terms are not the union of each document's N, C, NC and I bags"
+IN_TWO_SPACES = "a term lies in two of the spaces G is merged from (its keywords, N, C, NC and I)"
+
+
+@pytest.mark.parametrize("d1,d2,message", [
+    ({"N": {x: 1}}, {}, NOT_THE_UNION),
+    ({"N": {x: 1}, "G": {x: 2}}, {}, NOT_THE_UNION),
+    ({"G": {x: 1}}, {}, NOT_THE_UNION),
+    ({"N": {x: 1}, "C": {x: 1}, "G": {x: 1}}, {}, IN_TWO_SPACES),
+    ({"N": {x: 1}, "G": {x: 1}}, {"C": {x: 1}, "G": {x: 1}}, IN_TWO_SPACES),
+    ({"N": {K("a"): 1}, "G": {K("a"): 1}}, {}, IN_TWO_SPACES),
+], ids=["missing", "another-count", "in-no-entity-bag", "in-two-entity-bags", "in-two-entity-spaces",
+        "keyword-in-N"])
+def test_build_rejects_a_g_that_is_not_its_keywords_and_the_entity_bags(d1, d2, message):
+    # such a G could not be saved as its keyword lines and loaded back
+    reps = [rep("d0", KW={K("a"): 1}),
+            *(DocRepresentation(doc_id, {Space[name]: Counter(bag) for name, bag in bags.items()})
+              for doc_id, bags in (("d1", d1), ("d2", d2)))]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_index(reps)
+
+
 # --- persistence ---------------------------------------------------------------
 
 def test_save_writes_one_index_file(tmp_path):
     save_index(build_index(FIVE_DOCS), tmp_path, {"kb_sha256": "ab12"})
     assert [p.name for p in tmp_path.iterdir()] == ["index.tsv"]
-    lines = (tmp_path / "index.tsv").read_text().splitlines()
-    assert lines[:3] == ["ontosearch-index\t2", "kb_sha256\tab12", "docs\t5"]
-    assert lines[3] == "d1\t1.78551787064\t1.83258146375\t0\t0\t0\t0"  # KW N C NC I G norms
+    text = (tmp_path / "index.tsv").read_text()
+    lines = text.splitlines()
+    assert lines[:8] == ["ontosearch-index\t3", "kb_sha256\tab12", "docs\t5", "d1", "d2", "d3", "d4", "d5"]
     assert lines[8:13] == [  # gaps: the first roster position, then steps of at least 1
         "space\tKW\t4", "k:alpha\t0,1,3\t3,1,2", "k:beta\t0,2\t1,2", "k:delta\t2,1,1\t1,5,2",
         "k:gamma\t1,1\t4,1",
     ]
+    # G's four entity terms are N's, C's and I's, so its section lists none
+    assert len(build_index(FIVE_DOCS).spaces[Space.G].term_ids) == 4
     assert [line for line in lines if line.startswith("space\t")] == [
-        f"space\t{space.value}\t{len(build_index(FIVE_DOCS).spaces[space].term_ids)}" for space in Space
+        "space\tKW\t4", "space\tN\t2", "space\tC\t1", "space\tNC\t0", "space\tI\t1", "space\tG\t0",
     ]
+    body = "".join(line + "\n" for line in lines[:-1])
+    assert lines[-1] == "sha256\t" + hashlib.sha256(body.encode("utf-8")).hexdigest()
     assert read_fingerprint(tmp_path) == {"kb_sha256": "ab12"}
 
 
@@ -195,12 +232,13 @@ def test_a_carriage_return_in_a_doc_id_or_fingerprint_value_round_trips(tmp_path
 
 def test_load_parses_each_distinct_term_once(tmp_path):
     # G's entity terms are the very tuples parsed for N, C, NC and I
-    save_index(build_index(FIVE_DOCS + [rep("d6", N={Triple("x", None, None): 1},
-                                             G={Triple("x", None, None): 1, K("alpha"): 1})]), tmp_path)
+    save_index(build_index(FIVE_DOCS + [rep("d6", N={Triple("x", None, None): 1}, G={K("alpha"): 1})]),
+               tmp_path)
     loaded = load_index(tmp_path)
     kw, n, g = (list(loaded.spaces[s].term_ids) for s in (Space.KW, Space.N, Space.G))
-    assert g == [K("alpha"), Triple("x", None, None)]
-    assert g[0] is kw[0] and g[1] is n[0]
+    assert g == [K("alpha"), Triple(None, "City", None), Triple("x", None, None),
+                 Triple("x", "City", "City_1"), Triple("y", None, None)]
+    assert g[0] is kw[0] and g[2] is n[0]
 
 
 def test_query_views_are_built_on_first_use_from_the_bundle_roster(tmp_path):
@@ -233,8 +271,7 @@ def test_rewrite_is_byte_identical(tmp_path):
 # FIVE_DOCS' index.tsv, by line: 1 format, 2 docs, 3-7 roster rows d1..d5,
 # 8 `space KW 4`, 9-12 k:alpha k:beta k:delta k:gamma, 13 `space N 2`,
 # 14-15 t:x t:y, 16 `space C 1`, 17 t:*/City/*, 18 `space NC 0`,
-# 19 `space I 1`, 20 t:x/City/City_1, 21 `space G 0`
-ROSTER_LINE = {"d1": 3, "d2": 4, "d3": 5, "d4": 6, "d5": 7}
+# 19 `space I 1`, 20 t:x/City/City_1, 21 `space G 0`, 22 sha256
 
 
 def saved_five(tmp_path):
@@ -249,24 +286,60 @@ def replace_line(path, lineno, *lines):
     path.write_text("\n".join(text) + "\n")
 
 
-def edit_norm(path, doc_id, space, edit):
-    """Replace doc_id's stored norm of `space` in its roster row with edit(old norm)."""
-    lineno = ROSTER_LINE[doc_id]
-    fields = path.read_text().splitlines()[lineno - 1].split("\t")
-    column = 1 + list(Space).index(space)
-    fields[column] = edit(float(fields[column]))
-    replace_line(path, lineno, "\t".join(fields))
-
-
 def rejects(path, lineno, message):
     return pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: {message}"))
 
 
-def test_load_rejects_tampered_norm(tmp_path):
-    path = saved_five(tmp_path)
-    edit_norm(path, "d1", Space.KW, lambda x: f"{x * 2:.12g}")
-    with rejects(path, 3, "stored KW norm 3.57103574128 for doc 'd1' disagrees with postings"):
+SHA256_DIFFERS = ("expected the sha256 of the lines above; the file was changed after it was written, "
+                  "so rebuild it")
+
+
+@pytest.mark.parametrize("lineno,line", [
+    (10, "k:alpha\t0,1,3\t3,1,5"),     # another tf
+    (12, "k:delta\t1,2,1\t1,5,2"),     # another in-range gap: d2 for d3
+    (13, "k:gammb\t1,1\t4,1"),         # another term, still in order
+    (8, "d6"),                          # another doc id, still in order
+    (2, "kb_sha256\tcd34"),             # another fingerprint
+    (23, "sha256\t" + "0" * 64),        # another digest
+], ids=["tf", "gap", "term", "doc-id", "fingerprint", "digest"])
+def test_load_rejects_an_edit_that_leaves_every_field_well_formed(tmp_path, lineno, line):
+    # norms are recomputed, not stored, so only the sha256 can tell
+    save_index(build_index(FIVE_DOCS), tmp_path, {"kb_sha256": "ab12"})
+    path = tmp_path / "index.tsv"  # FIVE_DOCS' lines, one further down
+    replace_line(path, lineno, line)
+    with rejects(path, 23, SHA256_DIFFERS):
         load_index(tmp_path)
+
+
+def test_load_reports_a_field_error_before_the_sha256(tmp_path):
+    path = saved_five(tmp_path)
+    replace_line(path, 9, "k:alpha\t0,1,3\t3,1,5")  # caught by the sha256 alone
+    replace_line(path, 17, "t:*/City\t2\t1")
+    with rejects(path, 17, "malformed triple term 't:*/City'"):
+        load_index(tmp_path)
+    replace_line(path, 17, "t:*/City/*\t2\t1")
+    with rejects(path, 22, SHA256_DIFFERS):
+        load_index(tmp_path)
+
+
+def test_load_rejects_a_file_without_its_sha256_line(tmp_path):
+    path = saved_five(tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with rejects(path, 22, SHA256_DIFFERS):
+        load_index(tmp_path)
+
+
+def test_load_and_read_fingerprint_refuse_a_format_2_file(tmp_path):
+    # as format 2 wrote it: norms on the roster rows, G's entity lines, no sha256
+    (tmp_path / "index.tsv").write_text(
+        "ontosearch-index\t2\nkb_sha256\tab12\ndocs\t1\nd1\t0\t0\t0\t0\t0\t0\n"
+        "space\tKW\t1\nk:a\t0\t1\nspace\tN\t1\nt:x/*/*\t0\t1\nspace\tC\t0\nspace\tNC\t0\n"
+        "space\tI\t0\nspace\tG\t1\nt:x/*/*\t0\t1\n", encoding="utf-8")
+    for read in (load_index, read_fingerprint):
+        with rejects(tmp_path / "index.tsv", 1, "expected the format line 'ontosearch-index\\t3', got "
+                     "'ontosearch-index\\t2'; rebuild it with `ontosearch index`"):
+            read(tmp_path)
 
 
 def test_load_rejects_df_posting_mismatch(tmp_path):
@@ -277,7 +350,6 @@ def test_load_rejects_df_posting_mismatch(tmp_path):
 
 
 def two_doc_index(tmp_path):
-    # the shared term weighs 0, so editing its postings changes no stored norm
     save_index(build_index([
         rep("a", KW={K("shared"): 1, K("x"): 1}),
         rep("b", KW={K("shared"): 1, K("y"): 2}),
@@ -288,7 +360,7 @@ def two_doc_index(tmp_path):
 
 
 def test_load_rejects_posting_for_doc_without_norm_line(tmp_path):
-    # a roster row holds a document's norms; position 2 of a 2-document roster has none
+    # position 2 of a 2-document roster names no roster row
     path = two_doc_index(tmp_path)
     replace_line(path, 6, "k:shared\t0,2\t1,1")
     with rejects(path, 6, "a posting lies outside the roster of 2 documents"):
@@ -299,9 +371,9 @@ def test_load_rejects_posting_for_doc_without_norm_line(tmp_path):
 def test_load_rejects_a_roster_that_repeats_a_row_or_leaves_sorted_order(tmp_path, edit):
     path = saved_five(tmp_path)
     rows = path.read_text().splitlines()[2:7]
-    if edit == "repeat":  # a second d2 row, with any norms, before the real one
+    if edit == "repeat":  # a second d2 row before the real one
         replace_line(path, 2, "docs\t6")
-        replace_line(path, 4, "d2\t999\t0\t0\t0\t0\t0", rows[1])
+        replace_line(path, 4, "d2", rows[1])
         message = "doc id 'd2' repeats the row above"
     else:
         replace_line(path, 3, rows[1])
@@ -313,7 +385,7 @@ def test_load_rejects_a_roster_that_repeats_a_row_or_leaves_sorted_order(tmp_pat
 
 @pytest.mark.parametrize("lineno,line,at,message", [
     (2, "docs\t6", 9, "after the 6 roster rows that line 2 states, got 'k:alpha\\t"),
-    (2, "docs\t4", 7, "after the 4 roster rows that line 2 states, got 'd5\\t"),
+    (2, "docs\t4", 7, "after the 4 roster rows that line 2 states, got 'd5'"),
     (8, "space\tKW\t3", 12, "after the 3 term lines that line 8 states, got 'k:gamma\\t"),
     (8, "space\tKW\t9", None, "no section for spaces ['C', 'N']"),
     (21, "space\tG\t1", 21, "space G states 1 terms, but the file ends after 0"),
@@ -336,28 +408,6 @@ def test_load_rejects_manifest_term_count_mismatch(tmp_path):
         load_index(tmp_path)
 
 
-@pytest.mark.parametrize("space,doc_id,edit,accepted", [
-    (Space.KW, "d1", lambda x: repr(x * (1 + 1e-12)), True),
-    (Space.KW, "d1", lambda x: repr(x * (1 + 1e-6)), False),
-    (Space.N, "d2", lambda x: repr(x + 5e-10), True),  # zero norm: absolute tolerance
-    (Space.N, "d2", lambda x: repr(x + 2e-9), False),
-    (Space.KW, "d1", lambda x: "inf", False),
-    (Space.KW, "d1", lambda x: "nan", False),
-])
-def test_load_verifies_norms_to_within_1e_9(tmp_path, space, doc_id, edit, accepted):
-    built = build_index(FIVE_DOCS)
-    save_index(built, tmp_path)
-    path = tmp_path / "index.tsv"
-    edit_norm(path, doc_id, space, edit)
-    if accepted:
-        assert load_index(tmp_path) == built  # norms are recomputed, not read
-    else:
-        with pytest.raises(ValueError, match=re.escape(f"{path}:{ROSTER_LINE[doc_id]}: stored "
-                                                       f"{space.value} norm ") + f".* for doc '{doc_id}' "
-                                                       "disagrees with postings"):
-            load_index(tmp_path)
-
-
 def test_load_rejects_terms_out_of_serialized_order(tmp_path):
     # term ids follow file order, which must be the canonical accumulation order
     path = saved_five(tmp_path)
@@ -378,12 +428,11 @@ def test_load_rejects_two_spellings_of_one_term(tmp_path):
 
 
 @pytest.mark.parametrize("lineno,line,message", [
-    (1, "ontosearch-index\t1", "expected the format line 'ontosearch-index\\t2', got "
-                               "'ontosearch-index\\t1'; rebuild the index"),
+    (1, "ontosearch-index\t1", "expected the format line 'ontosearch-index\\t3', got "
+                               "'ontosearch-index\\t1'; rebuild it with `ontosearch index`"),
     (2, "docs\tfive", "expected a count, got 'five'"),
     (2, "kb_sha256", "expected key<TAB>value, got 'kb_sha256'"),
-    (4, "d2\tthree\t0\t0\t0\t0\t0", "norm must be a number, got 'three'"),
-    (4, "d2\t3.70058942643", "expected doc_id and 6 norms, got 'd2\\t3.70058942643'"),
+    (4, "d2\t3.70058942643", "expected a doc id alone, got 'd2\\t3.70058942643'"),
     (8, "", "expected space<TAB>name<TAB>n_terms after the 5 roster rows that line 2 states, got ''"),
     (8, "space\tKW", "expected space<TAB>name<TAB>n_terms after the 5 roster rows that line 2 "
                     "states, got 'space\\tKW'"),
@@ -400,7 +449,7 @@ def test_load_rejects_two_spellings_of_one_term(tmp_path):
     (17, "t:*/City\t2\t1", "malformed triple term 't:*/City'"),
     (17, "q:City\t2\t1", "unknown term serialization 'q:City'"),
 ], ids=[
-    "format-line", "docs-count", "fingerprint-line", "norm", "roster-row", "space-line-empty",
+    "format-line", "docs-count", "fingerprint-line", "roster-row", "space-line-empty",
     "space-line-short", "space-term-count", "space-name", "term-line-short", "df",
     "tf-field", "tf-zero", "past-roster-by-steps", "past-roster-first", "repeated-doc",
     "malformed-triple", "unknown-term-kind",
@@ -413,11 +462,11 @@ def test_load_names_the_file_and_line_of_a_malformed_field(tmp_path, lineno, lin
 
 
 def test_load_rejects_rows_whose_field_counts_only_add_up(tmp_path):
-    # one field too many on d1's row and one too few on d2's would shift every cell after them
+    # one field too many on k:alpha's line and one too few on k:beta's would shift every cell after them
     path = saved_five(tmp_path)
-    replace_line(path, 3, "d1\t1.78551787064\t1.83258146375\t0\t0\t0\t0\t0")
-    replace_line(path, 4, "d2\t3.70058942643\t0\t0\t0\t0")
-    with rejects(path, 3, "expected doc_id and 6 norms"):
+    replace_line(path, 9, "k:alpha\t0,1,3\t3,1,2\t1")
+    replace_line(path, 10, "k:beta\t0,2")
+    with rejects(path, 9, "expected term<TAB>gaps<TAB>tfs"):
         load_index(tmp_path)
 
 
@@ -431,7 +480,7 @@ def test_load_rejects_a_fingerprint_key_listed_twice(tmp_path):
 
 def test_load_rejects_a_header_without_a_docs_line(tmp_path):
     path = tmp_path / "index.tsv"
-    path.write_text("ontosearch-index\t2\nkb_sha256\tab12\n", encoding="utf-8")
+    path.write_text("ontosearch-index\t3\nkb_sha256\tab12\n", encoding="utf-8")
     for read in (load_index, read_fingerprint):
         with pytest.raises(ValueError, match=re.escape(f"{path}: no docs line")):
             read(tmp_path)
@@ -459,7 +508,7 @@ def test_load_rejects_a_missing_space_and_a_cut_file(tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"{path}: no section for spaces ['G']")):
         load_index(tmp_path)
     path.write_text(text[:-1])
-    with rejects(path, 21, "the file ends inside a line"):
+    with rejects(path, 22, "the file ends inside a line"):
         load_index(tmp_path)
 
 
@@ -602,16 +651,26 @@ ODD_TERMS = [
 
 @st.composite
 def shuffled_reps(draw):
-    """Representations in any order: some spaces absent or empty, terms from
-    one pool shared by every space."""
+    """Representations in any order: some spaces absent or empty, KW terms from
+    the whole pool, each triple kept to one entity space, and G its drawn
+    keywords plus the union of the entity bags."""
     doc_ids = draw(st.lists(st.text(alphabet="ab1é_", min_size=1, max_size=4),
                             unique=True, max_size=7))
-    bag = st.dictionaries(st.sampled_from(ODD_TERMS), st.integers(min_value=1, max_value=5),
-                          max_size=5)
+    triples = [term for term in ODD_TERMS if isinstance(term, Triple)]
+    homes = draw(st.lists(st.sampled_from(ENTITY_SPACES), min_size=len(triples), max_size=len(triples)))
+    pools = {space: [t for t, home in zip(triples, homes) if home is space] for space in ENTITY_SPACES}
+    pools[Space.KW] = ODD_TERMS
+    pools[Space.G] = [term for term in ODD_TERMS if isinstance(term, Keyword)]
     reps = []
     for doc_id in draw(st.permutations(doc_ids)):
-        spaces = draw(st.sets(st.sampled_from(list(Space))))
-        reps.append(DocRepresentation(doc_id, {space: Counter(draw(bag)) for space in spaces}))
+        bags = {space: Counter(draw(st.dictionaries(st.sampled_from(pools[space]),
+                                                    st.integers(min_value=1, max_value=5), max_size=5)))
+                if pools[space] else Counter()
+                for space in draw(st.sets(st.sampled_from(list(Space))))}
+        for space in ENTITY_SPACES:
+            if bags.get(space):
+                bags.setdefault(Space.G, Counter()).update(bags[space])
+        reps.append(DocRepresentation(doc_id, bags))
     return reps
 
 
@@ -637,9 +696,9 @@ def test_build_equals_the_dict_of_lists_build_on_a_pinned_corpus(tmp_path_factor
     # out of roster order, an empty bag, and one term in two spaces
     shared = Triple(name="a/b")
     reps = [
-        rep("z", N={shared: 2}, G={shared: 2, Keyword("日本"): 1}),
+        rep("z", N={shared: 2}, G={Keyword("日本"): 1}),
         rep("b"),
-        rep("a", KW={Keyword("straße"): 3}, C={Triple(class_id="*"): 1}, G={shared: 1}),
+        rep("a", KW={Keyword("straße"): 3}, C={Triple(class_id="*"): 1}, G={Keyword("straße"): 1}),
         rep("é", I={Triple(name="x%y", class_id="C", entity_id="%2A"): 4}, N={shared: 1}),
     ]
     build_both_and_compare(reps, tmp_path_factory)

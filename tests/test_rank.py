@@ -421,8 +421,9 @@ ENTITY_TERMS = {
 TERM_POOLS = {
     "KW": [Keyword(t) for t in "pqrstu"],
     **ENTITY_TERMS,
-    "G": [Keyword(t) for t in "pqrs"] + [t for pool in ENTITY_TERMS.values() for t in pool],
+    "G": [Keyword(t) for t in "pqrs"],
 }
+QUERY_POOLS = {**TERM_POOLS, "G": TERM_POOLS["G"] + [t for pool in ENTITY_TERMS.values() for t in pool]}
 UNSEEN = {"KW": [Keyword("zz")], "N": [Triple("zz", None, None)], "C": [], "NC": [], "I": [],
           "G": [Keyword("zz")]}
 
@@ -438,11 +439,16 @@ def as_rep(doc_id, bags):
     return DocRepresentation(doc_id=doc_id, space_bags={Space[n]: Counter(b) for n, b in bags.items()})
 
 
+def with_entity_terms_in_g(bags):
+    """A document's bags, its G completed with the union of its N, C, NC and I bags."""
+    return {**bags, "G": {**bags["G"], **bags["N"], **bags["C"], **bags["NC"], **bags["I"]}}
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    corpus=st.dictionaries(st.sampled_from([f"d{i}" for i in range(7)]), space_bags(TERM_POOLS),
-                           min_size=1, max_size=7),
-    query=space_bags({name: pool + UNSEEN[name] for name, pool in TERM_POOLS.items()}),
+    corpus=st.dictionaries(st.sampled_from([f"d{i}" for i in range(7)]),
+                           space_bags(TERM_POOLS).map(with_entity_terms_in_g), min_size=1, max_size=7),
+    query=space_bags({name: pool + UNSEEN[name] for name, pool in QUERY_POOLS.items()}),
     weights=st.sampled_from([(0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1), (0.0, 1.0, 0.0, 0.0)]),
     alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
     k=st.integers(min_value=1, max_value=8),
