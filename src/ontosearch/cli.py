@@ -235,13 +235,9 @@ def cmd_dump_terms(cfg: RunConfig, text: str, side: str, wh_override: str | None
             text, kb, cfg.model,
             stopwords=cfg.stopwords, wh_mapping=cfg.wh_mapping, wh_override=wh_override,
         )
-    if cfg.model.model in (Model.KW_PLUS_NE, Model.KW_PLUS_NE_WH):
-        terms = set(rep.space_bags[Space.G])
-    else:
-        terms = set()
-        for space in (Space.KW, Space.N, Space.C, Space.NC, Space.I):
-            terms.update(rep.space_bags[space])
-    return sorted(display_term(t) for t in terms)
+    generalized = cfg.model.model in (Model.KW_PLUS_NE, Model.KW_PLUS_NE_WH)
+    spaces = [Space.G] if generalized else [Space.KW, Space.N, Space.C, Space.NC, Space.I]
+    return sorted(display_term(t) for t in set().union(*(rep.space_bags[space] for space in spaces)))
 
 
 # --- argument plumbing ---------------------------------------------------------------

@@ -6,8 +6,8 @@ keyword; the name, class, name-class and identifier spaces N, C, NC and I
 hold the entity terms; the generalized space G holds the keywords outside
 entity mentions plus the same entity terms. A model only chooses which
 spaces it scores; under kw+ne+wh, `rank.represent_query` also passes the
-query's wh class to `expand_query`, which adds it to G as one class-only
-term. A wh class is configuration, not an annotation, so it is not
+query's wh class to `expand_query`, which adds it to G's own part as one
+class-only term. A wh class is configuration, not an annotation, so it is not
 validated against the KB (an unknown class simply never matches a posting).
 
 Documents are expanded aggressively: each entity occurrence contributes its
@@ -22,10 +22,8 @@ Terms are named tuples, so bags hash and compare them in C. A document is
 expanded count first, add second: its stems are counted as strings and its
 annotations by key (name, class, id), and each distinct stem becomes one
 `Keyword`. A key's N, C, NC and I terms are built once per KB, and a key
-seen n times adds n to each of them. A document's G is then merged from
-its outside keywords and its four entity bags: a term's set slots (name,
-class, id) name its space, so no term is in two of them and G is their
-union, each term keeping its count.
+seen n times adds n to each of them. As in `index.tsv`, G's stored part holds
+only G's own terms; `space_bags` adds the entity bags, the text side's one G.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 from .annotate import AnnotatedText, EntityAnnotation, keywords_outside_entities
@@ -46,6 +45,9 @@ class Space(str, Enum):
     NC = "NC"
     I = "I"
     G = "G"
+
+
+_ENTITY_SPACES = (Space.N, Space.C, Space.NC, Space.I)
 
 
 class Keyword(NamedTuple):
@@ -81,13 +83,29 @@ class Triple(_TripleSlots):
 
 GeneralizedTerm = Keyword | Triple
 
-TermBag = Counter  # GeneralizedTerm -> positive count
+TermBag = dict  # GeneralizedTerm -> positive count; a Counter is one
 
 
 @dataclass
 class DocRepresentation:
+    """`parts` holds KW, N, C, NC and I, and under G only G's own terms."""
+
     doc_id: str
-    space_bags: dict[Space, TermBag]
+    parts: dict[Space, TermBag]
+
+    @cached_property
+    def space_bags(self) -> dict[Space, TermBag]:
+        """The parts with G composed: its own terms plus every entity bag's, counts added."""
+        parts = self.parts
+        generalized = Counter()
+        dict.update(generalized, parts.get(Space.G, {}))
+        get = generalized.get
+        for space in _ENTITY_SPACES:
+            bag = parts.get(space)
+            if bag:  # most of a query's entity bags are empty
+                for term, n in bag.items():
+                    generalized[term] = get(term, 0) + n
+        return {**parts, Space.G: generalized}
 
 
 def _check_ids(ann: EntityAnnotation, kb: KnowledgeBase) -> None:
@@ -126,9 +144,6 @@ def _document_terms(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[tuple[Tri
     )
 
 
-_ENTITY_SPACES = (Space.N, Space.C, Space.NC, Space.I)
-
-
 def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> DocRepresentation:
     """Document-side expansion; see the module docstring for the closure rules.
 
@@ -137,9 +152,7 @@ def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> D
     """
     stems = Counter([token.stem for token in at.keywords])
     keywords = {stem: Keyword(stem) for stem in stems}
-    outside = Counter(
-        [token.stem for token in keywords_outside_entities(at.keywords, at.entities)]
-    )
+    outside = Counter([token.stem for token in keywords_outside_entities(at.keywords, at.entities)])
     entity_bags = {space: Counter() for space in _ENTITY_SPACES}
     memo = kb.expansions
     counts: dict[tuple, int] = {}
@@ -161,17 +174,12 @@ def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> D
             get = bag.get
             for term in space_terms:
                 bag[term] = get(term, 0) + n
-    generalized = Counter({keywords[stem]: n for stem, n in outside.items()})
-    for bag in entity_bags.values():
-        # a term's set slots name its space, so the bags share no term and
-        # G is their union: dict.update copies each count, no sum is needed
-        dict.update(generalized, bag)
-    bags = {
+    parts = {
         Space.KW: Counter({keywords[stem]: n for stem, n in stems.items()}),
         **entity_bags,
-        Space.G: generalized,
+        Space.G: Counter({keywords[stem]: n for stem, n in outside.items()}),
     }
-    return DocRepresentation(doc_id=doc_id, space_bags=bags)
+    return DocRepresentation(doc_id=doc_id, parts=parts)
 
 
 def _most_specific_term(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[Space, Triple]:
@@ -188,28 +196,24 @@ def _most_specific_term(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[Space
 def expand_query(at: AnnotatedText, kb: KnowledgeBase,
                  wh_class: str | None = None) -> DocRepresentation:
     """Query-side expansion: one most-specific term per annotation, no closure,
-    and `wh_class`, when given, as one class-only G term.
-
-    The KW and G terms are listed first and each list is counted by one
-    `Counter` call.
+    and `wh_class`, when given, as one class-only term of G's own part. The KW
+    terms and G's own terms are listed first and each list counted by one call;
+    the entity bags, mostly empty, are plain dicts, which cost far less to make.
     """
-    entity_bags = {space: Counter() for space in _ENTITY_SPACES}
-    generalized = [
-        Keyword(token.stem) for token in keywords_outside_entities(at.keywords, at.entities)
-    ]
+    entity_bags = {space: {} for space in _ENTITY_SPACES}
     for ann in at.entities:
         space, term = _most_specific_term(ann, kb)
         bag = entity_bags[space]
         bag[term] = bag.get(term, 0) + 1
-        generalized.append(term)
+    own = [Keyword(token.stem) for token in keywords_outside_entities(at.keywords, at.entities)]
     if wh_class is not None:
-        generalized.append(Triple(class_id=wh_class))
-    bags = {
+        own.append(Triple(class_id=wh_class))
+    parts = {
         Space.KW: Counter([Keyword(token.stem) for token in at.keywords]),
         **entity_bags,
-        Space.G: Counter(generalized),
+        Space.G: Counter(own),
     }
-    return DocRepresentation(doc_id="", space_bags=bags)
+    return DocRepresentation(doc_id="", parts=parts)
 
 
 # --- canonical term serialization --------------------------------------------

@@ -18,9 +18,9 @@ The build is a sort-based inversion (Zobel & Moffat, "Inverted files for
 text search engines", 2006). Per space, one pass over the bags lists each
 posting's provisional term id, tf and roster position; the vocabulary is
 ranked once by serialized term, and one stable argsort by term rank puts
-the postings in CSR order. A document's G is its outside keywords plus the
-union of its N, C, NC and I bags, which share no term, so build and load
-alike merge G's entity postings from those four spaces (`_bundle`).
+the postings in CSR order. It inverts the parts a representation stores,
+so of G only its keywords: build and load alike merge G's entity postings
+from N, C, NC and I (`_bundle`), the one place the index side defines G.
 
 On disk an index is one file, `index.tsv`, written through `_atomic_write`,
 so the postings and the fingerprint of the inputs they were built from
@@ -43,8 +43,8 @@ gaps and tfs with one `np.fromstring` each, after a byte-level check that
 admits only items of 1 to 18 ASCII digits, and each distinct term once.
 It checks that doc ids and terms strictly ascend, that each term has as
 many tfs as gaps, that tfs and later gaps are at least 1, that positions
-fall inside the roster and that G's lines hold keywords; a failure names
-`path:line`. Only then does it check the sha256, which also catches an
+fall inside the roster and that parts keep `_bundle`'s kind rule; a failure
+names `path:line`. Only then does it check the sha256, which also catches an
 edit that leaves every field well formed. A loaded index equals a freshly
 built one. Earlier formats are refused with a request to rebuild: format 2
 by its format line, format 1 (`manifest.tsv` and a file per space) by its files.
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,7 +90,10 @@ class SpaceIndex:
     idf: np.ndarray      # float64 ln(n_docs / df), per term
     weights: np.ndarray  # float64 tf * idf, per posting
     norms: np.ndarray    # float64, per roster position
-    n_docs: int
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.doc_ids)
 
     @cached_property
     def df(self) -> dict[GeneralizedTerm, int]:
@@ -127,8 +130,7 @@ class SpaceIndex:
         if not isinstance(other, SpaceIndex):
             return NotImplemented
         return (
-            self.n_docs == other.n_docs
-            and self.doc_ids == other.doc_ids
+            self.doc_ids == other.doc_ids
             and list(self.term_ids.items()) == list(other.term_ids.items())
             and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAY_FIELDS)
         )
@@ -150,7 +152,7 @@ def tfidf_weight(tf: int, df: int, n_docs: int) -> float:
 
 
 def _space_index(terms: Sequence[GeneralizedTerm], df: Sequence[int], doc_idx: Sequence[int],
-                 tf: Sequence, doc_ids: tuple[str, ...], n_docs: int) -> SpaceIndex:
+                 tf: Sequence, doc_ids: tuple[str, ...]) -> SpaceIndex:
     """Arrays for postings listed term by term, terms in serialized order."""
     counts = np.array(df, dtype=np.int64)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -160,12 +162,12 @@ def _space_index(terms: Sequence[GeneralizedTerm], df: Sequence[int], doc_idx: S
     if tf.size and tf.min() < 1:
         raise ValueError(f"tf must be >= 1, got {tf.min()}")
     # math.log, as tfidf_weight takes it: np.log may differ in the last ulp
-    idf = np.array([tfidf_weight(1, d, n_docs) for d in counts.tolist()], dtype=np.float64)
+    idf = np.array([tfidf_weight(1, d, len(doc_ids)) for d in counts.tolist()], dtype=np.float64)
     weights = tf * np.repeat(idf, counts)
     norms = np.sqrt(np.bincount(doc_idx, weights=weights * weights, minlength=len(doc_ids)))
     return SpaceIndex(term_ids={term: i for i, term in enumerate(terms)}, doc_ids=doc_ids,
                       offsets=offsets, doc_idx=doc_idx, tf=tf, idf=idf, weights=weights,
-                      norms=norms, n_docs=n_docs)
+                      norms=norms)
 
 
 class _Postings(NamedTuple):
@@ -201,44 +203,46 @@ def _invert(bags: list[Mapping[GeneralizedTerm, int]]) -> _Postings:
     return _ranked([serialize_term(term) for term in terms], terms, ids, doc_pos, tf)
 
 
-def _bundle(parts: Mapping[Space, _Postings], roster: tuple[str, ...]) -> IndexBundle:
-    """Every space's index, G's postings merged from its keywords' and those of N, C, NC and I
-    in serialized order, so G's ids and norms are those of G inverted whole."""
+def _bundle(parts: Mapping[Space, _Postings], roster: tuple[str, ...],
+            where: Callable[[Space, int], str] = lambda space, i: "") -> IndexBundle:
+    """Every space's index, G's postings merged from its own part's and those of N, C, NC and I
+    in serialized order, so G's ids and norms are those of G inverted whole.
+
+    Build and load share one kind rule: G's own part holds keywords only, and N, C, NC and I
+    triples only; keys sort `k:` before `t:`, so one end of each part decides. `where(space, i)`
+    places an error at the part's key i."""
+    seen: set[str] = set()  # G's own keys are keywords, so only the entity parts can share a key
+    for space, i, kind in ((Space.G, -1, "k:"), *((s, 0, "t:") for s in _ENTITY_SPACES)):
+        keys = parts[space].keys
+        if keys and not keys[i].startswith(kind):
+            raise ValueError(f"{where(space, i % len(keys))}{space.value}'s part holds "
+                             f"{'keywords' if kind == 'k:' else 'triples'} only, got {keys[i]!r}")
+        if not seen.isdisjoint(keys):
+            i = next(i for i, key in enumerate(keys) if key in seen)
+            raise ValueError(f"{where(space, i)}term {keys[i]!r} lies in two of N, C, NC and I")
+        seen.update(keys)
     sources = [parts[space] for space in (Space.G, *_ENTITY_SPACES)]
     keys = list(chain.from_iterable(source.keys for source in sources))
-    if len(set(keys)) < len(keys):
-        raise ValueError("a term lies in two of the spaces G is merged from (its keywords, N, C, NC and I)")
     df = np.concatenate([source.df for source in sources])
     parts = {**parts, Space.G: _ranked(
         keys, list(chain.from_iterable(source.terms for source in sources)),
         np.repeat(np.arange(len(keys)), df), np.concatenate([source.doc_idx for source in sources]),
         np.concatenate([source.tf for source in sources]))}
-    spaces = {space: _space_index(*parts[space][1:], roster, len(roster)) for space in Space}
+    spaces = {space: _space_index(*parts[space][1:], roster) for space in Space}
     return IndexBundle(spaces=spaces, doc_ids=roster)
 
 
 def build_index(reps: Iterable[DocRepresentation]) -> IndexBundle:
-    """Build all six space indexes from a stream of document representations.
-
-    G is inverted whole, then rebuilt by `_bundle` from its keywords and the
-    four entity spaces, as `load_index` rebuilds it; the two must be equal.
-    """
+    """Build all six space indexes from the parts a stream of document representations
+    stores; `_bundle` merges G from its own part and N, C, NC and I, as `load_index` does."""
     by_doc: dict[str, dict[Space, Mapping]] = {}
     for rep in reps:
         if rep.doc_id in by_doc:
             raise ValueError(f"duplicate doc_id {rep.doc_id!r}")
-        by_doc[rep.doc_id] = rep.space_bags
+        by_doc[rep.doc_id] = rep.parts
     roster = tuple(sorted(by_doc))
-    parts = {space: _invert([by_doc[doc_id].get(space, {}) for doc_id in roster]) for space in Space}
-    whole = parts[Space.G]
-    n = sum(type(term) is Keyword for term in whole.terms)  # keywords sort first
-    end = int(whole.df[:n].sum())
-    parts[Space.G] = _Postings(whole.keys[:n], whole.terms[:n], whole.df[:n], whole.doc_idx[:end],
-                               whole.tf[:end])
-    bundle = _bundle(parts, roster)
-    if bundle.spaces[Space.G] != _space_index(*whole[1:], roster, len(roster)):
-        raise ValueError("G's entity terms are not the union of each document's N, C, NC and I bags")
-    return bundle
+    return _bundle({space: _invert([by_doc[doc_id].get(space, {}) for doc_id in roster])
+                    for space in Space}, roster)
 
 
 # --- persistence --------------------------------------------------------------
@@ -402,13 +406,7 @@ def load_index(directory: str | Path) -> IndexBundle:
     parsed: dict[str, GeneralizedTerm] = {}  # each distinct term is parsed once
     parts = {space: _read_space(lines[start:end], path, start + 1, len(roster), parsed)
              for space, (start, end) in sections.items()}
-    keys = parts[Space.G].keys
-    if keys and not keys[-1].startswith("k:"):  # keywords sort first, so the last line is a term
-        raise ValueError(f"{path}:{sections[Space.G][1]}: G's lines hold keywords only, got {keys[-1]!r}")
-    try:
-        bundle = _bundle(parts, roster)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    bundle = _bundle(parts, roster, lambda space, i: f"{path}:{sections[space][0] + 1 + i}: ")
     # a digest line that can match is ASCII, so len(digest) counts its bytes
     if digest is None or hashlib.sha256(data[:-len(digest) - 1]).hexdigest() != digest[len(_DIGEST):]:
         raise ValueError(f"{path}:{len(lines) + 1}: expected the sha256 of the lines above; the "

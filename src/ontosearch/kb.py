@@ -191,7 +191,8 @@ class KnowledgeBase:
     def expansions(self) -> dict:
         """Annotation key -> its document-side terms, as four tuples: its N,
         C, NC and I terms. A memo that `expand.expand_document` writes each
-        key into on its first use; a document's G is merged from those bags."""
+        key into on its first use. G is not kept: `DocRepresentation.space_bags`
+        composes it from a text's bags when it is read."""
         return {}
 
 

@@ -234,8 +234,8 @@ def represent_document(
 
 def score_query(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> Scores:
     """The configured model's scores; `kw-union-ne` is exact at both ends of alpha."""
-    def cosine(space: Space) -> Scores:
-        return cosine_score(q.space_bags[space], idx.spaces[space])
+    def cosine(space: Space) -> Scores:  # only G is composed; another space scores its stored part
+        return cosine_score((q.space_bags if space is Space.G else q.parts)[space], idx.spaces[space])
     if cfg.model is Model.KW:
         return cosine(Space.KW)
     if cfg.model in (Model.KW_PLUS_NE, Model.KW_PLUS_NE_WH):

@@ -197,7 +197,6 @@ def build_index_dicts(reps) -> IndexBundle:
             [position for position, _ in postings],
             [tf for _, tf in postings],
             roster,
-            len(roster),
         )
     return IndexBundle(spaces=spaces, doc_ids=roster)
 

@@ -260,7 +260,7 @@ def test_class_subsumption_retrieval(collection, synth_kb, synth_index):
 
     location_query = DocRepresentation(
         doc_id="",
-        space_bags={
+        parts={
             **{space: Counter() for space in Space},
             Space.G: Counter({Triple(class_id="Location"): 1}),
         },

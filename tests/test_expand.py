@@ -408,8 +408,8 @@ def test_serialization_round_trip(term):
 def test_parsed_term_finds_its_index_entry(term):
     if isinstance(term, Keyword):
         space, bags = Space.KW, {Space.KW: Counter({term: 2, Keyword("other"): 1})}
-    else:  # a document's G holds its N terms too
-        space, bags = Space.N, {s: Counter({term: 2, Triple(name="other"): 1}) for s in (Space.N, Space.G)}
+    else:  # G composes its N terms too
+        space, bags = Space.N, {Space.N: Counter({term: 2, Triple(name="other"): 1})}
     sx = build_index([DocRepresentation("d", bags)]).spaces[space]
     parsed = parse_term(serialize_term(term))
     assert parsed == term and hash(parsed) == hash(term)

@@ -1,5 +1,6 @@
 """Inverted-index construction, tf-idf weighting, and persistence."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -22,25 +23,25 @@ from ontosearch.index import (
     save_index,
     tfidf_weight,
 )
+from ontosearch.rank import Model, ModelConfig, represent_document, represent_query
 
 import oracles
+from conftest import FIGURE_QUERY
 
 
 ENTITY_SPACES = (Space.N, Space.C, Space.NC, Space.I)
 
 
 def rep(doc_id, **bags):
-    """Document representation with the named spaces filled and the rest empty.
+    """Document representation with the named parts filled and the rest empty.
 
-    G holds the keywords given for it plus the N, C, NC and I terms, as a
-    document's G does.
+    G's part holds the keywords given for it; the N, C, NC and I terms join
+    them in `space_bags`, as in a document's G.
     """
-    space_bags = {space: Counter() for space in Space}
+    parts = {space: Counter() for space in Space}
     for name, counts in bags.items():
-        space_bags[Space[name]] = Counter(counts)
-    for space in ENTITY_SPACES:
-        space_bags[Space.G].update(space_bags[space])
-    return DocRepresentation(doc_id=doc_id, space_bags=space_bags)
+        parts[Space[name]] = Counter(counts)
+    return DocRepresentation(doc_id=doc_id, parts=parts)
 
 
 K = Keyword
@@ -169,26 +170,42 @@ def test_duplicate_doc_id_rejected():
 
 
 x = Triple("x", None, None)
-NOT_THE_UNION = "G's entity terms are not the union of each document's N, C, NC and I bags"
-IN_TWO_SPACES = "a term lies in two of the spaces G is merged from (its keywords, N, C, NC and I)"
+TRIPLE_IN_G = "G's part holds keywords only, got 't:x/*/*'"
+IN_TWO_SPACES = "term 't:x/*/*' lies in two of N, C, NC and I"
 
 
 @pytest.mark.parametrize("d1,d2,message", [
-    ({"N": {x: 1}}, {}, NOT_THE_UNION),
-    ({"N": {x: 1}, "G": {x: 2}}, {}, NOT_THE_UNION),
-    ({"G": {x: 1}}, {}, NOT_THE_UNION),
-    ({"N": {x: 1}, "C": {x: 1}, "G": {x: 1}}, {}, IN_TWO_SPACES),
-    ({"N": {x: 1}, "G": {x: 1}}, {"C": {x: 1}, "G": {x: 1}}, IN_TWO_SPACES),
-    ({"N": {K("a"): 1}, "G": {K("a"): 1}}, {}, IN_TWO_SPACES),
-], ids=["missing", "another-count", "in-no-entity-bag", "in-two-entity-bags", "in-two-entity-spaces",
-        "keyword-in-N"])
+    ({"N": {x: 1}, "G": {x: 2}}, {}, TRIPLE_IN_G),
+    ({"G": {x: 1}}, {}, TRIPLE_IN_G),
+    ({"N": {x: 1}, "C": {x: 1}}, {}, IN_TWO_SPACES),
+    ({"N": {x: 1}}, {"C": {x: 1}}, IN_TWO_SPACES),
+    ({"N": {K("a"): 1}, "G": {K("a"): 1}}, {}, "N's part holds triples only, got 'k:a'"),
+], ids=["another-count", "in-no-entity-bag", "in-two-entity-bags", "in-two-entity-spaces", "keyword-in-N"])
 def test_build_rejects_a_g_that_is_not_its_keywords_and_the_entity_bags(d1, d2, message):
-    # such a G could not be saved as its keyword lines and loaded back
+    # such parts could not be saved and loaded back as the same G
     reps = [rep("d0", KW={K("a"): 1}),
             *(DocRepresentation(doc_id, {Space[name]: Counter(bag) for name, bag in bags.items()})
               for doc_id, bags in (("d1", d1), ("d2", d2)))]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_index(reps)
+
+
+def test_build_rejects_a_query_representation_whose_g_holds_its_wh_class(figure_kb):
+    # the wh class is a triple in G's own part, which no document holds
+    doc = represent_document(FIGURE_QUERY, figure_kb, "d")
+    query = represent_query(FIGURE_QUERY, figure_kb, ModelConfig(model=Model.KW_PLUS_NE_WH))
+    assert Triple(class_id="Person") in query.parts[Space.G]
+    build_index([doc, dataclasses.replace(query, doc_id="q", parts={**query.parts, Space.G: Counter()})])
+    with pytest.raises(ValueError, match=re.escape("G's part holds keywords only, got 't:*/Person/*'")):
+        build_index([doc, dataclasses.replace(query, doc_id="q")])
+
+
+def test_a_representation_stores_g_own_terms_and_composes_g_on_read():
+    d = rep("d", KW={K("a"): 1, K("b"): 2}, N={x: 3}, G={K("a"): 1})
+    assert d.parts[Space.G] == Counter({K("a"): 1})
+    assert d.space_bags[Space.G] == Counter({K("a"): 1, x: 3})
+    assert d.space_bags is d.space_bags  # composed once
+    assert list(d.space_bags) == list(Space)
 
 
 # --- persistence ---------------------------------------------------------------
@@ -461,6 +478,29 @@ def test_load_names_the_file_and_line_of_a_malformed_field(tmp_path, lineno, lin
         load_index(tmp_path)
 
 
+def resign(path):
+    """Put the sha256 of the lines above in place of the last line, as `save_index` writes it."""
+    body = "".join(line + "\n" for line in path.read_text().splitlines()[:-1])
+    path.write_text(body + "sha256\t" + hashlib.sha256(body.encode("utf-8")).hexdigest() + "\n")
+
+
+@pytest.mark.parametrize("edits,at,message", [
+    ({13: ["space\tN\t3", "k:alpha\t2\t1"]}, 14, "N's part holds triples only, got 'k:alpha'"),
+    ({21: ["space\tG\t2", "k:alpha\t0\t1", "t:z/*/*\t0\t1"]}, 23,
+     "G's part holds keywords only, got 't:z/*/*'"),
+    ({16: ["space\tC\t2"], 17: ["t:*/City/*\t2\t1", "t:x/*/*\t0\t1"]}, 18,
+     "term 't:x/*/*' lies in two of N, C, NC and I"),
+], ids=["keyword-in-N", "triple-in-G", "triple-in-N-and-C"])
+def test_load_refuses_parts_that_break_the_kind_rule_though_the_sha256_matches(tmp_path, edits, at, message):
+    # each would merge into a G that no build makes, and a re-save of it would not load
+    path = saved_five(tmp_path)
+    for lineno in sorted(edits, reverse=True):
+        replace_line(path, lineno, *edits[lineno])
+    resign(path)
+    with rejects(path, at, message):
+        load_index(tmp_path)
+
+
 def test_load_rejects_rows_whose_field_counts_only_add_up(tmp_path):
     # one field too many on k:alpha's line and one too few on k:beta's would shift every cell after them
     path = saved_five(tmp_path)
@@ -651,9 +691,9 @@ ODD_TERMS = [
 
 @st.composite
 def shuffled_reps(draw):
-    """Representations in any order: some spaces absent or empty, KW terms from
-    the whole pool, each triple kept to one entity space, and G its drawn
-    keywords plus the union of the entity bags."""
+    """Representations in any order: some parts absent or empty, KW terms from
+    the whole pool, each triple kept to one entity space, and G's part its
+    drawn keywords."""
     doc_ids = draw(st.lists(st.text(alphabet="ab1é_", min_size=1, max_size=4),
                             unique=True, max_size=7))
     triples = [term for term in ODD_TERMS if isinstance(term, Triple)]
@@ -667,9 +707,6 @@ def shuffled_reps(draw):
                                                     st.integers(min_value=1, max_value=5), max_size=5)))
                 if pools[space] else Counter()
                 for space in draw(st.sets(st.sampled_from(list(Space))))}
-        for space in ENTITY_SPACES:
-            if bags.get(space):
-                bags.setdefault(Space.G, Counter()).update(bags[space])
         reps.append(DocRepresentation(doc_id, bags))
     return reps
 
