@@ -18,18 +18,23 @@ term, the most specific available (id, then name+class, then class or name
 alone), with no alias or superclass closure; the document side of the match
 carries the burden.
 
-Terms are named tuples, so bags hash and compare them in C. A document is
-expanded count first, add second: its stems are counted as strings and its
-annotations by key (name, class, id), and each distinct stem becomes one
-`Keyword`. A key's N, C, NC and I terms are built once per KB, and a key
-seen n times adds n to each of them. As in `index.tsv`, G's stored part holds
-only G's own terms; `space_bags` adds the entity bags, the text side's one G.
+Terms are named tuples, so bags hash and compare them in C. A query is
+expanded into term bags (`DocRepresentation`). A document is only counted
+(`DocumentCounts`): its stems as strings, its own G part as the stems that
+`keywords_outside_entities` keeps (the rule queries use), and its
+annotations by key (name, class, id). A key's N, C, NC and I terms are
+built once per KB, in `kb.expansions`, and the document keeps that table
+beside its key counts, so `index.build_index` inverts the counts without a
+term bag per document. A document's `parts` and `space_bags` are composed
+from the counts on first read; as in `index.tsv`, G's stored part holds
+only G's own terms, and `space_bags` adds the entity bags, the text side's
+one G.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -86,26 +91,67 @@ GeneralizedTerm = Keyword | Triple
 TermBag = dict  # GeneralizedTerm -> positive count; a Counter is one
 
 
+def _compose_g(parts: dict[Space, TermBag]) -> dict[Space, TermBag]:
+    """The parts with G composed: its own terms plus every entity bag's, counts added."""
+    generalized = Counter()
+    dict.update(generalized, parts.get(Space.G, {}))
+    get = generalized.get
+    for space in _ENTITY_SPACES:
+        bag = parts.get(space)
+        if bag:  # most of a query's entity bags are empty
+            for term, n in bag.items():
+                generalized[term] = get(term, 0) + n
+    return {**parts, Space.G: generalized}
+
+
 @dataclass
 class DocRepresentation:
-    """`parts` holds KW, N, C, NC and I, and under G only G's own terms."""
+    """A query's bags: `parts` holds KW, N, C, NC and I, and under G only G's own terms."""
 
     doc_id: str
     parts: dict[Space, TermBag]
 
     @cached_property
     def space_bags(self) -> dict[Space, TermBag]:
-        """The parts with G composed: its own terms plus every entity bag's, counts added."""
-        parts = self.parts
-        generalized = Counter()
-        dict.update(generalized, parts.get(Space.G, {}))
-        get = generalized.get
-        for space in _ENTITY_SPACES:
-            bag = parts.get(space)
-            if bag:  # most of a query's entity bags are empty
-                for term, n in bag.items():
-                    generalized[term] = get(term, 0) + n
-        return {**parts, Space.G: generalized}
+        return _compose_g(self.parts)
+
+
+# an annotation key: (name, class_id, entity_id), the name normalized unless the id is known
+AnnotationKey = tuple
+
+
+@dataclass
+class DocumentCounts:
+    """A document counted, not bagged: stem -> n for KW (`stems`) and for G's own
+    part (`own`), and annotation key -> n (`keys`), read through `expansions`,
+    the table of each key's N, C, NC and I terms that the keys were counted
+    against. `index.build_index` inverts these counts; `parts` and `space_bags`
+    compose the term bags on first read."""
+
+    doc_id: str
+    stems: dict[str, int]
+    own: dict[str, int]
+    keys: dict[AnnotationKey, int]
+    expansions: dict[AnnotationKey, tuple[tuple[GeneralizedTerm, ...], ...]] = field(repr=False)
+
+    @cached_property
+    def parts(self) -> dict[Space, TermBag]:
+        """KW, N, C, NC and I, and under G only G's own terms; a key seen n times
+        adds n to each of its terms."""
+        entity_bags: list[TermBag] = [{} for _ in _ENTITY_SPACES]
+        for key, n in self.keys.items():
+            for bag, space_terms in zip(entity_bags, self.expansions[key]):
+                for term in space_terms:
+                    bag[term] = bag.get(term, 0) + n
+        return {
+            Space.KW: {Keyword(stem): n for stem, n in self.stems.items()},
+            **dict(zip(_ENTITY_SPACES, entity_bags)),
+            Space.G: {Keyword(stem): n for stem, n in self.own.items()},
+        }
+
+    @cached_property
+    def space_bags(self) -> dict[Space, TermBag]:
+        return _compose_g(self.parts)
 
 
 def _check_ids(ann: EntityAnnotation, kb: KnowledgeBase) -> None:
@@ -144,42 +190,41 @@ def _document_terms(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[tuple[Tri
     )
 
 
-def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> DocRepresentation:
-    """Document-side expansion; see the module docstring for the closure rules.
+def _count(stems: list[str]) -> dict[str, int]:
+    """stem -> n, as a plain dict: a `Counter` costs more to make, and the GC tracks it."""
+    counts: dict[str, int] = {}
+    get = counts.get
+    for stem in stems:
+        counts[stem] = get(stem, 0) + 1
+    return counts
+
+
+def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> DocumentCounts:
+    """Document-side expansion, counted; see the module docstring for the closure rules.
 
     Each annotation key's terms are kept in `kb.expansions`; a key that
     fails to expand is not kept, so its error is raised on every call.
     """
-    stems = Counter([token.stem for token in at.keywords])
-    keywords = {stem: Keyword(stem) for stem in stems}
-    outside = Counter([token.stem for token in keywords_outside_entities(at.keywords, at.entities)])
-    entity_bags = {space: Counter() for space in _ENTITY_SPACES}
-    memo = kb.expansions
-    counts: dict[tuple, int] = {}
-    for ann in at.entities:
-        name = ann.name
-        # a name without an id is the text as written: key it by its normal
-        # form, so the memo grows with the KB, not with the spellings
-        if ann.entity_id is None and name is not None:
-            name = normalize_name(name)
-        key = name, ann.class_id, ann.entity_id
-        if key in counts:
-            counts[key] += 1
-        else:
-            counts[key] = 1
-            if key not in memo:
-                memo[key] = _document_terms(ann, kb)
-    for key, n in counts.items():
-        for bag, space_terms in zip(entity_bags.values(), memo[key]):
-            get = bag.get
-            for term in space_terms:
-                bag[term] = get(term, 0) + n
-    parts = {
-        Space.KW: Counter({keywords[stem]: n for stem, n in stems.items()}),
-        **entity_bags,
-        Space.G: Counter({keywords[stem]: n for stem, n in outside.items()}),
-    }
-    return DocRepresentation(doc_id=doc_id, parts=parts)
+    stems = _count([token.stem for token in at.keywords])
+    own = stems
+    keys: dict[AnnotationKey, int] = {}
+    if at.entities:
+        own = _count([token.stem for token in keywords_outside_entities(at.keywords, at.entities)])
+        memo = kb.expansions
+        for ann in at.entities:
+            name = ann.name
+            # a name without an id is the text as written: key it by its normal
+            # form, so the memo grows with the KB, not with the spellings
+            if ann.entity_id is None and name is not None:
+                name = normalize_name(name)
+            key = name, ann.class_id, ann.entity_id
+            if key in keys:
+                keys[key] += 1
+            else:
+                keys[key] = 1
+                if key not in memo:
+                    memo[key] = _document_terms(ann, kb)
+    return DocumentCounts(doc_id, stems, own, keys, kb.expansions)
 
 
 def _most_specific_term(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[Space, Triple]:

@@ -15,12 +15,19 @@ document's Euclidean norm, whose squares `np.bincount` sums posting by
 posting, that is in term-id order.
 
 The build is a sort-based inversion (Zobel & Moffat, "Inverted files for
-text search engines", 2006). Per space, one pass over the bags lists each
-posting's provisional term id, tf and roster position; the vocabulary is
-ranked once by serialized term, and one stable argsort by term rank puts
-the postings in CSR order. It inverts the parts a representation stores,
-so of G only its keywords: build and load alike merge G's entity postings
-from N, C, NC and I (`_bundle`), the one place the index side defines G.
+text search engines", 2006) of counted documents (`expand.DocumentCounts`);
+no document is turned into term bags. KW and G's own part are inverted from
+their stem counts, each stem serialized as `k:<stem>` once per build. N, C,
+NC and I are inverted from the annotation key counts: each distinct key is
+mapped to each space's provisional term ids once, through the table the keys
+were counted against, and a key seen n times in a document gives each of its
+terms a posting of tf n, all listed flat with `np.repeat`. The vocabulary is
+ranked once by serialized term, and one stable argsort by term rank puts the
+postings in CSR order. Two keys of one document may share a term (two
+cities' `(*/Location/*)`); their postings end up adjacent and
+`np.add.reduceat` adds them. Of G only its own part is inverted: build and
+load alike merge G's entity postings from N, C, NC and I (`_bundle`), the
+one place the index side defines G.
 
 On disk an index is one file, `index.tsv`, written through `_atomic_write`,
 so the postings and the fingerprint of the inputs they were built from
@@ -66,8 +73,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .expand import (_ENTITY_SPACES, DocRepresentation, GeneralizedTerm, Keyword, Space, parse_term,
-                     serialize_term)
+from .expand import (_ENTITY_SPACES, AnnotationKey, DocumentCounts, GeneralizedTerm, Keyword, Space,
+                     parse_term, serialize_term)
 
 _FORBIDDEN_IN_DOC_ID = frozenset("\t\n")
 
@@ -183,24 +190,65 @@ class _Postings(NamedTuple):
 def _ranked(keys: list[str], terms: list[GeneralizedTerm], ids: np.ndarray, doc_pos: np.ndarray,
             tf: np.ndarray) -> _Postings:
     """Postings under provisional term ids, each term's in roster order, put in CSR order:
-    the terms ranked by serialized key, then one stable argsort of the postings by rank."""
+    the terms ranked by serialized key, then one stable argsort of the postings by rank.
+    Postings of one term in one document, which two keys of a document can give, are then
+    adjacent, and are added into one."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    rank = np.empty(len(keys), dtype=np.int64)  # provisional id -> final id
+    # provisional id -> final id, in the narrowest type: numpy's stable sort of 8- and
+    # 16-bit integers is a radix sort
+    rank = np.empty(len(keys), dtype=np.min_scalar_type(len(keys)))
     rank[order] = np.arange(len(keys))
     term_rank = rank[ids]
     postings = np.argsort(term_rank, kind="stable")
+    term_rank, doc_pos, tf = term_rank[postings], doc_pos[postings], tf[postings]
+    repeat = (term_rank[1:] == term_rank[:-1]) & (doc_pos[1:] == doc_pos[:-1])
+    if repeat.any():
+        first = np.flatnonzero(np.concatenate(([True], ~repeat)))
+        term_rank, doc_pos, tf = term_rank[first], doc_pos[first], np.add.reduceat(tf, first)
     return _Postings([keys[i] for i in order], [terms[i] for i in order],
-                     np.bincount(term_rank, minlength=len(keys)), doc_pos[postings], tf[postings])
+                     np.bincount(term_rank, minlength=len(keys)), doc_pos, tf)
 
 
-def _invert(bags: list[Mapping[GeneralizedTerm, int]]) -> _Postings:
-    """The postings of one space's bags, listed in roster order (see the module docstring)."""
-    provisional: dict[GeneralizedTerm, int] = defaultdict(count().__next__)  # ids in order of first sight
-    ids = np.fromiter(map(provisional.__getitem__, chain.from_iterable(bags)), np.int64)
-    tf = np.fromiter(chain.from_iterable(bag.values() for bag in bags), np.int64)
-    doc_pos = np.repeat(np.arange(len(bags), dtype=np.int32), [len(bag) for bag in bags])
-    terms = list(provisional)
-    return _ranked([serialize_term(term) for term in terms], terms, ids, doc_pos, tf)
+def _listed(bags: list[dict]) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """One count bag per roster position, listed flat: the distinct keys in order of first
+    sight, and per entry its key's provisional id (its place in that list), its count and
+    its roster position."""
+    provisional: dict = defaultdict(count().__next__)
+    lengths = [len(bag) for bag in bags]
+    total = sum(lengths)
+    ids = np.fromiter(map(provisional.__getitem__, chain.from_iterable(bags)), np.int64, total)
+    counts = np.fromiter(chain.from_iterable(map(dict.values, bags)), np.int64, total)
+    return list(provisional), ids, counts, np.repeat(np.arange(len(bags), dtype=np.int32), lengths)
+
+
+def _invert_stems(bags: list[dict[str, int]], keywords: dict[str, Keyword]) -> _Postings:
+    """The postings of one space's stem counts. `keywords` holds each stem's `Keyword`, made
+    once per build."""
+    stems, ids, tf, doc_pos = _listed(bags)
+    terms = [keywords.get(stem) or keywords.setdefault(stem, Keyword(stem)) for stem in stems]
+    return _ranked(["k:" + stem for stem in stems], terms, ids, doc_pos, tf)
+
+
+def _invert_keys(bags: list[dict[AnnotationKey, int]], table: Mapping) -> list[_Postings]:
+    """The postings of N, C, NC and I from annotation key counts. Each distinct key is mapped
+    to each space's provisional term ids once, through `table`, and a key seen n times in a
+    document gives each of its terms there a posting of tf n."""
+    keys, key_ids, key_tf, key_pos = _listed(bags)
+    entries = [table[key] for key in keys]
+    parts = []
+    for space_index in range(len(_ENTITY_SPACES)):
+        term_ids: dict[GeneralizedTerm, int] = defaultdict(count().__next__)
+        per_key = [[term_ids[term] for term in entry[space_index]] for entry in entries]
+        lengths = np.array([len(ids) for ids in per_key], dtype=np.int64)
+        start = np.cumsum(lengths) - lengths  # where each key's term ids start
+        width = lengths[key_ids]  # the postings each key seen gives
+        # each posting's place among the flat term ids: its key's start, plus its place in the key
+        at = np.arange(width.sum()) + np.repeat(start[key_ids] - (np.cumsum(width) - width), width)
+        ids = np.fromiter(chain.from_iterable(per_key), np.int64, lengths.sum())[at]
+        terms = list(term_ids)
+        parts.append(_ranked([serialize_term(term) for term in terms], terms, ids,
+                             np.repeat(key_pos, width), np.repeat(key_tf, width)))
+    return parts
 
 
 def _bundle(parts: Mapping[Space, _Postings], roster: tuple[str, ...],
@@ -232,17 +280,31 @@ def _bundle(parts: Mapping[Space, _Postings], roster: tuple[str, ...],
     return IndexBundle(spaces=spaces, doc_ids=roster)
 
 
-def build_index(reps: Iterable[DocRepresentation]) -> IndexBundle:
-    """Build all six space indexes from the parts a stream of document representations
-    stores; `_bundle` merges G from its own part and N, C, NC and I, as `load_index` does."""
-    by_doc: dict[str, dict[Space, Mapping]] = {}
-    for rep in reps:
-        if rep.doc_id in by_doc:
-            raise ValueError(f"duplicate doc_id {rep.doc_id!r}")
-        by_doc[rep.doc_id] = rep.parts
+def build_index(docs: Iterable[DocumentCounts]) -> IndexBundle:
+    """Build all six space indexes from a stream of counted documents: KW and G's own part
+    from their stem counts, N, C, NC and I from their key counts; `_bundle` merges G from
+    its own part and N, C, NC and I, as `load_index` does."""
+    by_doc: dict[str, DocumentCounts] = {}
+    table = None
+    for doc in docs:
+        if not isinstance(doc, DocumentCounts):
+            raise TypeError(f"build_index takes counted documents (expand_document's), "
+                            f"got {type(doc).__name__}")
+        if doc.doc_id in by_doc:
+            raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
+        if table is not None and doc.expansions is not table:
+            raise ValueError("the documents were counted against different expansion tables")
+        table = doc.expansions
+        by_doc[doc.doc_id] = doc
     roster = tuple(sorted(by_doc))
-    return _bundle({space: _invert([by_doc[doc_id].get(space, {}) for doc_id in roster])
-                    for space in Space}, roster)
+    in_roster = [by_doc[doc_id] for doc_id in roster]
+    keywords: dict[str, Keyword] = {}
+    parts = {
+        Space.KW: _invert_stems([doc.stems for doc in in_roster], keywords),
+        **dict(zip(_ENTITY_SPACES, _invert_keys([doc.keys for doc in in_roster], table or {}))),
+        Space.G: _invert_stems([doc.own for doc in in_roster], keywords),
+    }
+    return _bundle(parts, roster)
 
 
 # --- persistence --------------------------------------------------------------

@@ -5,8 +5,10 @@ entities and name index never change afterwards. Two derived structures
 are built lazily and cached on the KB object itself, never in a
 module-level table, so they go when the KB goes: the gazetteer that
 `find_mentions` looks text up in, built on first use; and `expansions`,
-a memo that `expand.expand_document` writes each annotation key's
-N, C, NC and I terms into on that key's first use. Two users of one KB can
+the table of each annotation key's N, C, NC and I terms, which
+`expand.expand_document` fills in on a key's first use. A counted document
+keeps a reference to it beside its key counts, and `index.build_index` reads
+each distinct key's terms from it once per build. Two users of one KB can
 at worst build the same entry twice, with equal values.
 
 The gazetteer is a plain dict keyed by prefixes of the normalized surface
@@ -49,12 +51,13 @@ class KBError(ValueError):
     """Malformed or internally inconsistent KB file."""
 
 
-_WS_RUN = re.compile(r"\s+")
-
-
 def normalize_name(surface: str) -> str:
-    """Canonical surface form: case-folded, internal whitespace collapsed."""
-    return _WS_RUN.sub(" ", surface.casefold()).strip()
+    """Canonical surface form: case-folded, internal whitespace collapsed.
+
+    `str.split` cuts at the characters `\\s` matches (`str.isspace`), so this is
+    `re.sub(r"\\s+", " ", surface.casefold()).strip()` at a fraction of its cost.
+    """
+    return " ".join(surface.casefold().split())
 
 
 # one step of a walk over text: any whitespace, then one unit (an alphanumeric
@@ -190,9 +193,11 @@ class KnowledgeBase:
     @cached_property
     def expansions(self) -> dict:
         """Annotation key -> its document-side terms, as four tuples: its N,
-        C, NC and I terms. A memo that `expand.expand_document` writes each
-        key into on its first use. G is not kept: `DocRepresentation.space_bags`
-        composes it from a text's bags when it is read."""
+        C, NC and I terms. `expand.expand_document` writes each key in on
+        its first use, and the `DocumentCounts` it returns keep this table
+        beside their key counts: `index.build_index` maps each distinct key
+        to term ids through it, and `DocumentCounts.parts` composes bags
+        from it. G is not kept: `space_bags` composes it when it is read."""
         return {}
 
 

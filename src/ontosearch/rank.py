@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .annotate import DEFAULT_STOPWORDS, DEFAULT_WH_MAPPING, annotate, wh_class
-from .expand import DocRepresentation, Space, TermBag, expand_document, expand_query
+from .expand import DocRepresentation, DocumentCounts, Space, TermBag, expand_document, expand_query
 from .index import IndexBundle, SpaceIndex
 from .kb import KnowledgeBase
 
@@ -227,12 +227,12 @@ def represent_document(
     doc_id: str,
     *,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-) -> DocRepresentation:
-    """Document-side twin of represent_query: one annotation pass, all six spaces."""
+) -> DocumentCounts:
+    """Document-side twin of represent_query: one annotation pass, counted for all six spaces."""
     return expand_document(annotate(text, kb, stopwords=stopwords), kb, doc_id)
 
 
-def score_query(q: DocRepresentation, idx: IndexBundle, cfg: ModelConfig) -> Scores:
+def score_query(q: DocRepresentation | DocumentCounts, idx: IndexBundle, cfg: ModelConfig) -> Scores:
     """The configured model's scores; `kw-union-ne` is exact at both ends of alpha."""
     def cosine(space: Space) -> Scores:  # only G is composed; another space scores its stored part
         return cosine_score((q.space_bags if space is Space.G else q.parts)[space], idx.spaces[space])

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ontosearch.expand import DocumentCounts
 from ontosearch.kb import load_kb
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -25,3 +26,26 @@ def figure_kb():
 @pytest.fixture(scope="session")
 def figure_kb_path():
     return DATA_DIR / "figure_kb.tsv"
+
+
+# one synthetic annotation key per (space, term), whose N, C, NC or I slot
+# holds that term alone: a hand-made entity bag's terms reach a counted
+# document through these keys
+KEY_TABLE: dict = {}
+_ENTITY_SPACE_NAMES = ("N", "C", "NC", "I")
+
+
+def counted_document(doc_id: str, bags: dict) -> DocumentCounts:
+    """A counted document whose parts are `bags` (space name -> term -> tf), the
+    rest empty: KW from `stems`, G's own part from `own`, and each N, C, NC or
+    I term through its key in `KEY_TABLE`, counted tf times."""
+    keys = {}
+    for name, bag in bags.items():
+        if name in _ENTITY_SPACE_NAMES:
+            for term, tf in bag.items():
+                key = name, term
+                KEY_TABLE.setdefault(key, tuple((term,) if other == name else ()
+                                                for other in _ENTITY_SPACE_NAMES))
+                keys[key] = tf
+    return DocumentCounts(doc_id, {t.stem: n for t, n in bags.get("KW", {}).items()},
+                          {t.stem: n for t, n in bags.get("G", {}).items()}, keys, KEY_TABLE)

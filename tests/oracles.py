@@ -34,6 +34,11 @@ def closure_walk(parents: dict[str, set[str]], top_level: set[str], class_id: st
     return {c for c in out if c not in top_level} - {class_id}
 
 
+def normalize_name_regex(surface: str) -> str:
+    """A name's normal form by regex: case-folded, each whitespace run one space, stripped."""
+    return re.sub(r"\s+", " ", surface.casefold()).strip()
+
+
 def keywords_outside_entities_any(keywords, entities) -> list:
     """The keywords not lying wholly inside any entity span, tested span by span."""
     spans = [e.char_span for e in entities]
@@ -167,7 +172,8 @@ def recognize_regex(text: str, kb) -> list[tuple[int, int]]:
 def build_index_dicts(reps) -> IndexBundle:
     """build_index by per-term lists: each term's (roster position, tf)
     postings gathered in a dict, the terms then sorted by serialized form.
-    G is each document's G keywords united with its N, C, NC and I bags.
+    G is each document's own G part, whole, united with its N, C, NC and I
+    bags.
 
     It groups postings independently of the engine and shares only the
     engine's array assembly, `index._space_index`.
@@ -176,11 +182,11 @@ def build_index_dicts(reps) -> IndexBundle:
     for rep in reps:
         if rep.doc_id in by_doc:
             raise ValueError(f"duplicate doc_id {rep.doc_id!r}")
-        bags = rep.space_bags
-        generalized = {t: n for t, n in bags.get(Space.G, {}).items() if isinstance(t, Keyword)}
+        parts = rep.parts
+        generalized = dict(parts.get(Space.G, {}))
         for space in (Space.N, Space.C, Space.NC, Space.I):
-            generalized |= bags.get(space, {})
-        by_doc[rep.doc_id] = {**bags, Space.G: generalized}
+            generalized |= parts.get(space, {})
+        by_doc[rep.doc_id] = {**parts, Space.G: generalized}
     roster = tuple(sorted(by_doc))
 
     spaces = {}

@@ -124,6 +124,21 @@ def test_index_rerun_is_byte_identical(workspace):
     assert read_tree(index_dir) == first
 
 
+# sha256 of the index.tsv that `ontosearch index` writes for synth.generate(seed=7, n_docs=600)
+# with the default stop words; a change to analysis, the build or the saver moves it
+SYNTH_600_INDEX_SHA256 = "6fffdc2911dbec06ec3d7644a0a5e40aff718fb425cab1fd16207a24d7c64c2c"
+
+
+def test_index_bytes_of_a_600_document_synthetic_collection_are_pinned(tmp_path):
+    collection = generate(seed=7, n_docs=600)
+    (tmp_path / "kb.tsv").write_text(collection.kb_text, encoding="utf-8")
+    (tmp_path / "corpus.tsv").write_text(collection.corpus_text, encoding="utf-8")
+    assert run_cli("index", "--kb", tmp_path / "kb.tsv", "--corpus", tmp_path / "corpus.tsv",
+                   "--index-dir", tmp_path / "idx") == 0
+    index_bytes = (tmp_path / "idx" / "index.tsv").read_bytes()
+    assert hashlib.sha256(index_bytes).hexdigest() == SYNTH_600_INDEX_SHA256
+
+
 def test_index_duplicate_doc_id_fails_without_output(workspace, capsys):
     (workspace / "bad.tsv").write_text("DOC\tdup\nx\nDOC\tdup\ny\n", encoding="utf-8")
     index_dir = workspace / "idx-bad"

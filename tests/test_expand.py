@@ -19,7 +19,6 @@ from ontosearch.annotate import (
 )
 from ontosearch import expand as expand_module
 from ontosearch.expand import (
-    DocRepresentation,
     Keyword,
     Space,
     Triple,
@@ -32,7 +31,7 @@ from ontosearch.expand import (
 from ontosearch.index import build_index
 from ontosearch.kb import parse_kb
 
-from conftest import FIGURE_QUERY
+from conftest import FIGURE_QUERY, counted_document
 from oracles import closure_walk
 
 def entity_only(ann: EntityAnnotation) -> AnnotatedText:
@@ -407,10 +406,10 @@ def test_serialization_round_trip(term):
 @given(terms)
 def test_parsed_term_finds_its_index_entry(term):
     if isinstance(term, Keyword):
-        space, bags = Space.KW, {Space.KW: Counter({term: 2, Keyword("other"): 1})}
+        space, bags = Space.KW, {"KW": {term: 2, Keyword("other"): 1}}
     else:  # G composes its N terms too
-        space, bags = Space.N, {Space.N: Counter({term: 2, Triple(name="other"): 1})}
-    sx = build_index([DocRepresentation("d", bags)]).spaces[space]
+        space, bags = Space.N, {"N": {term: 2, Triple(name="other"): 1}}
+    sx = build_index([counted_document("d", bags)]).spaces[space]
     parsed = parse_term(serialize_term(term))
     assert parsed == term and hash(parsed) == hash(term)
     assert sx.term_ids[parsed] == sx.term_ids[term]

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontosearch.expand import DocRepresentation, Keyword, Space, Triple
+from ontosearch.annotate import AnnotatedText, EntityAnnotation, annotate
+from ontosearch.expand import DocumentCounts, Keyword, Space, Triple, expand_document
 from ontosearch.index import (
     IndexBundle,
     _atomic_write,
@@ -26,22 +27,19 @@ from ontosearch.index import (
 from ontosearch.rank import Model, ModelConfig, represent_document, represent_query
 
 import oracles
-from conftest import FIGURE_QUERY
+from conftest import FIGURE_QUERY, counted_document
 
 
 ENTITY_SPACES = (Space.N, Space.C, Space.NC, Space.I)
 
 
 def rep(doc_id, **bags):
-    """Document representation with the named parts filled and the rest empty.
+    """Counted document with the named parts filled and the rest empty.
 
     G's part holds the keywords given for it; the N, C, NC and I terms join
     them in `space_bags`, as in a document's G.
     """
-    parts = {space: Counter() for space in Space}
-    for name, counts in bags.items():
-        parts[Space[name]] = Counter(counts)
-    return DocRepresentation(doc_id=doc_id, parts=parts)
+    return counted_document(doc_id, bags)
 
 
 K = Keyword
@@ -148,10 +146,7 @@ def test_build_is_invariant_under_input_permutation():
 
 @pytest.mark.parametrize("tf", [0, -2])
 def test_build_rejects_a_bag_count_below_one(tf):
-    reps = [
-        DocRepresentation("d1", {Space.KW: Counter({Keyword("a"): 1, Keyword("b"): tf})}),
-        DocRepresentation("d2", {Space.KW: Counter({Keyword("a"): 2})}),
-    ]
+    reps = [rep("d1", KW={Keyword("a"): 1, Keyword("b"): tf}), rep("d2", KW={Keyword("a"): 2})]
     with pytest.raises(ValueError, match=f"^tf must be >= 1, got {tf}$"):
         build_index(reps)
 
@@ -170,39 +165,58 @@ def test_duplicate_doc_id_rejected():
 
 
 x = Triple("x", None, None)
-TRIPLE_IN_G = "G's part holds keywords only, got 't:x/*/*'"
 IN_TWO_SPACES = "term 't:x/*/*' lies in two of N, C, NC and I"
 
 
+# a G part holding a triple cannot be counted (G's own part counts stems);
+# the load-side twin is test_load_refuses_parts_that_break_the_kind_rule_though_the_sha256_matches[triple-in-G]
 @pytest.mark.parametrize("d1,d2,message", [
-    ({"N": {x: 1}, "G": {x: 2}}, {}, TRIPLE_IN_G),
-    ({"G": {x: 1}}, {}, TRIPLE_IN_G),
     ({"N": {x: 1}, "C": {x: 1}}, {}, IN_TWO_SPACES),
     ({"N": {x: 1}}, {"C": {x: 1}}, IN_TWO_SPACES),
     ({"N": {K("a"): 1}, "G": {K("a"): 1}}, {}, "N's part holds triples only, got 'k:a'"),
-], ids=["another-count", "in-no-entity-bag", "in-two-entity-bags", "in-two-entity-spaces", "keyword-in-N"])
+], ids=["in-two-entity-bags", "in-two-entity-spaces", "keyword-in-N"])
 def test_build_rejects_a_g_that_is_not_its_keywords_and_the_entity_bags(d1, d2, message):
     # such parts could not be saved and loaded back as the same G
-    reps = [rep("d0", KW={K("a"): 1}),
-            *(DocRepresentation(doc_id, {Space[name]: Counter(bag) for name, bag in bags.items()})
-              for doc_id, bags in (("d1", d1), ("d2", d2)))]
+    reps = [rep("d0", KW={K("a"): 1}), rep("d1", **d1), rep("d2", **d2)]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_index(reps)
 
 
-def test_build_rejects_a_query_representation_whose_g_holds_its_wh_class(figure_kb):
-    # the wh class is a triple in G's own part, which no document holds
+def test_build_rejects_a_representation_that_is_not_a_counted_document(figure_kb):
+    # a query's bags, its wh class in G's own part, are no document
     doc = represent_document(FIGURE_QUERY, figure_kb, "d")
     query = represent_query(FIGURE_QUERY, figure_kb, ModelConfig(model=Model.KW_PLUS_NE_WH))
     assert Triple(class_id="Person") in query.parts[Space.G]
-    build_index([doc, dataclasses.replace(query, doc_id="q", parts={**query.parts, Space.G: Counter()})])
-    with pytest.raises(ValueError, match=re.escape("G's part holds keywords only, got 't:*/Person/*'")):
-        build_index([doc, dataclasses.replace(query, doc_id="q")])
+    for other in (query, dataclasses.replace(query, parts={**query.parts, Space.G: {}})):
+        with pytest.raises(TypeError, match="^build_index takes counted documents "
+                                            r"\(expand_document's\), got DocRepresentation$"):
+            build_index([doc, dataclasses.replace(other, doc_id="q")])
+
+
+def test_build_rejects_documents_counted_against_two_expansion_tables(figure_kb):
+    # a key's terms are read through one table per build
+    doc = represent_document(FIGURE_QUERY, figure_kb, "d")
+    with pytest.raises(ValueError, match="^the documents were counted against different expansion tables$"):
+        build_index([doc, rep("e", N={x: 1})])
+
+
+def test_two_keys_of_one_document_that_share_a_term_give_one_posting(figure_kb):
+    # Georgia (a country) and Moscow (a city) both expand to the class Location
+    doc = represent_document("Georgia and Moscow met.", figure_kb, "d")
+    assert len(doc.keys) == 2
+    location = Triple(class_id="Location")
+    assert [location in figure_kb.expansions[key][1] for key in doc.keys] == [True, True]
+    docs = [doc, represent_document("Wine.", figure_kb, "e")]
+    bundle = build_index(docs)
+    assert postings(bundle.spaces[Space.C], location) == (("d", 2),)
+    assert postings(bundle.spaces[Space.G], location) == (("d", 2),)
+    assert bundle == oracles.build_index_dicts(docs)
 
 
 def test_a_representation_stores_g_own_terms_and_composes_g_on_read():
     d = rep("d", KW={K("a"): 1, K("b"): 2}, N={x: 3}, G={K("a"): 1})
     assert d.parts[Space.G] == Counter({K("a"): 1})
+    assert d.parts is d.parts  # composed once
     assert d.space_bags[Space.G] == Counter({K("a"): 1, x: 3})
     assert d.space_bags is d.space_bags  # composed once
     assert list(d.space_bags) == list(Space)
@@ -691,23 +705,21 @@ ODD_TERMS = [
 
 @st.composite
 def shuffled_reps(draw):
-    """Representations in any order: some parts absent or empty, KW terms from
-    the whole pool, each triple kept to one entity space, and G's part its
-    drawn keywords."""
+    """Counted documents in any order: some parts absent or empty, KW and G's
+    part drawn from the keywords, and each triple kept to one entity space."""
     doc_ids = draw(st.lists(st.text(alphabet="ab1é_", min_size=1, max_size=4),
                             unique=True, max_size=7))
     triples = [term for term in ODD_TERMS if isinstance(term, Triple)]
     homes = draw(st.lists(st.sampled_from(ENTITY_SPACES), min_size=len(triples), max_size=len(triples)))
     pools = {space: [t for t, home in zip(triples, homes) if home is space] for space in ENTITY_SPACES}
-    pools[Space.KW] = ODD_TERMS
-    pools[Space.G] = [term for term in ODD_TERMS if isinstance(term, Keyword)]
+    pools[Space.KW] = pools[Space.G] = [term for term in ODD_TERMS if isinstance(term, Keyword)]
     reps = []
     for doc_id in draw(st.permutations(doc_ids)):
-        bags = {space: Counter(draw(st.dictionaries(st.sampled_from(pools[space]),
-                                                    st.integers(min_value=1, max_value=5), max_size=5)))
-                if pools[space] else Counter()
+        bags = {space.value: draw(st.dictionaries(st.sampled_from(pools[space]),
+                                                  st.integers(min_value=1, max_value=5), max_size=5))
+                if pools[space] else {}
                 for space in draw(st.sets(st.sampled_from(list(Space))))}
-        reps.append(DocRepresentation(doc_id, bags))
+        reps.append(counted_document(doc_id, bags))
     return reps
 
 
@@ -741,3 +753,38 @@ def test_build_equals_the_dict_of_lists_build_on_a_pinned_corpus(tmp_path_factor
     build_both_and_compare(reps, tmp_path_factory)
     built = build_index(reps)
     assert [space for space in Space if shared in built.spaces[space].term_ids] == [Space.N, Space.G]
+
+
+@pytest.fixture(scope="module")
+def figure_keys(figure_kb):
+    """The figure KB's annotation keys: each surface's as the recognizer annotates
+    it, plus a class-only and a name-only key, their terms in `figure_kb.expansions`."""
+    annotations = [ann for surface in sorted(figure_kb.name_index)
+                   for ann in annotate(surface, figure_kb).entities]
+    annotations += [EntityAnnotation((0, 3), "man", class_id="Man"),
+                    EntityAnnotation((0, 4), "Zork", name="Zork")]
+    keys: dict = {}
+    for ann in annotations:
+        keys |= expand_document(AnnotatedText([], [ann]), figure_kb).keys
+    return sorted(keys, key=repr)
+
+
+STEMS = ["x", "presid", "straße", "日本", "a%2fb", "*"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_counted_documents_build_what_the_dict_of_lists_build_does(tmp_path_factory, figure_kb,
+                                                                   figure_keys, data):
+    # any stems, G's own part a sub-multiset of them, and any keys of the KB,
+    # which may share terms within a document
+    docs = []
+    for doc_id in data.draw(st.permutations(data.draw(
+            st.lists(st.text(alphabet="ab1é_", min_size=1, max_size=4), unique=True, max_size=7)))):
+        stems = data.draw(st.dictionaries(st.sampled_from(STEMS), st.integers(1, 5), max_size=5))
+        own = {stem: data.draw(st.integers(1, stems[stem]))
+               for stem in data.draw(st.lists(st.sampled_from(sorted(stems)), unique=True)
+                                     if stems else st.just([]))}
+        keys = data.draw(st.dictionaries(st.sampled_from(figure_keys), st.integers(1, 4), max_size=5))
+        docs.append(DocumentCounts(doc_id, stems, own, keys, figure_kb.expansions))
+    build_both_and_compare(docs, tmp_path_factory)

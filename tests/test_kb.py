@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from ontosearch.kb import (
     super_classes,
 )
 
+import oracles
 from oracles import closure_walk
 
 
@@ -108,6 +112,21 @@ def test_name_index_ambiguity(figure_kb):
 
 def test_normalization_collapses_case_and_whitespace():
     assert normalize_name("  Stanford \t  UNIVERSITY ") == "stanford university"
+
+
+WHITESPACE = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+
+
+def test_normalization_cuts_at_every_character_the_regex_calls_whitespace():
+    assert WHITESPACE == "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if re.fullmatch(r"\s", ch))
+    for ch in WHITESPACE:
+        text = f"{ch}A{ch}{ch}b{ch}"
+        assert normalize_name(text) == oracles.normalize_name_regex(text) == "a b"
+
+
+@given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(WHITESPACE)), max_size=12))
+def test_normalization_equals_the_regex_form(text):
+    assert normalize_name(text) == oracles.normalize_name_regex(text)
 
 
 def test_unknown_ids_raise(figure_kb):

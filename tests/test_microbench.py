@@ -11,7 +11,7 @@ one model, and a `search` round represents, scores and ranks them under one
 model at k=1000; a `stem`, `recognize_entities` or `represent_document` round
 analyzes the first 600 documents, and an `expand_document` round expands
 their annotations; a `build_index` round indexes all 6000 documents'
-representations, and a `save_index` or `load_index` round writes that
+counts, and a `save_index` or `load_index` round writes that
 index to one `index.tsv` or reads it back; a grown-KB `recognize_entities`
 round analyzes the first 600 documents, half of them extended by a sentence that
 names one of 0, 1000 or 5000 generated extra entities, against synth's KB
@@ -39,7 +39,7 @@ from ontosearch.evaluation import (
     parse_run,
     randomization_test,
 )
-from ontosearch.expand import DocRepresentation, Space, expand_document
+from ontosearch.expand import DocumentCounts, Space, expand_document
 from ontosearch.index import IndexBundle, build_index, load_index, save_index
 from ontosearch.kb import KnowledgeBase, _compile_gazetteer, parse_kb
 from ontosearch.rank import (
@@ -71,7 +71,7 @@ class Synth(NamedTuple):
     qrels: dict[str, set[str]]
     texts: list[str]  # document texts, in corpus order
     kb_text: str
-    reps: list[DocRepresentation]  # what `idx` was built from
+    reps: list[DocumentCounts]  # what `idx` was built from
 
 
 @pytest.fixture(scope="module")

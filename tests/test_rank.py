@@ -41,7 +41,7 @@ from ontosearch.rank import (
 from ontosearch.synth import generate
 
 import oracles
-from conftest import DATA_DIR, FIGURE_DOC, FIGURE_QUERY
+from conftest import DATA_DIR, FIGURE_DOC, FIGURE_QUERY, counted_document
 
 
 CORPUS = {
@@ -106,10 +106,7 @@ def test_model_config_rejects_invalid_settings(kwargs):
 # --- cosine over one space -----------------------------------------------------
 
 def kw_rep(doc_id, **counts):
-    bags = {space: Counter() for space in Space}
-    bags[Space.KW] = Counter({Keyword(t): n for t, n in counts.items()})
-    from ontosearch.expand import DocRepresentation
-    return DocRepresentation(doc_id=doc_id, parts=bags)
+    return counted_document(doc_id, {"KW": {Keyword(t): n for t, n in counts.items()}})
 
 
 def test_cosine_self_similarity_is_one():
@@ -181,7 +178,6 @@ def test_rank_clamps_a_weighted_sum_that_overshoots_one(figure_kb):
 def test_score_ne_degenerate_class_weight(corpus_reps, corpus_index):
     query_bags = {space: Counter() for space in Space}
     query_bags[Space.C] = Counter({Triple(class_id="Country"): 1})
-    from ontosearch.expand import DocRepresentation
     query = DocRepresentation(doc_id="", parts=query_bags)
     cfg = ModelConfig(model=Model.NE, w_n=0.0, w_c=1.0, w_nc=0.0, w_i=0.0)
     combined = rank_documents(score_query(query, corpus_index, cfg))
@@ -435,8 +431,8 @@ def space_bags(pools):
     })
 
 
-def as_rep(doc_id, bags):
-    return DocRepresentation(doc_id=doc_id, parts={Space[n]: Counter(b) for n, b in bags.items()})
+def as_query(bags):
+    return DocRepresentation(doc_id="", parts={Space[n]: Counter(b) for n, b in bags.items()})
 
 
 def with_entity_terms_in_g(bags):
@@ -457,11 +453,11 @@ def with_entity_terms_in_g(bags):
     k=st.integers(min_value=1, max_value=8),
 )
 def test_scores_equal_the_per_posting_loop_exactly(tmp_path_factory, corpus, query, weights, alpha, k):
-    built = build_index([as_rep(doc_id, bags) for doc_id, bags in corpus.items()])
+    built = build_index([counted_document(doc_id, bags) for doc_id, bags in corpus.items()])
     directory = tmp_path_factory.mktemp("idx")
     save_index(built, directory)
     loaded = load_index(directory)
-    q = as_rep("", query)
+    q = as_query(query)
     corpus = {d: with_entity_terms_in_g(bags) for d, bags in corpus.items()}
     query = with_entity_terms_in_g(query)
 
