@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from .kb import KnowledgeBase
 from .stem import stem
+from .textfile import read_text
 
 # alphanumeric runs, keeping internal hyphens ("co-chaired" stays one token)
 _TOKEN = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
@@ -156,7 +157,7 @@ def annotate(
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One word per line, case-folded; blank lines ignored."""
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         word = line.strip()
         if word:
             words.add(word.casefold())
@@ -167,7 +168,7 @@ def load_wh_mapping(path: str | Path) -> dict[str, str]:
     """TSV `word<TAB>class_id`; word keys are case-folded, and each is mapped once."""
     mapping: dict[str, str] = {}
     mapped_at: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

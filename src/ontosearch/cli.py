@@ -63,6 +63,7 @@ from .rank import (
     represent_query,
     search,
 )
+from .textfile import read_text
 
 
 class CliError(Exception):
@@ -162,7 +163,7 @@ def _check_fingerprint(index_dir: Path, expected: dict[str, str]) -> None:
 
 def cmd_index(cfg: RunConfig, corpus_path: Path, index_dir: Path) -> None:
     kb = load_kb(cfg.kb_path)
-    corpus = parse_corpus(corpus_path.read_text(encoding="utf-8"), str(corpus_path))
+    corpus = parse_corpus(read_text(corpus_path), str(corpus_path))
     reps = [
         represent_document(text, kb, doc_id, stopwords=cfg.stopwords)
         for doc_id, text in corpus.items()
@@ -177,7 +178,7 @@ def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
     if not run_tag or any(ch.isspace() for ch in run_tag):
         raise CliError(f"--run-tag {run_tag!r} must be non-empty and contain no whitespace")
     _check_fingerprint(index_dir, _fingerprint(cfg.kb_path, cfg.stopwords))
-    queries = parse_queries(queries_path.read_text(encoding="utf-8"), str(queries_path))
+    queries = parse_queries(read_text(queries_path), str(queries_path))
     kb = load_kb(cfg.kb_path)
     idx = load_index(index_dir)
     lines: list[str] = []
@@ -289,7 +290,7 @@ _INVALID = {
 def _load_config_file(path: Path) -> dict[str, tuple[str, str]]:
     """key -> (value, `path:lineno` of the line that set it)."""
     values: dict[str, tuple[str, str]] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

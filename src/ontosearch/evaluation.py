@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .textfile import read_text
+
 RECALL_LEVELS = tuple(round(0.1 * j, 1) for j in range(11))
 
 # sign-matrix entries scored per block of permutations (64 kB of float64)
@@ -240,7 +242,7 @@ def parse_qrels(text: str, origin: str = "<qrels>") -> dict[str, set[str]]:
 
 def load_qrels(path: str | Path) -> dict[str, set[str]]:
     path = Path(path)
-    return parse_qrels(path.read_text(encoding="utf-8"), str(path))
+    return parse_qrels(read_text(path), str(path))
 
 
 def parse_run(text: str, origin: str = "<run>") -> dict[str, list[str]]:
@@ -274,7 +276,7 @@ def parse_run(text: str, origin: str = "<run>") -> dict[str, list[str]]:
 
 def load_run(path: str | Path) -> dict[str, list[str]]:
     path = Path(path)
-    return parse_run(path.read_text(encoding="utf-8"), str(path))
+    return parse_run(read_text(path), str(path))
 
 
 def format_eval_report(

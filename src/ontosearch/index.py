@@ -34,7 +34,7 @@ so the postings and the fingerprint of the inputs they were built from
 are committed by a single rename. It stores only what the loader cannot
 recompute (Zobel & Moffat again): no norms, and of G only its keywords.
 
-    ontosearch-index<TAB>3                      the format line
+    ontosearch-index<TAB>4                      the format line
     key<TAB>value                               the fingerprint, by key
     docs<TAB>n                                  then n roster rows:
     doc_id                                      sorted by doc id
@@ -43,26 +43,35 @@ recompute (Zobel & Moffat again): no norms, and of G only its keywords.
     ...                                         (one section per space)
     sha256<TAB>hex                              of all the bytes above
 
-Gaps and tfs are comma lists. A term's first gap is its first roster
-position and each later gap, at least 1, the step from the one before.
-Doc ids may not contain tab or newline. The loader parses each space's
-gaps and tfs with one `np.fromstring` each, after a byte-level check that
-admits only items of 1 to 18 ASCII digits, and each distinct term once.
-It checks that doc ids and terms strictly ascend, that each term has as
-many tfs as gaps, that tfs and later gaps are at least 1, that positions
-fall inside the roster and that parts keep `_bundle`'s kind rule; a failure
-names `path:line`. Only then does it check the sha256, which also catches an
-edit that leaves every field well formed. A loaded index equals a freshly
-built one. Earlier formats are refused with a request to rebuild: format 2
-by its format line, format 1 (`manifest.tsv` and a file per space) by its files.
+A term's first gap is its first roster position and each later gap, at
+least 1, the step from the one before. Each of the gaps and tfs fields is
+the padded base64 of its values as unsigned LEB128 varints, 7 bits a byte,
+so a gap or tf below 128 takes one byte; a byte-aligned code is both smaller
+and faster to decode than decimal text (Scholer, Williams, Yiannis & Zobel,
+"Compression of inverted indexes for fast query evaluation", SIGIR 2002).
+The saver encodes each space's values in one vectorized pass. Doc ids may
+not contain tab or newline. The loader reads the postings of every space at
+once: it checks every field as strict base64 with array operations (before
+Python 3.11 `a2b_base64` skips what is not base64), decodes each field with
+`a2b_base64`, and decodes the varints with numpy, refusing one cut short,
+one of more than 9 bytes (63 bits, so every value fits an int64) and one
+with a needless zero byte, so a list of values has one spelling. It parses
+each distinct term once. It checks that doc ids and terms strictly ascend,
+that each term has as many tfs as gaps, that tfs and later gaps are at
+least 1, that positions fall inside the roster and that parts keep
+`_bundle`'s kind rule; a failure names `path:line`. Only then does it check
+the sha256, which also catches an edit that leaves every field well formed.
+A loaded index equals a freshly built one. Earlier formats are refused with
+a request to rebuild: formats 2 and 3 by their format line, format 1
+(`manifest.tsv` and a file per space) by its files.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import math
 import os
-import re
 import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
@@ -75,6 +84,7 @@ import numpy as np
 
 from .expand import (_ENTITY_SPACES, AnnotationKey, DocumentCounts, GeneralizedTerm, Keyword, Space,
                      parse_term, serialize_term)
+from .textfile import decode_utf8
 
 _FORBIDDEN_IN_DOC_ID = frozenset("\t\n")
 
@@ -310,25 +320,42 @@ def build_index(docs: Iterable[DocumentCounts]) -> IndexBundle:
 # --- persistence --------------------------------------------------------------
 
 INDEX_FILE = "index.tsv"
-FORMAT_LINE = "ontosearch-index\t3"
+FORMAT_LINE = "ontosearch-index\t4"
 _DIGEST = "sha256\t"  # how the last line starts
 
 # what format 1 wrote; `save_index` removes them once `index.tsv` is committed
 _FORMAT_1_FILES = ("manifest.tsv", "fingerprint.tsv", *(f"{space.value}.tsv" for space in Space))
 
-# a gap or tf has at most this many digits, so no value saturates an int64
+# a count on a header or space line has at most this many digits, so it fits an int64
 _MAX_DIGITS = 18
-_COMMA_INTS = re.compile(r"[0-9]{1,%d}(?:,[0-9]{1,%d})*" % (_MAX_DIGITS, _MAX_DIGITS))
+# a varint has at most 9 bytes, 63 bits, so every value fits an int64
+_VARINT_BYTES = 9
+# each base64 character's 6-bit value; -1 for a character outside the alphabet
+_SEXTETS = np.full(256, -1, dtype=np.int8)
+_SEXTETS[np.frombuffer(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+                       dtype=np.uint8)] = np.arange(64)
 
 
-def _formatted(values: np.ndarray) -> list[str]:
-    """str(value) of each value, formatting each distinct value once."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array(list(map(str, distinct.tolist())), dtype=object)[inverse].tolist()
-
-
-def _comma_lists(items: list[str], offsets: list[int]) -> list[str]:
-    return [",".join(items[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+def _varint_fields(values: np.ndarray, offsets: list[int]) -> list[str]:
+    """The values of each term, `values[offsets[t]:offsets[t + 1]]`, as one field: the padded
+    base64 of their unsigned LEB128 varints (7 bits a byte, low bits first, the high bit set
+    on every byte but a varint's last)."""
+    width, rest = np.ones(values.size, dtype=np.int64), values >> 7  # bytes per varint
+    while rest.any():
+        width += rest > 0
+        rest >>= 7
+    ends = np.cumsum(width)
+    data = np.empty(width.sum(), dtype=np.uint8)
+    at, rest = ends - width, values  # where each unwritten varint's next byte goes, and what it has left
+    while at.size:
+        more = rest > 0x7F
+        data[at] = rest & 0x7F | more * 0x80
+        at, rest = at[more] + 1, rest[more] >> 7
+    bounds = np.concatenate(([0], ends))[offsets].tolist()
+    data = data.tobytes()
+    # b2a_base64 ends each field with "\n"
+    text = b"".join([binascii.b2a_base64(data[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+    return text.decode("ascii").split("\n")[:-1]
 
 
 def save_index(bundle: IndexBundle, directory: str | Path,
@@ -349,8 +376,6 @@ def save_index(bundle: IndexBundle, directory: str | Path,
     lines = [FORMAT_LINE, *(f"{key}\t{value}" for key, value in sorted(fingerprint.items()))]
     lines.append(f"docs\t{len(bundle.doc_ids)}")
     lines.extend(bundle.doc_ids)
-    # every gap is a roster position or a step between two, so below n_docs
-    numbers = np.array([str(i) for i in range(len(bundle.doc_ids))], dtype=object)
     for space in Space:
         sx = bundle.spaces[space]
         terms = list(sx.term_ids)
@@ -365,8 +390,8 @@ def save_index(bundle: IndexBundle, directory: str | Path,
         gaps[starts] = doc_idx[starts]  # a term's first gap is its first roster position
         lines.extend(map("\t".join, zip(
             map(serialize_term, terms),
-            _comma_lists(numbers[gaps].tolist(), offsets),
-            _comma_lists(_formatted(sx.tf[:offsets[-1]]), offsets),
+            _varint_fields(gaps, offsets),
+            _varint_fields(sx.tf[:offsets[-1]], offsets),
         )))
     content = "\n".join(lines) + "\n"
     content += f"{_DIGEST}{hashlib.sha256(content.encode('utf-8')).hexdigest()}\n"
@@ -416,8 +441,9 @@ def _read_header(lines: Iterator[str], path: Path) -> tuple[dict[str, str], int,
 def read_fingerprint(directory: str | Path) -> dict[str, str]:
     """The fingerprint stored in an index's header, read without the rest of the file."""
     path = _index_file(directory)
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        return _read_header((line.removesuffix("\n") for line in fh), path)[0]
+    with open(path, "rb") as fh:  # lines end at "\n" alone, as load_index splits them
+        return _read_header((decode_utf8(line, path, lineno).removesuffix("\n")
+                             for lineno, line in enumerate(fh, start=1)), path)[0]
 
 
 def load_index(directory: str | Path) -> IndexBundle:
@@ -426,7 +452,7 @@ def load_index(directory: str | Path) -> IndexBundle:
     data = path.read_bytes()
     # split on "\n" alone: a "\r" in a doc id or fingerprint value stays
     # inside its line, as read_fingerprint reads it
-    lines = data.decode("utf-8").split("\n")
+    lines = decode_utf8(data, path).split("\n")
     if lines.pop():
         raise ValueError(f"{path}:{len(lines) + 1}: the file ends inside a line")
     digest = lines.pop() if lines and lines[-1].startswith(_DIGEST) else None
@@ -465,9 +491,21 @@ def load_index(directory: str | Path) -> IndexBundle:
         if a >= b:
             problem = "repeats the row above" if a == b else f"sorts before {a!r} on the row above"
             raise ValueError(f"{path}:{docs_line + i + 2}: doc id {b!r} {problem}")
-    parsed: dict[str, GeneralizedTerm] = {}  # each distinct term is parsed once
-    parts = {space: _read_space(lines[start:end], path, start + 1, len(roster), parsed)
+    cells = {space: _cells(lines[start:end], 3, "term<TAB>gaps<TAB>tfs", path, start + 1)
              for space, (start, end) in sections.items()}
+    # every space's postings are read at once, each term's after the one on the line before
+    offsets, positions, tf = _read_postings(
+        [field for row in cells.values() for field in row[1::3]],
+        [field for row in cells.values() for field in row[2::3]],
+        path, np.concatenate([np.arange(start + 1, end + 1) for start, end in sections.values()]), len(roster))
+    df = np.diff(offsets)
+    parsed: dict[str, GeneralizedTerm] = {}  # each distinct term is parsed once
+    parts, at = {}, 0
+    for space, row in cells.items():
+        texts, lo, hi = row[0::3], offsets[at], offsets[at + len(row) // 3]
+        parts[space] = _Postings(texts, _read_terms(texts, path, sections[space][0] + 1, parsed),
+                                 df[at:at + len(texts)], positions[lo:hi], tf[lo:hi])
+        at += len(texts)
     bundle = _bundle(parts, roster, lambda space, i: f"{path}:{sections[space][0] + 1 + i}: ")
     # a digest line that can match is ASCII, so len(digest) counts its bytes
     if digest is None or hashlib.sha256(data[:-len(digest) - 1]).hexdigest() != digest[len(_DIGEST):]:
@@ -485,66 +523,99 @@ def _cells(rows: list[str], width: int, shape: str, path: Path, first: int) -> l
     return "\t".join(rows).split("\t") if rows else []
 
 
-def _comma_ints(fields: list[str], what: str, path: Path, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fields that are each a comma list of decimal integers: (all values, how many per field).
+def _varints(fields: list[str], what: str, path: Path, field_lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fields that are each the padded base64 of LEB128 varints: (all values, how many per field).
 
-    `np.fromstring` would take signs, spaces, values that saturate and (with a
-    warning) trailing junk, so the bytes are checked first.
+    Before Python 3.11 `a2b_base64` skips characters outside the alphabet and stops at
+    the padding, so the text is checked first: each field is nonempty, a multiple of four
+    characters, from the alphabet but for one or two trailing `=`, and with zero padding
+    bits. Then each varint must be complete, at most 9 bytes and minimal (no trailing zero
+    byte), so a list of values has one spelling, the one `save_index` writes.
     """
     if not fields:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    text = "\n".join(fields)
-    ok = text.isascii()
-    if ok:
-        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        newline = raw == ord("\n")
-        ends = np.flatnonzero(newline | (raw == ord(",")))
-        lengths = np.diff(ends, prepend=-1, append=raw.size) - 1
-        digits = np.count_nonzero((raw >= ord("0")) & (raw <= ord("9")))
-        ok = digits + ends.size == raw.size and lengths.min() >= 1 and lengths.max() <= _MAX_DIGITS
-    if not ok:
-        i = next(i for i, field in enumerate(fields) if not _COMMA_INTS.fullmatch(field))
-        raise ValueError(f"{path}:{first + i}: {what} must be comma-separated integers "
-                         f"of 1 to {_MAX_DIGITS} ASCII digits, got {fields[i]!r}")
-    values = np.fromstring(text.replace("\n", ","), dtype=np.int64, sep=",")
-    counts = np.diff(np.flatnonzero(newline[ends]), prepend=-1, append=ends.size)
+
+    def fail(bad: np.ndarray, problem: str) -> None:
+        if bad.size:  # bad: the fields at fault, in file order
+            i = bad[0]
+            raise ValueError(f"{path}:{field_lines[i]}: {what} {problem}, got {fields[i]!r}")
+
+    lengths = np.fromiter(map(len, fields), dtype=np.int64, count=len(fields))
+    fail(np.flatnonzero(lengths == 0), "must not be empty")
+    fail(np.flatnonzero(lengths % 4 != 0), "must be padded base64")
+    text = "".join(fields)
+    if not text.isascii():
+        fail(np.flatnonzero([not field.isascii() for field in fields]), "must be padded base64")
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.cumsum(lengths)
+    last, before = raw[ends - 1] == ord("="), raw[ends - 2] == ord("=")
+    n_pad = last.astype(np.int64) + (last & before)  # trailing `=`, up to two
+    # characters outside the alphabet (uint8 arithmetic wraps, so one comparison tests a range),
+    # counted per field: only its padding may be
+    outside = np.flatnonzero(~(((raw | 0x20) - ord("a") < 26) | (raw - ord("0") < 10)
+                               | (raw == ord("+")) | (raw == ord("/"))))
+    n_outside = np.bincount(np.searchsorted(ends, outside, side="right"), minlength=len(fields))
+    # the bits of the last character before the padding that no byte takes
+    spare = _SEXTETS[raw[ends - 1 - n_pad]] & np.array([0, 0x03, 0x0F], dtype=np.int8)[n_pad]
+    fail(np.flatnonzero((n_outside != n_pad) | (spare != 0)), "must be padded base64")
+
+    data = np.frombuffer(b"".join(map(binascii.a2b_base64, fields)), dtype=np.uint8)
+    byte_ends = np.cumsum(lengths // 4 * 3 - n_pad)
+    fail(np.flatnonzero(data[byte_ends - 1] >= 0x80), "ends inside a varint")
+    stops = np.flatnonzero(data < 0x80)  # the last byte of each varint
+    counts = np.diff(np.searchsorted(stops, byte_ends), prepend=0)
+    if stops.size == data.size:  # every varint one byte
+        return data.astype(np.int64), counts
+    width = np.diff(stops, prepend=-1)
+    for bad, problem in ((width > _VARINT_BYTES, f"holds a varint of more than {_VARINT_BYTES} bytes"),
+                         ((width > 1) & (data[stops] == 0), "holds a non-minimal varint")):
+        fail(np.searchsorted(byte_ends, stops[bad], side="right"), problem)
+    values = data[stops].astype(np.int64)  # a varint's last byte holds its highest bits
+    for back in range(1, width.max()):  # then each byte before it, 7 bits lower
+        longer = np.flatnonzero(width > back)
+        values[longer] = values[longer] << 7 | data[stops[longer] - back] & 0x7F
     return values, counts
 
 
-def _read_space(rows: list[str], path: Path, first: int, n_docs: int,
-                parsed: dict[str, GeneralizedTerm]) -> _Postings:
-    """One space's term lines, `term<TAB>gaps<TAB>tfs`, the first on line `first`."""
-    cells = _cells(rows, 3, "term<TAB>gaps<TAB>tfs", path, first)
-    texts = cells[0::3]
-    # term ids are file order, so it must be the canonical accumulation order
-    for i, (a, b) in enumerate(zip(texts, texts[1:])):
-        if a >= b:
-            raise ValueError(f"{path}:{first + i + 1}: terms are not in strictly ascending serialized order")
-    gaps, df = _comma_ints(cells[1::3], "gaps", path, first)
-    tf, n_tf = _comma_ints(cells[2::3], "tfs", path, first)
+def _read_postings(gap_fields: list[str], tf_fields: list[str], path: Path, term_lines: np.ndarray,
+                   n_docs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gaps and tfs fields of the term lines numbered `term_lines`: (offsets, roster
+    position and tf per posting), term t's postings from `offsets[t]` to `offsets[t + 1]`."""
+    gaps, df = _varints(gap_fields, "gaps", path, term_lines)
+    tf, n_tf = _varints(tf_fields, "tfs", path, term_lines)
     mismatch = np.flatnonzero(df != n_tf)
     if mismatch.size:
         i = mismatch[0]
-        raise ValueError(f"{path}:{first + i}: df {df[i]} (gaps) does not match {n_tf[i]} tfs")
+        raise ValueError(f"{path}:{term_lines[i]}: df {df[i]} (gaps) does not match {n_tf[i]} tfs")
 
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    offsets = np.zeros(len(df) + 1, dtype=np.int64)
     np.cumsum(df, out=offsets[1:])
     starts = offsets[:-1]
 
     def fail(mask: np.ndarray, message: str) -> None:
         bad = np.flatnonzero(mask)
         if bad.size:  # name the line of the first bad posting
-            raise ValueError(f"{path}:{first + np.searchsorted(offsets, bad[0], 'right') - 1}: {message}")
+            raise ValueError(f"{path}:{term_lines[np.searchsorted(offsets, bad[0], 'right') - 1]}: {message}")
 
     fail(gaps >= n_docs, f"a posting lies outside the roster of {n_docs} documents")
     later = np.ones(gaps.size, dtype=bool)
     later[starts] = False
     fail(later & (gaps == 0), "postings repeat a document or leave roster order")
     fail(tf == 0, "tf must be an integer >= 1, got 0")
-    total = np.cumsum(gaps)
-    positions = total - np.repeat(total[starts] - gaps[starts], df)
+    first_gaps = gaps[starts]
+    positions = np.cumsum(gaps, out=gaps)  # the gaps are read no more
+    positions -= np.repeat(positions[starts] - first_gaps, df)
     fail(positions >= n_docs, f"a posting lies outside the roster of {n_docs} documents")
+    return offsets, positions, tf
 
+
+def _read_terms(texts: list[str], path: Path, first: int, parsed: dict[str, GeneralizedTerm]
+                ) -> list[GeneralizedTerm]:
+    """One space's terms, the first on line `first`; `parsed` holds each term text parsed before."""
+    # term ids are file order, so it must be the canonical accumulation order
+    for i, (a, b) in enumerate(zip(texts, texts[1:])):
+        if a >= b:
+            raise ValueError(f"{path}:{first + i + 1}: terms are not in strictly ascending serialized order")
     terms = []
     for i, text in enumerate(texts):
         term = parsed.get(text)
@@ -560,7 +631,7 @@ def _read_space(rows: list[str], path: Path, first: int, n_docs: int,
             if term in seen:
                 raise ValueError(f"{path}:{first + i}: term {texts[i]!r} repeats an earlier line's term")
             seen.add(term)
-    return _Postings(texts, terms, df, positions, tf)
+    return terms
 
 
 def _current_umask() -> int:

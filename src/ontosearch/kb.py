@@ -46,6 +46,8 @@ from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
+from .textfile import read_text
+
 
 class KBError(ValueError):
     """Malformed or internally inconsistent KB file."""
@@ -273,7 +275,7 @@ def parse_kb(text: str, origin: str = "<string>") -> KnowledgeBase:
 def load_kb(path: str | Path) -> KnowledgeBase:
     """Load and validate a KB file."""
     p = Path(path)
-    return parse_kb(p.read_text(encoding="utf-8"), origin=str(p))
+    return parse_kb(read_text(p), origin=str(p))
 
 
 def _check_acyclic(classes: dict[str, ClassDef], origin: str) -> None:

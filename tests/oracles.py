@@ -7,6 +7,7 @@ outputs and hold the engine to them.
 
 from __future__ import annotations
 
+import base64
 import math
 import re
 from collections import Counter
@@ -205,6 +206,53 @@ def build_index_dicts(reps) -> IndexBundle:
             roster,
         )
     return IndexBundle(spaces=spaces, doc_ids=roster)
+
+
+BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+# the ways `posting_field` can spoil a field, each refused by `load_index`
+MALFORMED_FIELDS = ("truncated", "over-9-bytes", "non-minimal", "not-base64", "inner-padding",
+                    "padding-bits", "empty")
+
+
+def posting_field(values, malformed: str | None = None) -> str:
+    """An `index.tsv` gaps or tfs field: the padded base64 of the values'
+    unsigned LEB128 varints, 7 bits a byte, low bits first, the high bit set
+    on every byte but a varint's last; written value by value.
+
+    `malformed` spoils it one way of `MALFORMED_FIELDS`: the last varint cut
+    short, a 10-byte varint appended, the last varint given a needless zero
+    byte, a `-` for the first character, an `=` for the second, nonzero bits
+    under the padding, or no field at all.
+    """
+    if malformed not in (None, *MALFORMED_FIELDS):
+        raise ValueError(f"unknown malformation {malformed!r}")
+    data = bytearray()
+    for value in values:
+        while value > 0x7F:
+            data.append(0x80 | value & 0x7F)
+            value >>= 7
+        data.append(value)
+    if malformed == "truncated":
+        data[-1] |= 0x80
+    elif malformed == "over-9-bytes":
+        data += b"\x80" * 9 + b"\x01"
+    elif malformed == "non-minimal":
+        data[-1] |= 0x80
+        data.append(0)
+    text = base64.b64encode(bytes(data)).decode("ascii")
+    if malformed == "not-base64":
+        text = "-" + text[1:]
+    elif malformed == "inner-padding":
+        text = text[0] + "=" + text[2:]
+    elif malformed == "padding-bits":  # the lowest bit before padding is always spare
+        if not text.endswith("="):
+            raise ValueError("nonzero padding bits need a byte count that is not a multiple of 3")
+        i = len(text.rstrip("=")) - 1
+        text = text[:i] + BASE64_ALPHABET[BASE64_ALPHABET.index(text[i]) + 1] + text[i + 1:]
+    elif malformed == "empty":
+        text = ""
+    return text
 
 
 # --- dense tf-idf cosine -----------------------------------------------------

@@ -27,7 +27,6 @@ from ontosearch.kb import parse_kb
 from ontosearch.rank import (
     Model,
     ModelConfig,
-    rank_documents,
     represent_document,
     represent_query,
     score_query,

@@ -384,6 +384,14 @@ def test_stopword_and_wh_mapping_files(tmp_path):
         load_wh_mapping(bad)
 
 
+@pytest.mark.parametrize("load", [load_stopwords, load_wh_mapping])
+def test_a_word_file_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, load):
+    path = tmp_path / "words.tsv"
+    path.write_bytes(b"who\tPerson\nwh\xffere\tLocation\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: not valid UTF-8")):
+        load(path)
+
+
 def test_wh_mapping_file_maps_each_word_once(tmp_path):
     wh = tmp_path / "wh.tsv"
     wh.write_text("who\tPerson\n# again\nWHO\tLocation\n", encoding="utf-8")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import re
 from pathlib import Path
@@ -15,7 +14,6 @@ from ontosearch import cli
 from ontosearch.annotate import DEFAULT_STOPWORDS
 from ontosearch.cli import CliError, main, parse_corpus, parse_queries
 from ontosearch.evaluation import load_run
-from ontosearch.rank import Model, ModelConfig
 from ontosearch.synth import generate
 
 from conftest import DATA_DIR, FIGURE_DOC, FIGURE_QUERY
@@ -112,7 +110,7 @@ def test_index_writes_expected_directory_shape(workspace):
                    "--index-dir", index_dir) == 0
     assert [p.name for p in index_dir.iterdir()] == ["index.tsv"]
     header = (index_dir / "index.tsv").read_text(encoding="utf-8").splitlines()[:3]
-    assert header[0] == "ontosearch-index\t3"
+    assert header[0] == "ontosearch-index\t4"
     assert [line.split("\t")[0] for line in header[1:]] == ["kb_sha256", "stopwords_sha256"]
 
 
@@ -126,7 +124,7 @@ def test_index_rerun_is_byte_identical(workspace):
 
 # sha256 of the index.tsv that `ontosearch index` writes for synth.generate(seed=7, n_docs=600)
 # with the default stop words; a change to analysis, the build or the saver moves it
-SYNTH_600_INDEX_SHA256 = "6fffdc2911dbec06ec3d7644a0a5e40aff718fb425cab1fd16207a24d7c64c2c"
+SYNTH_600_INDEX_SHA256 = "1759b385c83b3ca69dd1cd2032bde846b6dafd8ee3946f6de8d800b7a6b71f50"
 
 
 def test_index_bytes_of_a_600_document_synthetic_collection_are_pinned(tmp_path):
@@ -379,7 +377,7 @@ def test_a_format_2_index_is_refused_and_reindexing_replaces_it(workspace, capsy
     path.write_text("\n".join(["ontosearch-index\t2", *lines[1:-1]]) + "\n", encoding="utf-8")
     assert search_exit(workspace, KB, index_dir) == 1
     err = capsys.readouterr().err
-    assert "expected the format line 'ontosearch-index\\t3', got 'ontosearch-index\\t2'" in err
+    assert "expected the format line 'ontosearch-index\\t4', got 'ontosearch-index\\t2'" in err
     assert "rebuild it" in err
     assert not (workspace / "run.txt").exists()
     assert build_index_dir(workspace) == index_dir
@@ -786,6 +784,28 @@ def test_eval_and_sigtest_require_relevance_judgments(workspace, capsys, command
                    "--output", out) == 1
     assert capsys.readouterr().err == f"error: no relevance judgments in {workspace / 'qrels.txt'}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["corpus.tsv", "queries.tsv", "config.tsv", "run.txt"])
+def test_a_byte_that_is_not_utf8_is_named_by_file_and_line(workspace, capsys, name):
+    (workspace / "config.tsv").write_text(f"# defaults\nkb\t{KB}\n", encoding="utf-8")
+    (workspace / "run.txt").write_text(RUN_A, encoding="utf-8")
+    (workspace / "qrels.txt").write_text(QRELS, encoding="utf-8")
+    index_dir = build_index_dir(workspace)
+    path = workspace / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(lines[0] + b"\xff" + b"".join(lines[1:]))
+    argv = {
+        "corpus.tsv": ("index", "--kb", KB, "--corpus", path, "--index-dir", workspace / "idx2"),
+        "queries.tsv": ("search", "--kb", KB, "--index-dir", index_dir, "--queries", path,
+                        "--output", workspace / "out.txt"),
+        "config.tsv": ("index", "--config", path, "--corpus", workspace / "corpus.tsv",
+                       "--index-dir", workspace / "idx2"),
+        "run.txt": ("eval", "--run", path, "--qrels", workspace / "qrels.txt", "--output", workspace / "out.txt"),
+    }[name]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: not valid UTF-8\n"
+    assert not (workspace / "idx2").exists() and not (workspace / "out.txt").exists()
 
 
 @pytest.mark.parametrize("order", ["ab", "ba"])

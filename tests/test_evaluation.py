@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,8 @@ from ontosearch.evaluation import (
     format_eval_report,
     format_sigtest_report,
     interpolated_curve,
+    load_qrels,
+    load_run,
     map_score,
     mean_curve,
     parse_qrels,
@@ -35,6 +38,17 @@ import oracles
 
 
 # --- average precision ----------------------------------------------------------
+
+@pytest.mark.parametrize("load,text", [
+    (load_run, b"q1 Q0 d1 1 0.9 a\nq1 Q0 d\xff 2 0.5 a\n"),
+    (load_qrels, b"q1 0 d1 1\nq1 0 d\xff 1\n"),
+], ids=["run", "qrels"])
+def test_a_run_or_qrels_file_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, load, text):
+    path = tmp_path / "judged.txt"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: not valid UTF-8")):
+        load(path)
+
 
 def test_ap_perfect_ranking_is_one():
     assert average_precision(["r1", "r2", "r3"], {"r1", "r2", "r3"}) == 1.0

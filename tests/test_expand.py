@@ -11,7 +11,6 @@ from ontosearch.annotate import (
     DEFAULT_WH_MAPPING,
     AnnotatedText,
     EntityAnnotation,
-    Token,
     annotate,
     keywords_outside_entities,
     tokenize_keywords,

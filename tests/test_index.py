@@ -8,7 +8,9 @@ import re
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from ontosearch.expand import DocumentCounts, Keyword, Space, Triple, expand_doc
 from ontosearch.index import (
     IndexBundle,
     _atomic_write,
+    _varint_fields,
+    _varints,
     build_index,
     load_index,
     read_fingerprint,
@@ -31,6 +35,13 @@ from conftest import FIGURE_QUERY, counted_document
 
 
 ENTITY_SPACES = (Space.N, Space.C, Space.NC, Space.I)
+
+F = oracles.posting_field
+
+
+def term_line(term, gaps, tfs):
+    """A term line as `save_index` writes it, its fields from `oracles.posting_field`."""
+    return f"{term}\t{F(gaps)}\t{F(tfs)}"
 
 
 def rep(doc_id, **bags):
@@ -229,11 +240,12 @@ def test_save_writes_one_index_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["index.tsv"]
     text = (tmp_path / "index.tsv").read_text()
     lines = text.splitlines()
-    assert lines[:8] == ["ontosearch-index\t3", "kb_sha256\tab12", "docs\t5", "d1", "d2", "d3", "d4", "d5"]
+    assert lines[:8] == ["ontosearch-index\t4", "kb_sha256\tab12", "docs\t5", "d1", "d2", "d3", "d4", "d5"]
     assert lines[8:13] == [  # gaps: the first roster position, then steps of at least 1
-        "space\tKW\t4", "k:alpha\t0,1,3\t3,1,2", "k:beta\t0,2\t1,2", "k:delta\t2,1,1\t1,5,2",
-        "k:gamma\t1,1\t4,1",
+        "space\tKW\t4", term_line("k:alpha", [0, 1, 3], [3, 1, 2]), term_line("k:beta", [0, 2], [1, 2]),
+        term_line("k:delta", [2, 1, 1], [1, 5, 2]), term_line("k:gamma", [1, 1], [4, 1]),
     ]
+    assert lines[9] == "k:alpha\tAAED\tAwEC"  # the base64 of the bytes 00 01 03 and 03 01 02
     # G's four entity terms are N's, C's and I's, so its section lists none
     assert len(build_index(FIVE_DOCS).spaces[Space.G].term_ids) == 4
     assert [line for line in lines if line.startswith("space\t")] == [
@@ -326,9 +338,9 @@ SHA256_DIFFERS = ("expected the sha256 of the lines above; the file was changed 
 
 
 @pytest.mark.parametrize("lineno,line", [
-    (10, "k:alpha\t0,1,3\t3,1,5"),     # another tf
-    (12, "k:delta\t1,2,1\t1,5,2"),     # another in-range gap: d2 for d3
-    (13, "k:gammb\t1,1\t4,1"),         # another term, still in order
+    (10, term_line("k:alpha", [0, 1, 3], [3, 1, 5])),  # another tf
+    (12, term_line("k:delta", [1, 2, 1], [1, 5, 2])),  # another in-range gap: d2 for d3
+    (13, term_line("k:gammb", [1, 1], [4, 1])),        # another term, still in order
     (8, "d6"),                          # another doc id, still in order
     (2, "kb_sha256\tcd34"),             # another fingerprint
     (23, "sha256\t" + "0" * 64),        # another digest
@@ -344,11 +356,11 @@ def test_load_rejects_an_edit_that_leaves_every_field_well_formed(tmp_path, line
 
 def test_load_reports_a_field_error_before_the_sha256(tmp_path):
     path = saved_five(tmp_path)
-    replace_line(path, 9, "k:alpha\t0,1,3\t3,1,5")  # caught by the sha256 alone
-    replace_line(path, 17, "t:*/City\t2\t1")
+    replace_line(path, 9, term_line("k:alpha", [0, 1, 3], [3, 1, 5]))  # caught by the sha256 alone
+    replace_line(path, 17, term_line("t:*/City", [2], [1]))
     with rejects(path, 17, "malformed triple term 't:*/City'"):
         load_index(tmp_path)
-    replace_line(path, 17, "t:*/City/*\t2\t1")
+    replace_line(path, 17, term_line("t:*/City/*", [2], [1]))
     with rejects(path, 22, SHA256_DIFFERS):
         load_index(tmp_path)
 
@@ -368,14 +380,38 @@ def test_load_and_read_fingerprint_refuse_a_format_2_file(tmp_path):
         "space\tKW\t1\nk:a\t0\t1\nspace\tN\t1\nt:x/*/*\t0\t1\nspace\tC\t0\nspace\tNC\t0\n"
         "space\tI\t0\nspace\tG\t1\nt:x/*/*\t0\t1\n", encoding="utf-8")
     for read in (load_index, read_fingerprint):
-        with rejects(tmp_path / "index.tsv", 1, "expected the format line 'ontosearch-index\\t3', got "
+        with rejects(tmp_path / "index.tsv", 1, "expected the format line 'ontosearch-index\\t4', got "
                      "'ontosearch-index\\t2'; rebuild it with `ontosearch index`"):
+            read(tmp_path)
+
+
+def test_load_and_read_fingerprint_refuse_a_format_3_file(tmp_path):
+    # as format 3 wrote it: gaps and tfs as decimal comma lists
+    body = ("ontosearch-index\t3\nkb_sha256\tab12\ndocs\t2\nd1\nd2\nspace\tKW\t1\nk:a\t0,1\t1,2\n"
+            "space\tN\t1\nt:x/*/*\t1\t1\nspace\tC\t0\nspace\tNC\t0\nspace\tI\t0\nspace\tG\t0\n")
+    (tmp_path / "index.tsv").write_text(
+        body + "sha256\t" + hashlib.sha256(body.encode("utf-8")).hexdigest() + "\n", encoding="utf-8")
+    for read in (load_index, read_fingerprint):
+        with rejects(tmp_path / "index.tsv", 1, "expected the format line 'ontosearch-index\\t4', got "
+                     "'ontosearch-index\\t3'; rebuild it with `ontosearch index`"):
+            read(tmp_path)
+
+
+def test_load_and_read_fingerprint_name_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = saved_five(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data + b"\xff")
+    with rejects(path, 23, "not valid UTF-8"):
+        load_index(tmp_path)
+    path.write_bytes(data.replace(b"docs\t5", b"kb_sha256\t\xff\ndocs\t5"))  # a fingerprint value
+    for read in (load_index, read_fingerprint):
+        with rejects(path, 2, "not valid UTF-8"):
             read(tmp_path)
 
 
 def test_load_rejects_df_posting_mismatch(tmp_path):
     path = saved_five(tmp_path)
-    replace_line(path, 9, "k:alpha\t0,1,3\t3,1")
+    replace_line(path, 9, term_line("k:alpha", [0, 1, 3], [3, 1]))
     with rejects(path, 9, "df 3 (gaps) does not match 2 tfs"):
         load_index(tmp_path)
 
@@ -386,14 +422,14 @@ def two_doc_index(tmp_path):
         rep("b", KW={K("shared"): 1, K("y"): 2}),
     ]), tmp_path)
     path = tmp_path / "index.tsv"
-    assert path.read_text().splitlines()[5] == "k:shared\t0,1\t1,1"
+    assert path.read_text().splitlines()[5] == term_line("k:shared", [0, 1], [1, 1])
     return path
 
 
 def test_load_rejects_posting_for_doc_without_norm_line(tmp_path):
     # position 2 of a 2-document roster names no roster row
     path = two_doc_index(tmp_path)
-    replace_line(path, 6, "k:shared\t0,2\t1,1")
+    replace_line(path, 6, term_line("k:shared", [0, 2], [1, 1]))
     with rejects(path, 6, "a posting lies outside the roster of 2 documents"):
         load_index(tmp_path)
 
@@ -435,7 +471,7 @@ def test_load_rejects_manifest_term_count_mismatch(tmp_path):
     assert path.read_text().splitlines()[7] == "space\tKW\t4"
     replace_line(path, 8, "space\tKW\t5")
     with rejects(path, 14, "expected space<TAB>name<TAB>n_terms after the 5 term lines that line 8 "
-                 "states, got 't:x/*/*\\t0,3\\t2,1'"):
+                 f"states, got {term_line('t:x/*/*', [0, 3], [2, 1])!r}"):
         load_index(tmp_path)
 
 
@@ -452,14 +488,14 @@ def test_load_rejects_terms_out_of_serialized_order(tmp_path):
 def test_load_rejects_two_spellings_of_one_term(tmp_path):
     # both name the normalized name "x", which would give two term ids one term
     path = saved_five(tmp_path)
-    replace_line(path, 14, "t:X/*/*\t0\t2")
-    replace_line(path, 15, "t:x/*/*\t3\t1")
+    replace_line(path, 14, term_line("t:X/*/*", [0], [2]))
+    replace_line(path, 15, term_line("t:x/*/*", [3], [1]))
     with rejects(path, 15, "term 't:x/*/*' repeats an earlier line's term"):
         load_index(tmp_path)
 
 
 @pytest.mark.parametrize("lineno,line,message", [
-    (1, "ontosearch-index\t1", "expected the format line 'ontosearch-index\\t3', got "
+    (1, "ontosearch-index\t1", "expected the format line 'ontosearch-index\\t4', got "
                                "'ontosearch-index\\t1'; rebuild it with `ontosearch index`"),
     (2, "docs\tfive", "expected a count, got 'five'"),
     (2, "kb_sha256", "expected key<TAB>value, got 'kb_sha256'"),
@@ -469,16 +505,16 @@ def test_load_rejects_two_spellings_of_one_term(tmp_path):
                     "states, got 'space\\tKW'"),
     (13, "space\tN\t2.0", "expected a count, got '2.0'"),
     (13, "space\tXX\t2", "unknown space 'XX'"),
-    (9, "k:alpha\t0,1,3", "expected term<TAB>gaps<TAB>tfs, got 'k:alpha\\t0,1,3'"),
-    (10, "k:beta\t0,2\t1", "df 2 (gaps) does not match 1 tfs"),
-    (11, "k:delta\t2,1,1\t1,x,2", "tfs must be comma-separated integers of 1 to 18 ASCII digits, "
-                                  "got '1,x,2'"),
-    (11, "k:delta\t2,1,1\t1,0,2", "tf must be an integer >= 1, got 0"),
-    (11, "k:delta\t2,1,2\t1,5,2", "a posting lies outside the roster of 5 documents"),
-    (11, "k:delta\t5\t1", "a posting lies outside the roster of 5 documents"),
-    (11, "k:delta\t2,0,1\t1,5,2", "postings repeat a document or leave roster order"),
-    (17, "t:*/City\t2\t1", "malformed triple term 't:*/City'"),
-    (17, "q:City\t2\t1", "unknown term serialization 'q:City'"),
+    (9, "k:alpha\t" + F([0, 1, 3]), "expected term<TAB>gaps<TAB>tfs, got " + repr("k:alpha\t" + F([0, 1, 3]))),
+    (10, term_line("k:beta", [0, 2], [1]), "df 2 (gaps) does not match 1 tfs"),
+    (11, f"k:delta\t{F([2, 1, 1])}\t{F([1, 5, 2], 'not-base64')}",
+     f"tfs must be padded base64, got {F([1, 5, 2], 'not-base64')!r}"),
+    (11, term_line("k:delta", [2, 1, 1], [1, 0, 2]), "tf must be an integer >= 1, got 0"),
+    (11, term_line("k:delta", [2, 1, 2], [1, 5, 2]), "a posting lies outside the roster of 5 documents"),
+    (11, term_line("k:delta", [5], [1]), "a posting lies outside the roster of 5 documents"),
+    (11, term_line("k:delta", [2, 0, 1], [1, 5, 2]), "postings repeat a document or leave roster order"),
+    (17, term_line("t:*/City", [2], [1]), "malformed triple term 't:*/City'"),
+    (17, term_line("q:City", [2], [1]), "unknown term serialization 'q:City'"),
 ], ids=[
     "format-line", "docs-count", "fingerprint-line", "roster-row", "space-line-empty",
     "space-line-short", "space-term-count", "space-name", "term-line-short", "df",
@@ -499,10 +535,10 @@ def resign(path):
 
 
 @pytest.mark.parametrize("edits,at,message", [
-    ({13: ["space\tN\t3", "k:alpha\t2\t1"]}, 14, "N's part holds triples only, got 'k:alpha'"),
-    ({21: ["space\tG\t2", "k:alpha\t0\t1", "t:z/*/*\t0\t1"]}, 23,
+    ({13: ["space\tN\t3", term_line("k:alpha", [2], [1])]}, 14, "N's part holds triples only, got 'k:alpha'"),
+    ({21: ["space\tG\t2", term_line("k:alpha", [0], [1]), term_line("t:z/*/*", [0], [1])]}, 23,
      "G's part holds keywords only, got 't:z/*/*'"),
-    ({16: ["space\tC\t2"], 17: ["t:*/City/*\t2\t1", "t:x/*/*\t0\t1"]}, 18,
+    ({16: ["space\tC\t2"], 17: [term_line("t:*/City/*", [2], [1]), term_line("t:x/*/*", [0], [1])]}, 18,
      "term 't:x/*/*' lies in two of N, C, NC and I"),
 ], ids=["keyword-in-N", "triple-in-G", "triple-in-N-and-C"])
 def test_load_refuses_parts_that_break_the_kind_rule_though_the_sha256_matches(tmp_path, edits, at, message):
@@ -518,8 +554,8 @@ def test_load_refuses_parts_that_break_the_kind_rule_though_the_sha256_matches(t
 def test_load_rejects_rows_whose_field_counts_only_add_up(tmp_path):
     # one field too many on k:alpha's line and one too few on k:beta's would shift every cell after them
     path = saved_five(tmp_path)
-    replace_line(path, 9, "k:alpha\t0,1,3\t3,1,2\t1")
-    replace_line(path, 10, "k:beta\t0,2")
+    replace_line(path, 9, term_line("k:alpha", [0, 1, 3], [3, 1, 2]) + "\t" + F([1]))
+    replace_line(path, 10, f"k:beta\t{F([0, 2])}")
     with rejects(path, 9, "expected term<TAB>gaps<TAB>tfs"):
         load_index(tmp_path)
 
@@ -534,7 +570,7 @@ def test_load_rejects_a_fingerprint_key_listed_twice(tmp_path):
 
 def test_load_rejects_a_header_without_a_docs_line(tmp_path):
     path = tmp_path / "index.tsv"
-    path.write_text("ontosearch-index\t3\nkb_sha256\tab12\n", encoding="utf-8")
+    path.write_text("ontosearch-index\t4\nkb_sha256\tab12\n", encoding="utf-8")
     for read in (load_index, read_fingerprint):
         with pytest.raises(ValueError, match=re.escape(f"{path}: no docs line")):
             read(tmp_path)
@@ -568,30 +604,69 @@ def test_load_rejects_a_missing_space_and_a_cut_file(tmp_path):
 
 @pytest.mark.parametrize("postings", ["a:1,a:1", "b:1,a:1"])
 def test_load_rejects_postings_that_repeat_a_document_or_leave_roster_order(tmp_path, postings):
-    # as gaps, a repeat is a step of 0 and a step back a negative gap, which no field holds
+    # as gaps, a repeat is a step of 0 and a step back a negative gap, which a writer
+    # subtracting in 64 bits would store as 2**64 - 1, a varint of 10 bytes
     path = two_doc_index(tmp_path)
     positions = [{"a": 0, "b": 1}[p.split(":")[0]] for p in postings.split(",")]
-    gaps = ",".join(str(p - q) for p, q in zip(positions, [0] + positions))
-    replace_line(path, 6, f"k:shared\t{gaps}\t1,1")
+    gaps = [(p - q) % 2**64 for p, q in zip(positions, [0] + positions)]
+    replace_line(path, 6, term_line("k:shared", gaps, [1, 1]))
     message = {
         "a:1,a:1": "postings repeat a document or leave roster order",
-        "b:1,a:1": "gaps must be comma-separated integers of 1 to 18 ASCII digits, got '1,-1'",
+        "b:1,a:1": f"gaps holds a varint of more than 9 bytes, got {F([1, 2**64 - 1])!r}",
     }[postings]
     with rejects(path, 6, message):
         load_index(tmp_path)
 
 
+# what the loader says of each of `oracles.posting_field`'s malformed fields
+FIELD_PROBLEMS = {
+    "truncated": "ends inside a varint",
+    "over-9-bytes": "holds a varint of more than 9 bytes",
+    "non-minimal": "holds a non-minimal varint",
+    "not-base64": "must be padded base64",
+    "inner-padding": "must be padded base64",
+    "padding-bits": "must be padded base64",
+    "empty": "must not be empty",
+}
+
+
 @pytest.mark.parametrize("field", ["gaps", "tfs"])
 @pytest.mark.parametrize("value", ["+1", " 1", "-1", "1.5", "1,,2", "1,", "99999999999999999999",
-                                   "１"])
+                                   "１", *(pytest.param(kind, id=kind) for kind in oracles.MALFORMED_FIELDS)])
 def test_load_takes_only_plain_ascii_integers_in_gaps_and_tfs(tmp_path, field, value):
-    # np.fromstring alone would read each of these as some number, or drop the rest
+    # each field strict base64 of complete, minimal varints of at most 9 bytes (a2b_base64
+    # before Python 3.11 skips what is not base64): format 3's decimal spellings, which
+    # np.fromstring alone would have read as some number, and each malformed field
     path = saved_five(tmp_path)
-    gaps, tfs = (value, "4,1") if field == "gaps" else ("1,1", value)
-    replace_line(path, 12, f"k:gamma\t{gaps}\t{tfs}")
-    with rejects(path, 12, f"{field} must be comma-separated integers of 1 to 18 ASCII digits, "
-                           f"got {value!r}"):
+    fields = {"gaps": [1, 1], "tfs": [4, 1]}
+    text = {name: F(values, value if name == field and value in FIELD_PROBLEMS else None)
+            for name, values in fields.items()}
+    if value not in FIELD_PROBLEMS:
+        text[field] = value
+    replace_line(path, 12, f"k:gamma\t{text['gaps']}\t{text['tfs']}")
+    if value == "99999999999999999999":  # the base64 of five well-formed 3-byte varints
+        message = "df 5 (gaps) does not match 2 tfs" if field == "gaps" else "df 2 (gaps) does not match 5 tfs"
+    else:
+        message = f"{field} {FIELD_PROBLEMS.get(value, 'must be padded base64')}, got {text[field]!r}"
+    with rejects(path, 12, message):
         load_index(tmp_path)
+
+
+# the values where a varint gains a byte, and the largest one of 9 bytes
+VARINT_EDGES = [0, 1, 127, 128, 2**14 - 1, 2**14, 2**21 - 1, 2**21, 2**56 - 1, 2**56, 2**63 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.sampled_from(VARINT_EDGES), st.integers(0, 2**63 - 1)),
+                         min_size=1, max_size=8), max_size=6))
+def test_posting_fields_round_trip_every_int64_value(lists):
+    values = np.array([value for values in lists for value in values], dtype=np.int64)
+    offsets = np.cumsum([0, *map(len, lists)]).tolist()
+    fields = _varint_fields(values, offsets)
+    assert fields == [F(values) for values in lists]
+    decoded, counts = _varints(fields, "gaps", Path("index.tsv"), np.arange(1, len(fields) + 1))
+    assert decoded.dtype == np.int64 and decoded.tolist() == values.tolist()
+    assert counts.tolist() == list(map(len, lists))
 
 
 def test_load_refuses_a_format_1_directory_and_save_replaces_it(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ontosearch.kb import (
     KBError,
     alias_set,
+    load_kb,
     normalize_name,
     parse_kb,
     super_classes,
@@ -180,6 +181,15 @@ def test_whitespace_only_alias_rejected(aliases):
     text = kb_text("CLASS\tA\t-\t-", "# comment", f"ENTITY\tE1\tA\tOslo\t{aliases}")
     with pytest.raises(KBError, match=r"kb\.tsv:3: blank alias '.*' for 'E1'"):
         parse_kb(text, origin="kb.tsv")
+
+
+def test_load_kb_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, figure_kb_path):
+    text = figure_kb_path.read_bytes()
+    line = len(text.splitlines()) + 1
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(text + b"# caf\xe9\n")  # Latin-1, not UTF-8
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: not valid UTF-8")):
+        load_kb(path)
 
 
 def test_empty_alias_slots_are_still_skipped():
