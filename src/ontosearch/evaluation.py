@@ -131,22 +131,18 @@ class SigTestResult:
         object.__setattr__(self, "p_two_sided", p)
 
 
-def permutation_uniforms(seed: int, perm_index: int, n_queries: int) -> np.ndarray:
-    """The uniform draws behind one permutation's swap decisions.
+def permutation_signs(seed: int, perm_index: int, n_queries: int) -> np.ndarray:
+    """Swap signs (+1/-1) for one permutation; -1 swaps the query's pair.
 
-    Keyed by (seed, perm_index) through a counter-based generator, so any
-    block of permutation indexes can be evaluated independently. The
+    A query's pair is swapped when its uniform draw is below one half. The
+    draws are keyed by (seed, perm_index) through a counter-based generator,
+    so any block of permutation indexes can be evaluated independently. The
     permutation index sits in the counter's second word, which drawing
     never advances (it only carries out of the first word after 2**64
     blocks), so the streams of distinct permutations never overlap.
     """
     bit_gen = np.random.Philox(key=seed, counter=[0, perm_index, 0, 0])
-    return np.random.Generator(bit_gen).random(n_queries)
-
-
-def permutation_signs(seed: int, perm_index: int, n_queries: int) -> np.ndarray:
-    """Swap signs (+1/-1) for one permutation; -1 swaps the query's pair."""
-    return np.where(permutation_uniforms(seed, perm_index, n_queries) < 0.5, -1.0, 1.0)
+    return np.where(np.random.Generator(bit_gen).random(n_queries) < 0.5, -1.0, 1.0)
 
 
 def permutation_sign_blocks(seed: int, n_perm: int, n_queries: int) -> Iterator[np.ndarray]:

@@ -18,17 +18,17 @@ term, the most specific available (id, then name+class, then class or name
 alone), with no alias or superclass closure; the document side of the match
 carries the burden.
 
-Terms are named tuples, so bags hash and compare them in C. A query is
-expanded into term bags (`DocRepresentation`). A document is only counted
-(`DocumentCounts`): its stems as strings, its own G part as the stems that
-`keywords_outside_entities` keeps (the rule queries use), and its
-annotations by key (name, class, id). A key's N, C, NC and I terms are
-built once per KB, in `kb.expansions`, and the document keeps that table
-beside its key counts, so `index.build_index` inverts the counts without a
-term bag per document. A document's `parts` and `space_bags` are composed
-from the counts on first read; as in `index.tsv`, G's stored part holds
-only G's own terms, and `space_bags` adds the entity bags, the text side's
-one G.
+A term is its canonical string, the very form `index.tsv` stores: `k:<stem>`
+or `t:<name>/<class>/<id>` (see `Triple`). A query is expanded into term
+bags (`DocRepresentation`). A document is only counted (`DocumentCounts`):
+its stems, its own G part as the stems that `keywords_outside_entities`
+keeps (the rule queries use), and its annotations by key (name, class, id).
+A key's N, C, NC and I terms are built once per KB, in `kb.expansions`, and
+the document keeps that table beside its key counts, so `index.build_index`
+inverts the counts without a term bag per document. A document's `parts`
+and `space_bags` are composed from the counts on first read; as in
+`index.tsv`, G's stored part holds only G's own terms, and `space_bags`
+adds the entity bags, the text side's one G.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 from .annotate import AnnotatedText, EntityAnnotation, keywords_outside_entities
 from .kb import KnowledgeBase, alias_set, normalize_name, super_classes
@@ -55,38 +54,30 @@ class Space(str, Enum):
 _ENTITY_SPACES = (Space.N, Space.C, Space.NC, Space.I)
 
 
-class Keyword(NamedTuple):
-    stem: str
+GeneralizedTerm = str  # `k:<stem>` or `t:<name>/<class>/<id>`: see `Keyword` and `Triple`
 
 
-class _TripleSlots(NamedTuple):
-    name: str | None
-    class_id: str | None
-    entity_id: str | None
+def Keyword(stem: str) -> GeneralizedTerm:
+    """The keyword term of a stem: `k:<stem>`."""
+    return "k:" + stem
 
 
-class Triple(_TripleSlots):
-    """Entity term with optional name/class/id slots; at least one is set.
+def Triple(name: str | None = None, class_id: str | None = None,
+           entity_id: str | None = None) -> GeneralizedTerm:
+    """The entity term with optional name/class/id slots, at least one set:
+    `t:<name>/<class>/<id>`, with `*` for an unset slot.
 
-    Name slots are normalized like the KB name index, so two casings of one
-    surface form are a single term. Like `Keyword`, a tuple: it hashes and
-    compares in C, and never equals a `Keyword`, whose length differs.
-    Build one by calling the class; the tuple helpers `_make` and `_replace`
-    skip these checks.
+    The name is normalized like the KB name index, so two casings of one
+    surface form are a single term. In each set slot `%`, `/`, tab and
+    newline are escaped as `%25`, `%2F`, `%09` and `%0A`, and a slot that is
+    `*` itself as `%2A`; `triple_slots` reads the slots back.
     """
+    if name is None and class_id is None and entity_id is None:
+        raise ValueError("a Triple needs at least one specified slot")
+    if name is not None:
+        name = normalize_name(name)
+    return f"t:{_encode_slot(name)}/{_encode_slot(class_id)}/{_encode_slot(entity_id)}"
 
-    __slots__ = ()
-
-    def __new__(cls, name: str | None = None, class_id: str | None = None,
-                entity_id: str | None = None) -> Triple:
-        if name is None and class_id is None and entity_id is None:
-            raise ValueError("a Triple needs at least one specified slot")
-        if name is not None:
-            name = normalize_name(name)
-        return tuple.__new__(cls, (name, class_id, entity_id))
-
-
-GeneralizedTerm = Keyword | Triple
 
 TermBag = dict  # GeneralizedTerm -> positive count; a Counter is one
 
@@ -108,7 +99,6 @@ def _compose_g(parts: dict[Space, TermBag]) -> dict[Space, TermBag]:
 class DocRepresentation:
     """A query's bags: `parts` holds KW, N, C, NC and I, and under G only G's own terms."""
 
-    doc_id: str
     parts: dict[Space, TermBag]
 
     @cached_property
@@ -179,7 +169,7 @@ def _expansion_sets(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[set[str],
     return names, classes
 
 
-def _document_terms(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[tuple[Triple, ...], ...]:
+def _document_terms(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[tuple[GeneralizedTerm, ...], ...]:
     """One annotation's N, C, NC and I terms."""
     names, classes = _expansion_sets(ann, kb)
     return (
@@ -227,7 +217,7 @@ def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> D
     return DocumentCounts(doc_id, stems, own, keys, kb.expansions)
 
 
-def _most_specific_term(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[Space, Triple]:
+def _most_specific_term(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[Space, GeneralizedTerm]:
     _check_ids(ann, kb)
     if ann.entity_id is not None:
         return Space.I, Triple(entity_id=ann.entity_id)
@@ -253,20 +243,21 @@ def expand_query(at: AnnotatedText, kb: KnowledgeBase,
     own = [Keyword(token.stem) for token in keywords_outside_entities(at.keywords, at.entities)]
     if wh_class is not None:
         own.append(Triple(class_id=wh_class))
-    parts = {
+    return DocRepresentation({
         Space.KW: Counter([Keyword(token.stem) for token in at.keywords]),
         **entity_bags,
         Space.G: Counter(own),
-    }
-    return DocRepresentation(doc_id="", parts=parts)
+    })
 
 
-# --- canonical term serialization --------------------------------------------
+# --- term slots -------------------------------------------------------------
 
 _ENCODE = (("%", "%25"), ("/", "%2F"), ("\t", "%09"), ("\n", "%0A"))
 
 
-def _encode_slot(value: str) -> str:
+def _encode_slot(value: str | None) -> str:
+    if value is None:
+        return "*"
     for raw, escaped in _ENCODE:
         value = value.replace(raw, escaped)
     if value == "*":
@@ -274,46 +265,28 @@ def _encode_slot(value: str) -> str:
     return value
 
 
-def _decode_slot(value: str) -> str:
+def _decode_slot(value: str) -> str | None:
+    if value == "*":
+        return None
+    if "%" not in value:  # only a slot holding `%` holds an escape
+        return value
     for raw, escaped in (("/", "%2F"), ("\t", "%09"), ("\n", "%0A"), ("*", "%2A")):
         value = value.replace(escaped, raw)
     return value.replace("%25", "%")
 
 
-def serialize_term(term: GeneralizedTerm) -> str:
-    """Canonical one-line form: `k:<stem>` or `t:<name>/<class>/<id>`."""
-    if isinstance(term, Keyword):
-        return f"k:{term.stem}"
-    slots = (
-        _encode_slot(term.name) if term.name is not None else "*",
-        _encode_slot(term.class_id) if term.class_id is not None else "*",
-        _encode_slot(term.entity_id) if term.entity_id is not None else "*",
-    )
-    return "t:" + "/".join(slots)
-
-
-def parse_term(text: str) -> GeneralizedTerm:
-    """Inverse of serialize_term."""
-    if text.startswith("k:"):
-        return Keyword(text[2:])
-    if text.startswith("t:"):
-        parts = text[2:].split("/")
-        if len(parts) != 3:
-            raise ValueError(f"malformed triple term {text!r}")
-        # only a slot holding `%` holds an escape
-        name, class_id, entity_id = [
-            None if p == "*" else _decode_slot(p) if "%" in p else p for p in parts
-        ]
-        return Triple(name, class_id, entity_id)
-    raise ValueError(f"unknown term serialization {text!r}")
+def triple_slots(text: str) -> tuple[str | None, str | None, str | None]:
+    """A `t:` term's name, class and id, decoded; None for a `*` slot."""
+    if not text.startswith("t:"):
+        raise ValueError(f"unknown term serialization {text!r}")
+    slots = text[2:].split("/")
+    if len(slots) != 3:
+        raise ValueError(f"malformed triple term {text!r}")
+    return tuple(map(_decode_slot, slots))
 
 
 def display_term(term: GeneralizedTerm) -> str:
     """Debug notation: bare stem for keywords, (name/class/id) for triples."""
-    if isinstance(term, Keyword):
-        return term.stem
-    return "({}/{}/{})".format(
-        term.name if term.name is not None else "*",
-        term.class_id if term.class_id is not None else "*",
-        term.entity_id if term.entity_id is not None else "*",
-    )
+    if term.startswith("k:"):
+        return term[2:]
+    return "({}/{}/{})".format(*("*" if slot is None else slot for slot in triple_slots(term)))

@@ -6,26 +6,26 @@ in. Build output is canonical (rosters, term ids, postings, and norm
 accumulation all follow sorted order), so any permutation of the input
 stream produces a bit-identical bundle.
 
-In memory a space is a CSR matrix over integer term ids. Term ids follow
-serialized-term order, so term-id order is the canonical accumulation
-order. Term t's postings are entries `offsets[t]` to `offsets[t + 1]` of
-`doc_idx` (positions in the sorted roster) and `tf`; `idf` holds each
-term's ln(n_docs / df), `weights` each posting's tf * idf, and `norms` each
-document's Euclidean norm, whose squares `np.bincount` sums posting by
-posting, that is in term-id order.
+In memory a space is a CSR matrix over integer term ids. Term ids follow the
+sorted order of the terms, the strings the file stores (`expand.Triple`), so
+term-id order is the canonical accumulation order. Term t's postings are
+entries `offsets[t]` to `offsets[t + 1]` of `doc_idx` (positions in the
+sorted roster) and `tf`; `idf` holds each term's ln(n_docs / df), `weights`
+each posting's tf * idf, and `norms` each document's Euclidean norm, whose
+squares `np.bincount` sums posting by posting, that is in term-id order.
 
 The build is a sort-based inversion (Zobel & Moffat, "Inverted files for
 text search engines", 2006) of counted documents (`expand.DocumentCounts`);
 no document is turned into term bags. KW and G's own part are inverted from
-their stem counts, each stem serialized as `k:<stem>` once per build. N, C,
+their stem counts, each stem made a `k:<stem>` term once per build. N, C,
 NC and I are inverted from the annotation key counts: each distinct key is
 mapped to each space's provisional term ids once, through the table the keys
 were counted against, and a key seen n times in a document gives each of its
 terms a posting of tf n, all listed flat with `np.repeat`. The vocabulary is
-ranked once by serialized term, and one stable argsort by term rank puts the
-postings in CSR order. Two keys of one document may share a term (two
-cities' `(*/Location/*)`); their postings end up adjacent and
-`np.add.reduceat` adds them. Of G only its own part is inverted: build and
+sorted once, and one stable argsort by term rank puts the postings in CSR
+order. Two keys of one document may share a term (two cities'
+`t:*/Location/*`); their postings end up adjacent and `np.add.reduceat`
+adds them. Of G only its own part is inverted: build and
 load alike merge G's entity postings from N, C, NC and I (`_bundle`), the
 one place the index side defines G.
 
@@ -39,15 +39,15 @@ recompute (Zobel & Moffat again): no norms, and of G only its keywords.
     docs<TAB>n                                  then n roster rows:
     doc_id                                      sorted by doc id
     space<TAB>KW<TAB>n_terms                    then n_terms term lines:
-    term<TAB>gaps<TAB>tfs                       sorted by serialized term
+    term<TAB>gaps<TAB>tfs                       sorted by term
     ...                                         (one section per space)
     sha256<TAB>hex                              of all the bytes above
 
-A term's first gap is its first roster position and each later gap, at
-least 1, the step from the one before. Each of the gaps and tfs fields is
-the padded base64 of its values as unsigned LEB128 varints, 7 bits a byte,
-so a gap or tf below 128 takes one byte; a byte-aligned code is both smaller
-and faster to decode than decimal text (Scholer, Williams, Yiannis & Zobel,
+A term's first gap is its first roster position and each later gap, at least
+1, the step from the one before. Each of the gaps and tfs fields is the
+padded base64 of its values as unsigned LEB128 varints, 7 bits a byte, so a
+gap or tf below 128 takes one byte; a byte-aligned code is both smaller and
+faster to decode than decimal text (Scholer, Williams, Yiannis & Zobel,
 "Compression of inverted indexes for fast query evaluation", SIGIR 2002).
 The saver encodes each space's values in one vectorized pass. Doc ids may
 not contain tab or newline. The loader reads the postings of every space at
@@ -55,15 +55,15 @@ once: it checks every field as strict base64 with array operations (before
 Python 3.11 `a2b_base64` skips what is not base64), decodes each field with
 `a2b_base64`, and decodes the varints with numpy, refusing one cut short,
 one of more than 9 bytes (63 bits, so every value fits an int64) and one
-with a needless zero byte, so a list of values has one spelling. It parses
-each distinct term once. It checks that doc ids and terms strictly ascend,
-that each term has as many tfs as gaps, that tfs and later gaps are at
-least 1, that positions fall inside the roster and that parts keep
-`_bundle`'s kind rule; a failure names `path:line`. Only then does it check
-the sha256, which also catches an edit that leaves every field well formed.
-A loaded index equals a freshly built one. Earlier formats are refused with
-a request to rebuild: formats 2 and 3 by their format line, format 1
-(`manifest.tsv` and a file per space) by its files.
+with a needless zero byte, so a list of values has one spelling. It checks
+that doc ids and terms strictly ascend, that each term is spelt as
+`expand.Triple` spells it, that each term has as many tfs as gaps, that tfs
+and later gaps are at least 1, that positions fall inside the roster and
+that parts keep `_bundle`'s kind rule; a failure names `path:line`. Only
+then does it check the sha256, which also catches an edit that leaves every
+field well formed. A loaded index equals a freshly built one. Earlier
+formats are refused with a request to rebuild: formats 2 and 3 by their
+format line, format 1 (`manifest.tsv` and a file per space) by its files.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .expand import (_ENTITY_SPACES, AnnotationKey, DocumentCounts, GeneralizedTerm, Keyword, Space,
-                     parse_term, serialize_term)
+from .expand import _ENTITY_SPACES, AnnotationKey, DocumentCounts, GeneralizedTerm, Space, Triple, triple_slots
+from .kb import normalize_name
 from .textfile import decode_utf8
 
 _FORBIDDEN_IN_DOC_ID = frozenset("\t\n")
@@ -170,7 +170,7 @@ def tfidf_weight(tf: int, df: int, n_docs: int) -> float:
 
 def _space_index(terms: Sequence[GeneralizedTerm], df: Sequence[int], doc_idx: Sequence[int],
                  tf: Sequence, doc_ids: tuple[str, ...]) -> SpaceIndex:
-    """Arrays for postings listed term by term, terms in serialized order."""
+    """Arrays for postings listed term by term, terms in sorted order."""
     counts = np.array(df, dtype=np.int64)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -188,26 +188,24 @@ def _space_index(terms: Sequence[GeneralizedTerm], df: Sequence[int], doc_idx: S
 
 
 class _Postings(NamedTuple):
-    """One space's postings listed term by term, terms in serialized order."""
+    """One space's postings listed term by term, terms in sorted order."""
 
-    keys: list[str]  # the terms serialized
     terms: list[GeneralizedTerm]
     df: np.ndarray
     doc_idx: np.ndarray
     tf: np.ndarray
 
 
-def _ranked(keys: list[str], terms: list[GeneralizedTerm], ids: np.ndarray, doc_pos: np.ndarray,
-            tf: np.ndarray) -> _Postings:
+def _ranked(terms: list[GeneralizedTerm], ids: np.ndarray, doc_pos: np.ndarray, tf: np.ndarray) -> _Postings:
     """Postings under provisional term ids, each term's in roster order, put in CSR order:
-    the terms ranked by serialized key, then one stable argsort of the postings by rank.
-    Postings of one term in one document, which two keys of a document can give, are then
-    adjacent, and are added into one."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
+    the terms ranked, then one stable argsort of the postings by rank. Postings of one term
+    in one document, which two keys of a document can give, are then adjacent, and are
+    added into one."""
+    order = sorted(range(len(terms)), key=terms.__getitem__)
     # provisional id -> final id, in the narrowest type: numpy's stable sort of 8- and
     # 16-bit integers is a radix sort
-    rank = np.empty(len(keys), dtype=np.min_scalar_type(len(keys)))
-    rank[order] = np.arange(len(keys))
+    rank = np.empty(len(terms), dtype=np.min_scalar_type(len(terms)))
+    rank[order] = np.arange(len(terms))
     term_rank = rank[ids]
     postings = np.argsort(term_rank, kind="stable")
     term_rank, doc_pos, tf = term_rank[postings], doc_pos[postings], tf[postings]
@@ -215,8 +213,7 @@ def _ranked(keys: list[str], terms: list[GeneralizedTerm], ids: np.ndarray, doc_
     if repeat.any():
         first = np.flatnonzero(np.concatenate(([True], ~repeat)))
         term_rank, doc_pos, tf = term_rank[first], doc_pos[first], np.add.reduceat(tf, first)
-    return _Postings([keys[i] for i in order], [terms[i] for i in order],
-                     np.bincount(term_rank, minlength=len(keys)), doc_pos, tf)
+    return _Postings([terms[i] for i in order], np.bincount(term_rank, minlength=len(terms)), doc_pos, tf)
 
 
 def _listed(bags: list[dict]) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
@@ -231,12 +228,10 @@ def _listed(bags: list[dict]) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]
     return list(provisional), ids, counts, np.repeat(np.arange(len(bags), dtype=np.int32), lengths)
 
 
-def _invert_stems(bags: list[dict[str, int]], keywords: dict[str, Keyword]) -> _Postings:
-    """The postings of one space's stem counts. `keywords` holds each stem's `Keyword`, made
-    once per build."""
+def _invert_stems(bags: list[dict[str, int]]) -> _Postings:
+    """The postings of one space's stem counts."""
     stems, ids, tf, doc_pos = _listed(bags)
-    terms = [keywords.get(stem) or keywords.setdefault(stem, Keyword(stem)) for stem in stems]
-    return _ranked(["k:" + stem for stem in stems], terms, ids, doc_pos, tf)
+    return _ranked(["k:" + stem for stem in stems], ids, doc_pos, tf)
 
 
 def _invert_keys(bags: list[dict[AnnotationKey, int]], table: Mapping) -> list[_Postings]:
@@ -255,38 +250,35 @@ def _invert_keys(bags: list[dict[AnnotationKey, int]], table: Mapping) -> list[_
         # each posting's place among the flat term ids: its key's start, plus its place in the key
         at = np.arange(width.sum()) + np.repeat(start[key_ids] - (np.cumsum(width) - width), width)
         ids = np.fromiter(chain.from_iterable(per_key), np.int64, lengths.sum())[at]
-        terms = list(term_ids)
-        parts.append(_ranked([serialize_term(term) for term in terms], terms, ids,
-                             np.repeat(key_pos, width), np.repeat(key_tf, width)))
+        parts.append(_ranked(list(term_ids), ids, np.repeat(key_pos, width), np.repeat(key_tf, width)))
     return parts
 
 
 def _bundle(parts: Mapping[Space, _Postings], roster: tuple[str, ...],
             where: Callable[[Space, int], str] = lambda space, i: "") -> IndexBundle:
     """Every space's index, G's postings merged from its own part's and those of N, C, NC and I
-    in serialized order, so G's ids and norms are those of G inverted whole.
+    in sorted order, so G's ids and norms are those of G inverted whole.
 
     Build and load share one kind rule: G's own part holds keywords only, and N, C, NC and I
-    triples only; keys sort `k:` before `t:`, so one end of each part decides. `where(space, i)`
-    places an error at the part's key i."""
-    seen: set[str] = set()  # G's own keys are keywords, so only the entity parts can share a key
+    triples only; terms sort `k:` before `t:`, so one end of each part decides. `where(space, i)`
+    places an error at the part's term i."""
+    seen: set[str] = set()  # G's own terms are keywords, so only the entity parts can share a term
     for space, i, kind in ((Space.G, -1, "k:"), *((s, 0, "t:") for s in _ENTITY_SPACES)):
-        keys = parts[space].keys
-        if keys and not keys[i].startswith(kind):
-            raise ValueError(f"{where(space, i % len(keys))}{space.value}'s part holds "
-                             f"{'keywords' if kind == 'k:' else 'triples'} only, got {keys[i]!r}")
-        if not seen.isdisjoint(keys):
-            i = next(i for i, key in enumerate(keys) if key in seen)
-            raise ValueError(f"{where(space, i)}term {keys[i]!r} lies in two of N, C, NC and I")
-        seen.update(keys)
+        terms = parts[space].terms
+        if terms and not terms[i].startswith(kind):
+            raise ValueError(f"{where(space, i % len(terms))}{space.value}'s part holds "
+                             f"{'keywords' if kind == 'k:' else 'triples'} only, got {terms[i]!r}")
+        if not seen.isdisjoint(terms):
+            i = next(i for i, term in enumerate(terms) if term in seen)
+            raise ValueError(f"{where(space, i)}term {terms[i]!r} lies in two of N, C, NC and I")
+        seen.update(terms)
     sources = [parts[space] for space in (Space.G, *_ENTITY_SPACES)]
-    keys = list(chain.from_iterable(source.keys for source in sources))
+    terms = list(chain.from_iterable(source.terms for source in sources))
     df = np.concatenate([source.df for source in sources])
     parts = {**parts, Space.G: _ranked(
-        keys, list(chain.from_iterable(source.terms for source in sources)),
-        np.repeat(np.arange(len(keys)), df), np.concatenate([source.doc_idx for source in sources]),
+        terms, np.repeat(np.arange(len(terms)), df), np.concatenate([source.doc_idx for source in sources]),
         np.concatenate([source.tf for source in sources]))}
-    spaces = {space: _space_index(*parts[space][1:], roster) for space in Space}
+    spaces = {space: _space_index(*parts[space], roster) for space in Space}
     return IndexBundle(spaces=spaces, doc_ids=roster)
 
 
@@ -308,11 +300,10 @@ def build_index(docs: Iterable[DocumentCounts]) -> IndexBundle:
         by_doc[doc.doc_id] = doc
     roster = tuple(sorted(by_doc))
     in_roster = [by_doc[doc_id] for doc_id in roster]
-    keywords: dict[str, Keyword] = {}
     parts = {
-        Space.KW: _invert_stems([doc.stems for doc in in_roster], keywords),
+        Space.KW: _invert_stems([doc.stems for doc in in_roster]),
         **dict(zip(_ENTITY_SPACES, _invert_keys([doc.keys for doc in in_roster], table or {}))),
-        Space.G: _invert_stems([doc.own for doc in in_roster], keywords),
+        Space.G: _invert_stems([doc.own for doc in in_roster]),
     }
     return _bundle(parts, roster)
 
@@ -380,7 +371,7 @@ def save_index(bundle: IndexBundle, directory: str | Path,
         sx = bundle.spaces[space]
         terms = list(sx.term_ids)
         if space is Space.G:  # keywords sort first; the rest is derived on load
-            terms = terms[:sum(type(term) is Keyword for term in terms)]
+            terms = terms[:sum(term.startswith("k:") for term in terms)]
         offsets = sx.offsets[:len(terms) + 1].tolist()
         doc_idx = sx.doc_idx[:offsets[-1]]
         lines.append(f"space\t{space.value}\t{len(terms)}")
@@ -389,7 +380,7 @@ def save_index(bundle: IndexBundle, directory: str | Path,
         starts = offsets[:-1]
         gaps[starts] = doc_idx[starts]  # a term's first gap is its first roster position
         lines.extend(map("\t".join, zip(
-            map(serialize_term, terms),
+            terms,
             _varint_fields(gaps, offsets),
             _varint_fields(sx.tf[:offsets[-1]], offsets),
         )))
@@ -499,13 +490,12 @@ def load_index(directory: str | Path) -> IndexBundle:
         [field for row in cells.values() for field in row[2::3]],
         path, np.concatenate([np.arange(start + 1, end + 1) for start, end in sections.values()]), len(roster))
     df = np.diff(offsets)
-    parsed: dict[str, GeneralizedTerm] = {}  # each distinct term is parsed once
     parts, at = {}, 0
     for space, row in cells.items():
-        texts, lo, hi = row[0::3], offsets[at], offsets[at + len(row) // 3]
-        parts[space] = _Postings(texts, _read_terms(texts, path, sections[space][0] + 1, parsed),
-                                 df[at:at + len(texts)], positions[lo:hi], tf[lo:hi])
-        at += len(texts)
+        terms, lo, hi = row[0::3], offsets[at], offsets[at + len(row) // 3]
+        _check_terms(terms, path, sections[space][0] + 1)
+        parts[space] = _Postings(terms, df[at:at + len(terms)], positions[lo:hi], tf[lo:hi])
+        at += len(terms)
     bundle = _bundle(parts, roster, lambda space, i: f"{path}:{sections[space][0] + 1 + i}: ")
     # a digest line that can match is ASCII, so len(digest) counts its bytes
     if digest is None or hashlib.sha256(data[:-len(digest) - 1]).hexdigest() != digest[len(_DIGEST):]:
@@ -609,29 +599,28 @@ def _read_postings(gap_fields: list[str], tf_fields: list[str], path: Path, term
     return offsets, positions, tf
 
 
-def _read_terms(texts: list[str], path: Path, first: int, parsed: dict[str, GeneralizedTerm]
-                ) -> list[GeneralizedTerm]:
-    """One space's terms, the first on line `first`; `parsed` holds each term text parsed before."""
+def _check_terms(terms: list[str], path: Path, first: int) -> None:
+    """Check one space's terms, the first on line `first`: strictly ascending, and each
+    spelt as `Keyword` or `Triple` spells it, so no term has two spellings."""
     # term ids are file order, so it must be the canonical accumulation order
-    for i, (a, b) in enumerate(zip(texts, texts[1:])):
+    for i, (a, b) in enumerate(zip(terms, terms[1:])):
         if a >= b:
             raise ValueError(f"{path}:{first + i + 1}: terms are not in strictly ascending serialized order")
-    terms = []
-    for i, text in enumerate(texts):
-        term = parsed.get(text)
-        if term is None:
-            try:
-                term = parsed[text] = parse_term(text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{first + i}: {exc}") from None
-        terms.append(term)
-    if len(set(terms)) < len(terms):  # two spellings of one term, such as `t:X/*/*` and `t:x/*/*`
-        seen: set[GeneralizedTerm] = set()
-        for i, term in enumerate(terms):
-            if term in seen:
-                raise ValueError(f"{path}:{first + i}: term {texts[i]!r} repeats an earlier line's term")
-            seen.add(term)
-    return terms
+    for i, text in enumerate(terms):
+        if text.startswith("k:"):
+            continue
+        try:
+            slots = triple_slots(text)
+            name = slots[0]
+            # a field without `%` is spelt as `Triple` spells it but for the name's case and
+            # spaces (a term field holds no tab or newline), so the usual term needs no re-encoding
+            if "%" not in text and any(slots) and (name is None or normalize_name(name) == name):
+                continue
+            canonical = Triple(*slots)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{first + i}: {exc}") from None
+        if canonical != text:
+            raise ValueError(f"{path}:{first + i}: term {text!r} is not in canonical form, {canonical!r}")
 
 
 def _current_umask() -> int:

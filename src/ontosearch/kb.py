@@ -194,8 +194,8 @@ class KnowledgeBase:
 
     @cached_property
     def expansions(self) -> dict:
-        """Annotation key -> its document-side terms, as four tuples: its N,
-        C, NC and I terms. `expand.expand_document` writes each key in on
+        """Annotation key -> its document-side terms, as four tuples of term
+        strings: its N, C, NC and I terms. `expand.expand_document` writes each key in on
         its first use, and the `DocumentCounts` it returns keep this table
         beside their key counts: `index.build_index` maps each distinct key
         to term ids through it, and `DocumentCounts.parts` composes bags

@@ -21,7 +21,7 @@ Scoring conventions, applied uniformly:
   * final rankings keep strictly positive scores only, sorted by
     descending score with ties broken by ascending doc_id.
 
-A cosine sorts the query's term ids, which follow serialized-term order,
+A cosine sorts the query's term ids, which follow sorted term order,
 and sums each document's products w_q * w_d with `np.bincount` over the
 postings concatenated in that order. bincount adds posting by posting,
 starting from 0.0, so every score is bit-reproducible regardless of input

@@ -47,5 +47,10 @@ def counted_document(doc_id: str, bags: dict) -> DocumentCounts:
                 KEY_TABLE.setdefault(key, tuple((term,) if other == name else ()
                                                 for other in _ENTITY_SPACE_NAMES))
                 keys[key] = tf
-    return DocumentCounts(doc_id, {t.stem: n for t, n in bags.get("KW", {}).items()},
-                          {t.stem: n for t, n in bags.get("G", {}).items()}, keys, KEY_TABLE)
+    return DocumentCounts(doc_id, _stems(bags.get("KW", {})), _stems(bags.get("G", {})), keys, KEY_TABLE)
+
+
+def _stems(bag: dict) -> dict:
+    """stem -> tf of a bag of `k:` terms."""
+    assert all(term.startswith("k:") for term in bag), bag
+    return {term[2:]: tf for term, tf in bag.items()}

@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from ontosearch.expand import Keyword, Space, Triple, serialize_term
+from ontosearch.expand import Keyword, Space, Triple
 from ontosearch.index import IndexBundle, _space_index
 from ontosearch.kb import normalize_name
 
@@ -172,7 +172,7 @@ def recognize_regex(text: str, kb) -> list[tuple[int, int]]:
 
 def build_index_dicts(reps) -> IndexBundle:
     """build_index by per-term lists: each term's (roster position, tf)
-    postings gathered in a dict, the terms then sorted by serialized form.
+    postings gathered in a dict, the terms then sorted.
     G is each document's own G part, whole, united with its N, C, NC and I
     bags.
 
@@ -196,7 +196,7 @@ def build_index_dicts(reps) -> IndexBundle:
         for position, doc_id in enumerate(roster):
             for term, tf in by_doc[doc_id].get(space, {}).items():
                 term_docs.setdefault(term, []).append((position, tf))
-        terms = sorted(term_docs, key=serialize_term)
+        terms = sorted(term_docs)
         postings = [posting for term in terms for posting in term_docs[term]]
         spaces[space] = _space_index(
             terms,
@@ -289,10 +289,10 @@ def dense_cosine(doc_bags: dict[str, dict], query_bag: dict) -> dict[str, float]
     return scores
 
 
-def loop_cosine(doc_bags: dict[str, dict], query_bag: dict, term_key) -> dict[str, float]:
+def loop_cosine(doc_bags: dict[str, dict], query_bag: dict) -> dict[str, float]:
     """Cosine scores summed by a per-posting loop, the reference for exact equality.
 
-    Terms are visited in `term_key` order and each term's postings in doc-id
+    Terms are visited in sorted order and each term's postings in doc-id
     order: a document's dot product starts at 0.0 and adds w_q * w_d term
     by term, and its norm sums w * w in the same term order. Keys and zero
     handling are those of dense_cosine; cosines are clamped to <= 1.0.
@@ -308,14 +308,14 @@ def loop_cosine(doc_bags: dict[str, dict], query_bag: dict, term_key) -> dict[st
 
     def norm(bag: dict) -> float:
         acc = 0.0
-        for term in sorted(bag, key=term_key):
+        for term in sorted(bag):
             w = weight(bag[term], term)
             acc += w * w
         return math.sqrt(acc)
 
     dot: dict[str, float] = {}
     q_sq = 0.0
-    for term in sorted(query_bag, key=term_key):
+    for term in sorted(query_bag):
         if term not in df:
             continue
         w_q = weight(query_bag[term], term)
@@ -339,13 +339,12 @@ def loop_ne_scores(
     doc_space_bags: dict[str, dict[str, dict]],
     query_space_bags: dict[str, dict],
     weights: dict[str, float],
-    term_key,
 ) -> dict[str, float]:
     """Weighted sum of per-space loop cosines, added space by space (N, C, NC, I)."""
     combined: dict[str, float] = {}
     for space in ("N", "C", "NC", "I"):
         docs = {d: bags.get(space, {}) for d, bags in doc_space_bags.items()}
-        for doc_id, value in loop_cosine(docs, query_space_bags.get(space, {}), term_key).items():
+        for doc_id, value in loop_cosine(docs, query_space_bags.get(space, {})).items():
             combined[doc_id] = combined.get(doc_id, 0.0) + weights[space] * value
     return combined
 
@@ -440,3 +439,12 @@ def exact_randomization_counts(diffs) -> tuple[int, int, int]:
     bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # row v = binary digits of v
     means = (diffs * np.where(bits == 1, -1.0, 1.0)).mean(axis=1)
     return int(np.count_nonzero(means <= -delta)), int(np.count_nonzero(means >= delta)), 2**n
+
+
+def permutation_uniforms(seed: int, perm_index: int, n_queries: int) -> np.ndarray:
+    """The uniform draws behind one permutation's swap decisions: `n_queries`
+    doubles from a Philox keyed by the seed, its counter set to
+    `[0, perm_index, 0, 0]`. A query's pair is swapped when its draw is below
+    one half."""
+    bit_gen = np.random.Philox(key=seed, counter=[0, perm_index, 0, 0])
+    return np.random.Generator(bit_gen).random(n_queries)

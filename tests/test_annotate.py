@@ -22,7 +22,7 @@ from ontosearch.annotate import (
     tokenize_keywords,
     wh_class,
 )
-from ontosearch.expand import Space, Triple
+from ontosearch.expand import Space, triple_slots
 from ontosearch.rank import Model, ModelConfig, represent_query
 from ontosearch import kb as kb_module
 from ontosearch.kb import KnowledgeBase, normalize_name, parse_kb
@@ -348,7 +348,7 @@ def test_annotate_wh_classes(figure_kb):
         """The class-only G terms of the query's representation under `model`."""
         bag = represent_query(FIGURE_QUERY, figure_kb, ModelConfig(model=model),
                               wh_mapping=enabled, **kwargs).space_bags[Space.G]
-        return [t.class_id for t in bag if isinstance(t, Triple) and t.name is None and t.entity_id is None]
+        return [triple_slots(t)[1] for t in bag if t.startswith("t:*/") and t.endswith("/*")]
 
     assert wh_class(FIGURE_QUERY, enabled) == "Person"
     assert wh_classes(Model.KW_PLUS_NE_WH) == ["Person"]

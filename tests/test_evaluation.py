@@ -30,7 +30,6 @@ from ontosearch.evaluation import (
     per_query_diff,
     permutation_sign_blocks,
     permutation_signs,
-    permutation_uniforms,
     randomization_test,
 )
 
@@ -303,12 +302,12 @@ def test_block_evaluation_merges_to_the_serial_counts():
 @pytest.mark.parametrize("n_queries", [2, 5, 24, 64])
 def test_permutation_streams_share_no_uniform(n_queries):
     # overlapping counter streams would repeat draws across permutations
-    draws = np.concatenate([permutation_uniforms(3, p, n_queries) for p in range(4096)])
+    draws = np.concatenate([oracles.permutation_uniforms(3, p, n_queries) for p in range(4096)])
     assert np.unique(draws).size == draws.size
 
 
 def test_permutation_signs_follow_their_uniforms():
-    uniforms = permutation_uniforms(8, 11, 40)
+    uniforms = oracles.permutation_uniforms(8, 11, 40)
     assert np.array_equal(permutation_signs(8, 11, 40), np.where(uniforms < 0.5, -1.0, 1.0))
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontosearch.annotate import (
@@ -24,11 +24,10 @@ from ontosearch.expand import (
     display_term,
     expand_document,
     expand_query,
-    parse_term,
-    serialize_term,
+    triple_slots,
 )
-from ontosearch.index import build_index
-from ontosearch.kb import parse_kb
+from ontosearch.index import build_index, load_index, save_index
+from ontosearch.kb import normalize_name, parse_kb
 
 from conftest import FIGURE_QUERY, counted_document
 from oracles import closure_walk
@@ -154,15 +153,14 @@ def test_space_shape_invariants(figure_kb):
     text = "Stanford University and Moscow reports"
     at = annotate(text, figure_kb)
     rep = expand_document(at, figure_kb, doc_id="d1")
-    assert all(isinstance(t, Keyword) for t in rep.space_bags[Space.KW])
-    for t in rep.space_bags[Space.N]:
-        assert t.name and not t.class_id and not t.entity_id
-    for t in rep.space_bags[Space.C]:
-        assert t.class_id and not t.name and not t.entity_id
-    for t in rep.space_bags[Space.NC]:
-        assert t.name and t.class_id and not t.entity_id
-    for t in rep.space_bags[Space.I]:
-        assert t.entity_id and not t.name and not t.class_id
+    assert all(t.startswith("k:") for t in rep.space_bags[Space.KW])
+    # which of name, class and id each entity space's terms set
+    shapes = {Space.N: (True, False, False), Space.C: (False, True, False),
+              Space.NC: (True, True, False), Space.I: (False, False, True)}
+    for space, shape in shapes.items():
+        assert rep.space_bags[space]
+        for t in rep.space_bags[space]:
+            assert tuple(slot is not None for slot in triple_slots(t)) == shape, t
 
 
 def test_query_golden_terms_with_and_without_wh(figure_kb):
@@ -221,7 +219,7 @@ def test_query_most_specific_ladder(figure_kb):
 def test_query_singleness(figure_kb):
     at = annotate("Stanford University", figure_kb)
     rep = expand_query(at, figure_kb)
-    non_keyword = [t for t in rep.space_bags[Space.G] if isinstance(t, Triple)]
+    non_keyword = [t for t in rep.space_bags[Space.G] if t.startswith("t:")]
     assert len(non_keyword) == 1
 
 
@@ -363,56 +361,71 @@ def test_triple_requires_a_slot():
 def test_triple_names_are_normalized():
     assert Triple(name="Stanford  UNIVERSITY") == Triple(name="stanford university")
     spaced, folded = Triple(name="A  B"), Triple(name="a b")
-    assert spaced == folded and hash(spaced) == hash(folded)
-    assert spaced.name == "a b"
+    assert spaced == folded == "t:a b/*/*"
+    assert triple_slots(spaced) == ("a b", None, None)
     assert Counter([spaced, folded]) == Counter({folded: 2})
 
 
 def test_serialization_goldens():
-    assert serialize_term(Keyword("presid")) == "k:presid"
-    assert serialize_term(Triple(entity_id="University_T.52")) == "t:*/*/University_T.52"
-    assert serialize_term(Triple(name="a/b", class_id="x%y")) == "t:a%2Fb/x%25y/*"
+    assert Keyword("presid") == "k:presid"
+    assert Triple(entity_id="University_T.52") == "t:*/*/University_T.52"
+    assert Triple(name="a/b", class_id="x%y") == "t:a%2Fb/x%25y/*"
+    assert Triple(class_id="*", entity_id="\t\n") == "t:*/%2A/%09%0A"
     assert display_term(Triple(class_id="Person")) == "(*/Person/*)"
+    assert display_term(Triple(name="a/b", class_id="x%y")) == "(a/b/x%y/*)"
     assert display_term(Keyword("presid")) == "presid"
+    assert triple_slots("t:a%2Fb/x%25y/*") == ("a/b", "x%y", None)
+    for text, message in (("t:*/City", "malformed triple term"), ("q:City", "unknown term serialization")):
+        with pytest.raises(ValueError, match=message):
+            triple_slots(text)
 
 
-slot_text = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
+# slot values that escaping and name normalization must both handle
+slot_text = st.lists(
+    st.one_of(st.sampled_from(["%", "/", "*", "\t", "\n", " ", "  ", "a", "B", "ß", "%2F", "%2a", "%25"]),
+              st.characters(blacklist_categories=("Cs",), blacklist_characters="\r")),
     min_size=1,
-    max_size=12,
-)
-
+    max_size=8,
+).map("".join)
+optional_slot = st.one_of(st.none(), slot_text)
+slots = st.tuples(optional_slot, optional_slot, optional_slot).filter(lambda s: any(x is not None for x in s))
 
 terms = st.one_of(
     st.builds(Keyword, st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=10)),
-    st.tuples(
-        st.one_of(st.none(), slot_text),
-        st.one_of(st.none(), slot_text),
-        st.one_of(st.none(), slot_text),
-    )
-    .filter(lambda slots: any(s is not None for s in slots))
-    .map(lambda slots: Triple(*slots)),
+    slots.map(lambda s: Triple(*s)),
 )
 
 
 @given(terms)
 def test_serialization_round_trip(term):
-    encoded = serialize_term(term)
-    assert "\t" not in encoded and "\n" not in encoded
-    assert parse_term(encoded) == term
+    assert "\t" not in term and "\n" not in term
+    if term.startswith("t:"):
+        assert Triple(*triple_slots(term)) == term
 
 
+@given(slots)
+def test_display_term_prints_the_slots_as_given(given_slots):
+    name, class_id, entity_id = given_slots
+    expected = "({}/{}/{})".format(normalize_name(name) if name is not None else "*",
+                                   class_id if class_id is not None else "*",
+                                   entity_id if entity_id is not None else "*")
+    assert display_term(Triple(*given_slots)) == expected
+
+
+@settings(deadline=None)
 @given(terms)
-def test_parsed_term_finds_its_index_entry(term):
-    if isinstance(term, Keyword):
+def test_parsed_term_finds_its_index_entry(tmp_path_factory, term):
+    # a term read back from `index.tsv` is the very string analysis makes
+    if term.startswith("k:"):
         space, bags = Space.KW, {"KW": {term: 2, Keyword("other"): 1}}
     else:  # G composes its N terms too
         space, bags = Space.N, {"N": {term: 2, Triple(name="other"): 1}}
-    sx = build_index([counted_document("d", bags)]).spaces[space]
-    parsed = parse_term(serialize_term(term))
-    assert parsed == term and hash(parsed) == hash(term)
-    assert sx.term_ids[parsed] == sx.term_ids[term]
-    assert sx.df[parsed] == 1
+    built = build_index([counted_document("d", bags)])
+    directory = tmp_path_factory.mktemp("idx")
+    save_index(built, directory)
+    sx = load_index(directory).spaces[space]
+    assert sx.term_ids[term] == built.spaces[space].term_ids[term]
+    assert sx.df[term] == 1
 
 
 @given(st.text(min_size=1, max_size=6))

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontosearch.annotate import AnnotatedText, EntityAnnotation, annotate
-from ontosearch.expand import DocumentCounts, Keyword, Space, Triple, expand_document
+from ontosearch.expand import DocumentCounts, Keyword, Space, Triple, expand_document, triple_slots
 from ontosearch.index import (
     IndexBundle,
     _atomic_write,
+    _check_terms,
     _varint_fields,
     _varints,
     build_index,
@@ -201,7 +202,7 @@ def test_build_rejects_a_representation_that_is_not_a_counted_document(figure_kb
     for other in (query, dataclasses.replace(query, parts={**query.parts, Space.G: {}})):
         with pytest.raises(TypeError, match="^build_index takes counted documents "
                                             r"\(expand_document's\), got DocRepresentation$"):
-            build_index([doc, dataclasses.replace(other, doc_id="q")])
+            build_index([doc, other])
 
 
 def test_build_rejects_documents_counted_against_two_expansion_tables(figure_kb):
@@ -257,12 +258,16 @@ def test_save_writes_one_index_file(tmp_path):
 
 
 def test_round_trip_restores_everything_exactly(tmp_path):
-    built = build_index(FIVE_DOCS)
+    built = build_index(FIVE_DOCS + [rep("d6", N={Triple("x", None, None): 1}, G={K("alpha"): 1})])
     save_index(built, tmp_path)
     loaded = load_index(tmp_path)
     assert loaded == built
     for space in Space:
         assert loaded.spaces[space].norms.tolist() == built.spaces[space].norms.tolist()  # exact floats
+    # G's own keywords and the entity terms of N, C, NC and I, in one sorted order
+    assert list(loaded.spaces[Space.G].term_ids) == [
+        K("alpha"), Triple(None, "City", None), Triple("x", None, None),
+        Triple("x", "City", "City_1"), Triple("y", None, None)]
 
 
 def test_a_carriage_return_in_a_doc_id_or_fingerprint_value_round_trips(tmp_path):
@@ -271,17 +276,6 @@ def test_a_carriage_return_in_a_doc_id_or_fingerprint_value_round_trips(tmp_path
     save_index(built, tmp_path, {"kb_sha256": "v\rw"})
     assert load_index(tmp_path) == built
     assert read_fingerprint(tmp_path) == {"kb_sha256": "v\rw"}
-
-
-def test_load_parses_each_distinct_term_once(tmp_path):
-    # G's entity terms are the very tuples parsed for N, C, NC and I
-    save_index(build_index(FIVE_DOCS + [rep("d6", N={Triple("x", None, None): 1}, G={K("alpha"): 1})]),
-               tmp_path)
-    loaded = load_index(tmp_path)
-    kw, n, g = (list(loaded.spaces[s].term_ids) for s in (Space.KW, Space.N, Space.G))
-    assert g == [K("alpha"), Triple(None, "City", None), Triple("x", None, None),
-                 Triple("x", "City", "City_1"), Triple("y", None, None)]
-    assert g[0] is kw[0] and g[2] is n[0]
 
 
 def test_query_views_are_built_on_first_use_from_the_bundle_roster(tmp_path):
@@ -490,8 +484,52 @@ def test_load_rejects_two_spellings_of_one_term(tmp_path):
     path = saved_five(tmp_path)
     replace_line(path, 14, term_line("t:X/*/*", [0], [2]))
     replace_line(path, 15, term_line("t:x/*/*", [3], [1]))
-    with rejects(path, 15, "term 't:x/*/*' repeats an earlier line's term"):
+    with rejects(path, 14, "term 't:X/*/*' is not in canonical form, 't:x/*/*'"):
         load_index(tmp_path)
+
+
+@pytest.mark.parametrize("text,canonical", [
+    ("t:X/*/*", "t:x/*/*"),              # a name not normalized
+    ("t:a%2fb/*/*", "t:a%252fb/*/*"),    # an escape in lower case
+    ("t:*/%2a/*", "t:*/%252a/*"),
+    ("t:*/a%2Ab/*", "t:*/a*b/*"),        # a `*` escaped that needs no escape
+    ("t:*/*/*", None),                   # no slot
+])
+def test_load_refuses_a_lone_term_not_in_canonical_form_though_the_sha256_matches(tmp_path, text, canonical):
+    # such a term would load as a term that differs from its text
+    path = saved_five(tmp_path)
+    replace_line(path, 14, term_line(text, [0, 3], [2, 1]))
+    resign(path)
+    message = (f"term {text!r} is not in canonical form, {canonical!r}" if canonical
+               else "a Triple needs at least one specified slot")
+    with rejects(path, 14, message):
+        load_index(tmp_path)
+
+
+# term texts as a term field may hold them (no tab or newline): slots that may
+# hold escapes in either case, `*`, mixed case and runs of whitespace
+raw_slot = st.lists(st.sampled_from(["*", "%", "%2F", "%2f", "%2A", "%2a", "%25", "%09", "%0A", "%0a",
+                                     "a", "B", "ß", "İ", " ", "  ", "\r", "\x1c", "."]),
+                    max_size=4).map("".join)
+term_texts = st.one_of(
+    st.tuples(raw_slot, raw_slot, raw_slot).map(lambda slots: "t:" + "/".join(slots)),
+    st.tuples(raw_slot, raw_slot, raw_slot).filter(any).map(lambda slots: Triple(*slots)),
+    st.lists(raw_slot, max_size=4).map(lambda slots: "t:" + "/".join(slots)),
+)
+
+
+@given(term_texts)
+def test_the_load_check_accepts_exactly_the_terms_that_round_trip(text):
+    try:
+        round_trips = Triple(*triple_slots(text)) == text
+    except ValueError:
+        round_trips = False
+    try:
+        _check_terms([text], Path("index.tsv"), 1)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == round_trips
 
 
 @pytest.mark.parametrize("lineno,line,message", [
@@ -784,10 +822,10 @@ def shuffled_reps(draw):
     part drawn from the keywords, and each triple kept to one entity space."""
     doc_ids = draw(st.lists(st.text(alphabet="ab1é_", min_size=1, max_size=4),
                             unique=True, max_size=7))
-    triples = [term for term in ODD_TERMS if isinstance(term, Triple)]
+    triples = [term for term in ODD_TERMS if term.startswith("t:")]
     homes = draw(st.lists(st.sampled_from(ENTITY_SPACES), min_size=len(triples), max_size=len(triples)))
     pools = {space: [t for t, home in zip(triples, homes) if home is space] for space in ENTITY_SPACES}
-    pools[Space.KW] = pools[Space.G] = [term for term in ODD_TERMS if isinstance(term, Keyword)]
+    pools[Space.KW] = pools[Space.G] = [term for term in ODD_TERMS if term.startswith("k:")]
     reps = []
     for doc_id in draw(st.permutations(doc_ids)):
         bags = {space.value: draw(st.dictionaries(st.sampled_from(pools[space]),

@@ -20,7 +20,6 @@ from ontosearch.expand import (
     Space,
     Triple,
     expand_query,
-    serialize_term,
 )
 from ontosearch.index import build_index, load_index, save_index
 from ontosearch.kb import alias_set, load_kb, parse_kb
@@ -132,7 +131,7 @@ def test_cosine_matches_dense_oracle_on_three_docs():
         "b": {Keyword("y"): 2, Keyword("z"): 2},
         "c": {Keyword("z"): 1, Keyword("w"): 4},
     }
-    reps = [kw_rep(d, **{t.stem: n for t, n in bag.items()}) for d, bag in doc_bags.items()]
+    reps = [counted_document(d, {"KW": bag}) for d, bag in doc_bags.items()]
     idx = build_index(reps)
     query = {Keyword("y"): 1, Keyword("z"): 2}
     expected = oracles.dense_cosine(doc_bags, query)
@@ -178,7 +177,7 @@ def test_rank_clamps_a_weighted_sum_that_overshoots_one(figure_kb):
 def test_score_ne_degenerate_class_weight(corpus_reps, corpus_index):
     query_bags = {space: Counter() for space in Space}
     query_bags[Space.C] = Counter({Triple(class_id="Country"): 1})
-    query = DocRepresentation(doc_id="", parts=query_bags)
+    query = DocRepresentation(parts=query_bags)
     cfg = ModelConfig(model=Model.NE, w_n=0.0, w_c=1.0, w_nc=0.0, w_i=0.0)
     combined = rank_documents(score_query(query, corpus_index, cfg))
     class_only = rank_documents(cosine_score(query_bags[Space.C], corpus_index.spaces[Space.C]))
@@ -432,7 +431,7 @@ def space_bags(pools):
 
 
 def as_query(bags):
-    return DocRepresentation(doc_id="", parts={Space[n]: Counter(b) for n, b in bags.items()})
+    return DocRepresentation(parts={Space[n]: Counter(b) for n, b in bags.items()})
 
 
 def with_entity_terms_in_g(bags):
@@ -462,10 +461,10 @@ def test_scores_equal_the_per_posting_loop_exactly(tmp_path_factory, corpus, que
     query = with_entity_terms_in_g(query)
 
     def loop(name):
-        return oracles.loop_cosine({d: bags[name] for d, bags in corpus.items()}, query[name], serialize_term)
+        return oracles.loop_cosine({d: bags[name] for d, bags in corpus.items()}, query[name])
 
     space_weights = dict(zip(("N", "C", "NC", "I"), weights))
-    ne = oracles.loop_ne_scores(corpus, query, space_weights, serialize_term)
+    ne = oracles.loop_ne_scores(corpus, query, space_weights)
     expected = {
         Model.KW: loop("KW"),
         Model.NE: ne,
