@@ -1,5 +1,6 @@
-"""Text analysis: stemmed keyword tokens, gazetteer entity annotations,
-and interrogative-word mapping.
+"""Text analysis: a text's keywords as two parallel lists, each kept word's
+stem and its character span; gazetteer entity annotations; and
+interrogative-word mapping.
 
 `annotate` analyses every text, document or query, the same way under
 every model; only `rank.represent_query` reads a query's interrogative
@@ -54,12 +55,6 @@ DEFAULT_WH_MAPPING = {
 }
 
 
-class Token(NamedTuple):
-    surface: str
-    stem: str
-    char_span: tuple[int, int]
-
-
 class _EntityAnnotationSlots(NamedTuple):
     char_span: tuple[int, int]
     surface: str
@@ -72,8 +67,8 @@ class EntityAnnotation(_EntityAnnotationSlots):
     """A recognized mention; unspecified slots are None.
 
     At least one slot must be specified, and a known identifier implies the
-    name and class are known too (they are derivable from it). Like `Token`,
-    a tuple; build one by calling the class, since the tuple helpers `_make`
+    name and class are known too (they are derivable from it). A tuple;
+    build one by calling the class, since the tuple helpers `_make`
     and `_replace` skip these checks.
     """
 
@@ -90,19 +85,24 @@ class EntityAnnotation(_EntityAnnotationSlots):
 
 @dataclass(frozen=True)
 class AnnotatedText:
-    keywords: list[Token]
+    """The keywords as parallel lists, each kept word's stem and its span, and the entities."""
+
+    stems: list[str]
+    spans: list[tuple[int, int]]
     entities: list[EntityAnnotation]
 
 
-def tokenize_keywords(text: str, stopwords: frozenset[str] | set[str]) -> list[Token]:
-    """Split on non-alphanumeric boundaries, case-fold, drop stop-words, stem."""
-    tokens = []
+def tokenize_keywords(text: str, stopwords: frozenset[str] | set[str]
+                      ) -> tuple[list[str], list[tuple[int, int]]]:
+    """Split on non-alphanumeric boundaries, case-fold, drop stop-words, stem:
+    (stems, spans), each kept word's stem and its character span, in text order."""
+    stems, spans = [], []
     for m in _TOKEN.finditer(text):
-        surface = m.group()
-        folded = surface.casefold()
+        folded = m.group().casefold()
         if folded not in stopwords:
-            tokens.append(Token(surface, stem(folded), m.span()))
-    return tokens
+            stems.append(stem(folded))
+            spans.append(m.span())
+    return stems, spans
 
 
 def recognize_entities(text: str, kb: KnowledgeBase) -> list[EntityAnnotation]:
@@ -115,25 +115,24 @@ def recognize_entities(text: str, kb: KnowledgeBase) -> list[EntityAnnotation]:
 
 
 def keywords_outside_entities(
-    keywords: list[Token], entities: list[EntityAnnotation]
-) -> list[Token]:
-    """The keywords not lying wholly inside an entity mention's span.
+    stems: list[str], spans: list[tuple[int, int]], entities: list[EntityAnnotation]
+) -> list[str]:
+    """The stems whose spans lie wholly inside no entity mention (`stems` itself if no mention).
 
-    Both lists are in text order and neither overlaps itself, as `annotate`
-    makes them, so one merge walk finds each keyword's only candidate span:
-    the first one that ends after the keyword starts.
+    The keyword spans and the mentions are in text order and neither overlaps
+    itself, as `annotate` makes them, so one merge walk finds each keyword's
+    only candidate mention: the first one that ends after the keyword starts.
     """
     if not entities:
-        return keywords
-    spans = [e.char_span for e in entities]
+        return stems
+    mentions = [e.char_span for e in entities]
     outside = []
-    i, n = 0, len(spans)
-    for token in keywords:
-        start, end = token.char_span
-        while i < n and spans[i][1] <= start:
+    i, n = 0, len(mentions)
+    for word, (start, end) in zip(stems, spans):
+        while i < n and mentions[i][1] <= start:
             i += 1
-        if i == n or start < spans[i][0] or spans[i][1] < end:
-            outside.append(token)
+        if i == n or start < mentions[i][0] or mentions[i][1] < end:
+            outside.append(word)
     return outside
 
 
@@ -151,7 +150,7 @@ def annotate(
     Keywords inside entity mentions are kept; `keywords_outside_entities`
     drops them.
     """
-    return AnnotatedText(tokenize_keywords(text, stopwords), recognize_entities(text, kb))
+    return AnnotatedText(*tokenize_keywords(text, stopwords), recognize_entities(text, kb))
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

@@ -1,14 +1,16 @@
 """Per-space term bags: every text is expanded into all six spaces.
 
 A text's expansion does not depend on the retrieval model, and its analysis
-(`annotate`) is the same for every text. The keyword space KW holds every
-keyword; the name, class, name-class and identifier spaces N, C, NC and I
-hold the entity terms; the generalized space G holds the keywords outside
-entity mentions plus the same entity terms. A model only chooses which
-spaces it scores; under kw+ne+wh, `rank.represent_query` also passes the
-query's wh class to `expand_query`, which adds it to G's own part as one
-class-only term. A wh class is configuration, not an annotation, so it is not
-validated against the KB (an unknown class simply never matches a posting).
+(`annotate`) is the same for every text: its keywords as two parallel lists,
+`AnnotatedText.stems` and `AnnotatedText.spans`, and its entity annotations.
+The keyword space KW holds every stem; the name, class, name-class and
+identifier spaces N, C, NC and I hold the entity terms; the generalized space
+G holds the stems whose spans lie outside entity mentions plus the same
+entity terms. A model only chooses which spaces it scores; under kw+ne+wh,
+`rank.represent_query` also passes the query's wh class to `expand_query`,
+which adds it to G's own part as one class-only term. A wh class is
+configuration, not an annotation, so it is not validated against the KB (an
+unknown class simply never matches a posting).
 
 Documents are expanded aggressively: each entity occurrence contributes its
 name plus every alias, its class plus every non-top-level superclass, all
@@ -195,11 +197,11 @@ def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> D
     Each annotation key's terms are kept in `kb.expansions`; a key that
     fails to expand is not kept, so its error is raised on every call.
     """
-    stems = _count([token.stem for token in at.keywords])
+    stems = _count(at.stems)
     own = stems
     keys: dict[AnnotationKey, int] = {}
     if at.entities:
-        own = _count([token.stem for token in keywords_outside_entities(at.keywords, at.entities)])
+        own = _count(keywords_outside_entities(at.stems, at.spans, at.entities))
         memo = kb.expansions
         for ann in at.entities:
             name = ann.name
@@ -232,22 +234,18 @@ def expand_query(at: AnnotatedText, kb: KnowledgeBase,
                  wh_class: str | None = None) -> DocRepresentation:
     """Query-side expansion: one most-specific term per annotation, no closure,
     and `wh_class`, when given, as one class-only term of G's own part. The KW
-    terms and G's own terms are listed first and each list counted by one call;
-    the entity bags, mostly empty, are plain dicts, which cost far less to make.
+    terms and G's own keyword terms are each counted by one call; the entity
+    bags, mostly empty, are plain dicts, which cost far less to make.
     """
     entity_bags = {space: {} for space in _ENTITY_SPACES}
     for ann in at.entities:
         space, term = _most_specific_term(ann, kb)
         bag = entity_bags[space]
         bag[term] = bag.get(term, 0) + 1
-    own = [Keyword(token.stem) for token in keywords_outside_entities(at.keywords, at.entities)]
+    own = Counter(map(Keyword, keywords_outside_entities(at.stems, at.spans, at.entities)))
     if wh_class is not None:
-        own.append(Triple(class_id=wh_class))
-    return DocRepresentation({
-        Space.KW: Counter([Keyword(token.stem) for token in at.keywords]),
-        **entity_bags,
-        Space.G: Counter(own),
-    })
+        own[Triple(class_id=wh_class)] += 1
+    return DocRepresentation({Space.KW: Counter(map(Keyword, at.stems)), **entity_bags, Space.G: own})
 
 
 # --- term slots -------------------------------------------------------------

@@ -61,9 +61,9 @@ that doc ids and terms strictly ascend, that each term is spelt as
 and later gaps are at least 1, that positions fall inside the roster and
 that parts keep `_bundle`'s kind rule; a failure names `path:line`. Only
 then does it check the sha256, which also catches an edit that leaves every
-field well formed. A loaded index equals a freshly built one. Earlier
-formats are refused with a request to rebuild: formats 2 and 3 by their
-format line, format 1 (`manifest.tsv` and a file per space) by its files.
+field well formed. A loaded index equals a freshly built one. Formats 2
+and 3 are refused by their format line, with a request to rebuild; a
+directory from before format 2 holds no `index.tsv`.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from .expand import _ENTITY_SPACES, AnnotationKey, DocumentCounts, GeneralizedTe
 from .kb import normalize_name
 from .textfile import decode_utf8
 
-_FORBIDDEN_IN_DOC_ID = frozenset("\t\n")
+_RESERVED = frozenset("\t\n")
 
 _ARRAY_FIELDS = ("offsets", "doc_idx", "tf", "idf", "weights", "norms")
 
@@ -314,9 +314,6 @@ INDEX_FILE = "index.tsv"
 FORMAT_LINE = "ontosearch-index\t4"
 _DIGEST = "sha256\t"  # how the last line starts
 
-# what format 1 wrote; `save_index` removes them once `index.tsv` is committed
-_FORMAT_1_FILES = ("manifest.tsv", "fingerprint.tsv", *(f"{space.value}.tsv" for space in Space))
-
 # a count on a header or space line has at most this many digits, so it fits an int64
 _MAX_DIGITS = 18
 # a varint has at most 9 bytes, 63 bits, so every value fits an int64
@@ -354,10 +351,11 @@ def save_index(bundle: IndexBundle, directory: str | Path,
     """Write the bundle and `fingerprint` as one `index.tsv`, committed by one rename.
 
     Of G only the keywords are written, as `_bundle` rebuilds the rest. Rewrites
-    are byte-identical. Once the file is in place, any format-1 files are removed.
+    are byte-identical. A doc id or term holding a tab or newline is refused
+    before anything is written.
     """
     for doc_id in bundle.doc_ids:
-        if not _FORBIDDEN_IN_DOC_ID.isdisjoint(doc_id):
+        if not _RESERVED.isdisjoint(doc_id):
             raise ValueError(f"doc_id {doc_id!r} contains a reserved separator character")
     fingerprint = dict(fingerprint or {})
     for key, value in fingerprint.items():
@@ -372,6 +370,9 @@ def save_index(bundle: IndexBundle, directory: str | Path,
         terms = list(sx.term_ids)
         if space is Space.G:  # keywords sort first; the rest is derived on load
             terms = terms[:sum(term.startswith("k:") for term in terms)]
+        if "\t" in (joined := "".join(terms)) or "\n" in joined:
+            term = next(term for term in terms if not _RESERVED.isdisjoint(term))
+            raise ValueError(f"{space.value} term {term!r} contains a reserved separator character")
         offsets = sx.offsets[:len(terms) + 1].tolist()
         doc_idx = sx.doc_idx[:offsets[-1]]
         lines.append(f"space\t{space.value}\t{len(terms)}")
@@ -389,17 +390,11 @@ def save_index(bundle: IndexBundle, directory: str | Path,
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     _atomic_write(directory / INDEX_FILE, content)
-    for name in _FORMAT_1_FILES:
-        (directory / name).unlink(missing_ok=True)
 
 
 def _index_file(directory: str | Path) -> Path:
-    directory = Path(directory)
-    path = directory / INDEX_FILE
+    path = Path(directory) / INDEX_FILE
     if not path.is_file():
-        if (directory / "manifest.tsv").is_file():
-            raise ValueError(f"{directory} holds a format-1 index (manifest.tsv, no {INDEX_FILE}); "
-                             "rebuild it with `ontosearch index`")
         raise FileNotFoundError(f"missing index file: {path}")
     return path
 

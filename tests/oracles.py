@@ -17,6 +17,7 @@ import numpy as np
 from ontosearch.expand import Keyword, Space, Triple
 from ontosearch.index import IndexBundle, _space_index
 from ontosearch.kb import normalize_name
+from ontosearch.stem import stem
 
 
 # --- ontology ---------------------------------------------------------------
@@ -40,13 +41,40 @@ def normalize_name_regex(surface: str) -> str:
     return re.sub(r"\s+", " ", surface.casefold()).strip()
 
 
-def keywords_outside_entities_any(keywords, entities) -> list:
-    """The keywords not lying wholly inside any entity span, tested span by span."""
-    spans = [e.char_span for e in entities]
+# --- analysis ---------------------------------------------------------------
+
+def tokenize_walk(text: str, stopwords) -> tuple[list[str], list[tuple[int, int]]]:
+    """A text's keywords by a character walk: (stems, spans).
+
+    A word is a run of `str.isalnum` characters, extended across each single
+    hyphen that has such a character on both sides. Each word is case-folded;
+    a stop word is dropped, and any other is stemmed and kept with its span.
+    """
+    stems, spans = [], []
+    i, n = 0, len(text)
+    while i < n:
+        if not text[i].isalnum():
+            i += 1
+            continue
+        start = i
+        while i < n and text[i].isalnum():
+            i += 1
+            if i + 1 < n and text[i] == "-" and text[i + 1].isalnum():
+                i += 1
+        word = text[start:i].casefold()
+        if word not in stopwords:
+            stems.append(stem(word))
+            spans.append((start, i))
+    return stems, spans
+
+
+def keywords_outside_entities_any(stems, spans, entities) -> list:
+    """The stems whose spans lie wholly inside no entity span, tested span by span."""
+    mentions = [e.char_span for e in entities]
     return [
-        t
-        for t in keywords
-        if not any(s <= t.char_span[0] and t.char_span[1] <= e for s, e in spans)
+        word
+        for word, (start, end) in zip(stems, spans)
+        if not any(s <= start and end <= e for s, e in mentions)
     ]
 
 
@@ -62,8 +90,8 @@ def generalized_bag(at, kb) -> Counter:
     parents = {c: set(d.parent_ids) for c, d in kb.classes.items()}
     top = {c for c, d in kb.classes.items() if d.is_top_level}
     bag: Counter = Counter()
-    for token in keywords_outside_entities_any(at.keywords, at.entities):
-        bag[Keyword(token.stem)] += 1
+    for word in keywords_outside_entities_any(at.stems, at.spans, at.entities):
+        bag[Keyword(word)] += 1
     for ann in at.entities:
         names = {ann.name} if ann.name is not None else set()
         if ann.entity_id is not None:
@@ -94,10 +122,10 @@ def expand_query_counters(at, kb, wh_class=None) -> dict:
     A mention naming an unknown entity or class raises ValueError.
     """
     bags = {space: Counter() for space in Space}
-    for token in at.keywords:
-        bags[Space.KW][Keyword(token.stem)] += 1
-    for token in keywords_outside_entities_any(at.keywords, at.entities):
-        bags[Space.G][Keyword(token.stem)] += 1
+    for word in at.stems:
+        bags[Space.KW][Keyword(word)] += 1
+    for word in keywords_outside_entities_any(at.stems, at.spans, at.entities):
+        bags[Space.G][Keyword(word)] += 1
     for ann in at.entities:
         if ann.entity_id is not None:
             if ann.entity_id not in kb.entities:

@@ -13,7 +13,6 @@ from ontosearch.annotate import (
     DEFAULT_STOPWORDS,
     DEFAULT_WH_MAPPING,
     EntityAnnotation,
-    Token,
     annotate,
     keywords_outside_entities,
     load_stopwords,
@@ -29,36 +28,52 @@ from ontosearch.kb import KnowledgeBase, normalize_name, parse_kb
 from ontosearch.stem import stem
 
 from conftest import FIGURE_DOC, FIGURE_QUERY
-from oracles import keywords_outside_entities_any, recognize_regex, recognize_scan
+from oracles import keywords_outside_entities_any, recognize_regex, recognize_scan, tokenize_walk
 
 
-def stems(tokens):
-    return [t.stem for t in tokens]
+def stems(text):
+    """The stems `tokenize_keywords` keeps from `text` under the default stop words."""
+    return tokenize_keywords(text, DEFAULT_STOPWORDS)[0]
 
 
 def test_query_tokenization_drops_stopwords_and_wh_words():
-    tokens = tokenize_keywords(FIGURE_QUERY, DEFAULT_STOPWORDS)
-    assert stems(tokens) == [stem("president"), stem("stanford"), stem("university")]
-    assert stems(tokens) == ["presid", "stanford", "univers"]
+    assert stems(FIGURE_QUERY) == [stem("president"), stem("stanford"), stem("university")]
+    assert stems(FIGURE_QUERY) == ["presid", "stanford", "univers"]
 
 
 def test_empty_text():
-    assert tokenize_keywords("", DEFAULT_STOPWORDS) == []
+    assert tokenize_keywords("", DEFAULT_STOPWORDS) == ([], [])
 
 
 def test_all_stopword_text():
-    assert tokenize_keywords("the of and", {"the", "of", "and"}) == []
+    assert tokenize_keywords("the of and", {"the", "of", "and"}) == ([], [])
 
 
 def test_hyphenated_token_survives():
-    tokens = tokenize_keywords("co-chaired by", DEFAULT_STOPWORDS)
-    assert stems(tokens) == ["co-chair"]
+    assert tokenize_keywords("co-chaired by", DEFAULT_STOPWORDS) == (["co-chair"], [(0, 10)])
 
 
 def test_token_spans_are_ordered_and_disjoint():
-    tokens = tokenize_keywords(FIGURE_DOC, DEFAULT_STOPWORDS)
-    for earlier, later in zip(tokens, tokens[1:]):
-        assert earlier.char_span[1] <= later.char_span[0]
+    words, spans = tokenize_keywords(FIGURE_DOC, DEFAULT_STOPWORDS)
+    assert len(words) == len(spans) > 1
+    for (start, end), (later_start, _) in zip(spans, spans[1:]):
+        assert start < end <= later_start
+
+
+TOKEN_PIECES = (
+    "the", "The", "of", "who", "president", "co-chaired", "Stanfordian", "42", "x2", "²", "Ⅻ",
+    "_", "snake_case", "_lead", "trail_", "Straße", "STRASSE", "ﬁle", "ſ", "İstanbul", "ǅemal",
+    "ΣΊΣΥΦΟΣ", "日本語", "Zürich", "a\u0345b", "-lead", "trail-", "a--b", "--", "-", "a-b-c",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(TOKEN_PIECES),
+                          st.sampled_from(["", " ", "-", "--", "_", ", ", "\n", "'", "’"])),
+                max_size=12))
+def test_tokenize_keywords_equals_the_character_walk(pieces):
+    text = "".join(piece + sep for piece, sep in pieces)
+    assert tokenize_keywords(text, DEFAULT_STOPWORDS) == tokenize_walk(text, DEFAULT_STOPWORDS)
 
 
 def test_recognize_full_identification(figure_kb):
@@ -318,7 +333,7 @@ def test_map_interrogative():
 
 def test_annotate_generalized_keywords(figure_kb):
     at = annotate(FIGURE_DOC, figure_kb)
-    assert sorted(stems(keywords_outside_entities(at.keywords, at.entities))) == sorted(
+    assert sorted(keywords_outside_entities(at.stems, at.spans, at.entities)) == sorted(
         [stem(w) for w in ("existence", "years", "group", "co-chaired", "President")]
     )
     assert len(at.entities) == 4
@@ -327,13 +342,13 @@ def test_annotate_generalized_keywords(figure_kb):
 def test_annotate_multivector_keeps_name_tokens(figure_kb):
     at = annotate(FIGURE_DOC, figure_kb)
     extra = {stem(w) for w in ("California", "Compact", "Stanford", "University", "Don", "Kennedy")}
-    assert extra <= set(stems(at.keywords))
+    assert extra <= set(at.stems)
     assert len(at.entities) == 4
 
 
 def test_annotate_entity_only_text(figure_kb):
     at = annotate("Stanford University", figure_kb)
-    assert keywords_outside_entities(at.keywords, at.entities) == []
+    assert keywords_outside_entities(at.stems, at.spans, at.entities) == []
     assert len(at.entities) == 1
 
 
@@ -417,8 +432,8 @@ def ordered_spans(min_gap: int):
 @settings(max_examples=300)
 @given(ordered_spans(min_gap=0), ordered_spans(min_gap=0))
 def test_keywords_outside_entities_equals_the_any_definition(token_spans, entity_spans):
-    keywords = [Token(f"w{i}", f"w{i}", span) for i, span in enumerate(token_spans)]
+    words = [f"w{i}" for i in range(len(token_spans))]
     entities = [EntityAnnotation(char_span=span, surface="x", name="x") for span in entity_spans]
-    assert keywords_outside_entities(keywords, entities) == keywords_outside_entities_any(
-        keywords, entities
+    assert keywords_outside_entities(words, token_spans, entities) == keywords_outside_entities_any(
+        words, token_spans, entities
     )

@@ -33,12 +33,12 @@ from conftest import FIGURE_QUERY, counted_document
 from oracles import closure_walk
 
 def entity_only(ann: EntityAnnotation) -> AnnotatedText:
-    return AnnotatedText(keywords=[], entities=[ann])
+    return AnnotatedText(stems=[], spans=[], entities=[ann])
 
 
 def generalized_from_other_spaces(at: AnnotatedText, rep) -> Counter:
     """G as the spaces it mixes: the keywords outside mentions plus N, C, NC and I."""
-    bag = Counter(Keyword(t.stem) for t in keywords_outside_entities(at.keywords, at.entities))
+    bag = Counter(map(Keyword, keywords_outside_entities(at.stems, at.spans, at.entities)))
     for space in (Space.N, Space.C, Space.NC, Space.I):
         bag.update(rep.space_bags[space])
     return bag
@@ -180,7 +180,7 @@ def test_query_golden_terms_with_and_without_wh(figure_kb):
 
 
 def test_query_multivector_space_placement(figure_kb):
-    keywords = tokenize_keywords("newly joined", set())
+    stems, spans = tokenize_keywords("newly joined", set())
     entities = [
         EntityAnnotation(char_span=(0, 9), surface="Countries", class_id="Country"),
         EntityAnnotation(
@@ -191,7 +191,7 @@ def test_query_multivector_space_placement(figure_kb):
             entity_id="InternationalOrganization_T.17",
         ),
     ]
-    at = AnnotatedText(keywords=keywords, entities=entities)
+    at = AnnotatedText(stems=stems, spans=spans, entities=entities)
     rep = expand_query(at, figure_kb)
     assert rep.space_bags[Space.C] == Counter({Triple(class_id="Country"): 1})
     assert rep.space_bags[Space.I] == Counter(
@@ -249,7 +249,7 @@ def test_empty_kb_degenerates_to_keywords():
     text = "Stanford University research on retrieval"
     at = annotate(text, kb)
     rep = expand_document(at, kb, doc_id="d")
-    plain = Counter(Keyword(t.stem) for t in tokenize_keywords(text, DEFAULT_STOPWORDS))
+    plain = Counter(map(Keyword, tokenize_keywords(text, DEFAULT_STOPWORDS)[0]))
     assert rep.space_bags[Space.G] == plain
     assert rep.space_bags[Space.KW] == plain
     for space in (Space.N, Space.C, Space.NC, Space.I):

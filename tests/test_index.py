@@ -708,15 +708,17 @@ def test_posting_fields_round_trip_every_int64_value(lists):
 
 
 def test_load_refuses_a_format_1_directory_and_save_replaces_it(tmp_path):
-    for name in ["manifest.tsv", "fingerprint.tsv"] + [f"{space.value}.tsv" for space in Space]:
+    """A format-1 directory holds no index.tsv, so it is refused as any such
+    directory is; saving writes index.tsv beside the files already there."""
+    old = ["manifest.tsv", "fingerprint.tsv"] + [f"{space.value}.tsv" for space in Space]
+    for name in old:
         (tmp_path / name).write_text("format 1\n")
-    (tmp_path / "notes.txt").write_text("kept\n")
     for read in (load_index, read_fingerprint):
-        with pytest.raises(ValueError, match="format-1 index .*; rebuild it"):
+        with pytest.raises(FileNotFoundError, match=re.escape(f"missing index file: {tmp_path / 'index.tsv'}")):
             read(tmp_path)
     built = build_index(FIVE_DOCS)
     save_index(built, tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["index.tsv", "notes.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*old, "index.tsv"])
     assert load_index(tmp_path) == built
 
 
@@ -731,6 +733,17 @@ def test_save_rejects_reserved_characters_in_doc_id(tmp_path):
     bundle = build_index([rep("bad\tdoc", KW={K("a"): 1})])
     with pytest.raises(ValueError, match="reserved"):
         save_index(bundle, tmp_path)
+
+
+@pytest.mark.parametrize("separator", ["\t", "\n"], ids=["tab", "newline"])
+@pytest.mark.parametrize("space", ["KW", "G"])
+def test_save_refuses_a_term_the_index_file_cannot_hold(tmp_path, space, separator):
+    term = K(f"a{separator}b")
+    bundle = build_index([rep("d1", **{space: {term: 1}}), rep("d2", KW={K("c"): 1})])
+    message = f"{space} term {term!r} contains a reserved separator character"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_index(bundle, tmp_path / "idx")
+    assert not (tmp_path / "idx" / "index.tsv").exists()
 
 
 def test_failed_write_keeps_old_file_and_leaves_no_temp_file(tmp_path):
@@ -878,7 +891,7 @@ def figure_keys(figure_kb):
                     EntityAnnotation((0, 4), "Zork", name="Zork")]
     keys: dict = {}
     for ann in annotations:
-        keys |= expand_document(AnnotatedText([], [ann]), figure_kb).keys
+        keys |= expand_document(AnnotatedText([], [], [ann]), figure_kb).keys
     return sorted(keys, key=repr)
 
 

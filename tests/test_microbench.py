@@ -8,8 +8,8 @@ them with
 A `cosine_score` or `rank_documents` round scores or ranks synth's 24 judged
 queries once; a `represent_query` round annotates and expands them under
 one model, and a `search` round represents, scores and ranks them under one
-model at k=1000; a `stem`, `recognize_entities` or `represent_document` round
-analyzes the first 600 documents, and an `expand_document` round expands
+model at k=1000; a `stem`, `tokenize_keywords`, `recognize_entities` or
+`represent_document` round analyzes the first 600 documents, and an `expand_document` round expands
 their annotations; a `build_index` round indexes all 6000 documents'
 counts, and a `save_index` or `load_index` round writes that
 index to one `index.tsv` or reads it back; a grown-KB `recognize_entities`
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import pytest
 
-from ontosearch.annotate import _TOKEN, annotate, recognize_entities
+from ontosearch.annotate import DEFAULT_STOPWORDS, _TOKEN, annotate, recognize_entities, tokenize_keywords
 from ontosearch.cli import QuerySpec, parse_corpus, parse_queries
 from ontosearch.evaluation import (
     average_precision,
@@ -185,6 +185,12 @@ def test_gazetteer_build_grown_kb(benchmark, synth, n_extra):
     kb, _ = grown_collection(synth, n_extra)
     gazetteer = benchmark(lambda: _compile_gazetteer(kb))
     assert len(gazetteer) >= len(kb.name_index) == 25 + 2 * n_extra
+
+
+def test_tokenize_keywords(benchmark, synth):
+    texts = synth.texts[:N_ANALYZED]
+    keywords = benchmark(lambda: [tokenize_keywords(text, DEFAULT_STOPWORDS) for text in texts])
+    assert sum(len(stems) for stems, _ in keywords) > 0
 
 
 def test_represent_document(benchmark, synth):

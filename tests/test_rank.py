@@ -572,7 +572,7 @@ def test_one_pass_document_equals_two_pass_bags(figure_kb, pieces, separators):
     rep = represent_document(text, figure_kb, "d")
     at = annotate(text, figure_kb)
     assert rep.doc_id == "d"
-    assert rep.space_bags[Space.KW] == Counter(Keyword(t.stem) for t in at.keywords)
+    assert rep.space_bags[Space.KW] == Counter(map(Keyword, at.stems))
     assert rep.space_bags[Space.G] == oracles.generalized_bag(at, figure_kb)
 
 
