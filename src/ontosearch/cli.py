@@ -18,9 +18,11 @@ flag or the config line; then the stop-word and wh-mapping files are
 read, once. No command takes abbreviated flags, and an empty path is an
 error.
 
-Evaluation covers every query in the qrels: a query with no run lines
-contributes an average precision of zero rather than being dropped, so
-a system cannot improve its MAP by returning nothing.
+Evaluation covers every query with at least one relevant doc (rel > 0)
+in the qrels: a query with no run lines contributes an average precision
+of zero rather than being dropped, so a system cannot improve its MAP by
+returning nothing. A query whose every qrels line has rel <= 0 is not
+judged, since its average precision is undefined.
 
 An index directory holds one file, `index.tsv`, whose header carries a
 fingerprint of the knowledge base file and of the stop-word set (its

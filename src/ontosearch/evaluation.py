@@ -14,13 +14,24 @@ the uniform `(raw >> 11) * 2**-53` falls below one half. The permutations
 are scored a block of rows at a time, each row's mean summed the way a
 single permutation's is, so the counts equal the one-permutation-at-a-time
 loop over `permutation_signs` bit for bit.
+
+The run and qrels parsers read a file as one stream of per-line
+`str.split`s, unpacked into named fields, and do each query's work with
+calls over its whole lists of doc ids and ranks or rels; the cyclic garbage
+collector is paused for that pass. Only a parse that fails walks the lines,
+to name the first bad one as `path:line`.
 """
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import lt
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -214,25 +225,73 @@ def randomization_test(
 
 # --- file formats ----------------------------------------------------------------
 
-def parse_qrels(text: str, origin: str = "<qrels>") -> dict[str, set[str]]:
-    """TREC qrels lines `query_id 0 doc_id rel`; rel > 0 marks relevance."""
-    relevant: dict[str, set[str]] = {}
-    current_id = docs = None  # the last query with a relevant doc, and its set
+def _fields(text: str) -> Iterator[list[str]]:
+    """The whitespace-split fields of each non-blank line."""
+    return filter(None, map(str.split, text.splitlines()))
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Hold off the cyclic garbage collector while a parse passes over its lines.
+
+    The pass keeps strings, ints and a few lists per query, which hold no
+    cycle, while the file's list of lines is still young. A collection set
+    off inside the pass by an allocation elsewhere in the process (a signal
+    handler's, another thread's) would walk every line and find nothing,
+    so the pass would cost more or less by when one fell."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _walk_lines(text: str, origin: str, width: int, number: int, name: str) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank line as (line number, fields), after checking that it
+    has `width` fields and that field `number` (the `name`) is an integer;
+    the first line that fails raises its `origin:line` error.
+
+    Only a failed parse walks the lines, to name its first bad line; a walk
+    that gets to the end has found none, which is a bug."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()  # [] for a blank line
-        if len(fields) != 4:
+        if len(fields) != width:
             if not fields:
                 continue
-            raise ValueError(f"{origin}:{lineno}: expected 4 fields, got {len(fields)}")
-        query_id, _, doc_id, rel = fields
+            raise ValueError(f"{origin}:{lineno}: expected {width} fields, got {len(fields)}")
         try:
-            relevance = int(rel)
+            int(fields[number])
         except ValueError:
-            raise ValueError(f"{origin}:{lineno}: relevance {rel!r} is not an integer") from None
-        if relevance > 0:
-            if query_id != current_id:
-                current_id, docs = query_id, relevant.setdefault(query_id, set())
-            docs.add(doc_id)
+            raise ValueError(f"{origin}:{lineno}: {name} {fields[number]!r} is not an integer") from None
+        yield lineno, fields
+    raise AssertionError(f"{origin}: the parse failed, but no line is malformed")
+
+
+def parse_qrels(text: str, origin: str = "<qrels>") -> dict[str, set[str]]:
+    """TREC qrels lines `query_id 0 doc_id rel`; rel > 0 marks relevance.
+
+    A query with no rel > 0 is left out. The queries are in the order of
+    their first line, whatever its rel."""
+    judged: dict[str, tuple[list[str], list[str]]] = {}  # query_id -> (doc ids, rels)
+    current_id = None  # the previous line's query
+    try:
+        with _collector_paused():
+            for query_id, _, doc_id, rel in _fields(text):
+                if query_id != current_id:
+                    current_id = query_id
+                    docs, rels = judged.setdefault(query_id, ([], []))
+                docs.append(doc_id)
+                rels.append(rel)
+        relevant = {}
+        for query_id, (docs, rels) in judged.items():
+            positive = {rel: int(rel) > 0 for rel in set(rels)}  # a few distinct rels
+            if any(positive.values()):
+                relevant[query_id] = set(compress(docs, map(positive.__getitem__, rels)))
+    except ValueError:
+        for _ in _walk_lines(text, origin, 4, 3, "relevance"):
+            pass
     return relevant
 
 
@@ -241,33 +300,45 @@ def load_qrels(path: str | Path) -> dict[str, set[str]]:
     return parse_qrels(read_text(path), str(path))
 
 
-def parse_run(text: str, origin: str = "<run>") -> dict[str, list[str]]:
-    """TREC run lines `query_id Q0 doc_id rank score tag` -> rankings per query."""
-    rows: dict[str, dict[str, int]] = {}  # query_id -> doc_id -> rank
-    current_id = ranks = None  # the previous line's query, and its ranks
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        fields = line.split()  # [] for a blank line
-        if len(fields) != 6:
-            if not fields:
-                continue
-            raise ValueError(f"{origin}:{lineno}: expected 6 fields, got {len(fields)}")
-        query_id, _, doc_id, rank, _score, _tag = fields
-        try:
-            position = int(rank)
-        except ValueError:
-            raise ValueError(f"{origin}:{lineno}: rank {rank!r} is not an integer") from None
-        if query_id != current_id:
-            current_id, ranks = query_id, rows.setdefault(query_id, {})
-        if doc_id in ranks:
+def _raise_run_fault(text: str, origin: str) -> NoReturn:
+    """Raise the error of a run's first bad line, a doc repeated within its
+    query included."""
+    seen: dict[str, set[str]] = {}  # query_id -> its doc ids so far
+    for lineno, (query_id, _, doc_id, *_) in _walk_lines(text, origin, 6, 3, "rank"):
+        docs = seen.setdefault(query_id, set())
+        if doc_id in docs:
             raise ValueError(
                 f"{origin}:{lineno}: duplicate doc {doc_id!r} in ranking for query {query_id!r}"
             )
-        ranks[doc_id] = position
-    # ordered by rank, ties by doc_id
-    return {
-        query_id: [doc_id for _, doc_id in sorted(zip(ranks.values(), ranks))]
-        for query_id, ranks in rows.items()
-    }
+        docs.add(doc_id)
+
+
+def parse_run(text: str, origin: str = "<run>") -> dict[str, list[str]]:
+    """TREC run lines `query_id Q0 doc_id rank score tag` -> rankings per query.
+
+    A ranking is ordered by rank, ties by doc id; a query's lines need not
+    be contiguous."""
+    columns: dict[str, tuple[list[str], list[int]]] = {}  # query_id -> (doc ids, ranks)
+    current_id = None  # the previous line's query
+    try:
+        with _collector_paused():
+            for query_id, _, doc_id, rank, _, _ in _fields(text):
+                if query_id != current_id:
+                    current_id = query_id
+                    docs, ranks = columns.setdefault(query_id, ([], []))
+                docs.append(doc_id)
+                ranks.append(int(rank))
+    except ValueError:
+        _raise_run_fault(text, origin)
+    rankings: dict[str, list[str]] = {}
+    for query_id, (docs, ranks) in columns.items():
+        if len(set(docs)) != len(docs):
+            _raise_run_fault(text, origin)
+        if all(map(lt, ranks, ranks[1:])):  # already in rank order, as search writes them
+            rankings[query_id] = docs
+        else:
+            rankings[query_id] = [doc_id for _, doc_id in sorted(zip(ranks, docs))]
+    return rankings
 
 
 def load_run(path: str | Path) -> dict[str, list[str]]:

@@ -449,6 +449,57 @@ def interpolated_curve_scan(ranking: list[str], relevant: set[str]) -> list[tupl
     ]
 
 
+def parse_qrels_walk(text: str, origin: str = "<qrels>") -> dict[str, set[str]]:
+    """TREC qrels lines `query_id 0 doc_id rel`; rel > 0 marks relevance."""
+    relevant: dict[str, set[str]] = {}
+    current_id = docs = None  # the last query with a relevant doc, and its set
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()  # [] for a blank line
+        if len(fields) != 4:
+            if not fields:
+                continue
+            raise ValueError(f"{origin}:{lineno}: expected 4 fields, got {len(fields)}")
+        query_id, _, doc_id, rel = fields
+        try:
+            relevance = int(rel)
+        except ValueError:
+            raise ValueError(f"{origin}:{lineno}: relevance {rel!r} is not an integer") from None
+        if relevance > 0:
+            if query_id != current_id:
+                current_id, docs = query_id, relevant.setdefault(query_id, set())
+            docs.add(doc_id)
+    return relevant
+
+
+def parse_run_walk(text: str, origin: str = "<run>") -> dict[str, list[str]]:
+    """TREC run lines `query_id Q0 doc_id rank score tag` -> rankings per query."""
+    rows: dict[str, dict[str, int]] = {}  # query_id -> doc_id -> rank
+    current_id = ranks = None  # the previous line's query, and its ranks
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()  # [] for a blank line
+        if len(fields) != 6:
+            if not fields:
+                continue
+            raise ValueError(f"{origin}:{lineno}: expected 6 fields, got {len(fields)}")
+        query_id, _, doc_id, rank, _score, _tag = fields
+        try:
+            position = int(rank)
+        except ValueError:
+            raise ValueError(f"{origin}:{lineno}: rank {rank!r} is not an integer") from None
+        if query_id != current_id:
+            current_id, ranks = query_id, rows.setdefault(query_id, {})
+        if doc_id in ranks:
+            raise ValueError(
+                f"{origin}:{lineno}: duplicate doc {doc_id!r} in ranking for query {query_id!r}"
+            )
+        ranks[doc_id] = position
+    # ordered by rank, ties by doc_id
+    return {
+        query_id: [doc_id for _, doc_id in sorted(zip(ranks.values(), ranks))]
+        for query_id, ranks in rows.items()
+    }
+
+
 def exact_randomization_counts(diffs) -> tuple[int, int, int]:
     """(n_minus, n_plus, 2**n) over every one of the 2**n sign vectors.
 

@@ -763,6 +763,18 @@ def test_eval_counts_queries_missing_from_run_as_zero(workspace):
     assert "map\t0.500000" in lines
 
 
+def test_eval_leaves_out_a_query_with_no_relevant_doc(workspace):
+    # q3's every judgment is rel <= 0, so its average precision is undefined
+    (workspace / "run.txt").write_text(RUN_A + "q3 Q0 d5 1 0.400000 a\n", encoding="utf-8")
+    (workspace / "qrels.txt").write_text(QRELS + "q3 0 d5 0\nq3 0 d6 -1\n", encoding="utf-8")
+    out = workspace / "eval.tsv"
+    assert run_cli("eval", "--run", workspace / "run.txt",
+                   "--qrels", workspace / "qrels.txt", "--output", out) == 0
+    lines = out.read_text().splitlines()
+    assert [line for line in lines if line.startswith("ap\t")] == ["ap\tq1\t1.000000", "ap\tq2\t1.000000"]
+    assert "map\t1.000000" in lines
+
+
 def test_eval_requires_query_overlap(workspace, capsys):
     (workspace / "run.txt").write_text("q9 Q0 d1 1 0.5 a\n", encoding="utf-8")
     (workspace / "qrels.txt").write_text(QRELS, encoding="utf-8")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import re
 from unittest import mock
@@ -459,6 +460,100 @@ def test_parse_run_names_the_line_of_a_repeated_doc():
     text = "q1 Q0 docA 1 0.5 t\nq2 Q0 docA 1 0.5 t\nq1 Q0 docB 2 0.4 t\nq1 Q0 docA 3 0.3 t\n"
     with pytest.raises(ValueError, match=r"^run.txt:4: duplicate doc 'docA' in ranking for query 'q1'$"):
         parse_run(text, "run.txt")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("parse, text", [
+    (parse_run, "q1 Q0 docA 1 0.5 t\nq1 Q0 docB 2 0.4 t\n"),
+    (parse_run, "q1 Q0 docA 1 0.5 t\nq1 Q0 docB x 0.4 t\n"),
+    (parse_qrels, "q1 0 docA 1\nq1 0 docB 0\n"),
+    (parse_qrels, "q1 0 docA 1\nq1 0 docB\n"),
+])
+def test_a_parse_pauses_the_collector_for_its_pass_and_restores_it(parse, text, enabled):
+    during = []
+    fields = evaluation._fields
+
+    def watched(text):
+        for row in fields(text):
+            during.append(gc.isenabled())
+            yield row
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with mock.patch.object(evaluation, "_fields", watched):
+            try:
+                parse(text)
+            except ValueError:
+                pass
+        assert during and not any(during)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+@st.composite
+def judged_texts(draw, run: bool):
+    """A run (`run`) or qrels text, with at most one malformed line.
+
+    A query's lines come in blocks split by other queries' lines, between
+    blank and whitespace-only lines, with mixed separators and line ends.
+    Ranks ascend, ascend with ties, or fall anyhow; a number may be written
+    `+3` or `007`. Qrels query `q0` has no rel above 0. The malformed line,
+    if any, is at a random place: it has one field too few or too many, a
+    number that is not an integer, or an earlier line's query and doc again."""
+    docs = {query_id: draw(st.permutations("abcdefghij")) for query_id in ("q0", "q1", "q2")}
+    order = draw(st.sampled_from(["ascending", "tied", "any"]))
+    numbers = st.integers(-2, 9) if run else st.integers(-2, 3)
+    rows = []  # (query_id, doc_id, number)
+    width = 6 if run else 4
+    for query_id in draw(st.lists(st.sampled_from(sorted(docs)), min_size=1, max_size=24)):
+        k = sum(row[0] == query_id for row in rows)
+        if k < len(docs[query_id]):
+            n = {"ascending": k + 1, "tied": k // 2 + 1}.get(order) or draw(numbers)
+            if query_id == "q0" and not run:
+                n = -abs(n)
+            rows.append((query_id, docs[query_id][k], n))
+    lines = []
+    for query_id, doc_id, n in rows:
+        number = draw(st.sampled_from([str(n), f"+{n}" if n >= 0 else str(n), f"{n:03d}"]))
+        lines.append([query_id, "Q0", doc_id, number, "0.5", "tag"] if run else [query_id, "0", doc_id, number])
+    fault = draw(st.sampled_from([None, "short", "long", "number", "repeat"]))
+    at = draw(st.integers(0, len(lines)))
+    if fault == "short" and lines:
+        lines[min(at, len(lines) - 1)].pop()
+    elif fault == "long":
+        lines.insert(at, (lines[at - 1] if at else ["q1", "Q0", "a", "1", "0.5", "tag"][:width]) + ["x"])
+    elif fault == "number" and lines:
+        lines[min(at, len(lines) - 1)][3] = draw(st.sampled_from(["2.5", "x", "1e3", "--1", ""]))
+    elif fault == "repeat" and lines:
+        again = list(lines[draw(st.integers(0, len(lines) - 1))])
+        lines.insert(draw(st.integers(0, len(lines))), again)
+    texts = []
+    for fields in lines:
+        for _ in range(draw(st.integers(0, 1))):
+            texts.append(draw(st.sampled_from(["", " ", "\t ", "  \t"])))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        texts.append(draw(st.sampled_from(["", " "])) + sep.join(fields) + draw(st.sampled_from(["", " \t"])))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in texts)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text, "judged.txt")
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=judged_texts(run=True))
+def test_parse_run_equals_the_line_walk(text):
+    assert _parsed(parse_run, text) == _parsed(oracles.parse_run_walk, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=judged_texts(run=False))
+def test_parse_qrels_equals_the_line_walk(text):
+    assert _parsed(parse_qrels, text) == _parsed(oracles.parse_qrels_walk, text)
 
 
 def test_eval_report_format_golden():

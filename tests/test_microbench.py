@@ -19,8 +19,10 @@ plus those entities, and a gazetteer round builds that KB's gazetteer;
 a `randomization_test` round compares two
 models' per-query average precision over those 24 queries with 10k
 permutations; a `parse_run` round parses the run file of those queries
-under all five models at k=1000 (over 50k lines); an `average_precision`
-and `interpolated_curve` round judges that file's rankings.
+under all five models at k=1000 (over 50k lines), and a `parse_qrels`
+round a qrels file that judges each line of that run 1 or 0; an
+`average_precision` and `interpolated_curve` round judges the run's
+rankings.
 """
 
 from __future__ import annotations
@@ -258,6 +260,19 @@ def test_parse_run(benchmark, run_text):
     assert n_lines >= 50_000
     run = benchmark(lambda: parse_run(run_text))
     assert sum(map(len, run.values())) == n_lines
+
+
+def test_parse_qrels(benchmark, synth, run_text):
+    # a pooled judgment of the run file: each retrieved doc judged 1 or 0
+    judged, lines = {}, []
+    for query_id, ranking in parse_run(run_text).items():
+        relevant = synth.qrels[query_id.split("-", 1)[1]]
+        judged[query_id] = {doc_id for doc_id in ranking if doc_id in relevant}
+        lines += [f"{query_id} 0 {doc_id} {int(doc_id in relevant)}" for doc_id in ranking]
+    qrels_text = "\n".join(lines) + "\n"
+    assert len(lines) >= 40_000
+    qrels = benchmark(lambda: parse_qrels(qrels_text))
+    assert qrels == {query_id: docs for query_id, docs in judged.items() if docs}
 
 
 def test_average_precision_and_curve(benchmark, synth, run_text):
