@@ -10,9 +10,10 @@ In memory a space is a CSR matrix over integer term ids. Term ids follow the
 sorted order of the terms, the strings the file stores (`expand.Triple`), so
 term-id order is the canonical accumulation order. Term t's postings are
 entries `offsets[t]` to `offsets[t + 1]` of `doc_idx` (positions in the
-sorted roster) and `tf`; `idf` holds each term's ln(n_docs / df), `weights`
-each posting's tf * idf, and `norms` each document's Euclidean norm, whose
-squares `np.bincount` sums posting by posting, that is in term-id order.
+sorted roster) and `tf`; `idf` holds each term's ln(n_docs / df), taken once
+per distinct df and gathered back, `weights` each posting's tf * idf, and
+`norms` each document's Euclidean norm, whose squares `np.bincount` sums
+posting by posting, that is in term-id order.
 
 The build is a sort-based inversion (Zobel & Moffat, "Inverted files for
 text search engines", 2006) of counted documents (`expand.DocumentCounts`);
@@ -59,11 +60,16 @@ with a needless zero byte, so a list of values has one spelling. It checks
 that doc ids and terms strictly ascend, that each term is spelt as
 `expand.Triple` spells it, that each term has as many tfs as gaps, that tfs
 and later gaps are at least 1, that positions fall inside the roster and
-that parts keep `_bundle`'s kind rule; a failure names `path:line`. Only
-then does it check the sha256, which also catches an edit that leaves every
-field well formed. A loaded index equals a freshly built one. Formats 2
-and 3 are refused by their format line, with a request to rebuild; a
-directory from before format 2 holds no `index.tsv`.
+that parts keep `_bundle`'s kind rule; a failure names `path:line`. A
+space's terms are checked in whole-space passes too: one comparison pass for
+their order, and list-wide tests of the triples' slashes and `%` and of their
+names joined into one string. Only a term these cannot vouch for, such as one
+holding `%`, is spelt again alone, as `Triple(*triple_slots(term))`, and so
+is a failure, to name its line. Only then does it check the sha256, which
+also catches an edit that leaves every field well formed. A loaded index
+equals a freshly built one. Formats 2 and 3 are refused by their format
+line, with a request to rebuild; a directory from before format 2 holds no
+`index.tsv`.
 """
 
 from __future__ import annotations
@@ -71,12 +77,14 @@ from __future__ import annotations
 import binascii
 import hashlib
 import math
+import operator
 import os
 import tempfile
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -178,11 +186,13 @@ def _space_index(terms: Sequence[GeneralizedTerm], df: Sequence[int], doc_idx: S
     tf = np.asarray(tf, dtype=np.int64)
     if tf.size and tf.min() < 1:
         raise ValueError(f"tf must be >= 1, got {tf.min()}")
-    # math.log, as tfidf_weight takes it: np.log may differ in the last ulp
-    idf = np.array([tfidf_weight(1, d, len(doc_ids)) for d in counts.tolist()], dtype=np.float64)
+    # math.log, as tfidf_weight takes it: np.log may differ in the last ulp; once per
+    # distinct df, as there are far fewer of those than terms
+    distinct, which = np.unique(counts, return_inverse=True)
+    idf = np.array([tfidf_weight(1, d, len(doc_ids)) for d in distinct.tolist()], dtype=np.float64)[which]
     weights = tf * np.repeat(idf, counts)
     norms = np.sqrt(np.bincount(doc_idx, weights=weights * weights, minlength=len(doc_ids)))
-    return SpaceIndex(term_ids={term: i for i, term in enumerate(terms)}, doc_ids=doc_ids,
+    return SpaceIndex(term_ids=dict(zip(terms, range(len(terms)))), doc_ids=doc_ids,
                       offsets=offsets, doc_idx=doc_idx, tf=tf, idf=idf, weights=weights,
                       norms=norms)
 
@@ -481,8 +491,8 @@ def load_index(directory: str | Path) -> IndexBundle:
              for space, (start, end) in sections.items()}
     # every space's postings are read at once, each term's after the one on the line before
     offsets, positions, tf = _read_postings(
-        [field for row in cells.values() for field in row[1::3]],
-        [field for row in cells.values() for field in row[2::3]],
+        list(chain.from_iterable(row[1::3] for row in cells.values())),
+        list(chain.from_iterable(row[2::3] for row in cells.values())),
         path, np.concatenate([np.arange(start + 1, end + 1) for start, end in sections.values()]), len(roster))
     df = np.diff(offsets)
     parts, at = {}, 0
@@ -596,22 +606,37 @@ def _read_postings(gap_fields: list[str], tf_fields: list[str], path: Path, term
 
 def _check_terms(terms: list[str], path: Path, first: int) -> None:
     """Check one space's terms, the first on line `first`: strictly ascending, and each
-    spelt as `Keyword` or `Triple` spells it, so no term has two spellings."""
+    spelt as `Keyword` or `Triple` spells it, so no term has two spellings.
+
+    Both are checked over the whole space at once. A term these checks cannot vouch for,
+    such as one holding `%`, or one of a space whose triple names are not all in normal
+    form, is checked alone, in file order, by spelling it again; so is a failure, to name
+    its line."""
     # term ids are file order, so it must be the canonical accumulation order
-    for i, (a, b) in enumerate(zip(terms, terms[1:])):
-        if a >= b:
-            raise ValueError(f"{path}:{first + i + 1}: terms are not in strictly ascending serialized order")
-    for i, text in enumerate(terms):
-        if text.startswith("k:"):
-            continue
+    if not all(map(operator.lt, terms, terms[1:])):
+        i = next(i for i, (a, b) in enumerate(zip(terms, terms[1:])) if a >= b)
+        raise ValueError(f"{path}:{first + i + 1}: terms are not in strictly ascending serialized order")
+    # the terms ascend, so the keywords lie in one run and the triples in another
+    k_lo, k_hi, t_lo, t_hi = (bisect_left(terms, prefix) for prefix in ("k:", "k;", "t:", "t;"))
+    triples = terms[t_lo:t_hi]
+    # a triple of three slots, not all `*`, with no `%` is spelt as `Triple` spells it but for
+    # its name's case and spaces (a term field holds no tab or newline)
+    plain = np.fromiter(map(str.count, triples, repeat("/")), np.int64, len(triples)) == 2
+    if "%" in "".join(triples):
+        plain &= ~np.fromiter(map(str.__contains__, triples, repeat("%")), bool, len(triples))
+    if "t:*/*/*" in triples:
+        plain[triples.index("t:*/*/*")] = False
+    slots = "/".join(compress(triples, plain)).split("/")  # three a triple
+    # each name after its `t:` and between two `/`: each is in normal form when the whole
+    # is and none starts or ends with a space
+    names = "/" + "/".join(slots[::3]) + "/"
+    if normalize_name(names) != names or "/t: " in names or " /" in names:
+        plain[:] = False
+    unvouched = (t_lo + np.flatnonzero(~plain)).tolist()
+    for i in chain(range(k_lo), range(k_hi, t_lo), unvouched, range(t_hi, len(terms))):
+        text = terms[i]
         try:
-            slots = triple_slots(text)
-            name = slots[0]
-            # a field without `%` is spelt as `Triple` spells it but for the name's case and
-            # spaces (a term field holds no tab or newline), so the usual term needs no re-encoding
-            if "%" not in text and any(slots) and (name is None or normalize_name(name) == name):
-                continue
-            canonical = Triple(*slots)
+            canonical = Triple(*triple_slots(text))
         except ValueError as exc:
             raise ValueError(f"{path}:{first + i}: {exc}") from None
         if canonical != text:

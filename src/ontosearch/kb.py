@@ -207,6 +207,7 @@ def parse_kb(text: str, origin: str = "<string>") -> KnowledgeBase:
     """Parse and validate KB TSV content; see the module docstring for format."""
     classes: dict[str, ClassDef] = {}
     entities: dict[str, EntityDef] = {}
+    name_index: dict[str, set[str]] = {}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -234,18 +235,23 @@ def parse_kb(text: str, origin: str = "<string>") -> KnowledgeBase:
             entity_id, class_id, canonical = fields[1], fields[2], fields[3]
             if not entity_id:
                 raise KBError(f"{origin}:{lineno}: empty entity id")
-            if not normalize_name(canonical):
+            name = normalize_name(canonical)
+            if not name:
                 raise KBError(f"{origin}:{lineno}: empty canonical name for {entity_id!r}")
             if entity_id in entities:
                 raise KBError(f"{origin}:{lineno}: duplicate entity id {entity_id!r}")
-            alias_field = fields[4] if len(fields) == 5 else ""
-            for alias in alias_field.split("|"):
-                if alias and not normalize_name(alias):
+            # each surface is normalized once, to reject a blank one and to index it
+            name_index.setdefault(name, set()).add(entity_id)
+            aliases = set()
+            for alias in (fields[4] if len(fields) == 5 else "").split("|"):
+                if alias in ("", "-", canonical):  # no alias, or the name indexed above
+                    continue
+                surface = normalize_name(alias)
+                if not surface:
                     raise KBError(f"{origin}:{lineno}: blank alias {alias!r} for {entity_id!r}")
-            aliases = frozenset(
-                a for a in alias_field.split("|") if a and a != "-" and a != canonical
-            )
-            entities[entity_id] = EntityDef(entity_id, class_id, canonical, aliases)
+                aliases.add(alias)
+                name_index.setdefault(surface, set()).add(entity_id)
+            entities[entity_id] = EntityDef(entity_id, class_id, canonical, frozenset(aliases))
         else:
             raise KBError(f"{origin}:{lineno}: unknown record tag {tag!r}")
 
@@ -259,11 +265,6 @@ def parse_kb(text: str, origin: str = "<string>") -> KnowledgeBase:
             raise KBError(f"{origin}: entity {edef.entity_id!r} references undeclared class {edef.class_id!r}")
 
     _check_acyclic(classes, origin)
-
-    name_index: dict[str, set[str]] = {}
-    for edef in entities.values():
-        for surface in {edef.canonical_name, *edef.aliases}:
-            name_index.setdefault(normalize_name(surface), set()).add(edef.entity_id)
 
     return KnowledgeBase(
         classes=classes,

@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from ontosearch.expand import Keyword, Space, Triple
+from ontosearch.expand import Keyword, Space, Triple, triple_slots
 from ontosearch.index import IndexBundle, _space_index
 from ontosearch.kb import normalize_name
 from ontosearch.stem import stem
@@ -234,6 +234,30 @@ def build_index_dicts(reps) -> IndexBundle:
             roster,
         )
     return IndexBundle(spaces=spaces, doc_ids=roster)
+
+
+def check_terms_walk(terms: list[str], path, first: int) -> None:
+    """`index._check_terms` term by term: each adjacent pair compared, then each
+    triple's slots read back and spelt again; the first failure names its line."""
+    # term ids are file order, so it must be the canonical accumulation order
+    for i, (a, b) in enumerate(zip(terms, terms[1:])):
+        if a >= b:
+            raise ValueError(f"{path}:{first + i + 1}: terms are not in strictly ascending serialized order")
+    for i, text in enumerate(terms):
+        if text.startswith("k:"):
+            continue
+        try:
+            slots = triple_slots(text)
+            name = slots[0]
+            # a field without `%` is spelt as `Triple` spells it but for the name's case and
+            # spaces (a term field holds no tab or newline), so the usual term needs no re-encoding
+            if "%" not in text and any(slots) and (name is None or normalize_name(name) == name):
+                continue
+            canonical = Triple(*slots)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{first + i}: {exc}") from None
+        if canonical != text:
+            raise ValueError(f"{path}:{first + i}: term {text!r} is not in canonical form, {canonical!r}")
 
 
 BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"

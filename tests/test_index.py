@@ -9,13 +9,15 @@ import sys
 import threading
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontosearch.annotate import AnnotatedText, EntityAnnotation, annotate
+from ontosearch.cli import parse_corpus
 from ontosearch.expand import DocumentCounts, Keyword, Space, Triple, expand_document, triple_slots
 from ontosearch.index import (
     IndexBundle,
@@ -29,10 +31,13 @@ from ontosearch.index import (
     save_index,
     tfidf_weight,
 )
+from ontosearch.kb import parse_kb
 from ontosearch.rank import Model, ModelConfig, represent_document, represent_query
+from ontosearch.synth import generate
 
 import oracles
 from conftest import FIGURE_QUERY, counted_document
+from test_microbench import grown_collection
 
 
 ENTITY_SPACES = (Space.N, Space.C, Space.NC, Space.I)
@@ -268,6 +273,24 @@ def test_round_trip_restores_everything_exactly(tmp_path):
     assert list(loaded.spaces[Space.G].term_ids) == [
         K("alpha"), Triple(None, "City", None), Triple("x", None, None),
         Triple("x", "City", "City_1"), Triple("y", None, None)]
+
+
+@pytest.mark.parametrize("n_extra", [0, 1000], ids=["synth", "grown-kb-1000"])
+def test_idf_is_each_dfs_tfidf_weight_bit_for_bit(tmp_path, n_extra):
+    # idf is computed once per distinct df and gathered back, on build and on load alike
+    collection = generate(seed=7, n_docs=600)
+    kb, texts = parse_kb(collection.kb_text), list(parse_corpus(collection.corpus_text).values())
+    if n_extra:
+        kb, texts = grown_collection(SimpleNamespace(kb=kb, kb_text=collection.kb_text, texts=texts), n_extra)
+    built = build_index([represent_document(text, kb, f"d{i:03d}") for i, text in enumerate(texts)])
+    save_index(built, tmp_path)
+    loaded = load_index(tmp_path)
+    assert loaded == built
+    for bundle in (built, loaded):
+        for sx in bundle.spaces.values():
+            want = [tfidf_weight(1, df, sx.n_docs) for df in sx.df.values()]
+            assert len(set(want)) < len(want)  # terms share a df
+            assert sx.idf.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
 def test_a_carriage_return_in_a_doc_id_or_fingerprint_value_round_trips(tmp_path):
@@ -530,6 +553,37 @@ def test_the_load_check_accepts_exactly_the_terms_that_round_trip(text):
     except ValueError:
         accepted = False
     assert accepted == round_trips
+
+
+def check_outcome(check, terms):
+    """The message `check` raises on `terms`, the first on line 7, or None when it accepts them."""
+    try:
+        check(terms, Path("index.tsv"), 7)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# triples without `%`, which the whole-space check may vouch for: only their names' case and
+# spaces, and a triple of `*` alone, keep them from round-tripping
+plain_slot = st.lists(st.sampled_from(["*", "a", "B", "ß", "İ", " ", "  ", "\r", "\x1c", "."]),
+                      max_size=3).map("".join)
+plain_triples = st.tuples(plain_slot, plain_slot, plain_slot).map(lambda slots: "t:" + "/".join(slots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(term_texts, plain_triples, plain_triples, raw_slot.map("k:".__add__)), max_size=8),
+       st.one_of(st.none(), st.none(), raw_slot.map("q:".__add__)),
+       st.sampled_from([False, False, False, True]))
+@example(["t:a/*/*", "t: b/*/*"], None, False)
+@example(["t:a /*/*", "t:b/*/*"], None, False)
+@example(["t:*/*/*", "t:a/*/*"], None, False)
+@example(["k:a", "t:B/*/*", "t:c/*/*"], None, False)
+def test_the_whole_space_check_accepts_and_refuses_what_the_walk_does(texts, unknown, swap):
+    terms = sorted({*texts, unknown} - {None})
+    if swap and len(terms) > 1:  # and one pair out of order
+        terms[-2:] = terms[:-3:-1]
+    assert check_outcome(_check_terms, terms) == check_outcome(oracles.check_terms_walk, terms)
 
 
 @pytest.mark.parametrize("lineno,line,message", [

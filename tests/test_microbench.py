@@ -12,7 +12,9 @@ model at k=1000; a `stem`, `tokenize_keywords`, `recognize_entities` or
 `represent_document` round analyzes the first 600 documents, and an `expand_document` round expands
 their annotations; a `build_index` round indexes all 6000 documents'
 counts, and a `save_index` or `load_index` round writes that
-index to one `index.tsv` or reads it back; a grown-KB `recognize_entities`
+index to one `index.tsv` or reads it back; a grown-KB `load_index` round reads
+back the index of the grown-KB documents below, whose entity spaces hold
+thousands of terms; a grown-KB `recognize_entities`
 round analyzes the first 600 documents, half of them extended by a sentence that
 names one of 0, 1000 or 5000 generated extra entities, against synth's KB
 plus those entities, and a gazetteer round builds that KB's gazetteer;
@@ -222,6 +224,15 @@ def test_load_index(benchmark, synth, tmp_path):
     save_index(synth.idx, tmp_path)
     loaded = benchmark(lambda: load_index(tmp_path))
     assert loaded == synth.idx
+
+
+@pytest.mark.parametrize("n_extra", [1000])
+def test_load_index_grown_kb(benchmark, synth, tmp_path, n_extra):
+    kb, texts = grown_collection(synth, n_extra)
+    built = build_index([represent_document(text, kb, f"d{i:03d}") for i, text in enumerate(texts)])
+    save_index(built, tmp_path)
+    loaded = benchmark(lambda: load_index(tmp_path))
+    assert loaded == built
 
 
 @pytest.mark.parametrize("model", list(Model), ids=[m.value for m in Model])
