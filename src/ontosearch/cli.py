@@ -38,6 +38,7 @@ written atomically, so a failed command leaves no partial primary output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -346,7 +347,9 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         load_wh_mapping(values["wh-mapping"]) if "wh-mapping" in values else DEFAULT_WH_MAPPING)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing leaves it as it was, and help is formatted when printed."""
     parser = argparse.ArgumentParser(
         prog="ontosearch",
         description="Ontology-aware text retrieval over keyword and entity spaces.",

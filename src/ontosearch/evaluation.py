@@ -238,7 +238,13 @@ def _collector_paused() -> Iterator[None]:
     cycle, while the file's list of lines is still young. A collection set
     off inside the pass by an allocation elsewhere in the process (a signal
     handler's, another thread's) would walk every line and find nothing,
-    so the pass would cost more or less by when one fell."""
+    so the pass would cost more or less by when one fell.
+
+    When the pass ends, the young objects it kept are collected at once.
+    Left young, they would be walked by whichever allocation next crossed
+    the collector's threshold, be it in this command, a later one or a
+    signal handler, depending on how many objects the process happened to
+    make before the parse."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -246,6 +252,7 @@ def _collector_paused() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
+            gc.collect(0)
 
 
 def _walk_lines(text: str, origin: str, width: int, number: int, name: str) -> Iterator[tuple[int, list[str]]]:

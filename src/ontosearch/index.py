@@ -2,18 +2,22 @@
 
 Weighting is the classic tf * ln(n_docs / df), with df computed per space:
 a term's document frequency counts documents within the one space it lives
-in. Build output is canonical (rosters, term ids, postings, and norm
+in. Build output is canonical (rosters, rows, postings, and norm
 accumulation all follow sorted order), so any permutation of the input
 stream produces a bit-identical bundle.
 
-In memory a space is a CSR matrix over integer term ids. Term ids follow the
-sorted order of the terms, the strings the file stores (`expand.Triple`), so
-term-id order is the canonical accumulation order. Term t's postings are
-entries `offsets[t]` to `offsets[t + 1]` of `doc_idx` (positions in the
-sorted roster) and `tf`; `idf` holds each term's ln(n_docs / df), taken once
-per distinct df and gathered back, `weights` each posting's tf * idf, and
-`norms` each document's Euclidean norm, whose squares `np.bincount` sums
-posting by posting, that is in term-id order.
+In memory a bundle's postings are one CSR table (`PostingsTable`) whose rows
+are `index.tsv`'s term lines in file order. Row r's postings are entries
+`offsets[r]` to `offsets[r + 1]` of `doc_idx` (positions in the sorted
+roster) and `tf`; `idf` holds each row's ln(n_docs / df), taken once per
+distinct df and gathered back, and `weights` each posting's tf * idf. A space
+(`SpaceIndex`) maps its terms, in sorted order, the canonical accumulation
+order, to their rows, and holds each document's Euclidean norm. KW, N, C, NC
+and I each read their section's rows; G reads its own section's and those of
+N, C, NC and I merged by term (`_bundle`, the one place the index side
+defines G), so an entity posting is held once, as in the file. A space's
+norms are the squares of its rows' postings summed by `np.bincount` in its
+term order, each row's block gathered in turn.
 
 The build is a sort-based inversion (Zobel & Moffat, "Inverted files for
 text search engines", 2006) of counted documents (`expand.DocumentCounts`);
@@ -26,9 +30,9 @@ terms a posting of tf n, all listed flat with `np.repeat`. The vocabulary is
 sorted once, and one stable argsort by term rank puts the postings in CSR
 order. Two keys of one document may share a term (two cities'
 `t:*/Location/*`); their postings end up adjacent and `np.add.reduceat`
-adds them. Of G only its own part is inverted: build and
-load alike merge G's entity postings from N, C, NC and I (`_bundle`), the
-one place the index side defines G.
+adds them. Of G only its own part is inverted. The six parts are listed in
+one table in file order, and build and load alike then give each space its
+rows through `_bundle`.
 
 On disk an index is one file, `index.tsv`, written through `_atomic_write`,
 so the postings and the fingerprint of the inputs they were built from
@@ -50,8 +54,8 @@ padded base64 of its values as unsigned LEB128 varints, 7 bits a byte, so a
 gap or tf below 128 takes one byte; a byte-aligned code is both smaller and
 faster to decode than decimal text (Scholer, Williams, Yiannis & Zobel,
 "Compression of inverted indexes for fast query evaluation", SIGIR 2002).
-The saver encodes each space's values in one vectorized pass. Doc ids may
-not contain tab or newline. The loader reads the postings of every space at
+The saver encodes each section's slice of the table in one vectorized pass.
+Doc ids may not contain tab or newline. The loader reads the postings of every space at
 once: it checks every field as strict base64 with array operations (before
 Python 3.11 `a2b_base64` skips what is not base64), decodes each field with
 `a2b_base64`, and decodes the varints with numpy, refusing one cut short,
@@ -96,24 +100,46 @@ from .textfile import decode_utf8
 
 _RESERVED = frozenset("\t\n")
 
-_ARRAY_FIELDS = ("offsets", "doc_idx", "tf", "idf", "weights", "norms")
+_TABLE_FIELDS = ("offsets", "doc_idx", "tf", "idf", "weights")
+
+
+@dataclass(eq=False)
+class PostingsTable:
+    """A bundle's postings as one CSR table over rows (see the module docstring)."""
+
+    offsets: np.ndarray  # int64, one more than there are rows
+    doc_idx: np.ndarray  # int32 roster position, per posting
+    tf: np.ndarray       # int64, per posting
+    idf: np.ndarray      # float64 ln(n_docs / df), per row
+    weights: np.ndarray  # float64 tf * idf, per posting
+
+    # Query-time views, each built on first use.
+
+    @cached_property
+    def offset_list(self) -> list[int]:
+        """`offsets` as Python ints, so a query term's slice makes no numpy scalar."""
+        return self.offsets.tolist()
+
+    @cached_property
+    def idf_list(self) -> list[float]:
+        """`idf` as Python floats: the same doubles, read without a numpy scalar."""
+        return self.idf.tolist()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PostingsTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _TABLE_FIELDS)
 
 
 @dataclass(eq=False)
 class SpaceIndex:
-    """One space's postings as CSR arrays over term ids (see the module docstring).
-
-    `term_ids` maps each term to its id and lists the terms in id order;
-    `doc_ids` is the sorted roster that `doc_idx` and `norms` index.
+    """One space: its terms, in sorted order, each mapped to its row of the bundle's table,
+    and each document's norm; `doc_ids` is the sorted roster that `doc_idx` and `norms` index.
     """
 
-    term_ids: dict[GeneralizedTerm, int]
+    rows: dict[GeneralizedTerm, int]
     doc_ids: tuple[str, ...]
-    offsets: np.ndarray  # int64, one more than there are terms
-    doc_idx: np.ndarray  # int32 roster position, per posting
-    tf: np.ndarray       # int64, per posting
-    idf: np.ndarray      # float64 ln(n_docs / df), per term
-    weights: np.ndarray  # float64 tf * idf, per posting
+    table: PostingsTable
     norms: np.ndarray    # float64, per roster position
 
     @property
@@ -122,8 +148,9 @@ class SpaceIndex:
 
     @cached_property
     def df(self) -> dict[GeneralizedTerm, int]:
-        """term -> document frequency, in term-id order."""
-        return dict(zip(self.term_ids, np.diff(self.offsets).tolist()))
+        """term -> document frequency, in sorted term order."""
+        rows = np.fromiter(self.rows.values(), np.int64, len(self.rows))
+        return dict(zip(self.rows, (self.table.offsets[rows + 1] - self.table.offsets[rows]).tolist()))
 
     @cached_property
     def doc_positions(self) -> dict[str, int]:
@@ -137,16 +164,6 @@ class SpaceIndex:
         return np.array(self.doc_ids, dtype=object)
 
     @cached_property
-    def offset_list(self) -> list[int]:
-        """`offsets` as Python ints, so a query term's slice makes no numpy scalar."""
-        return self.offsets.tolist()
-
-    @cached_property
-    def idf_list(self) -> list[float]:
-        """`idf` as Python floats: the same doubles, read without a numpy scalar."""
-        return self.idf.tolist()
-
-    @cached_property
     def has_norm(self) -> np.ndarray:
         """`norms > 0.0`: the documents a cosine may divide by their norm."""
         return self.norms > 0.0
@@ -156,8 +173,9 @@ class SpaceIndex:
             return NotImplemented
         return (
             self.doc_ids == other.doc_ids
-            and list(self.term_ids.items()) == list(other.term_ids.items())
-            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAY_FIELDS)
+            and list(self.rows.items()) == list(other.rows.items())
+            and self.table == other.table
+            and np.array_equal(self.norms, other.norms)
         )
 
 
@@ -176,10 +194,9 @@ def tfidf_weight(tf: int, df: int, n_docs: int) -> float:
     return tf * math.log(n_docs / df)
 
 
-def _space_index(terms: Sequence[GeneralizedTerm], df: Sequence[int], doc_idx: Sequence[int],
-                 tf: Sequence, doc_ids: tuple[str, ...]) -> SpaceIndex:
-    """Arrays for postings listed term by term, terms in sorted order."""
-    counts = np.array(df, dtype=np.int64)
+def _table(df: Sequence[int], doc_idx: Sequence[int], tf: Sequence, n_docs: int) -> PostingsTable:
+    """The table of postings listed row by row, `df[r]` of them in row r."""
+    counts = np.asarray(df, dtype=np.int64)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     doc_idx = np.asarray(doc_idx, dtype=np.int32)
@@ -187,14 +204,23 @@ def _space_index(terms: Sequence[GeneralizedTerm], df: Sequence[int], doc_idx: S
     if tf.size and tf.min() < 1:
         raise ValueError(f"tf must be >= 1, got {tf.min()}")
     # math.log, as tfidf_weight takes it: np.log may differ in the last ulp; once per
-    # distinct df, as there are far fewer of those than terms
+    # distinct df, as there are far fewer of those than rows
     distinct, which = np.unique(counts, return_inverse=True)
-    idf = np.array([tfidf_weight(1, d, len(doc_ids)) for d in distinct.tolist()], dtype=np.float64)[which]
-    weights = tf * np.repeat(idf, counts)
-    norms = np.sqrt(np.bincount(doc_idx, weights=weights * weights, minlength=len(doc_ids)))
-    return SpaceIndex(term_ids=dict(zip(terms, range(len(terms)))), doc_ids=doc_ids,
-                      offsets=offsets, doc_idx=doc_idx, tf=tf, idf=idf, weights=weights,
-                      norms=norms)
+    idf = np.array([tfidf_weight(1, d, n_docs) for d in distinct.tolist()], dtype=np.float64)[which]
+    return PostingsTable(offsets=offsets, doc_idx=doc_idx, tf=tf, idf=idf, weights=tf * np.repeat(idf, counts))
+
+
+def _space_index(rows: dict[GeneralizedTerm, int], table: PostingsTable, doc_ids: tuple[str, ...]) -> SpaceIndex:
+    """A space over rows of `table`, its terms in sorted order. Its norms add each document's
+    squares in that order: each row's block of postings is gathered in turn, then `np.bincount`
+    adds them, as for the space inverted whole."""
+    at = np.fromiter(rows.values(), np.int64, len(rows))
+    lo, df = table.offsets[at], table.offsets[at + 1] - table.offsets[at]
+    # where in the table each of the rows' postings lies, row after row
+    postings = np.arange(df.sum()) + np.repeat(lo - (np.cumsum(df) - df), df)
+    weights = table.weights[postings]
+    norms = np.sqrt(np.bincount(table.doc_idx[postings], weights=weights * weights, minlength=len(doc_ids)))
+    return SpaceIndex(rows=rows, doc_ids=doc_ids, table=table, norms=norms)
 
 
 class _Postings(NamedTuple):
@@ -264,17 +290,20 @@ def _invert_keys(bags: list[dict[AnnotationKey, int]], table: Mapping) -> list[_
     return parts
 
 
-def _bundle(parts: Mapping[Space, _Postings], roster: tuple[str, ...],
+def _bundle(sections: Mapping[Space, list[GeneralizedTerm]], df: np.ndarray, doc_idx: np.ndarray,
+            tf: np.ndarray, roster: tuple[str, ...],
             where: Callable[[Space, int], str] = lambda space, i: "") -> IndexBundle:
-    """Every space's index, G's postings merged from its own part's and those of N, C, NC and I
-    in sorted order, so G's ids and norms are those of G inverted whole.
+    """Every space over one table whose rows are the sections' terms, section after section in
+    the order given, with `df[r]` postings in row r. A space reads its section's rows; G reads
+    its own section's and those of N, C, NC and I merged by term, so G's terms and norms are
+    those of G inverted whole.
 
-    Build and load share one kind rule: G's own part holds keywords only, and N, C, NC and I
-    triples only; terms sort `k:` before `t:`, so one end of each part decides. `where(space, i)`
-    places an error at the part's term i."""
-    seen: set[str] = set()  # G's own terms are keywords, so only the entity parts can share a term
+    Build and load share one kind rule: G's own section holds keywords only, and N, C, NC and I
+    triples only; terms sort `k:` before `t:`, so one end of each section decides. `where(space,
+    i)` places an error at the section's term i."""
+    seen: set[str] = set()  # G's own terms are keywords, so only the entity sections can share a term
     for space, i, kind in ((Space.G, -1, "k:"), *((s, 0, "t:") for s in _ENTITY_SPACES)):
-        terms = parts[space].terms
+        terms = sections[space]
         if terms and not terms[i].startswith(kind):
             raise ValueError(f"{where(space, i % len(terms))}{space.value}'s part holds "
                              f"{'keywords' if kind == 'k:' else 'triples'} only, got {terms[i]!r}")
@@ -282,20 +311,21 @@ def _bundle(parts: Mapping[Space, _Postings], roster: tuple[str, ...],
             i = next(i for i, term in enumerate(terms) if term in seen)
             raise ValueError(f"{where(space, i)}term {terms[i]!r} lies in two of N, C, NC and I")
         seen.update(terms)
-    sources = [parts[space] for space in (Space.G, *_ENTITY_SPACES)]
-    terms = list(chain.from_iterable(source.terms for source in sources))
-    df = np.concatenate([source.df for source in sources])
-    parts = {**parts, Space.G: _ranked(
-        terms, np.repeat(np.arange(len(terms)), df), np.concatenate([source.doc_idx for source in sources]),
-        np.concatenate([source.tf for source in sources]))}
-    spaces = {space: _space_index(*parts[space], roster) for space in Space}
-    return IndexBundle(spaces=spaces, doc_ids=roster)
+    table = _table(df, doc_idx, tf, len(roster))
+    rows, first = {}, 0
+    for space, terms in sections.items():
+        rows[space] = dict(zip(terms, range(first, first + len(terms))))
+        first += len(terms)
+    merged = chain.from_iterable(rows[space].items() for space in (Space.G, *_ENTITY_SPACES))
+    rows[Space.G] = dict(sorted(merged))  # the terms are distinct, so the pairs sort by term alone
+    return IndexBundle(spaces={space: _space_index(rows[space], table, roster) for space in Space},
+                       doc_ids=roster)
 
 
 def build_index(docs: Iterable[DocumentCounts]) -> IndexBundle:
     """Build all six space indexes from a stream of counted documents: KW and G's own part
-    from their stem counts, N, C, NC and I from their key counts; `_bundle` merges G from
-    its own part and N, C, NC and I, as `load_index` does."""
+    from their stem counts, N, C, NC and I from their key counts, listed in file order;
+    `_bundle` gives G its rows, as `load_index` does."""
     by_doc: dict[str, DocumentCounts] = {}
     table = None
     for doc in docs:
@@ -315,7 +345,12 @@ def build_index(docs: Iterable[DocumentCounts]) -> IndexBundle:
         **dict(zip(_ENTITY_SPACES, _invert_keys([doc.keys for doc in in_roster], table or {}))),
         Space.G: _invert_stems([doc.own for doc in in_roster]),
     }
-    return _bundle(parts, roster)
+    sections = {space: part.terms for space, part in parts.items()}
+    df = np.concatenate([part.df for part in parts.values()])
+    doc_idx = np.concatenate([part.doc_idx for part in parts.values()])
+    tf = np.concatenate([part.tf for part in parts.values()])
+    del parts  # the parts go before the table's weights and the norms are made
+    return _bundle(sections, df, doc_idx, tf, roster)
 
 
 # --- persistence --------------------------------------------------------------
@@ -360,7 +395,7 @@ def save_index(bundle: IndexBundle, directory: str | Path,
                fingerprint: Mapping[str, str] | None = None) -> None:
     """Write the bundle and `fingerprint` as one `index.tsv`, committed by one rename.
 
-    Of G only the keywords are written, as `_bundle` rebuilds the rest. Rewrites
+    Of G only the keywords are written, as `_bundle` gives G the rest. Rewrites
     are byte-identical. A doc id or term holding a tab or newline is refused
     before anything is written.
     """
@@ -377,14 +412,18 @@ def save_index(bundle: IndexBundle, directory: str | Path,
     lines.extend(bundle.doc_ids)
     for space in Space:
         sx = bundle.spaces[space]
-        terms = list(sx.term_ids)
+        terms = list(sx.rows)
         if space is Space.G:  # keywords sort first; the rest is derived on load
             terms = terms[:sum(term.startswith("k:") for term in terms)]
         if "\t" in (joined := "".join(terms)) or "\n" in joined:
             term = next(term for term in terms if not _RESERVED.isdisjoint(term))
             raise ValueError(f"{space.value} term {term!r} contains a reserved separator character")
-        offsets = sx.offsets[:len(terms) + 1].tolist()
-        doc_idx = sx.doc_idx[:offsets[-1]]
+        # the terms written are one section of the table: consecutive rows from the first
+        first = sx.rows[terms[0]] if terms else 0
+        section = sx.table.offsets[first:first + len(terms) + 1]
+        lo, hi = section[0], section[-1]
+        offsets = (section - lo).tolist()
+        doc_idx = sx.table.doc_idx[lo:hi]
         lines.append(f"space\t{space.value}\t{len(terms)}")
         gaps = doc_idx.astype(np.int64)
         gaps[1:] -= doc_idx[:-1]
@@ -393,7 +432,7 @@ def save_index(bundle: IndexBundle, directory: str | Path,
         lines.extend(map("\t".join, zip(
             terms,
             _varint_fields(gaps, offsets),
-            _varint_fields(sx.tf[:offsets[-1]], offsets),
+            _varint_fields(sx.table.tf[lo:hi], offsets),
         )))
     content = "\n".join(lines) + "\n"
     content += f"{_DIGEST}{hashlib.sha256(content.encode('utf-8')).hexdigest()}\n"
@@ -494,14 +533,11 @@ def load_index(directory: str | Path) -> IndexBundle:
         list(chain.from_iterable(row[1::3] for row in cells.values())),
         list(chain.from_iterable(row[2::3] for row in cells.values())),
         path, np.concatenate([np.arange(start + 1, end + 1) for start, end in sections.values()]), len(roster))
-    df = np.diff(offsets)
-    parts, at = {}, 0
-    for space, row in cells.items():
-        terms, lo, hi = row[0::3], offsets[at], offsets[at + len(row) // 3]
-        _check_terms(terms, path, sections[space][0] + 1)
-        parts[space] = _Postings(terms, df[at:at + len(terms)], positions[lo:hi], tf[lo:hi])
-        at += len(terms)
-    bundle = _bundle(parts, roster, lambda space, i: f"{path}:{sections[space][0] + 1 + i}: ")
+    terms = {space: row[0::3] for space, row in cells.items()}
+    for space, (start, _) in sections.items():
+        _check_terms(terms[space], path, start + 1)
+    bundle = _bundle(terms, np.diff(offsets), positions, tf, roster,
+                     lambda space, i: f"{path}:{sections[space][0] + 1 + i}: ")
     # a digest line that can match is ASCII, so len(digest) counts its bytes
     if digest is None or hashlib.sha256(data[:-len(digest) - 1]).hexdigest() != digest[len(_DIGEST):]:
         raise ValueError(f"{path}:{len(lines) + 1}: expected the sha256 of the lines above; the "
@@ -612,7 +648,7 @@ def _check_terms(terms: list[str], path: Path, first: int) -> None:
     such as one holding `%`, or one of a space whose triple names are not all in normal
     form, is checked alone, in file order, by spelling it again; so is a failure, to name
     its line."""
-    # term ids are file order, so it must be the canonical accumulation order
+    # a section's rows are file order, so it must be the canonical accumulation order
     if not all(map(operator.lt, terms, terms[1:])):
         i = next(i for i, (a, b) in enumerate(zip(terms, terms[1:])) if a >= b)
         raise ValueError(f"{path}:{first + i + 1}: terms are not in strictly ascending serialized order")

@@ -21,13 +21,14 @@ Scoring conventions, applied uniformly:
   * final rankings keep strictly positive scores only, sorted by
     descending score with ties broken by ascending doc_id.
 
-A cosine sorts the query's term ids, which follow sorted term order,
-and sums each document's products w_q * w_d with `np.bincount` over the
+A cosine sorts the query's in-vocabulary terms by term string, the order
+of G inverted whole even where G's rows lie in its parts' sections, and
+sums each document's products w_q * w_d with `np.bincount` over their rows'
 postings concatenated in that order. bincount adds posting by posting,
 starting from 0.0, so every score is bit-reproducible regardless of input
-ordering. A term's posting range and idf are read from Python lists that
-its space caches on first use (`offset_list`, `idf_list`), so a query term
-makes no numpy scalar; they hold the same integers and doubles as the
+ordering. A row's posting range and idf are read from Python lists that the
+bundle's table caches on first use (`offset_list`, `idf_list`), so a query
+term makes no numpy scalar; they hold the same integers and doubles as the
 arrays, so the scores are the same bits. Scorers return a read-only
 `Scores` mapping: a view over a roster-long score array whose keys are the
 documents that share an in-vocabulary term with the query.
@@ -159,22 +160,23 @@ class Scores(Mapping):
 
 def cosine_score(query_bag: TermBag, space: SpaceIndex) -> Scores:
     """Cosine between the query bag and every document sharing a term with it."""
-    get = space.term_ids.get
-    found = sorted([(term_id, tf) for term, tf in query_bag.items()
-                    if (term_id := get(term)) is not None])
+    get = space.rows.get
+    # the terms are distinct, so the triples sort by term alone
+    found = sorted([(term, row, tf) for term, tf in query_bag.items() if (row := get(term)) is not None])
     n = len(space.doc_ids)
     touched = np.zeros(n, dtype=bool)
     values = np.zeros(n)
     if not found:
         return Scores(space, values, touched)
-    offsets, idf = space.offset_list, space.idf_list
-    doc_idx, weights = space.doc_idx, space.weights
+    table = space.table
+    offsets, idf = table.offset_list, table.idf_list
+    doc_idx, weights = table.doc_idx, table.weights
     q_sq = 0.0
     docs, products = [], []
-    for term_id, tf in found:
-        w_q = tf * idf[term_id]
+    for _, row, tf in found:
+        w_q = tf * idf[row]
         q_sq += w_q * w_q
-        lo, hi = offsets[term_id], offsets[term_id + 1]
+        lo, hi = offsets[row], offsets[row + 1]
         docs.append(doc_idx[lo:hi])
         products.append(weights[lo:hi] * w_q)
     # as numpy's index type: an int32 index is cast in each fancy assignment and bincount

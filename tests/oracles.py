@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 from ontosearch.expand import Keyword, Space, Triple, triple_slots
-from ontosearch.index import IndexBundle, _space_index
+from ontosearch.index import IndexBundle, _space_index, _table
 from ontosearch.kb import normalize_name
 from ontosearch.stem import stem
 
@@ -201,21 +201,19 @@ def recognize_regex(text: str, kb) -> list[tuple[int, int]]:
 def build_index_dicts(reps) -> IndexBundle:
     """build_index by per-term lists: each term's (roster position, tf)
     postings gathered in a dict, the terms then sorted.
-    G is each document's own G part, whole, united with its N, C, NC and I
-    bags.
+    G is each document's composed `space_bags[G]`, whole: its own keywords
+    and its N, C, NC and I terms, inverted as one space.
 
-    It groups postings independently of the engine and shares only the
-    engine's array assembly, `index._space_index`.
+    Each space gets a table of its own, row i holding its i-th sorted term,
+    so no space reads the rows of another. It groups postings independently
+    of the engine and shares only the engine's array assembly,
+    `index._table` and `index._space_index`.
     """
     by_doc: dict = {}
     for rep in reps:
         if rep.doc_id in by_doc:
             raise ValueError(f"duplicate doc_id {rep.doc_id!r}")
-        parts = rep.parts
-        generalized = dict(parts.get(Space.G, {}))
-        for space in (Space.N, Space.C, Space.NC, Space.I):
-            generalized |= parts.get(space, {})
-        by_doc[rep.doc_id] = {**parts, Space.G: generalized}
+        by_doc[rep.doc_id] = rep.space_bags
     roster = tuple(sorted(by_doc))
 
     spaces = {}
@@ -226,13 +224,13 @@ def build_index_dicts(reps) -> IndexBundle:
                 term_docs.setdefault(term, []).append((position, tf))
         terms = sorted(term_docs)
         postings = [posting for term in terms for posting in term_docs[term]]
-        spaces[space] = _space_index(
-            terms,
+        table = _table(
             [len(term_docs[term]) for term in terms],
             [position for position, _ in postings],
             [tf for _, tf in postings],
-            roster,
+            len(roster),
         )
+        spaces[space] = _space_index(dict(zip(terms, range(len(terms)))), table, roster)
     return IndexBundle(spaces=spaces, doc_ids=roster)
 
 

@@ -614,6 +614,34 @@ def test_search_takes_every_config_key_as_a_flag(tmp_path):
         key: f"v-{key}" for key in keys}
 
 
+def test_main_builds_the_parser_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    outputs = []
+    for _ in range(2):
+        assert run_cli("dump-terms", "--kb", KB, "Georgia wine") == 0
+        outputs.append(capsys.readouterr().out)
+    assert (cli._build_parser.cache_info().misses, cli._build_parser.cache_info().hits) == (1, 1)
+    assert outputs[0] == outputs[1] and "wine\n" in outputs[0]
+
+
+@pytest.mark.parametrize("command", [[], ["index"], ["search"], ["eval"], ["sigtest"], ["dump-terms"]],
+                         ids=["ontosearch", "index", "search", "eval", "sigtest", "dump-terms"])
+def test_every_help_is_formatted_at_print_time_as_a_fresh_parser_formats_it(command, monkeypatch, capsys):
+    # the cached parser does not freeze the width of the terminal it was built under
+    cli._build_parser.cache_clear()
+    for columns in ("50", "120", "50"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exit_info:
+            cli._build_parser.__wrapped__().parse_args([*command, "--help"])
+        assert exit_info.value.code == 0
+        fresh = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*command, "--help")
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == fresh
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_readme_flag_table_lists_each_commands_settings_flags():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]

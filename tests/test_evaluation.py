@@ -491,6 +491,22 @@ def test_a_parse_pauses_the_collector_for_its_pass_and_restores_it(parse, text, 
         gc.enable()
 
 
+@pytest.mark.parametrize("parse, line", [
+    (parse_run, "q{} Q0 docA 1 0.5 t\n"),
+    (parse_qrels, "q{} 0 docA 1\n"),
+])
+def test_a_parse_leaves_no_young_generation_for_a_later_allocation_to_collect(parse, line):
+    # the pass keeps a few containers a query, in all fewer than the collector's threshold
+    # of 700, so only the parse itself can collect them
+    n = 100
+    text = "".join(line.format(i) for i in range(n))
+    gc.collect()
+    parsed = parse(text)
+    young = gc.get_count()[0]
+    assert len(parsed) == n
+    assert young < n // 2
+
+
 @st.composite
 def judged_texts(draw, run: bool):
     """A run (`run`) or qrels text, with at most one malformed line.

@@ -424,7 +424,7 @@ def test_parsed_term_finds_its_index_entry(tmp_path_factory, term):
     directory = tmp_path_factory.mktemp("idx")
     save_index(built, directory)
     sx = load_index(directory).spaces[space]
-    assert sx.term_ids[term] == built.spaces[space].term_ids[term]
+    assert sx.rows[term] == built.spaces[space].rows[term]
     assert sx.df[term] == 1
 
 

@@ -1,5 +1,6 @@
 """Inverted-index construction, tf-idf weighting, and persistence."""
 
+import base64
 import dataclasses
 import hashlib
 import math
@@ -63,12 +64,23 @@ K = Keyword
 
 
 def postings(sx, term):
-    """(doc_id, tf) pairs of a term's postings, read off the CSR arrays."""
-    t = sx.term_ids[term]
-    lo, hi = sx.offsets[t], sx.offsets[t + 1]
+    """(doc_id, tf) pairs of a term's postings, read off its row of the space's table."""
+    table, row = sx.table, sx.rows[term]
+    lo, hi = table.offsets[row], table.offsets[row + 1]
     return tuple(
-        (sx.doc_ids[i], tf) for i, tf in zip(sx.doc_idx[lo:hi].tolist(), sx.tf[lo:hi].tolist())
+        (sx.doc_ids[i], tf) for i, tf in zip(table.doc_idx[lo:hi].tolist(), table.tf[lo:hi].tolist())
     )
+
+
+def assert_same_space(sx, reference):
+    """Term by term: the same sorted terms, each with the same (doc_id, tf) postings and idf
+    bits, and the same norms bits."""
+    assert sx.doc_ids == reference.doc_ids
+    assert list(sx.rows) == list(reference.rows)
+    for term, row in sx.rows.items():
+        assert postings(sx, term) == postings(reference, term), term
+        assert sx.table.idf[row].tobytes() == reference.table.idf[reference.rows[term]].tobytes(), term
+    assert sx.norms.tobytes() == reference.norms.tobytes()
 
 
 def norm(sx, doc_id):
@@ -158,7 +170,7 @@ def test_build_is_invariant_under_input_permutation():
         bundle = build_index(shuffled)
         assert bundle == reference  # dataclass equality: exact floats included
         for space in Space:
-            assert list(bundle.spaces[space].term_ids) == list(reference.spaces[space].term_ids)
+            assert list(bundle.spaces[space].rows) == list(reference.spaces[space].rows)
 
 
 @pytest.mark.parametrize("tf", [0, -2])
@@ -171,8 +183,9 @@ def test_build_rejects_a_bag_count_below_one(tf):
 def test_postings_tf_sums_are_conserved():
     bundle = build_index(FIVE_DOCS)
     for space in Space:
+        sx = bundle.spaces[space]
         total_in_bags = sum(sum(d.space_bags[space].values()) for d in FIVE_DOCS)
-        total_in_postings = sum(bundle.spaces[space].tf.tolist())
+        total_in_postings = sum(tf for term in sx.rows for _, tf in postings(sx, term))
         assert total_in_postings == total_in_bags
 
 
@@ -227,7 +240,9 @@ def test_two_keys_of_one_document_that_share_a_term_give_one_posting(figure_kb):
     bundle = build_index(docs)
     assert postings(bundle.spaces[Space.C], location) == (("d", 2),)
     assert postings(bundle.spaces[Space.G], location) == (("d", 2),)
-    assert bundle == oracles.build_index_dicts(docs)
+    reference = oracles.build_index_dicts(docs)
+    for space in Space:
+        assert_same_space(bundle.spaces[space], reference.spaces[space])
 
 
 def test_a_representation_stores_g_own_terms_and_composes_g_on_read():
@@ -253,7 +268,7 @@ def test_save_writes_one_index_file(tmp_path):
     ]
     assert lines[9] == "k:alpha\tAAED\tAwEC"  # the base64 of the bytes 00 01 03 and 03 01 02
     # G's four entity terms are N's, C's and I's, so its section lists none
-    assert len(build_index(FIVE_DOCS).spaces[Space.G].term_ids) == 4
+    assert len(build_index(FIVE_DOCS).spaces[Space.G].rows) == 4
     assert [line for line in lines if line.startswith("space\t")] == [
         "space\tKW\t4", "space\tN\t2", "space\tC\t1", "space\tNC\t0", "space\tI\t1", "space\tG\t0",
     ]
@@ -270,7 +285,7 @@ def test_round_trip_restores_everything_exactly(tmp_path):
     for space in Space:
         assert loaded.spaces[space].norms.tolist() == built.spaces[space].norms.tolist()  # exact floats
     # G's own keywords and the entity terms of N, C, NC and I, in one sorted order
-    assert list(loaded.spaces[Space.G].term_ids) == [
+    assert list(loaded.spaces[Space.G].rows) == [
         K("alpha"), Triple(None, "City", None), Triple("x", None, None),
         Triple("x", "City", "City_1"), Triple("y", None, None)]
 
@@ -290,7 +305,32 @@ def test_idf_is_each_dfs_tfidf_weight_bit_for_bit(tmp_path, n_extra):
         for sx in bundle.spaces.values():
             want = [tfidf_weight(1, df, sx.n_docs) for df in sx.df.values()]
             assert len(set(want)) < len(want)  # terms share a df
-            assert sx.idf.tobytes() == np.array(want, dtype=np.float64).tobytes()
+            assert sx.table.idf[list(sx.rows.values())].tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def test_every_space_reads_one_table_that_holds_each_stored_posting_once(tmp_path):
+    # G reads its own rows and those of N, C, NC and I; it keeps no postings of its own
+    collection = generate(seed=7, n_docs=600)
+    kb = parse_kb(collection.kb_text)
+    built = build_index([represent_document(text, kb, doc_id)
+                         for doc_id, text in parse_corpus(collection.corpus_text).items()])
+    save_index(built, tmp_path)
+    loaded = load_index(tmp_path)
+    assert built == loaded
+    term_lines = [line.split("\t") for line in (tmp_path / "index.tsv").read_text("utf-8").splitlines()
+                  if line.startswith(("k:", "t:"))]
+    # a varint's last byte is the one below 0x80, so a gaps field holds as many postings
+    stored = sum(sum(byte < 0x80 for byte in base64.b64decode(gaps)) for _, gaps, _ in term_lines)
+    for bundle in (built, loaded):
+        table = bundle.spaces[Space.KW].table
+        assert all(sx.table is table for sx in bundle.spaces.values())
+        assert len(table.offsets) - 1 == len(term_lines)
+        assert table.offsets[-1] == len(table.doc_idx) == len(table.tf) == len(table.weights) == stored
+        assert all([name for name, value in vars(sx).items() if isinstance(value, np.ndarray)] == ["norms"]
+                   for sx in bundle.spaces.values())
+        entity_rows = {term: row for space in ENTITY_SPACES for term, row in bundle.spaces[space].rows.items()}
+        g_rows = bundle.spaces[Space.G].rows
+        assert {term: row for term, row in g_rows.items() if term.startswith("t:")} == entity_rows
 
 
 def test_a_carriage_return_in_a_doc_id_or_fingerprint_value_round_trips(tmp_path):
@@ -305,18 +345,21 @@ def test_query_views_are_built_on_first_use_from_the_bundle_roster(tmp_path):
     built = build_index(FIVE_DOCS)
     save_index(built, tmp_path)
     loaded = load_index(tmp_path)
-    views = ("doc_array", "offset_list", "idf_list", "has_norm")
-    assert not any(view in vars(sx) for sx in loaded.spaces.values() for view in views)
+    space_views, table_views = ("doc_array", "has_norm"), ("offset_list", "idf_list")
+    assert not any(view in vars(sx) for sx in loaded.spaces.values() for view in space_views)
+    assert not any(view in vars(sx.table) for sx in loaded.spaces.values() for view in table_views)
     for bundle in (built, loaded):
         for sx in bundle.spaces.values():
             assert sx.doc_ids is bundle.doc_ids
             assert sx.doc_array.dtype == object and len(sx.doc_array) == len(bundle.doc_ids)
             assert all(a is b for a, b in zip(sx.doc_array, bundle.doc_ids))
-            assert sx.offset_list == sx.offsets.tolist()
-            assert all(type(o) is int for o in sx.offset_list)
-            assert sx.idf_list == sx.idf.tolist()
-            assert all(type(x) is float for x in sx.idf_list)
             assert sx.has_norm.tolist() == (sx.norms > 0.0).tolist()
+        table = bundle.spaces[Space.KW].table  # one per bundle, so its lists are built once
+        assert table.offset_list == table.offsets.tolist()
+        assert all(type(o) is int for o in table.offset_list)
+        assert table.idf_list == table.idf.tolist()
+        assert all(type(x) is float for x in table.idf_list)
+        assert all(sx.table.offset_list is table.offset_list for sx in bundle.spaces.values())
 
 
 def test_rewrite_is_byte_identical(tmp_path):
@@ -864,7 +907,7 @@ def test_random_corpora_round_trip_and_conserve(tmp_path_factory, corpus):
     built = build_index(reps)
     assert built.doc_ids == tuple(sorted(corpus))
     kw = built.spaces[Space.KW]
-    for term in kw.term_ids:
+    for term in kw.rows:
         plist = postings(kw, term)
         assert kw.df[term] == len(plist)
         assert all(tf >= 1 for _, tf in plist)
@@ -907,7 +950,7 @@ def build_both_and_compare(reps, tmp_path_factory):
     built, reference = build_index(reps), oracles.build_index_dicts(reps)
     assert built.doc_ids == reference.doc_ids
     for space in Space:
-        assert built.spaces[space] == reference.spaces[space], space
+        assert_same_space(built.spaces[space], reference.spaces[space])
     directories = tmp_path_factory.mktemp("lexsort"), tmp_path_factory.mktemp("dicts")
     save_index(built, directories[0])
     save_index(reference, directories[1])
@@ -932,7 +975,7 @@ def test_build_equals_the_dict_of_lists_build_on_a_pinned_corpus(tmp_path_factor
     ]
     build_both_and_compare(reps, tmp_path_factory)
     built = build_index(reps)
-    assert [space for space in Space if shared in built.spaces[space].term_ids] == [Space.N, Space.G]
+    assert [space for space in Space if shared in built.spaces[space].rows] == [Space.N, Space.G]
 
 
 @pytest.fixture(scope="module")
