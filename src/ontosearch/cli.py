@@ -54,6 +54,7 @@ from .evaluation import (
     load_run,
     mean_curve,
     randomization_test,
+    relevance_mask,
 )
 from .expand import Space, display_term
 from .index import _atomic_write, build_index, load_index, read_fingerprint, save_index
@@ -103,7 +104,7 @@ def parse_corpus(text: str, origin: str = "<corpus>") -> dict[str, str]:
             doc_id = raw[len("DOC\t"):].strip()
             if not doc_id:
                 raise CliError(f"{origin}:{lineno}: DOC record with empty id")
-            if any(ch.isspace() for ch in doc_id):
+            if doc_id.split() != [doc_id]:  # split() splits at exactly the str.isspace characters
                 raise CliError(f"{origin}:{lineno}: doc id {doc_id!r} contains whitespace")
             if doc_id in docs:
                 raise CliError(f"{origin}:{lineno}: duplicate doc id {doc_id!r}")
@@ -204,9 +205,10 @@ def cmd_eval(run_path: Path, qrels_path: Path, output_path: Path) -> None:
     per_query_ap: dict[str, float] = {}
     curves = []
     for query_id in sorted(qrels):
-        ranking = run.get(query_id, [])
-        per_query_ap[query_id] = average_precision(ranking, qrels[query_id])
-        curves.append(interpolated_curve(ranking, qrels[query_id]))
+        ranking, relevant = run.get(query_id, []), qrels[query_id]
+        mask = relevance_mask(ranking, relevant)  # one per ranking, for both judgments
+        per_query_ap[query_id] = average_precision(ranking, relevant, mask=mask)
+        curves.append(interpolated_curve(ranking, relevant, mask=mask))
     _atomic_write(output_path, format_eval_report(per_query_ap, mean_curve(curves)))
 
 

@@ -3,8 +3,9 @@ precision-recall-F curves at the 11 standard recall levels, and a paired
 Fisher randomization test for comparing two systems.
 
 Average precision and the curve each start from one relevance mask per
-ranking; every sum over a ranking is a sequential `np.cumsum`, so both
-equal the prefix-scan definitions exactly.
+ranking, which a caller judging both may build once and pass to each;
+every sum over a ranking is a sequential `np.cumsum`, so both equal the
+prefix-scan definitions exactly.
 
 The randomization test keys one Philox generator by the seed. Permutation
 p's swap decisions are the raw draws at counter `[0, p, 0, 0]`: the
@@ -43,15 +44,19 @@ RECALL_LEVELS = tuple(round(0.1 * j, 1) for j in range(11))
 _BLOCK_FLOATS = 1 << 13
 
 
-def _relevance_mask(ranking: list[str], relevant: set[str]) -> np.ndarray:
+def relevance_mask(ranking: list[str], relevant: set[str]) -> np.ndarray:
+    """Whether each ranked doc is relevant, in rank order."""
     return np.fromiter(map(relevant.__contains__, ranking), bool, len(ranking))
 
 
-def average_precision(ranking: list[str], relevant: set[str]) -> float:
-    """Mean of precision-at-rank over retrieved relevant docs; misses add 0."""
+def average_precision(ranking: list[str], relevant: set[str], *, mask: np.ndarray | None = None) -> float:
+    """Mean of precision-at-rank over retrieved relevant docs; misses add 0.
+    `mask`, when given, is the ranking's `relevance_mask`."""
     if not relevant:
         raise ValueError("relevant set is empty")
-    ranks = np.flatnonzero(_relevance_mask(ranking, relevant)) + 1
+    if mask is None:
+        mask = relevance_mask(ranking, relevant)
+    ranks = np.flatnonzero(mask) + 1
     # the i-th hit's precision is i / its rank; a sequential cumsum adds
     # them in rank order, as a scan does (the pairwise np.sum would not)
     totals = np.cumsum(np.arange(1, ranks.size + 1) / ranks)
@@ -89,13 +94,16 @@ def _f_measure(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def interpolated_curve(ranking: list[str], relevant: set[str]) -> PRCurve:
+def interpolated_curve(ranking: list[str], relevant: set[str], *, mask: np.ndarray | None = None) -> PRCurve:
     """Interpolated precision at each level: the max precision over every
     ranking prefix whose recall reaches the level; F pairs that precision
-    with the level's recall value."""
+    with the level's recall value. `mask`, when given, is the ranking's
+    `relevance_mask`."""
     if not relevant:
         raise ValueError("relevant set is empty")
-    hits = np.cumsum(_relevance_mask(ranking, relevant))
+    if mask is None:
+        mask = relevance_mask(ranking, relevant)
+    hits = np.cumsum(mask)
     recalls = hits / len(relevant)
     precisions = hits / np.arange(1, len(ranking) + 1)
     # recall never falls along the ranking, so the prefixes reaching a level

@@ -8,9 +8,9 @@ identifier spaces N, C, NC and I hold the entity terms; the generalized space
 G holds the stems whose spans lie outside entity mentions plus the same
 entity terms. A model only chooses which spaces it scores; under kw+ne+wh,
 `rank.represent_query` also passes the query's wh class to `expand_query`,
-which adds it to G's own part as one class-only term. A wh class is
-configuration, not an annotation, so it is not validated against the KB (an
-unknown class simply never matches a posting).
+which adds it to G as one class-only term. A wh class is configuration, not
+an annotation, so it is not validated against the KB (an unknown class
+simply never matches a posting).
 
 Documents are expanded aggressively: each entity occurrence contributes its
 name plus every alias, its class plus every non-top-level superclass, all
@@ -21,16 +21,18 @@ alone), with no alias or superclass closure; the document side of the match
 carries the burden.
 
 A term is its canonical string, the very form `index.tsv` stores: `k:<stem>`
-or `t:<name>/<class>/<id>` (see `Triple`). A query is expanded into term
-bags (`DocRepresentation`). A document is only counted (`DocumentCounts`):
-its stems, its own G part as the stems that `keywords_outside_entities`
-keeps (the rule queries use), and its annotations by key (name, class, id).
-A key's N, C, NC and I terms are built once per KB, in `kb.expansions`, and
-the document keeps that table beside its key counts, so `index.build_index`
-inverts the counts without a term bag per document. A document's `parts`
-and `space_bags` are composed from the counts on first read; as in
-`index.tsv`, G's stored part holds only G's own terms, and `space_bags`
-adds the entity bags, the text side's one G.
+or `t:<name>/<class>/<id>` (see `Triple`). A query is expanded in one pass
+into six plain dicts (`DocRepresentation.space_bags`, in `Space` order), G
+already composed: its kept keywords, the wh term and each annotation's one
+term, counts added. A document is only counted (`DocumentCounts`): its
+stems, its own G part as the stems that `keywords_outside_entities` keeps
+(the rule queries use), and its annotations by key (name, class, id). A
+key's N, C, NC and I terms are built once per KB, in `kb.expansions`, and
+the document keeps that table beside its key counts, so
+`index.build_index` inverts the counts without a term bag per document. A
+document's `parts` and `space_bags` are composed from the counts on first
+read; as in `index.tsv`, G's stored part holds only G's own terms, and
+`space_bags` adds the entity bags, the text side's one G.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .annotate import AnnotatedText, EntityAnnotation, keywords_outside_entities
 from .kb import KnowledgeBase, alias_set, normalize_name, super_classes
@@ -53,7 +56,9 @@ class Space(str, Enum):
     G = "G"
 
 
-_ENTITY_SPACES = (Space.N, Space.C, Space.NC, Space.I)
+# the members read once: each read of `Space.X` costs about four str hashes
+_KW, _N, _C, _NC, _I, _G = Space
+_ENTITY_SPACES = (_N, _C, _NC, _I)
 
 
 GeneralizedTerm = str  # `k:<stem>` or `t:<name>/<class>/<id>`: see `Keyword` and `Triple`
@@ -97,15 +102,10 @@ def _compose_g(parts: dict[Space, TermBag]) -> dict[Space, TermBag]:
     return {**parts, Space.G: generalized}
 
 
-@dataclass
-class DocRepresentation:
-    """A query's bags: `parts` holds KW, N, C, NC and I, and under G only G's own terms."""
+class DocRepresentation(NamedTuple):
+    """A query's six bags, in `Space` order, G composed."""
 
-    parts: dict[Space, TermBag]
-
-    @cached_property
-    def space_bags(self) -> dict[Space, TermBag]:
-        return _compose_g(self.parts)
+    space_bags: dict[Space, TermBag]
 
 
 # an annotation key: (name, class_id, entity_id), the name normalized unless the id is known
@@ -222,30 +222,43 @@ def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> D
 def _most_specific_term(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[Space, GeneralizedTerm]:
     _check_ids(ann, kb)
     if ann.entity_id is not None:
-        return Space.I, Triple(entity_id=ann.entity_id)
+        return _I, Triple(entity_id=ann.entity_id)
     if ann.name is not None and ann.class_id is not None:
-        return Space.NC, Triple(name=ann.name, class_id=ann.class_id)
+        return _NC, Triple(name=ann.name, class_id=ann.class_id)
     if ann.class_id is not None:
-        return Space.C, Triple(class_id=ann.class_id)
-    return Space.N, Triple(name=ann.name)
+        return _C, Triple(class_id=ann.class_id)
+    return _N, Triple(name=ann.name)
 
 
 def expand_query(at: AnnotatedText, kb: KnowledgeBase,
                  wh_class: str | None = None) -> DocRepresentation:
     """Query-side expansion: one most-specific term per annotation, no closure,
-    and `wh_class`, when given, as one class-only term of G's own part. The KW
-    terms and G's own keyword terms are each counted by one call; the entity
-    bags, mostly empty, are plain dicts, which cost far less to make.
+    and `wh_class`, when given, as one class-only term of G. All six bags are
+    plain dicts filled in one pass; each annotation's term is counted in its
+    own space and in G, so G is composed as it is filled.
     """
-    entity_bags = {space: {} for space in _ENTITY_SPACES}
-    for ann in at.entities:
-        space, term = _most_specific_term(ann, kb)
-        bag = entity_bags[space]
-        bag[term] = bag.get(term, 0) + 1
-    own = Counter(map(Keyword, keywords_outside_entities(at.stems, at.spans, at.entities)))
+    kw: TermBag = {}
+    for stem in at.stems:
+        term = "k:" + stem
+        kw[term] = kw.get(term, 0) + 1
+    bags = {_KW: kw, _N: {}, _C: {}, _NC: {}, _I: {}}
+    if at.entities:
+        g: TermBag = {}
+        for stem in keywords_outside_entities(at.stems, at.spans, at.entities):
+            term = "k:" + stem
+            g[term] = g.get(term, 0) + 1
+        for ann in at.entities:
+            space, term = _most_specific_term(ann, kb)
+            bag = bags[space]
+            bag[term] = bag.get(term, 0) + 1
+            g[term] = g.get(term, 0) + 1
+    else:  # every keyword is kept
+        g = kw.copy()
     if wh_class is not None:
-        own[Triple(class_id=wh_class)] += 1
-    return DocRepresentation({Space.KW: Counter(map(Keyword, at.stems)), **entity_bags, Space.G: own})
+        term = Triple(class_id=wh_class)
+        g[term] = g.get(term, 0) + 1
+    bags[_G] = g
+    return DocRepresentation(bags)
 
 
 # --- term slots -------------------------------------------------------------

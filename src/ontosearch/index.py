@@ -17,7 +17,9 @@ and I each read their section's rows; G reads its own section's and those of
 N, C, NC and I merged by term (`_bundle`, the one place the index side
 defines G), so an entity posting is held once, as in the file. A space's
 norms are the squares of its rows' postings summed by `np.bincount` in its
-term order, each row's block gathered in turn.
+term order, each row's block gathered in turn. All spaces share one roster
+(`Roster`), the sorted doc ids, and so its query-time views: a doc id's
+position and an object array of the ids, each built on first use.
 
 The build is a sort-based inversion (Zobel & Moffat, "Inverted files for
 text search engines", 2006) of counted documents (`expand.DocumentCounts`);
@@ -131,6 +133,20 @@ class PostingsTable:
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _TABLE_FIELDS)
 
 
+class Roster(tuple):
+    """A bundle's doc ids, sorted: one tuple that all its spaces share, with the query-time
+    views of it, each built on first use, once per bundle."""
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        return {doc_id: i for i, doc_id in enumerate(self)}
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The roster as an object array, so one take maps positions to doc ids."""
+        return np.array(self, dtype=object)
+
+
 @dataclass(eq=False)
 class SpaceIndex:
     """One space: its terms, in sorted order, each mapped to its row of the bundle's table,
@@ -138,7 +154,7 @@ class SpaceIndex:
     """
 
     rows: dict[GeneralizedTerm, int]
-    doc_ids: tuple[str, ...]
+    doc_ids: Roster
     table: PostingsTable
     norms: np.ndarray    # float64, per roster position
 
@@ -152,16 +168,15 @@ class SpaceIndex:
         rows = np.fromiter(self.rows.values(), np.int64, len(self.rows))
         return dict(zip(self.rows, (self.table.offsets[rows + 1] - self.table.offsets[rows]).tolist()))
 
-    @cached_property
-    def doc_positions(self) -> dict[str, int]:
-        return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
-
     # Query-time views, each built on first use.
 
-    @cached_property
+    @property
+    def doc_positions(self) -> dict[str, int]:
+        return self.doc_ids.positions
+
+    @property
     def doc_array(self) -> np.ndarray:
-        """The roster as an object array, so one take maps positions to doc ids."""
-        return np.array(self.doc_ids, dtype=object)
+        return self.doc_ids.array
 
     @cached_property
     def has_norm(self) -> np.ndarray:
@@ -182,7 +197,7 @@ class SpaceIndex:
 @dataclass
 class IndexBundle:
     spaces: dict[Space, SpaceIndex]
-    doc_ids: tuple[str, ...]
+    doc_ids: Roster
 
 
 def tfidf_weight(tf: int, df: int, n_docs: int) -> float:
@@ -210,7 +225,7 @@ def _table(df: Sequence[int], doc_idx: Sequence[int], tf: Sequence, n_docs: int)
     return PostingsTable(offsets=offsets, doc_idx=doc_idx, tf=tf, idf=idf, weights=tf * np.repeat(idf, counts))
 
 
-def _space_index(rows: dict[GeneralizedTerm, int], table: PostingsTable, doc_ids: tuple[str, ...]) -> SpaceIndex:
+def _space_index(rows: dict[GeneralizedTerm, int], table: PostingsTable, doc_ids: Roster) -> SpaceIndex:
     """A space over rows of `table`, its terms in sorted order. Its norms add each document's
     squares in that order: each row's block of postings is gathered in turn, then `np.bincount`
     adds them, as for the space inverted whole."""
@@ -312,6 +327,7 @@ def _bundle(sections: Mapping[Space, list[GeneralizedTerm]], df: np.ndarray, doc
             raise ValueError(f"{where(space, i)}term {terms[i]!r} lies in two of N, C, NC and I")
         seen.update(terms)
     table = _table(df, doc_idx, tf, len(roster))
+    roster = Roster(roster)
     rows, first = {}, 0
     for space, terms in sections.items():
         rows[space] = dict(zip(terms, range(first, first + len(terms))))

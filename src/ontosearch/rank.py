@@ -8,7 +8,17 @@ over the generalized term space. Every query and document is analysed the
 same way and expanded into all six spaces whatever the model; a model only
 picks the spaces it scores. The one exception is kw+ne+wh, under which
 `represent_query` adds the class of the query's interrogative word (or the
-query's override) to G as one class term.
+query's override) to G as one class term. A query's six bags are plain
+dicts, G composed when the query is expanded, and `score_query` reads one
+bag per space it scores.
+
+Under `ne` and `kw-union-ne` every entity space's cosine is taken, but one
+whose bag shares no term with the space's vocabulary costs no array work:
+it returns shared read-only zeros, touching nothing, and the weighted sums
+leave it out. It would only add w * 0.0 to each document's sum, and since
+every score is >= 0 and every weight finite and >= 0, x + 0.0 == x keeps
+the sum's bits. A query that reaches no entity space scores nothing under
+`ne`.
 
 Scoring conventions, applied uniformly:
   * a query term missing from a space's vocabulary has no document
@@ -31,19 +41,21 @@ bundle's table caches on first use (`offset_list`, `idf_list`), so a query
 term makes no numpy scalar; they hold the same integers and doubles as the
 arrays, so the scores are the same bits. Scorers return a read-only
 `Scores` mapping: a view over a roster-long score array whose keys are the
-documents that share an in-vocabulary term with the query.
+documents that share an in-vocabulary term with the query. A weighted sum
+starts from its first product rather than from zeros, the same bits.
 
 `rank_documents`, and so `search`, returns a `Ranking`: two flat lists,
 `doc_ids` and clamped `scores`, in rank order. The kept roster positions
-become doc ids by one take from the space's cached object array of the
-roster (`doc_array`), which holds the roster's own strings. A `Ranking` is
-a read-only sequence of `ScoredDoc`, but builds a `ScoredDoc` only for an
-item that is indexed or iterated; `format_run_lines` reads the two lists
-directly.
+become doc ids by one take from the roster's object array (`doc_array`),
+built once per bundle and shared by its spaces, which holds the roster's
+own strings. A `Ranking` is a read-only sequence of `ScoredDoc`, but
+builds a `ScoredDoc` only for an item that is indexed or iterated;
+`format_run_lines` reads the two lists directly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -53,7 +65,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .annotate import DEFAULT_STOPWORDS, DEFAULT_WH_MAPPING, annotate, wh_class
-from .expand import DocRepresentation, DocumentCounts, Space, TermBag, expand_document, expand_query
+from .expand import (
+    _C, _G, _I, _KW, _N, _NC, DocRepresentation, DocumentCounts, TermBag, expand_document, expand_query,
+)
 from .index import IndexBundle, SpaceIndex
 from .kb import KnowledgeBase
 
@@ -64,6 +78,11 @@ class Model(str, Enum):
     KW_UNION_NE = "kw-union-ne"
     KW_PLUS_NE = "kw+ne"
     KW_PLUS_NE_WH = "kw+ne+wh"
+
+
+# read once: each read of a member such as `Model.NE` costs about four str hashes
+_NE, _WH = Model.NE, Model.KW_PLUS_NE_WH
+_ONE_SPACE = {Model.KW: _KW, Model.KW_PLUS_NE: _G, _WH: _G}  # the models that score one space
 
 
 @dataclass(frozen=True)
@@ -158,16 +177,25 @@ class Scores(Mapping):
         return int(np.count_nonzero(self.touched))
 
 
+@functools.lru_cache(maxsize=8)
+def _untouched(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only zeros and all-False flags over an n-document roster: the score array and
+    `touched` of every cosine that shares no term with its space."""
+    values, touched = np.zeros(n), np.zeros(n, dtype=bool)
+    values.flags.writeable = touched.flags.writeable = False
+    return values, touched
+
+
 def cosine_score(query_bag: TermBag, space: SpaceIndex) -> Scores:
     """Cosine between the query bag and every document sharing a term with it."""
     get = space.rows.get
     # the terms are distinct, so the triples sort by term alone
     found = sorted([(term, row, tf) for term, tf in query_bag.items() if (row := get(term)) is not None])
     n = len(space.doc_ids)
+    if not found:
+        return Scores(space, *_untouched(n))
     touched = np.zeros(n, dtype=bool)
     values = np.zeros(n)
-    if not found:
-        return Scores(space, values, touched)
     table = space.table
     offsets, idf = table.offset_list, table.idf_list
     doc_idx, weights = table.doc_idx, table.weights
@@ -190,16 +218,20 @@ def cosine_score(query_bag: TermBag, space: SpaceIndex) -> Scores:
     return Scores(space, values, touched)
 
 
-def _weighted_sum(weighted: list[tuple[float, Scores]]) -> Scores:
-    """Sum of weight * scores, added onto zeros in order, over every touched document."""
-    first = weighted[0][1]
-    combined = np.zeros(len(first.array))
-    touched = np.zeros(len(first.array), dtype=bool)
-    for weight, scores in weighted:
+def _weighted_sum(weighted: list[tuple[float, Scores]], space: SpaceIndex) -> Scores:
+    """Sum of weight * scores in order, over every touched document of `space`'s roster;
+    an empty list gives zeros, none touched. Starting from the first product gives the
+    bits of adding onto zeros, since 0.0 + x == x for x >= 0."""
+    if not weighted:
+        return Scores(space, *_untouched(len(space.doc_ids)))
+    (weight, first), *rest = weighted
+    combined = weight * first.array
+    touched = first.touched.copy()
+    for weight, scores in rest:
         # outside a view its score is 0.0, and x + 0.0 == x for x >= 0
         combined += weight * scores.array
         touched |= scores.touched
-    return Scores(first.space, combined, touched)
+    return Scores(space, combined, touched)
 
 
 def represent_query(
@@ -218,7 +250,7 @@ def represent_query(
     becomes a G term; an empty `wh_mapping` maps no word.
     """
     wh = None
-    if cfg.model is Model.KW_PLUS_NE_WH:
+    if cfg.model is _WH:
         wh = wh_override if wh_override is not None else wh_class(query_text, wh_mapping)
     return expand_query(annotate(query_text, kb, stopwords=stopwords), kb, wh_class=wh)
 
@@ -235,18 +267,26 @@ def represent_document(
 
 
 def score_query(q: DocRepresentation | DocumentCounts, idx: IndexBundle, cfg: ModelConfig) -> Scores:
-    """The configured model's scores; `kw-union-ne` is exact at both ends of alpha."""
-    def cosine(space: Space) -> Scores:  # only G is composed; another space scores its stored part
-        return cosine_score((q.space_bags if space is Space.G else q.parts)[space], idx.spaces[space])
-    if cfg.model is Model.KW:
-        return cosine(Space.KW)
-    if cfg.model in (Model.KW_PLUS_NE, Model.KW_PLUS_NE_WH):
-        return cosine(Space.G)
-    ne = _weighted_sum([(cfg.w_n, cosine(Space.N)), (cfg.w_c, cosine(Space.C)),
-                        (cfg.w_nc, cosine(Space.NC)), (cfg.w_i, cosine(Space.I))])
-    if cfg.model is Model.NE:
+    """The configured model's scores; `kw-union-ne` is exact at both ends of alpha.
+
+    A cosine that shares no term with its space touches nothing and is 0.0
+    everywhere; every weight is finite and >= 0, so it is left out of the sums.
+    """
+    bags, spaces = q.space_bags, idx.spaces
+    one = _ONE_SPACE.get(cfg.model)
+    if one is not None:
+        return cosine_score(bags[one], spaces[one])
+    nothing = _untouched(len(idx.doc_ids))[1]
+    entity = []
+    for weight, space in ((cfg.w_n, _N), (cfg.w_c, _C), (cfg.w_nc, _NC), (cfg.w_i, _I)):
+        scores = cosine_score(bags[space], spaces[space])
+        if scores.touched is not nothing:
+            entity.append((weight, scores))
+    kw = spaces[_KW]
+    ne = _weighted_sum(entity, kw)
+    if cfg.model is _NE:
         return ne
-    return _weighted_sum([(cfg.alpha, ne), (1.0 - cfg.alpha, cosine(Space.KW))])
+    return _weighted_sum([(cfg.alpha, ne), (1.0 - cfg.alpha, cosine_score(bags[_KW], kw))], kw)
 
 
 def rank_documents(scores: Scores, k: int | None = None) -> Ranking:

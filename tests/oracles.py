@@ -15,9 +15,12 @@ from collections import Counter
 import numpy as np
 
 from ontosearch.expand import Keyword, Space, Triple, triple_slots
-from ontosearch.index import IndexBundle, _space_index, _table
+from ontosearch.index import IndexBundle, Roster, _space_index, _table
 from ontosearch.kb import normalize_name
+from ontosearch.rank import Model, Scores, cosine_score
 from ontosearch.stem import stem
+
+ENTITY_SPACES = (Space.N, Space.C, Space.NC, Space.I)
 
 
 # --- ontology ---------------------------------------------------------------
@@ -111,15 +114,29 @@ def generalized_bag(at, kb) -> Counter:
     return bag
 
 
+def most_specific_term(ann, kb) -> tuple:
+    """A mention's (space, term) on the query side: its id, else name and class, else
+    class, else name. A mention naming an unknown entity or class raises ValueError."""
+    if ann.entity_id is not None:
+        if ann.entity_id not in kb.entities:
+            raise ValueError(f"annotation references unknown entity id {ann.entity_id!r}")
+        return Space.I, Triple(entity_id=ann.entity_id)
+    if ann.class_id is not None and ann.class_id not in kb.classes:
+        raise ValueError(f"annotation references unknown class id {ann.class_id!r}")
+    if ann.name is not None and ann.class_id is not None:
+        return Space.NC, Triple(name=ann.name, class_id=ann.class_id)
+    if ann.class_id is not None:
+        return Space.C, Triple(class_id=ann.class_id)
+    return Space.N, Triple(name=ann.name)
+
+
 def expand_query_counters(at, kb, wh_class=None) -> dict:
     """A query's six bags, filled one `Counter` increment per term.
 
     Each keyword counts once in KW; each keyword not wholly inside a
-    mention counts once in G. Each mention's most specific term (its id,
-    else name and class, else class, else name) counts once in its own
-    space and once in G, and `wh_class`, when given, once in G as a
-    class-only term.
-    A mention naming an unknown entity or class raises ValueError.
+    mention counts once in G. Each mention's most specific term counts
+    once in its own space and once in G, and `wh_class`, when given, once
+    in G as a class-only term.
     """
     bags = {space: Counter() for space in Space}
     for word in at.stems:
@@ -127,23 +144,33 @@ def expand_query_counters(at, kb, wh_class=None) -> dict:
     for word in keywords_outside_entities_any(at.stems, at.spans, at.entities):
         bags[Space.G][Keyword(word)] += 1
     for ann in at.entities:
-        if ann.entity_id is not None:
-            if ann.entity_id not in kb.entities:
-                raise ValueError(f"annotation references unknown entity id {ann.entity_id!r}")
-            space, term = Space.I, Triple(entity_id=ann.entity_id)
-        elif ann.class_id is not None and ann.class_id not in kb.classes:
-            raise ValueError(f"annotation references unknown class id {ann.class_id!r}")
-        elif ann.name is not None and ann.class_id is not None:
-            space, term = Space.NC, Triple(name=ann.name, class_id=ann.class_id)
-        elif ann.class_id is not None:
-            space, term = Space.C, Triple(class_id=ann.class_id)
-        else:
-            space, term = Space.N, Triple(name=ann.name)
+        space, term = most_specific_term(ann, kb)
         bags[space][term] += 1
         bags[Space.G][term] += 1
     if wh_class is not None:
         bags[Space.G][Triple(class_id=wh_class)] += 1
     return bags
+
+
+def expand_query_two_steps(at, kb, wh_class=None) -> dict:
+    """A query's six bags as a two-step path composes them: first the parts, KW and
+    G's own part (its kept keywords, then the wh term) as `Counter`s and each
+    mention's most specific term in its space's bag; then G, composed into a new
+    `Counter` by adding every entity bag to its own part, counts added."""
+    entity = {space: {} for space in ENTITY_SPACES}
+    for ann in at.entities:
+        space, term = most_specific_term(ann, kb)
+        entity[space][term] = entity[space].get(term, 0) + 1
+    own = Counter(map(Keyword, keywords_outside_entities_any(at.stems, at.spans, at.entities)))
+    if wh_class is not None:
+        own[Triple(class_id=wh_class)] += 1
+    parts = {Space.KW: Counter(map(Keyword, at.stems)), **entity, Space.G: own}
+    generalized = Counter()
+    dict.update(generalized, parts[Space.G])
+    for space in ENTITY_SPACES:
+        for term, n in parts[space].items():
+            generalized[term] = generalized.get(term, 0) + n
+    return {**parts, Space.G: generalized}
 
 
 # --- entity recognition -------------------------------------------------------
@@ -214,7 +241,7 @@ def build_index_dicts(reps) -> IndexBundle:
         if rep.doc_id in by_doc:
             raise ValueError(f"duplicate doc_id {rep.doc_id!r}")
         by_doc[rep.doc_id] = rep.space_bags
-    roster = tuple(sorted(by_doc))
+    roster = Roster(sorted(by_doc))
 
     spaces = {}
     for space in Space:
@@ -383,6 +410,27 @@ def loop_cosine(doc_bags: dict[str, dict], query_bag: dict) -> dict[str, float]:
         else:
             scores[doc_id] = 0.0
     return scores
+
+
+def four_cosine_scores(bags: dict, idx, cfg) -> Scores:
+    """`ne` or `kw-union-ne` scores summed over all four entity-space cosines, each
+    taken whether the query reaches its space or not: weight * cosine added onto
+    zeros in order (N, C, NC, I), then alpha * NE and (1 - alpha) * KW onto zeros."""
+    def weighted_sum(weighted):
+        first = weighted[0][1]
+        combined = np.zeros(len(first.array))
+        touched = np.zeros(len(first.array), dtype=bool)
+        for weight, scores in weighted:
+            combined += weight * scores.array
+            touched |= scores.touched
+        return Scores(first.space, combined, touched)
+
+    weights = dict(zip(ENTITY_SPACES, (cfg.w_n, cfg.w_c, cfg.w_nc, cfg.w_i)))
+    ne = weighted_sum([(weights[s], cosine_score(bags[s], idx.spaces[s])) for s in ENTITY_SPACES])
+    if cfg.model is Model.NE:
+        return ne
+    kw = cosine_score(bags[Space.KW], idx.spaces[Space.KW])
+    return weighted_sum([(cfg.alpha, ne), (1.0 - cfg.alpha, kw)])
 
 
 def loop_ne_scores(

@@ -258,7 +258,7 @@ def test_class_subsumption_retrieval(collection, synth_kb, synth_index):
     assert city_only_docs, "construction should yield documents mentioning only cities"
 
     location_query = DocRepresentation(
-        parts={
+        space_bags={
             **{space: Counter() for space in Space},
             Space.G: Counter({Triple(class_id="Location"): 1}),
         },

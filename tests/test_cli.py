@@ -6,11 +6,12 @@ import argparse
 import hashlib
 import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from ontosearch import cli
+from ontosearch import cli, evaluation
 from ontosearch.annotate import DEFAULT_STOPWORDS
 from ontosearch.cli import CliError, main, parse_corpus, parse_queries
 from ontosearch.evaluation import load_run
@@ -100,6 +101,22 @@ def test_parse_queries_skips_comments_and_blank_lines_and_rejects_an_empty_id():
 def test_parse_corpus_rejects_a_doc_record_with_an_empty_id():
     with pytest.raises(CliError, match=r"^<corpus>:3: DOC record with empty id$"):
         parse_corpus("DOC\td1\ntext\nDOC\t \nmore\n")
+
+
+def test_the_doc_id_check_rejects_exactly_the_ids_that_hold_a_space_character():
+    # `doc_id.split() != [doc_id]` against the per-character `any(ch.isspace() ...)`,
+    # over every code point
+    differ = [c for c in range(sys.maxunicode + 1)
+              if ((doc_id := f"d{chr(c)}1").split() != [doc_id]) != chr(c).isspace()]
+    assert differ == []
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert len(spaces) == 29
+    for ch in spaces:
+        if len(f"d{ch}1".splitlines()) > 1:  # a line break ends the DOC line first
+            continue
+        doc_id = f"d{ch}1"
+        with pytest.raises(CliError, match=f"^<corpus>:3: doc id {re.escape(repr(doc_id))} contains whitespace$"):
+            parse_corpus(f"DOC\tok\ntext\nDOC\t{doc_id}\nmore\n")
 
 
 # --- index command -----------------------------------------------------------------
@@ -801,6 +818,29 @@ def test_eval_leaves_out_a_query_with_no_relevant_doc(workspace):
     lines = out.read_text().splitlines()
     assert [line for line in lines if line.startswith("ap\t")] == ["ap\tq1\t1.000000", "ap\tq2\t1.000000"]
     assert "map\t1.000000" in lines
+
+
+def test_eval_builds_one_relevance_mask_per_judged_query(workspace, monkeypatch):
+    # q4 is judged but has no run lines; q3 has no relevant doc, so it is not judged
+    (workspace / "run.txt").write_text(RUN_A + "q3 Q0 d5 1 0.400000 a\n", encoding="utf-8")
+    (workspace / "qrels.txt").write_text(QRELS + "q4 0 d1 1\nq3 0 d5 0\n", encoding="utf-8")
+    out = workspace / "eval.tsv"
+    assert run_cli("eval", "--run", workspace / "run.txt",
+                   "--qrels", workspace / "qrels.txt", "--output", out) == 0
+    expected = out.read_bytes()
+    masks = []
+    original = evaluation.relevance_mask
+
+    def counted(ranking, relevant):
+        masks.append(list(ranking))
+        return original(ranking, relevant)
+
+    monkeypatch.setattr(cli, "relevance_mask", counted)
+    monkeypatch.setattr(evaluation, "relevance_mask", counted)
+    assert run_cli("eval", "--run", workspace / "run.txt",
+                   "--qrels", workspace / "qrels.txt", "--output", out) == 0
+    assert masks == [["d1", "d2"], ["d3"], []]  # q1, q2 and q4, in query order
+    assert out.read_bytes() == expected
 
 
 def test_eval_requires_query_overlap(workspace, capsys):

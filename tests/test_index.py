@@ -1,7 +1,6 @@
 """Inverted-index construction, tf-idf weighting, and persistence."""
 
 import base64
-import dataclasses
 import hashlib
 import math
 import random
@@ -33,11 +32,11 @@ from ontosearch.index import (
     tfidf_weight,
 )
 from ontosearch.kb import parse_kb
-from ontosearch.rank import Model, ModelConfig, represent_document, represent_query
+from ontosearch.rank import Model, ModelConfig, represent_document, represent_query, search
 from ontosearch.synth import generate
 
 import oracles
-from conftest import FIGURE_QUERY, counted_document
+from conftest import FIGURE_DOC, FIGURE_QUERY, counted_document
 from test_microbench import grown_collection
 
 
@@ -216,8 +215,8 @@ def test_build_rejects_a_representation_that_is_not_a_counted_document(figure_kb
     # a query's bags, its wh class in G's own part, are no document
     doc = represent_document(FIGURE_QUERY, figure_kb, "d")
     query = represent_query(FIGURE_QUERY, figure_kb, ModelConfig(model=Model.KW_PLUS_NE_WH))
-    assert Triple(class_id="Person") in query.parts[Space.G]
-    for other in (query, dataclasses.replace(query, parts={**query.parts, Space.G: {}})):
+    assert Triple(class_id="Person") in query.space_bags[Space.G]
+    for other in (query, query._replace(space_bags={**query.space_bags, Space.G: {}})):
         with pytest.raises(TypeError, match="^build_index takes counted documents "
                                             r"\(expand_document's\), got DocRepresentation$"):
             build_index([doc, other])
@@ -348,6 +347,7 @@ def test_query_views_are_built_on_first_use_from_the_bundle_roster(tmp_path):
     space_views, table_views = ("doc_array", "has_norm"), ("offset_list", "idf_list")
     assert not any(view in vars(sx) for sx in loaded.spaces.values() for view in space_views)
     assert not any(view in vars(sx.table) for sx in loaded.spaces.values() for view in table_views)
+    assert not any(view in vars(loaded.doc_ids) for view in ("positions", "array"))
     for bundle in (built, loaded):
         for sx in bundle.spaces.values():
             assert sx.doc_ids is bundle.doc_ids
@@ -360,6 +360,20 @@ def test_query_views_are_built_on_first_use_from_the_bundle_roster(tmp_path):
         assert table.idf_list == table.idf.tolist()
         assert all(type(x) is float for x in table.idf_list)
         assert all(sx.table.offset_list is table.offset_list for sx in bundle.spaces.values())
+
+
+def test_every_space_of_a_bundle_reads_one_roster_view(figure_kb, tmp_path):
+    texts = {"d-pres": FIGURE_DOC, "d-two": "Georgia and Moscow met.", "d-wine": "Wine from Georgia."}
+    built = build_index([represent_document(text, figure_kb, doc_id) for doc_id, text in texts.items()])
+    save_index(built, tmp_path)
+    loaded = load_index(tmp_path)
+    assert loaded == built
+    for bundle in (built, loaded):
+        for model in Model:
+            assert search(FIGURE_QUERY + " Georgia wine", bundle, figure_kb, ModelConfig(model=model)), model
+        array, positions = bundle.doc_ids.array, bundle.doc_ids.positions
+        assert all(sx.doc_array is array and sx.doc_positions is positions for sx in bundle.spaces.values())
+        assert not any(view in vars(sx) for sx in bundle.spaces.values() for view in ("doc_array", "doc_positions"))
 
 
 def test_rewrite_is_byte_identical(tmp_path):

@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from ontosearch.annotate import DEFAULT_WH_MAPPING, EntityAnnotation, annotate, wh_class
@@ -176,8 +176,8 @@ def test_rank_clamps_a_weighted_sum_that_overshoots_one(figure_kb):
 
 def test_score_ne_degenerate_class_weight(corpus_reps, corpus_index):
     query_bags = {space: Counter() for space in Space}
-    query_bags[Space.C] = Counter({Triple(class_id="Country"): 1})
-    query = DocRepresentation(parts=query_bags)
+    query_bags[Space.C] = query_bags[Space.G] = Counter({Triple(class_id="Country"): 1})
+    query = DocRepresentation(space_bags=query_bags)
     cfg = ModelConfig(model=Model.NE, w_n=0.0, w_c=1.0, w_nc=0.0, w_i=0.0)
     combined = rank_documents(score_query(query, corpus_index, cfg))
     class_only = rank_documents(cosine_score(query_bags[Space.C], corpus_index.spaces[Space.C]))
@@ -431,7 +431,7 @@ def space_bags(pools):
 
 
 def as_query(bags):
-    return DocRepresentation(parts={Space[n]: Counter(b) for n, b in bags.items()})
+    return DocRepresentation(space_bags={Space[n]: b for n, b in with_entity_terms_in_g(bags).items()})
 
 
 def with_entity_terms_in_g(bags):
@@ -608,6 +608,74 @@ def test_query_bags_equal_the_counter_built_bags(figure_kb, pieces, separators, 
     assert bags == oracles.expand_query_counters(at, figure_kb, wh)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    pieces=st.lists(st.sampled_from(TEXT_PIECES), max_size=14),
+    separators=st.lists(st.sampled_from([" ", "  ", "\n", ", ", ". ", "-"]), min_size=14, max_size=14),
+    leading=st.sampled_from(["", "Who is ", "Where is "]),
+    model=st.sampled_from(list(Model)),
+    wh_override=st.sampled_from([None, "Location", "Person", "Atlantis"]),
+)
+def test_query_bags_equal_the_two_step_composition(figure_kb, pieces, separators, leading, model, wh_override):
+    text = leading + "".join(piece + sep for piece, sep in zip(pieces, separators))
+    bags = represent_query(text, figure_kb, ModelConfig(model=model), wh_override=wh_override).space_bags
+    wh = None
+    if model is Model.KW_PLUS_NE_WH:
+        wh = wh_override if wh_override is not None else wh_class(text, DEFAULT_WH_MAPPING)
+    assert list(bags) == list(Space)
+    assert all(type(bag) is dict for bag in bags.values())
+    assert bags == oracles.expand_query_two_steps(annotate(text, figure_kb), figure_kb, wh)
+
+
+# the entity terms no corpus of TERM_POOLS holds, one per space
+UNREACHED = {"N": Triple("zz", None, None), "C": Triple(None, "Zz", None),
+             "NC": Triple("zz", "Zz", None), "I": Triple("zz", "Zz", "Zz_1")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corpus=st.dictionaries(st.sampled_from([f"d{i}" for i in range(7)]),
+                           space_bags(TERM_POOLS), min_size=1, max_size=7),
+    every_space=st.booleans(),
+    reach=st.sampled_from([0, 1, 4]),
+    keywords=st.dictionaries(st.sampled_from(TERM_POOLS["KW"] + UNSEEN["KW"]),
+                             st.integers(min_value=1, max_value=6), max_size=4),
+    weights=st.sampled_from([(0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1), (0.0, 1.0, 0.0, 0.0)]),
+    data=st.data(),
+)
+def test_entity_scores_equal_the_four_cosine_sum_bit_for_bit(tmp_path_factory, corpus, every_space, reach,
+                                                              keywords, weights, data):
+    if every_space:  # a document that puts a term in each entity space's vocabulary
+        corpus = {**corpus, "d-every": {name: {pool[0]: 1} for name, pool in ENTITY_TERMS.items()}}
+    built = build_index([counted_document(doc_id, bags) for doc_id, bags in corpus.items()])
+    directory = tmp_path_factory.mktemp("idx")
+    save_index(built, directory)
+    loaded = load_index(directory)
+    # a reached space's bag holds a term of its vocabulary; another's, maybe an unseen term
+    in_vocabulary = [name for name in ("N", "C", "NC", "I") if built.spaces[Space[name]].rows]
+    assume(len(in_vocabulary) >= reach)
+    event(f"reaches {reach} entity spaces")
+    reached = data.draw(st.permutations(in_vocabulary))[:reach]
+    bags = {"KW": keywords, "G": {}}
+    for name in ("N", "C", "NC", "I"):
+        if name in reached:
+            vocabulary = sorted(built.spaces[Space[name]].rows)
+            bags[name] = data.draw(st.dictionaries(st.sampled_from(vocabulary), st.integers(1, 6),
+                                                   min_size=1, max_size=3))
+            bags[name].update(data.draw(st.sampled_from([{}, {UNREACHED[name]: 1}])))
+        else:
+            bags[name] = data.draw(st.sampled_from([{}, {UNREACHED[name]: 2}]))
+    q = as_query(bags)
+    for idx in (built, loaded):
+        for cfg in [ModelConfig(Model.NE, *weights),
+                    *(ModelConfig(Model.KW_UNION_NE, *weights, alpha=a) for a in (0.0, 0.5, 1.0))]:
+            got, expected = score_query(q, idx, cfg), oracles.four_cosine_scores(q.space_bags, idx, cfg)
+            assert got.array.tobytes() == expected.array.tobytes()
+            assert list(got) == list(expected)
+            for k in (None, 1, 3):
+                assert rank_documents(got, k) == rank_documents(expected, k)
+
+
 # --- every model analyses a query the same way ---------------------------------------
 
 def test_query_bags_are_the_same_under_every_model(figure_kb):
@@ -627,7 +695,7 @@ def test_query_bags_are_the_same_under_every_model(figure_kb):
         wh = wh_override if wh_override is not None else wh_class(text, DEFAULT_WH_MAPPING)
         wh_classes = [wh] if wh is not None else []
         with_wh = dict(base)
-        with_wh[Space.G] = base[Space.G] + Counter(Triple(class_id=c) for c in wh_classes)
+        with_wh[Space.G] = Counter(base[Space.G]) + Counter(Triple(class_id=c) for c in wh_classes)
         assert reps[Model.KW_PLUS_NE_WH].space_bags == with_wh, text
         with_wh_terms += bool(wh_classes)
     assert 0 < with_wh_terms < len(queries)
