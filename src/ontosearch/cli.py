@@ -57,7 +57,7 @@ from .evaluation import (
     relevance_mask,
 )
 from .expand import Space, display_term
-from .index import _atomic_write, build_index, load_index, read_fingerprint, save_index
+from .index import build_index, load_index, read_fingerprint, save_index
 from .kb import load_kb
 from .rank import (
     Model,
@@ -67,7 +67,7 @@ from .rank import (
     represent_query,
     search,
 )
-from .textfile import read_text
+from .textfile import read_text, write_text
 
 
 class CliError(Exception):
@@ -192,7 +192,7 @@ def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
             stopwords=cfg.stopwords, wh_mapping=cfg.wh_mapping, wh_override=query.wh_override,
         )
         lines.extend(format_run_lines(query.query_id, ranking, run_tag))
-    _atomic_write(output_path, "\n".join(lines) + "\n" if lines else "")
+    write_text(output_path, "\n".join(lines) + "\n" if lines else "")
 
 
 def cmd_eval(run_path: Path, qrels_path: Path, output_path: Path) -> None:
@@ -209,7 +209,7 @@ def cmd_eval(run_path: Path, qrels_path: Path, output_path: Path) -> None:
         mask = relevance_mask(ranking, relevant)  # one per ranking, for both judgments
         per_query_ap[query_id] = average_precision(ranking, relevant, mask=mask)
         curves.append(interpolated_curve(ranking, relevant, mask=mask))
-    _atomic_write(output_path, format_eval_report(per_query_ap, mean_curve(curves)))
+    write_text(output_path, format_eval_report(per_query_ap, mean_curve(curves)))
 
 
 def cmd_sigtest(run_a_path: Path, run_b_path: Path, qrels_path: Path,
@@ -229,7 +229,7 @@ def cmd_sigtest(run_a_path: Path, run_b_path: Path, qrels_path: Path,
     aps_a = [average_precision(run_a.get(q, []), qrels[q]) for q in query_ids]
     aps_b = [average_precision(run_b.get(q, []), qrels[q]) for q in query_ids]
     result = randomization_test(aps_a, aps_b, n_perm=n_perm, seed=seed)
-    _atomic_write(output_path, format_sigtest_report(result))
+    write_text(output_path, format_sigtest_report(result))
 
 
 def cmd_dump_terms(cfg: RunConfig, text: str, side: str, wh_override: str | None) -> list[str]:

@@ -29,15 +29,14 @@ stems, its own G part as the stems that `keywords_outside_entities` keeps
 (the rule queries use), and its annotations by key (name, class, id). A
 key's N, C, NC and I terms are built once per KB, in `kb.expansions`, and
 the document keeps that table beside its key counts, so
-`index.build_index` inverts the counts without a term bag per document. A
-document's `parts` and `space_bags` are composed from the counts on first
-read; as in `index.tsv`, G's stored part holds only G's own terms, and
-`space_bags` adds the entity bags, the text side's one G.
+`index.build_index` inverts the counts without a term bag per document. As
+in `index.tsv`, a document stores of G only its own terms; its `space_bags`
+are filled from the counts in one pass on first read, as a query's are, each
+key's terms counted in their space and in G.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -89,19 +88,6 @@ def Triple(name: str | None = None, class_id: str | None = None,
 TermBag = dict  # GeneralizedTerm -> positive count; a Counter is one
 
 
-def _compose_g(parts: dict[Space, TermBag]) -> dict[Space, TermBag]:
-    """The parts with G composed: its own terms plus every entity bag's, counts added."""
-    generalized = Counter()
-    dict.update(generalized, parts.get(Space.G, {}))
-    get = generalized.get
-    for space in _ENTITY_SPACES:
-        bag = parts.get(space)
-        if bag:  # most of a query's entity bags are empty
-            for term, n in bag.items():
-                generalized[term] = get(term, 0) + n
-    return {**parts, Space.G: generalized}
-
-
 class DocRepresentation(NamedTuple):
     """A query's six bags, in `Space` order, G composed."""
 
@@ -117,8 +103,8 @@ class DocumentCounts:
     """A document counted, not bagged: stem -> n for KW (`stems`) and for G's own
     part (`own`), and annotation key -> n (`keys`), read through `expansions`,
     the table of each key's N, C, NC and I terms that the keys were counted
-    against. `index.build_index` inverts these counts; `parts` and `space_bags`
-    compose the term bags on first read."""
+    against. `index.build_index` inverts these counts; `space_bags` makes the
+    term bags on first read."""
 
     doc_id: str
     stems: dict[str, int]
@@ -127,23 +113,18 @@ class DocumentCounts:
     expansions: dict[AnnotationKey, tuple[tuple[GeneralizedTerm, ...], ...]] = field(repr=False)
 
     @cached_property
-    def parts(self) -> dict[Space, TermBag]:
-        """KW, N, C, NC and I, and under G only G's own terms; a key seen n times
-        adds n to each of its terms."""
+    def space_bags(self) -> dict[Space, TermBag]:
+        """All six bags, in `Space` order, filled in one pass: G starts from its own
+        keywords, and a key seen n times adds n to each of its terms, in its space and in G."""
+        g = {Keyword(stem): n for stem, n in self.own.items()}
         entity_bags: list[TermBag] = [{} for _ in _ENTITY_SPACES]
         for key, n in self.keys.items():
             for bag, space_terms in zip(entity_bags, self.expansions[key]):
                 for term in space_terms:
                     bag[term] = bag.get(term, 0) + n
-        return {
-            Space.KW: {Keyword(stem): n for stem, n in self.stems.items()},
-            **dict(zip(_ENTITY_SPACES, entity_bags)),
-            Space.G: {Keyword(stem): n for stem, n in self.own.items()},
-        }
-
-    @cached_property
-    def space_bags(self) -> dict[Space, TermBag]:
-        return _compose_g(self.parts)
+                    g[term] = g.get(term, 0) + n
+        return {_KW: {Keyword(stem): n for stem, n in self.stems.items()},
+                **dict(zip(_ENTITY_SPACES, entity_bags)), _G: g}
 
 
 def _check_ids(ann: EntityAnnotation, kb: KnowledgeBase) -> None:

@@ -18,8 +18,10 @@ N, C, NC and I merged by term (`_bundle`, the one place the index side
 defines G), so an entity posting is held once, as in the file. A space's
 norms are the squares of its rows' postings summed by `np.bincount` in its
 term order, each row's block gathered in turn. All spaces share one roster
-(`Roster`), the sorted doc ids, and so its query-time views: a doc id's
-position and an object array of the ids, each built on first use.
+(`Roster`), the sorted doc ids, which owns the query-time views tied to it,
+each built on first use and gone with the bundle: a doc id's position, an
+object array of the ids, and the read-only zeros and all-False flags of a
+cosine that touches no document. `rank.Scores` holds the roster it indexes.
 
 The build is a sort-based inversion (Zobel & Moffat, "Inverted files for
 text search engines", 2006) of counted documents (`expand.DocumentCounts`);
@@ -36,10 +38,11 @@ adds them. Of G only its own part is inverted. The six parts are listed in
 one table in file order, and build and load alike then give each space its
 rows through `_bundle`.
 
-On disk an index is one file, `index.tsv`, written through `_atomic_write`,
-so the postings and the fingerprint of the inputs they were built from
-are committed by a single rename. It stores only what the loader cannot
-recompute (Zobel & Moffat again): no norms, and of G only its keywords.
+On disk an index is one file, `index.tsv`, written through
+`textfile.write_text`, so the postings and the fingerprint of the inputs
+they were built from reach the disk and are then committed by a single
+rename. It stores only what the loader cannot recompute (Zobel & Moffat
+again): no norms, and of G only its keywords.
 
     ontosearch-index<TAB>4                      the format line
     key<TAB>value                               the fingerprint, by key
@@ -84,8 +87,6 @@ import binascii
 import hashlib
 import math
 import operator
-import os
-import tempfile
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -98,7 +99,7 @@ import numpy as np
 
 from .expand import _ENTITY_SPACES, AnnotationKey, DocumentCounts, GeneralizedTerm, Space, Triple, triple_slots
 from .kb import normalize_name
-from .textfile import decode_utf8
+from .textfile import decode_utf8, write_text
 
 _RESERVED = frozenset("\t\n")
 
@@ -134,8 +135,8 @@ class PostingsTable:
 
 
 class Roster(tuple):
-    """A bundle's doc ids, sorted: one tuple that all its spaces share, with the query-time
-    views of it, each built on first use, once per bundle."""
+    """A bundle's doc ids, sorted: one tuple that all its spaces and scores share, with the
+    query-time views of it, each built on first use, once per bundle."""
 
     @cached_property
     def positions(self) -> dict[str, int]:
@@ -145,6 +146,14 @@ class Roster(tuple):
     def array(self) -> np.ndarray:
         """The roster as an object array, so one take maps positions to doc ids."""
         return np.array(self, dtype=object)
+
+    @cached_property
+    def untouched(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only zeros and all-False flags, one per position: the scores of a cosine
+        that shares no term with its space, and of an empty weighted sum."""
+        values, touched = np.zeros(len(self)), np.zeros(len(self), dtype=bool)
+        values.flags.writeable = touched.flags.writeable = False
+        return values, touched
 
 
 @dataclass(eq=False)
@@ -167,16 +176,6 @@ class SpaceIndex:
         """term -> document frequency, in sorted term order."""
         rows = np.fromiter(self.rows.values(), np.int64, len(self.rows))
         return dict(zip(self.rows, (self.table.offsets[rows + 1] - self.table.offsets[rows]).tolist()))
-
-    # Query-time views, each built on first use.
-
-    @property
-    def doc_positions(self) -> dict[str, int]:
-        return self.doc_ids.positions
-
-    @property
-    def doc_array(self) -> np.ndarray:
-        return self.doc_ids.array
 
     @cached_property
     def has_norm(self) -> np.ndarray:
@@ -454,7 +453,7 @@ def save_index(bundle: IndexBundle, directory: str | Path,
     content += f"{_DIGEST}{hashlib.sha256(content.encode('utf-8')).hexdigest()}\n"
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _atomic_write(directory / INDEX_FILE, content)
+    write_text(directory / INDEX_FILE, content)
 
 
 def _index_file(directory: str | Path) -> Path:
@@ -693,33 +692,3 @@ def _check_terms(terms: list[str], path: Path, first: int) -> None:
             raise ValueError(f"{path}:{first + i}: {exc}") from None
         if canonical != text:
             raise ValueError(f"{path}:{first + i}: term {text!r} is not in canonical form, {canonical!r}")
-
-
-def _current_umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-# what open() would give a new file; mkstemp alone creates it owner-only
-_NEW_FILE_MODE = 0o666 & ~_current_umask()
-
-
-def _atomic_write(path: Path, content: str) -> None:
-    """Replace ``path`` with ``content`` in one rename.
-
-    The text goes to a uniquely named temp file in the target's directory
-    first, so readers see the old file or the new one, never a partial
-    write, and concurrent writers never share a temp file. A failed write
-    removes its temp file and leaves any old file as it was.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, _NEW_FILE_MODE)
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise

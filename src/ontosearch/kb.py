@@ -198,8 +198,8 @@ class KnowledgeBase:
         strings: its N, C, NC and I terms. `expand.expand_document` writes each key in on
         its first use, and the `DocumentCounts` it returns keep this table
         beside their key counts: `index.build_index` maps each distinct key
-        to term ids through it, and `DocumentCounts.parts` composes bags
-        from it. G is not kept: `space_bags` composes it when it is read."""
+        to term ids through it, and `DocumentCounts.space_bags` fills the six
+        bags from it. G is not kept: each key's terms are counted into G too."""
         return {}
 
 

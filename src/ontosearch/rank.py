@@ -12,13 +12,14 @@ query's override) to G as one class term. A query's six bags are plain
 dicts, G composed when the query is expanded, and `score_query` reads one
 bag per space it scores.
 
-Under `ne` and `kw-union-ne` every entity space's cosine is taken, but one
-whose bag shares no term with the space's vocabulary costs no array work:
-it returns shared read-only zeros, touching nothing, and the weighted sums
-leave it out. It would only add w * 0.0 to each document's sum, and since
-every score is >= 0 and every weight finite and >= 0, x + 0.0 == x keeps
-the sum's bits. A query that reaches no entity space scores nothing under
-`ne`.
+Under `ne` and `kw-union-ne` an entity space is scored only when the
+query's bag in it is non-empty; the weighted sums leave the others out. Such
+a space's cosine would only add w * 0.0 to each document's sum, and since
+every score is >= 0 and every weight finite and >= 0, x + 0.0 == x keeps the
+sum's bits. A bag that shares no term with its space's vocabulary costs no
+array work either: its cosine returns the roster's shared read-only zeros
+(`Roster.untouched`), touching nothing, and the sum adds w * 0.0. A query
+that reaches no entity space scores nothing under `ne`.
 
 Scoring conventions, applied uniformly:
   * a query term missing from a space's vocabulary has no document
@@ -40,22 +41,22 @@ ordering. A row's posting range and idf are read from Python lists that the
 bundle's table caches on first use (`offset_list`, `idf_list`), so a query
 term makes no numpy scalar; they hold the same integers and doubles as the
 arrays, so the scores are the same bits. Scorers return a read-only
-`Scores` mapping: a view over a roster-long score array whose keys are the
-documents that share an in-vocabulary term with the query. A weighted sum
-starts from its first product rather than from zeros, the same bits.
+`Scores` mapping: a view over a roster-long score array, holding the
+bundle's `Roster`, whose keys are the documents that share an in-vocabulary
+term with the query. A weighted sum starts from its first product rather
+than from zeros, the same bits.
 
 `rank_documents`, and so `search`, returns a `Ranking`: two flat lists,
 `doc_ids` and clamped `scores`, in rank order. The kept roster positions
-become doc ids by one take from the roster's object array (`doc_array`),
-built once per bundle and shared by its spaces, which holds the roster's
-own strings. A `Ranking` is a read-only sequence of `ScoredDoc`, but
-builds a `ScoredDoc` only for an item that is indexed or iterated;
-`format_run_lines` reads the two lists directly.
+become doc ids by one take from the roster's object array (`Roster.array`),
+built once per bundle, which holds the roster's own strings. A `Ranking` is
+a read-only sequence of `ScoredDoc`, but builds a `ScoredDoc` only for an
+item that is indexed or iterated; `format_run_lines` reads the two lists
+directly.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -68,7 +69,7 @@ from .annotate import DEFAULT_STOPWORDS, DEFAULT_WH_MAPPING, annotate, wh_class
 from .expand import (
     _C, _G, _I, _KW, _N, _NC, DocRepresentation, DocumentCounts, TermBag, expand_document, expand_query,
 )
-from .index import IndexBundle, SpaceIndex
+from .index import IndexBundle, Roster, SpaceIndex
 from .kb import KnowledgeBase
 
 
@@ -149,41 +150,32 @@ class Ranking(Sequence):
 
 
 class Scores(Mapping):
-    """Read-only doc_id -> score view over one roster's score array.
+    """Read-only doc_id -> score view over the score array of a bundle's roster.
 
     `array` holds a score for every roster position, 0.0 for documents
     outside the view; the keys are the documents flagged in `touched`, in
-    roster order. `space` is any space of the bundle: they share a roster.
+    roster order.
     """
 
-    __slots__ = ("space", "array", "touched")
+    __slots__ = ("roster", "array", "touched")
 
-    def __init__(self, space: SpaceIndex, array: np.ndarray, touched: np.ndarray) -> None:
-        self.space = space
+    def __init__(self, roster: Roster, array: np.ndarray, touched: np.ndarray) -> None:
+        self.roster = roster
         self.array = array
         self.touched = touched
 
     def __getitem__(self, doc_id: str) -> float:
-        position = self.space.doc_positions.get(doc_id)
+        position = self.roster.positions.get(doc_id)
         if position is None or not self.touched[position]:
             raise KeyError(doc_id)
         return self.array[position].item()
 
     def __iter__(self) -> Iterator[str]:
-        doc_ids = self.space.doc_ids
-        return (doc_ids[i] for i in np.flatnonzero(self.touched).tolist())
+        roster = self.roster
+        return (roster[i] for i in np.flatnonzero(self.touched).tolist())
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.touched))
-
-
-@functools.lru_cache(maxsize=8)
-def _untouched(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only zeros and all-False flags over an n-document roster: the score array and
-    `touched` of every cosine that shares no term with its space."""
-    values, touched = np.zeros(n), np.zeros(n, dtype=bool)
-    values.flags.writeable = touched.flags.writeable = False
-    return values, touched
 
 
 def cosine_score(query_bag: TermBag, space: SpaceIndex) -> Scores:
@@ -191,9 +183,10 @@ def cosine_score(query_bag: TermBag, space: SpaceIndex) -> Scores:
     get = space.rows.get
     # the terms are distinct, so the triples sort by term alone
     found = sorted([(term, row, tf) for term, tf in query_bag.items() if (row := get(term)) is not None])
-    n = len(space.doc_ids)
+    roster = space.doc_ids
     if not found:
-        return Scores(space, *_untouched(n))
+        return Scores(roster, *roster.untouched)
+    n = len(roster)
     touched = np.zeros(n, dtype=bool)
     values = np.zeros(n)
     table = space.table
@@ -215,15 +208,15 @@ def cosine_score(query_bag: TermBag, space: SpaceIndex) -> Scores:
         dot = np.bincount(docs, weights=np.concatenate(products), minlength=n)
         np.divide(dot, q_norm * space.norms, out=values, where=space.has_norm)
         np.minimum(values, 1.0, out=values)
-    return Scores(space, values, touched)
+    return Scores(roster, values, touched)
 
 
-def _weighted_sum(weighted: list[tuple[float, Scores]], space: SpaceIndex) -> Scores:
-    """Sum of weight * scores in order, over every touched document of `space`'s roster;
-    an empty list gives zeros, none touched. Starting from the first product gives the
-    bits of adding onto zeros, since 0.0 + x == x for x >= 0."""
+def _weighted_sum(weighted: list[tuple[float, Scores]], roster: Roster) -> Scores:
+    """Sum of weight * scores in order, over every touched document of `roster`; an empty
+    list gives zeros, none touched. Starting from the first product gives the bits of
+    adding onto zeros, since 0.0 + x == x for x >= 0."""
     if not weighted:
-        return Scores(space, *_untouched(len(space.doc_ids)))
+        return Scores(roster, *roster.untouched)
     (weight, first), *rest = weighted
     combined = weight * first.array
     touched = first.touched.copy()
@@ -231,7 +224,7 @@ def _weighted_sum(weighted: list[tuple[float, Scores]], space: SpaceIndex) -> Sc
         # outside a view its score is 0.0, and x + 0.0 == x for x >= 0
         combined += weight * scores.array
         touched |= scores.touched
-    return Scores(space, combined, touched)
+    return Scores(roster, combined, touched)
 
 
 def represent_query(
@@ -269,24 +262,18 @@ def represent_document(
 def score_query(q: DocRepresentation | DocumentCounts, idx: IndexBundle, cfg: ModelConfig) -> Scores:
     """The configured model's scores; `kw-union-ne` is exact at both ends of alpha.
 
-    A cosine that shares no term with its space touches nothing and is 0.0
-    everywhere; every weight is finite and >= 0, so it is left out of the sums.
+    An entity space whose bag is empty is not scored: its cosine would be 0.0
+    everywhere, and every weight is finite and >= 0, so it is left out of the sums.
     """
-    bags, spaces = q.space_bags, idx.spaces
+    bags, spaces, roster = q.space_bags, idx.spaces, idx.doc_ids
     one = _ONE_SPACE.get(cfg.model)
     if one is not None:
         return cosine_score(bags[one], spaces[one])
-    nothing = _untouched(len(idx.doc_ids))[1]
-    entity = []
-    for weight, space in ((cfg.w_n, _N), (cfg.w_c, _C), (cfg.w_nc, _NC), (cfg.w_i, _I)):
-        scores = cosine_score(bags[space], spaces[space])
-        if scores.touched is not nothing:
-            entity.append((weight, scores))
-    kw = spaces[_KW]
-    ne = _weighted_sum(entity, kw)
+    entity = ((cfg.w_n, _N), (cfg.w_c, _C), (cfg.w_nc, _NC), (cfg.w_i, _I))
+    ne = _weighted_sum([(w, cosine_score(bags[s], spaces[s])) for w, s in entity if bags[s]], roster)
     if cfg.model is _NE:
         return ne
-    return _weighted_sum([(cfg.alpha, ne), (1.0 - cfg.alpha, cosine_score(bags[_KW], kw))], kw)
+    return _weighted_sum([(cfg.alpha, ne), (1.0 - cfg.alpha, cosine_score(bags[_KW], spaces[_KW]))], roster)
 
 
 def rank_documents(scores: Scores, k: int | None = None) -> Ranking:
@@ -299,7 +286,7 @@ def rank_documents(scores: Scores, k: int | None = None) -> Ranking:
     positive = np.flatnonzero(values > 0.0)
     # a stable sort over ascending roster positions breaks ties by ascending doc_id
     kept = positive[np.argsort(-values[positive], kind="stable")][:k]
-    return Ranking(scores.space.doc_array[kept].tolist(), np.minimum(values[kept], 1.0).tolist())
+    return Ranking(scores.roster.array[kept].tolist(), np.minimum(values[kept], 1.0).tolist())
 
 
 def search(

@@ -423,7 +423,7 @@ def four_cosine_scores(bags: dict, idx, cfg) -> Scores:
         for weight, scores in weighted:
             combined += weight * scores.array
             touched |= scores.touched
-        return Scores(first.space, combined, touched)
+        return Scores(first.roster, combined, touched)
 
     weights = dict(zip(ENTITY_SPACES, (cfg.w_n, cfg.w_c, cfg.w_nc, cfg.w_i)))
     ne = weighted_sum([(weights[s], cosine_score(bags[s], idx.spaces[s])) for s in ENTITY_SPACES])

@@ -26,7 +26,7 @@ def test_the_scan_finds_an_unread_import_and_passes_a_read_one():
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    paths = [path for pattern in ("src/ontosearch/*.py", "tests/*.py", "scripts/*.py")
+    paths = [path for pattern in ("src/ontosearch/*.py", "tests/*.py", "scripts/*.py", "bench/*.py")
              for path in sorted(ROOT.glob(pattern))]
     assert len(paths) > 20
     unread = [f"{path.relative_to(ROOT)}:{line}: {name}"

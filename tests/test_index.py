@@ -3,8 +3,10 @@
 import base64
 import hashlib
 import math
+import os
 import random
 import re
+import stat
 import sys
 import threading
 from collections import Counter
@@ -21,7 +23,6 @@ from ontosearch.cli import parse_corpus
 from ontosearch.expand import DocumentCounts, Keyword, Space, Triple, expand_document, triple_slots
 from ontosearch.index import (
     IndexBundle,
-    _atomic_write,
     _check_terms,
     _varint_fields,
     _varints,
@@ -32,8 +33,11 @@ from ontosearch.index import (
     tfidf_weight,
 )
 from ontosearch.kb import parse_kb
-from ontosearch.rank import Model, ModelConfig, represent_document, represent_query, search
+from ontosearch.rank import (
+    Model, ModelConfig, cosine_score, rank_documents, represent_document, represent_query, score_query,
+)
 from ontosearch.synth import generate
+from ontosearch.textfile import write_text
 
 import oracles
 from conftest import FIGURE_DOC, FIGURE_QUERY, counted_document
@@ -83,7 +87,7 @@ def assert_same_space(sx, reference):
 
 
 def norm(sx, doc_id):
-    return sx.norms[sx.doc_positions[doc_id]].item()
+    return sx.norms[sx.doc_ids.positions[doc_id]].item()
 
 
 def test_tfidf_weight_frozen_values():
@@ -246,8 +250,7 @@ def test_two_keys_of_one_document_that_share_a_term_give_one_posting(figure_kb):
 
 def test_a_representation_stores_g_own_terms_and_composes_g_on_read():
     d = rep("d", KW={K("a"): 1, K("b"): 2}, N={x: 3}, G={K("a"): 1})
-    assert d.parts[Space.G] == Counter({K("a"): 1})
-    assert d.parts is d.parts  # composed once
+    assert d.own == {"a": 1}  # G's own stems; its entity terms are not stored
     assert d.space_bags[Space.G] == Counter({K("a"): 1, x: 3})
     assert d.space_bags is d.space_bags  # composed once
     assert list(d.space_bags) == list(Space)
@@ -344,15 +347,20 @@ def test_query_views_are_built_on_first_use_from_the_bundle_roster(tmp_path):
     built = build_index(FIVE_DOCS)
     save_index(built, tmp_path)
     loaded = load_index(tmp_path)
-    space_views, table_views = ("doc_array", "has_norm"), ("offset_list", "idf_list")
-    assert not any(view in vars(sx) for sx in loaded.spaces.values() for view in space_views)
+    table_views = ("offset_list", "idf_list")
+    assert not any("has_norm" in vars(sx) for sx in loaded.spaces.values())
     assert not any(view in vars(sx.table) for sx in loaded.spaces.values() for view in table_views)
-    assert not any(view in vars(loaded.doc_ids) for view in ("positions", "array"))
+    assert not any(view in vars(loaded.doc_ids) for view in ("positions", "array", "untouched"))
     for bundle in (built, loaded):
+        roster = bundle.doc_ids
+        assert roster.array.dtype == object and len(roster.array) == len(roster)
+        assert all(a is b for a, b in zip(roster.array, roster))
+        assert roster.positions == {doc_id: i for i, doc_id in enumerate(roster)}
+        values, touched = roster.untouched
+        assert values.tolist() == [0.0] * len(roster) and touched.tolist() == [False] * len(roster)
+        assert not values.flags.writeable and not touched.flags.writeable
         for sx in bundle.spaces.values():
-            assert sx.doc_ids is bundle.doc_ids
-            assert sx.doc_array.dtype == object and len(sx.doc_array) == len(bundle.doc_ids)
-            assert all(a is b for a, b in zip(sx.doc_array, bundle.doc_ids))
+            assert sx.doc_ids is roster
             assert sx.has_norm.tolist() == (sx.norms > 0.0).tolist()
         table = bundle.spaces[Space.KW].table  # one per bundle, so its lists are built once
         assert table.offset_list == table.offsets.tolist()
@@ -368,12 +376,23 @@ def test_every_space_of_a_bundle_reads_one_roster_view(figure_kb, tmp_path):
     save_index(built, tmp_path)
     loaded = load_index(tmp_path)
     assert loaded == built
+    # the shared zeros are built on first use, not at build or load
+    assert "untouched" not in vars(built.doc_ids) and "untouched" not in vars(loaded.doc_ids)
     for bundle in (built, loaded):
+        roster = bundle.doc_ids
+        assert all(sx.doc_ids is roster for sx in bundle.spaces.values())
         for model in Model:
-            assert search(FIGURE_QUERY + " Georgia wine", bundle, figure_kb, ModelConfig(model=model)), model
-        array, positions = bundle.doc_ids.array, bundle.doc_ids.positions
-        assert all(sx.doc_array is array and sx.doc_positions is positions for sx in bundle.spaces.values())
-        assert not any(view in vars(sx) for sx in bundle.spaces.values() for view in ("doc_array", "doc_positions"))
+            cfg = ModelConfig(model=model)
+            query = represent_query(FIGURE_QUERY + " Georgia wine", figure_kb, cfg)
+            scores = score_query(query, bundle, cfg)
+            assert scores.roster is roster and rank_documents(scores), model
+            unseen = score_query(represent_query("zyzzyva quokka", figure_kb, cfg), bundle, cfg)
+            assert unseen.roster is roster and len(unseen) == 0 and not unseen.array.any(), model
+            if model is not Model.KW_UNION_NE:  # which sums its two parts into a new array
+                assert unseen.array is roster.untouched[0] and unseen.touched is roster.untouched[1], model
+        for sx in bundle.spaces.values():  # a bag of unseen terms touches nothing in any space
+            unseen = cosine_score({"k:zyzzyva": 1, Triple(entity_id="nobody"): 2}, sx)
+            assert unseen.array is roster.untouched[0] and unseen.touched is roster.untouched[1]
 
 
 def test_rewrite_is_byte_identical(tmp_path):
@@ -859,11 +878,35 @@ def test_save_refuses_a_term_the_index_file_cannot_hold(tmp_path, space, separat
 
 def test_failed_write_keeps_old_file_and_leaves_no_temp_file(tmp_path):
     target = tmp_path / "KW.tsv"
-    _atomic_write(target, "old\n")
+    write_text(target, "old\n")
     with pytest.raises(UnicodeEncodeError):
-        _atomic_write(target, "new \udcff\n")  # a lone surrogate cannot be encoded
+        write_text(target, "new \udcff\n")  # a lone surrogate cannot be encoded
     assert target.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["KW.tsv"]
+
+
+def test_a_write_is_fsynced_before_its_rename_and_its_directory_after(tmp_path, monkeypatch):
+    # a power loss cannot be simulated in a test; what makes the write durable is the order
+    # of the calls: the whole temp file fsynced, then renamed, then its directory fsynced
+    content = "line \u00e9\n" * 1000
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def traced_fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", "directory" if stat.S_ISDIR(st.st_mode) else st.st_size))
+        fsync(fd)
+
+    def traced_replace(src, dst):
+        calls.append(("replace", Path(dst).name))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", traced_fsync)
+    monkeypatch.setattr(os, "replace", traced_replace)
+    target = tmp_path / "run.txt"
+    write_text(target, content)
+    assert calls == [("fsync", len(content.encode("utf-8"))), ("replace", "run.txt"), ("fsync", "directory")]
+    assert target.read_text(encoding="utf-8") == content
 
 
 def test_concurrent_writers_do_not_collide(tmp_path):
@@ -874,7 +917,7 @@ def test_concurrent_writers_do_not_collide(tmp_path):
     def write_many(content):
         try:
             for _ in range(40):
-                _atomic_write(target, content)
+                write_text(target, content)
         except OSError as exc:
             errors.append(exc)
 

@@ -507,8 +507,8 @@ SCORE_VALUES = st.one_of(
 def test_ranking_lists_equal_rank_scores_clamped_at_every_cutoff(values, seed):
     doc_ids = [f"d{i:02d}" for i in range(len(values))]
     random.Random(seed).shuffle(doc_ids)
-    space = build_index([kw_rep(d, t=1) for d in doc_ids]).spaces[Space.KW]
-    scores = Scores(space, np.array(values), np.ones(len(values), dtype=bool))
+    roster = build_index([kw_rep(d, t=1) for d in doc_ids]).doc_ids
+    scores = Scores(roster, np.array(values), np.ones(len(values), dtype=bool))
     for k in [None, *range(1, len(values) + 2)]:
         expected = [(d, min(1.0, v)) for d, v in oracles.rank_scores(dict(scores), k)]
         ranking = rank_documents(scores, k)

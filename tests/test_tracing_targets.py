@@ -13,7 +13,7 @@ from pathlib import Path
 
 from ontosearch import cli
 from ontosearch.cli import parse_corpus
-from ontosearch.expand import Space
+from ontosearch.expand import DocRepresentation, Space
 from ontosearch.index import load_index, save_index
 from ontosearch.kb import parse_kb
 from ontosearch.rank import Model, ModelConfig, represent_document, represent_query, score_query
@@ -66,6 +66,11 @@ def test_the_tracer_reads_the_shape_and_names_the_spaces_of_a_built_and_a_loaded
             for model in Model:
                 cfg = ModelConfig(model=model)
                 score_query(represent_query(query, kb, cfg), bundle, cfg)
+            # a query scores only the entity spaces its bags reach, and no text query reaches C
+            # (a recognized mention always has a name), so a hand-made one reaches every space
+            reach_all = DocRepresentation({space: {next(iter(bundle.spaces[space].rows)): 1} for space in Space})
+            for model in (Model.KW_UNION_NE, Model.KW_PLUS_NE):
+                score_query(reach_all, bundle, ModelConfig(model=model))
             # each cosine span is tagged with the name of the space object it scored
             tags = {span[tracing.TAG] for span in tracer.spans if span[tracing.NAME] == "rank.cosine"}
             assert tags == {space.value for space in Space}
