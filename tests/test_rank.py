@@ -24,6 +24,7 @@ from ontosearch.expand import (
 from ontosearch.index import build_index, load_index, save_index
 from ontosearch.kb import alias_set, load_kb, parse_kb
 from ontosearch.rank import (
+    QUICKSORT_MIN_CANDIDATES,
     Model,
     ModelConfig,
     Ranking,
@@ -486,14 +487,26 @@ def test_scores_equal_the_per_posting_loop_exactly(tmp_path_factory, corpus, que
 
 
 def test_rank_documents_cuts_through_ties_like_rank_scores():
-    templates = [{"p": 1, "q": 1}, {"p": 2}, {"q": 3, "r": 1}, {"s": 1}]
-    doc_ids = [f"d{i:02d}" for i in range(32)]
-    random.Random(3).shuffle(doc_ids)
-    idx = build_index([kw_rep(d, **templates[i % 4]) for i, d in enumerate(doc_ids)])
-    scores = cosine_score(Counter({Keyword("p"): 1, Keyword("q"): 1}), idx.spaces[Space.KW])
-    assert len(scores) == 24 and len(set(scores.values())) == 3  # three ties of eight
-    for k in [None, *range(1, 27)]:
-        assert list(rank_documents(scores, k)) == oracles.rank_scores(dict(scores), k)
+    """Three tie levels of each listed size, ranked by the stable sort below
+    `QUICKSORT_MIN_CANDIDATES` positive scores and by the quicksort with its tie repair
+    from there on: three ties of eight, one candidate below, at and above the threshold,
+    and one tie larger than the threshold; cut at 1, in and at the end of every tie,
+    and past the last candidate."""
+    t = QUICKSORT_MIN_CANDIDATES
+    templates = [{"p": 1, "q": 1}, {"p": 2}, {"q": 3, "r": 1}]
+    for sizes in [(8, 8, 8), *[(t // 2, t // 4, n - t // 2 - t // 4) for n in (t - 1, t, t + 1)], (3, t + 2, 5)]:
+        counts = [templates[i] for i, size in enumerate(sizes) for _ in range(size)] + [{"s": 1}] * 8
+        doc_ids = [f"d{i:04d}" for i in range(len(counts))]
+        random.Random(3).shuffle(doc_ids)
+        idx = build_index([kw_rep(d, **c) for d, c in zip(doc_ids, counts)])
+        scores = cosine_score(Counter({Keyword("p"): 1, Keyword("q"): 1}), idx.spaces[Space.KW])
+        assert len(scores) == sum(sizes) and len(set(scores.values())) == 3
+        ranked = oracles.rank_scores(dict(scores))
+        tie_ends = [i for i in range(1, len(ranked)) if ranked[i][1] != ranked[i - 1][1]] + [len(ranked)]
+        assert sorted(b - a for a, b in zip([0, *tie_ends], tie_ends)) == sorted(sizes)
+        cuts = {1, len(ranked) + 1} | {end + d for end in tie_ends for d in (-1, 0, 1)}
+        for k in [None, *sorted(cuts)]:
+            assert list(rank_documents(scores, k)) == oracles.rank_scores(dict(scores), k), (sizes, k)
 
 
 SCORE_VALUES = st.one_of(
