@@ -209,7 +209,7 @@ def cmd_eval(run_path: Path, qrels_path: Path, output_path: Path) -> None:
         mask = relevance_mask(ranking, relevant)  # one per ranking, for both judgments
         per_query_ap[query_id] = average_precision(ranking, relevant, mask=mask)
         curves.append(interpolated_curve(ranking, relevant, mask=mask))
-    write_text(output_path, format_eval_report(per_query_ap, mean_curve(curves)))
+    write_text(output_path, format_eval_report(per_query_ap, *mean_curve(curves)))
 
 
 def cmd_sigtest(run_a_path: Path, run_b_path: Path, qrels_path: Path,

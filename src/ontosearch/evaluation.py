@@ -1,11 +1,15 @@
 """Retrieval evaluation: average precision, MAP, interpolated
-precision-recall-F curves at the 11 standard recall levels, and a paired
+precision-recall curves at the 11 standard recall levels, and a paired
 Fisher randomization test for comparing two systems.
 
 Average precision and the curve each start from one relevance mask per
 ranking, which a caller judging both may build once and pass to each;
 every sum over a ranking is a sequential `np.cumsum`, so both equal the
-prefix-scan definitions exactly.
+prefix-scan definitions exactly. A query's curve is the array of its 11
+interpolated precisions. F is paired with each level only when curves are
+averaged: `mean_curve` computes every query's F at every level from the
+stacked curves, and both of its means add the rows in query order, as a
+sequential scan does.
 
 The randomization test keys one Philox generator by the seed. Permutation
 p's swap decisions are the raw draws at counter `[0, p, 0, 0]`: the
@@ -28,7 +32,7 @@ from __future__ import annotations
 import gc
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import lt
 from pathlib import Path
@@ -69,36 +73,10 @@ def map_score(per_query_ap: list[float]) -> float:
     return sum(per_query_ap) / len(per_query_ap)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    level: float
-    precision: float
-    f_measure: float
-
-
-@dataclass(frozen=True)
-class PRCurve:
-    points: tuple[CurvePoint, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.points) != len(RECALL_LEVELS):
-            raise ValueError(f"curve must have {len(RECALL_LEVELS)} points")
-        precisions = [p.precision for p in self.points]
-        if any(a < b for a, b in zip(precisions, precisions[1:])):
-            raise ValueError("interpolated precision must be non-increasing")
-
-
-def _f_measure(precision: float, recall: float) -> float:
-    if precision == 0.0 and recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def interpolated_curve(ranking: list[str], relevant: set[str], *, mask: np.ndarray | None = None) -> PRCurve:
-    """Interpolated precision at each level: the max precision over every
-    ranking prefix whose recall reaches the level; F pairs that precision
-    with the level's recall value. `mask`, when given, is the ranking's
-    `relevance_mask`."""
+def interpolated_curve(ranking: list[str], relevant: set[str], *, mask: np.ndarray | None = None) -> np.ndarray:
+    """Interpolated precision at each of the 11 levels: the max precision
+    over every ranking prefix whose recall reaches the level. `mask`, when
+    given, is the ranking's `relevance_mask`."""
     if not relevant:
         raise ValueError("relevant set is empty")
     if mask is None:
@@ -110,26 +88,21 @@ def interpolated_curve(ranking: list[str], relevant: set[str], *, mask: np.ndarr
     # are those from the first one that does; best[i] is the max precision
     # of prefix i and every later one (0.0 past the last)
     best = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
-    firsts = np.searchsorted(recalls, RECALL_LEVELS)
-    return PRCurve(tuple(
-        CurvePoint(level, precision, _f_measure(precision, level))
-        for level, precision in zip(RECALL_LEVELS, best[firsts].tolist())
-    ))
+    return best[np.searchsorted(recalls, RECALL_LEVELS)]
 
 
-def mean_curve(curves: list[PRCurve]) -> PRCurve:
-    """Per-level arithmetic mean of precision and F across queries.
-
-    The mean of non-increasing sequences is non-increasing, so the result
-    is itself a valid curve."""
+def mean_curve(curves: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-level arithmetic means of precision and of F across queries; a
+    query's F pairs its precision at a level with the level's recall value
+    (0 where both are 0)."""
     if not curves:
         raise ValueError("no curves to average")
-    points = []
-    for i, level in enumerate(RECALL_LEVELS):
-        precision = sum(c.points[i].precision for c in curves) / len(curves)
-        f_measure = sum(c.points[i].f_measure for c in curves) / len(curves)
-        points.append(CurvePoint(level, precision, f_measure))
-    return PRCurve(tuple(points))
+    precision = np.stack(curves)
+    levels = np.array(RECALL_LEVELS)
+    total = precision + levels
+    f_measure = np.divide(2.0 * precision * levels, total, out=np.zeros_like(total), where=total > 0.0)
+    # an axis-0 reduce of a C-contiguous stack adds whole rows in order
+    return precision.sum(axis=0) / len(curves), f_measure.sum(axis=0) / len(curves)
 
 
 # --- paired randomization test --------------------------------------------------
@@ -141,13 +114,14 @@ class SigTestResult:
     n_plus: int
     n_perm: int
     seed: int
-    p_two_sided: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n_perm < 1:
             raise ValueError("n_perm must be >= 1")
-        p = min(1.0, (self.n_minus + self.n_plus) / self.n_perm)
-        object.__setattr__(self, "p_two_sided", p)
+
+    @property
+    def p_two_sided(self) -> float:
+        return min(1.0, (self.n_minus + self.n_plus) / self.n_perm)
 
 
 def permutation_signs(seed: int, perm_index: int, n_queries: int) -> np.ndarray:
@@ -363,13 +337,15 @@ def load_run(path: str | Path) -> dict[str, list[str]]:
 
 def format_eval_report(
     per_query_ap: dict[str, float],
-    curve: PRCurve,
+    precision: np.ndarray,
+    f_measure: np.ndarray,
 ) -> str:
-    """TSV report: one `ap` line per query, a `map` line, 11 `curve` lines."""
+    """TSV report: one `ap` line per query, a `map` line, and one `curve`
+    line per recall level with its mean precision and mean F."""
     lines = [f"ap\t{query_id}\t{ap:.6f}" for query_id, ap in sorted(per_query_ap.items())]
     lines.append(f"map\t{map_score(list(per_query_ap.values())):.6f}")
-    for point in curve.points:
-        lines.append(f"curve\t{point.level:.1f}\t{point.precision:.6f}\t{point.f_measure:.6f}")
+    for level, p, f in zip(RECALL_LEVELS, precision.tolist(), f_measure.tolist()):
+        lines.append(f"curve\t{level:.1f}\t{p:.6f}\t{f:.6f}")
     return "\n".join(lines) + "\n"
 
 

@@ -519,6 +519,24 @@ def interpolated_curve_scan(ranking: list[str], relevant: set[str]) -> list[tupl
     ]
 
 
+def mean_curve_scan(curves: list[list[tuple[float, float]]]) -> list[tuple[float, float, float]]:
+    """(recall level, mean precision, mean F) over `interpolated_curve_scan`
+    curves, each mean a sequential sum over the curves in order.
+
+    A curve's F at level r pairs its precision p with r: 2pr / (p + r), or 0
+    where p and r are both 0.
+    """
+    means = []
+    for i, (level, _) in enumerate(curves[0]):
+        precision_total = f_total = 0.0
+        for curve in curves:
+            _, precision = curve[i]
+            precision_total += precision
+            f_total += 0.0 if precision == level == 0.0 else 2.0 * precision * level / (precision + level)
+        means.append((level, precision_total / len(curves), f_total / len(curves)))
+    return means
+
+
 def parse_qrels_walk(text: str, origin: str = "<qrels>") -> dict[str, set[str]]:
     """TREC qrels lines `query_id 0 doc_id rel`; rel > 0 marks relevance."""
     relevant: dict[str, set[str]] = {}

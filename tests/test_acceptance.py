@@ -283,7 +283,7 @@ def test_evaluation_invariants(synth_kb, synth_queries, synth_index, collection)
     for _ in range(1000):
         ranking = rng.sample(pool, rng.randint(0, 25))
         relevant = set(rng.sample(pool, rng.randint(1, 12)))
-        precisions = [p.precision for p in interpolated_curve(ranking, relevant).points]
+        precisions = interpolated_curve(ranking, relevant).tolist()
         assert all(a >= b for a, b in zip(precisions, precisions[1:]))
 
     assert average_precision(["r1", "r2", "r3"], {"r1", "r2", "r3"}) == 1.0

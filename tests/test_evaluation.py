@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 from ontosearch import evaluation
 from ontosearch.evaluation import (
     RECALL_LEVELS,
-    CurvePoint,
-    PRCurve,
     SigTestResult,
     average_precision,
     format_eval_report,
@@ -107,7 +105,7 @@ DOC_POOL = [f"d{i}" for i in range(200)]
 def test_ap_and_curve_equal_their_scan_oracles_exactly(ranking, relevant):
     assert average_precision(ranking, relevant) == oracles.ap_scan(ranking, relevant)
     curve = interpolated_curve(ranking, relevant)
-    assert [(p.level, p.precision) for p in curve.points] == (
+    assert list(zip(RECALL_LEVELS, curve.tolist())) == (
         oracles.interpolated_curve_scan(ranking, relevant)
     )
 
@@ -121,7 +119,7 @@ def test_ap_and_curve_equal_their_scan_oracles_on_long_rankings():
         relevant = set(rng.sample(docs, rng.randint(1, 300)))
         assert average_precision(ranking, relevant) == oracles.ap_scan(ranking, relevant)
         curve = interpolated_curve(ranking, relevant)
-        assert [(p.level, p.precision) for p in curve.points] == (
+        assert list(zip(RECALL_LEVELS, curve.tolist())) == (
             oracles.interpolated_curve_scan(ranking, relevant)
         )
 
@@ -130,8 +128,8 @@ def test_ap_and_curve_equal_their_scan_oracles_on_long_rankings():
 def test_ap_and_curve_of_a_ranking_without_hits_are_zero(ranking):
     relevant = {"r1", "r2"}
     assert average_precision(ranking, relevant) == 0.0 == oracles.ap_scan(ranking, relevant)
-    curve = interpolated_curve(ranking, relevant)
-    assert [(p.level, p.precision, p.f_measure) for p in curve.points] == [
+    precision, f_measure = mean_curve([interpolated_curve(ranking, relevant)])
+    assert list(zip(RECALL_LEVELS, precision.tolist(), f_measure.tolist())) == [
         (level, 0.0, 0.0) for level in RECALL_LEVELS
     ]
 
@@ -154,14 +152,15 @@ def test_map_is_the_arithmetic_mean():
 
 def test_curve_perfect_ranking_is_flat_one():
     curve = interpolated_curve(["r1", "r2", "r3"], {"r1", "r2", "r3"})
-    assert [p.precision for p in curve.points] == [1.0] * 11
-    assert curve.points[0].f_measure == 0.0  # recall level 0 pins F to 0
+    assert curve.tolist() == [1.0] * 11
+    _, f_measure = mean_curve([curve])
+    assert f_measure[0] == 0.0  # recall level 0 pins F to 0
 
 
 def test_curve_f_is_zero_at_level_zero_for_any_ranking():
-    curve = interpolated_curve(["n1", "r1"], {"r1", "r2"})
-    assert curve.points[0].level == 0.0
-    assert curve.points[0].f_measure == 0.0
+    _, f_measure = mean_curve([interpolated_curve(["n1", "r1"], {"r1", "r2"})])
+    assert RECALL_LEVELS[0] == 0.0
+    assert f_measure[0] == 0.0
 
 
 def test_curve_matches_max_scan_oracle_on_hand_ranking():
@@ -169,13 +168,14 @@ def test_curve_matches_max_scan_oracle_on_hand_ranking():
     relevant = {"r1", "r2", "r3", "r4", "r5"}
     curve = interpolated_curve(ranking, relevant)
     expected = oracles.interpolated_curve_scan(ranking, relevant)
-    assert [(p.level, p.precision) for p in curve.points] == expected
-    for point in curve.points:
-        if point.precision == 0.0 and point.level == 0.0:
-            assert point.f_measure == 0.0
+    assert list(zip(RECALL_LEVELS, curve.tolist())) == expected
+    _, f_measure = mean_curve([curve])
+    for level, precision, f in zip(RECALL_LEVELS, curve.tolist(), f_measure.tolist()):
+        if precision == 0.0 and level == 0.0:
+            assert f == 0.0
         else:
-            expected_f = 2 * point.precision * point.level / (point.precision + point.level)
-            assert point.f_measure == pytest.approx(expected_f)
+            expected_f = 2 * precision * level / (precision + level)
+            assert f == pytest.approx(expected_f)
 
 
 def test_curve_precision_never_increases_across_levels():
@@ -185,9 +185,9 @@ def test_curve_precision_never_increases_across_levels():
         ranking = rng.sample(docs, rng.randint(0, 30))
         relevant = set(rng.sample(docs, rng.randint(1, 10)))
         curve = interpolated_curve(ranking, relevant)
-        precisions = [p.precision for p in curve.points]
+        precisions = curve.tolist()
         assert all(a >= b for a, b in zip(precisions, precisions[1:]))
-        assert [(p.level, p.precision) for p in curve.points] == (
+        assert list(zip(RECALL_LEVELS, precisions)) == (
             oracles.interpolated_curve_scan(ranking, relevant)
         )
 
@@ -197,28 +197,49 @@ def test_curve_requires_nonempty_relevant():
         interpolated_curve(["d1"], set())
 
 
-def test_curve_type_rejects_increasing_precision():
-    points = [CurvePoint(level, 0.5, 0.0) for level in RECALL_LEVELS]
-    points[5] = CurvePoint(RECALL_LEVELS[5], 0.9, 0.0)
-    with pytest.raises(ValueError):
-        PRCurve(tuple(points))
-    with pytest.raises(ValueError):
-        PRCurve(tuple(points[:5]))
-
-
 def test_mean_curve_averages_per_level():
     c1 = interpolated_curve(["r1", "r2"], {"r1", "r2"})
     c2 = interpolated_curve(["n1", "n2"], {"r1"})
-    averaged = mean_curve([c1, c2])
+    (_, f1), (_, f2) = mean_curve([c1]), mean_curve([c2])
+    precision, f_measure = mean_curve([c1, c2])
     for i in range(11):
-        assert averaged.points[i].precision == pytest.approx(
-            (c1.points[i].precision + c2.points[i].precision) / 2
-        )
-        assert averaged.points[i].f_measure == pytest.approx(
-            (c1.points[i].f_measure + c2.points[i].f_measure) / 2
-        )
+        assert precision[i] == pytest.approx((c1[i] + c2[i]) / 2)
+        assert f_measure[i] == pytest.approx((f1[i] + f2[i]) / 2)
     with pytest.raises(ValueError):
         mean_curve([])
+
+
+def _means_and_scan(judged):
+    """`mean_curve` of the judged rankings' curves as (level, precision, F)
+    rows, and the scan oracle's rows."""
+    precision, f_measure = mean_curve([interpolated_curve(r, rel) for r, rel in judged])
+    expected = oracles.mean_curve_scan([oracles.interpolated_curve_scan(r, rel) for r, rel in judged])
+    return list(zip(RECALL_LEVELS, precision.tolist(), f_measure.tolist())), expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(judged=st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(DOC_POOL[:60]), unique=True, max_size=60),
+        st.sets(st.sampled_from(DOC_POOL[:80]), min_size=1, max_size=30),
+    ),
+    min_size=1, max_size=40,
+))
+def test_mean_curve_equals_its_scan_oracle_exactly(judged):
+    actual, expected = _means_and_scan(judged)
+    assert actual == expected
+
+
+def test_mean_curve_equals_its_scan_oracle_over_many_queries():
+    # hundreds of rows, where a pairwise sum would round some mean differently
+    rng = random.Random(29)
+    docs = [f"d{i}" for i in range(300)]
+    judged = [
+        (rng.sample(docs, rng.randint(0, 120)), set(rng.sample(docs, rng.randint(1, 40))))
+        for _ in range(600)
+    ]
+    actual, expected = _means_and_scan(judged)
+    assert actual == expected
 
 
 # --- per-query differences -----------------------------------------------------------
@@ -574,7 +595,7 @@ def test_parse_qrels_equals_the_line_walk(text):
 
 def test_eval_report_format_golden():
     curve = interpolated_curve(["r1"], {"r1"})
-    report = format_eval_report({"q2": 0.5, "q1": 1.0}, curve)
+    report = format_eval_report({"q2": 0.5, "q1": 1.0}, *mean_curve([curve]))
     lines = report.splitlines()
     assert lines[0] == "ap\tq1\t1.000000"
     assert lines[1] == "ap\tq2\t0.500000"

@@ -26,7 +26,7 @@ permutations; a `parse_run` round parses the run file of those queries
 under all five models at k=1000 (over 50k lines), and a `parse_qrels`
 round a qrels file that judges each line of that run 1 or 0; an
 `average_precision` and `interpolated_curve` round judges the run's
-rankings.
+rankings and averages their curves with `mean_curve`, as `eval` does.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from ontosearch.cli import QuerySpec, parse_corpus, parse_queries
 from ontosearch.evaluation import (
     average_precision,
     interpolated_curve,
+    mean_curve,
     parse_qrels,
     parse_run,
     randomization_test,
@@ -296,8 +297,9 @@ def test_average_precision_and_curve(benchmark, synth, run_text):
     judged = [(ranking, synth.qrels[query_id.split("-", 1)[1]]) for query_id, ranking in run.items()]
 
     def judge():
+        curves = [interpolated_curve(ranking, relevant) for ranking, relevant in judged]
         return ([average_precision(ranking, relevant) for ranking, relevant in judged],
-                [interpolated_curve(ranking, relevant) for ranking, relevant in judged])
+                curves, mean_curve(curves))
 
-    aps, curves = benchmark(judge)
+    aps, curves, _ = benchmark(judge)
     assert len(aps) == len(curves) == len(judged)
