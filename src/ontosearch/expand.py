@@ -26,18 +26,20 @@ into six plain dicts (`DocRepresentation.space_bags`, in `Space` order), G
 already composed: its kept keywords, the wh term and each annotation's one
 term, counts added. A document is only counted (`DocumentCounts`): its
 stems, its own G part as the stems that `keywords_outside_entities` keeps
-(the rule queries use), and its annotations by key (name, class, id). A
-key's N, C, NC and I terms are built once per KB, in `kb.expansions`, and
-the document keeps that table beside its key counts, so
-`index.build_index` inverts the counts without a term bag per document. As
-in `index.tsv`, a document stores of G only its own terms; its `space_bags`
-are filled from the counts in one pass on first read, as a query's are, each
-key's terms counted in their space and in G.
+(the rule queries use), and its annotations by their own N, C, NC and I
+terms (`EntityTerms`). An annotation's terms are built once per KB and key
+(name, class, id), in the memo `kb.expansions` that only this module reads
+and writes; a document counts the memo's entry itself, so two keys with
+equal terms count as one, and `index.build_index` inverts the counts
+without a term bag per document and without the memo. As in `index.tsv`, a
+document stores of G only its own terms; its `space_bags` are filled from
+the counts in one pass on first read, as a query's are, each entry's terms
+counted in their space and in G.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -94,32 +96,30 @@ class DocRepresentation(NamedTuple):
     space_bags: dict[Space, TermBag]
 
 
-# an annotation key: (name, class_id, entity_id), the name normalized unless the id is known
-AnnotationKey = tuple
+# an annotation's document-side terms: its N, C, NC and I terms, four tuples
+EntityTerms = tuple
 
 
 @dataclass
 class DocumentCounts:
     """A document counted, not bagged: stem -> n for KW (`stems`) and for G's own
-    part (`own`), and annotation key -> n (`keys`), read through `expansions`,
-    the table of each key's N, C, NC and I terms that the keys were counted
-    against. `index.build_index` inverts these counts; `space_bags` makes the
-    term bags on first read."""
+    part (`own`), and entity terms -> n (`entities`), one entry per distinct set of
+    N, C, NC and I terms its annotations expand to. `index.build_index` inverts
+    these counts; `space_bags` makes the term bags on first read."""
 
     doc_id: str
     stems: dict[str, int]
     own: dict[str, int]
-    keys: dict[AnnotationKey, int]
-    expansions: dict[AnnotationKey, tuple[tuple[GeneralizedTerm, ...], ...]] = field(repr=False)
+    entities: dict[EntityTerms, int]
 
     @cached_property
     def space_bags(self) -> dict[Space, TermBag]:
         """All six bags, in `Space` order, filled in one pass: G starts from its own
-        keywords, and a key seen n times adds n to each of its terms, in its space and in G."""
+        keywords, and an entry seen n times adds n to each of its terms, in its space and in G."""
         g = {Keyword(stem): n for stem, n in self.own.items()}
         entity_bags: list[TermBag] = [{} for _ in _ENTITY_SPACES]
-        for key, n in self.keys.items():
-            for bag, space_terms in zip(entity_bags, self.expansions[key]):
+        for entry, n in self.entities.items():
+            for bag, space_terms in zip(entity_bags, entry):
                 for term in space_terms:
                     bag[term] = bag.get(term, 0) + n
                     g[term] = g.get(term, 0) + n
@@ -152,7 +152,7 @@ def _expansion_sets(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[set[str],
     return names, classes
 
 
-def _document_terms(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[tuple[GeneralizedTerm, ...], ...]:
+def _document_terms(ann: EntityAnnotation, kb: KnowledgeBase) -> EntityTerms:
     """One annotation's N, C, NC and I terms."""
     names, classes = _expansion_sets(ann, kb)
     return (
@@ -175,12 +175,13 @@ def _count(stems: list[str]) -> dict[str, int]:
 def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> DocumentCounts:
     """Document-side expansion, counted; see the module docstring for the closure rules.
 
-    Each annotation key's terms are kept in `kb.expansions`; a key that
-    fails to expand is not kept, so its error is raised on every call.
+    Each annotation key's terms are kept in `kb.expansions`, and the document
+    counts that entry; a key that fails to expand is not kept, so its error is
+    raised on every call.
     """
     stems = _count(at.stems)
     own = stems
-    keys: dict[AnnotationKey, int] = {}
+    entities: dict[EntityTerms, int] = {}
     if at.entities:
         own = _count(keywords_outside_entities(at.stems, at.spans, at.entities))
         memo = kb.expansions
@@ -191,13 +192,11 @@ def expand_document(at: AnnotatedText, kb: KnowledgeBase, doc_id: str = "") -> D
             if ann.entity_id is None and name is not None:
                 name = normalize_name(name)
             key = name, ann.class_id, ann.entity_id
-            if key in keys:
-                keys[key] += 1
-            else:
-                keys[key] = 1
-                if key not in memo:
-                    memo[key] = _document_terms(ann, kb)
-    return DocumentCounts(doc_id, stems, own, keys, kb.expansions)
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = _document_terms(ann, kb)
+            entities[entry] = entities.get(entry, 0) + 1
+    return DocumentCounts(doc_id, stems, own, entities)
 
 
 def _most_specific_term(ann: EntityAnnotation, kb: KnowledgeBase) -> tuple[Space, GeneralizedTerm]:

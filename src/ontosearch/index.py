@@ -27,16 +27,16 @@ The build is a sort-based inversion (Zobel & Moffat, "Inverted files for
 text search engines", 2006) of counted documents (`expand.DocumentCounts`);
 no document is turned into term bags. KW and G's own part are inverted from
 their stem counts, each stem made a `k:<stem>` term once per build. N, C,
-NC and I are inverted from the annotation key counts: each distinct key is
-mapped to each space's provisional term ids once, through the table the keys
-were counted against, and a key seen n times in a document gives each of its
+NC and I are inverted from the entity term counts: each distinct entry, an
+annotation's four tuples of terms, is mapped to each space's provisional
+term ids once, and an entry seen n times in a document gives each of its
 terms a posting of tf n, all listed flat with `np.repeat`. The vocabulary is
 sorted once, and one stable argsort by term rank puts the postings in CSR
-order. Two keys of one document may share a term (two cities'
-`t:*/Location/*`); their postings end up adjacent and `np.add.reduceat`
-adds them. Of G only its own part is inverted. The six parts are listed in
-one table in file order, and build and load alike then give each space its
-rows through `_bundle`.
+order. Two entries of one document may share a term (a country's and a
+city's `t:*/Location/*`); their postings end up adjacent and
+`np.add.reduceat` adds them. Of G only its own part is inverted. The six
+parts are listed in one table in file order, and build and load alike then
+give each space its rows through `_bundle`.
 
 On disk an index is one file, `index.tsv`, written through
 `textfile.write_text`, so the postings and the fingerprint of the inputs
@@ -60,12 +60,14 @@ gap or tf below 128 takes one byte; a byte-aligned code is both smaller and
 faster to decode than decimal text (Scholer, Williams, Yiannis & Zobel,
 "Compression of inverted indexes for fast query evaluation", SIGIR 2002).
 The saver encodes each section's slice of the table in one vectorized pass.
-Doc ids may not contain tab or newline. The loader reads the postings of every space at
-once: it checks every field as strict base64 with array operations (before
-Python 3.11 `a2b_base64` skips what is not base64), decodes each field with
-`a2b_base64`, and decodes the varints with numpy, refusing one cut short,
-one of more than 9 bytes (63 bits, so every value fits an int64) and one
-with a needless zero byte, so a list of values has one spelling. It checks
+Doc ids may not contain tab or newline. The loader reads the sections in
+`Space` order, the order the saver writes, so a bundle has one spelling, and
+it reads the postings of every space at once: it checks every field as
+strict base64 with array operations (before Python 3.11 `a2b_base64` skips
+what is not base64), decodes each field with `a2b_base64`, and decodes the
+varints with numpy, refusing one cut short, one of more than 9 bytes (63
+bits, so every value fits an int64) and one with a needless zero byte, so a
+list of values has one spelling. It checks
 that doc ids and terms strictly ascend, that each term is spelt as
 `expand.Triple` spells it, that each term has as many tfs as gaps, that tfs
 and later gaps are at least 1, that positions fall inside the roster and
@@ -97,7 +99,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .expand import _ENTITY_SPACES, AnnotationKey, DocumentCounts, GeneralizedTerm, Space, Triple, triple_slots
+from .expand import _ENTITY_SPACES, DocumentCounts, EntityTerms, GeneralizedTerm, Space, Triple, triple_slots
 from .kb import normalize_name
 from .textfile import decode_utf8, write_text
 
@@ -249,8 +251,8 @@ class _Postings(NamedTuple):
 def _ranked(terms: list[GeneralizedTerm], ids: np.ndarray, doc_pos: np.ndarray, tf: np.ndarray) -> _Postings:
     """Postings under provisional term ids, each term's in roster order, put in CSR order:
     the terms ranked, then one stable argsort of the postings by rank. Postings of one term
-    in one document, which two keys of a document can give, are then adjacent, and are
-    added into one."""
+    in one document, which two entries of a document's entity terms can give, are then
+    adjacent, and are added into one."""
     order = sorted(range(len(terms)), key=terms.__getitem__)
     # provisional id -> final id, in the narrowest type: numpy's stable sort of 8- and
     # 16-bit integers is a radix sort
@@ -284,23 +286,22 @@ def _invert_stems(bags: list[dict[str, int]]) -> _Postings:
     return _ranked(["k:" + stem for stem in stems], ids, doc_pos, tf)
 
 
-def _invert_keys(bags: list[dict[AnnotationKey, int]], table: Mapping) -> list[_Postings]:
-    """The postings of N, C, NC and I from annotation key counts. Each distinct key is mapped
-    to each space's provisional term ids once, through `table`, and a key seen n times in a
-    document gives each of its terms there a posting of tf n."""
-    keys, key_ids, key_tf, key_pos = _listed(bags)
-    entries = [table[key] for key in keys]
+def _invert_entities(bags: list[dict[EntityTerms, int]]) -> list[_Postings]:
+    """The postings of N, C, NC and I from entity term counts. Each distinct entry is mapped
+    to each space's provisional term ids once, and an entry seen n times in a document gives
+    each of its terms there a posting of tf n."""
+    entries, entry_ids, entry_tf, entry_pos = _listed(bags)
     parts = []
     for space_index in range(len(_ENTITY_SPACES)):
         term_ids: dict[GeneralizedTerm, int] = defaultdict(count().__next__)
-        per_key = [[term_ids[term] for term in entry[space_index]] for entry in entries]
-        lengths = np.array([len(ids) for ids in per_key], dtype=np.int64)
-        start = np.cumsum(lengths) - lengths  # where each key's term ids start
-        width = lengths[key_ids]  # the postings each key seen gives
-        # each posting's place among the flat term ids: its key's start, plus its place in the key
-        at = np.arange(width.sum()) + np.repeat(start[key_ids] - (np.cumsum(width) - width), width)
-        ids = np.fromiter(chain.from_iterable(per_key), np.int64, lengths.sum())[at]
-        parts.append(_ranked(list(term_ids), ids, np.repeat(key_pos, width), np.repeat(key_tf, width)))
+        per_entry = [[term_ids[term] for term in entry[space_index]] for entry in entries]
+        lengths = np.array([len(ids) for ids in per_entry], dtype=np.int64)
+        start = np.cumsum(lengths) - lengths  # where each entry's term ids start
+        width = lengths[entry_ids]  # the postings each entry seen gives
+        # each posting's place among the flat term ids: its entry's start, plus its place in the entry
+        at = np.arange(width.sum()) + np.repeat(start[entry_ids] - (np.cumsum(width) - width), width)
+        ids = np.fromiter(chain.from_iterable(per_entry), np.int64, lengths.sum())[at]
+        parts.append(_ranked(list(term_ids), ids, np.repeat(entry_pos, width), np.repeat(entry_tf, width)))
     return parts
 
 
@@ -339,25 +340,21 @@ def _bundle(sections: Mapping[Space, list[GeneralizedTerm]], df: np.ndarray, doc
 
 def build_index(docs: Iterable[DocumentCounts]) -> IndexBundle:
     """Build all six space indexes from a stream of counted documents: KW and G's own part
-    from their stem counts, N, C, NC and I from their key counts, listed in file order;
-    `_bundle` gives G its rows, as `load_index` does."""
+    from their stem counts, N, C, NC and I from their entity term counts, listed in file
+    order; `_bundle` gives G its rows, as `load_index` does."""
     by_doc: dict[str, DocumentCounts] = {}
-    table = None
     for doc in docs:
         if not isinstance(doc, DocumentCounts):
             raise TypeError(f"build_index takes counted documents (expand_document's), "
                             f"got {type(doc).__name__}")
         if doc.doc_id in by_doc:
             raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
-        if table is not None and doc.expansions is not table:
-            raise ValueError("the documents were counted against different expansion tables")
-        table = doc.expansions
         by_doc[doc.doc_id] = doc
     roster = tuple(sorted(by_doc))
     in_roster = [by_doc[doc_id] for doc_id in roster]
     parts = {
         Space.KW: _invert_stems([doc.stems for doc in in_roster]),
-        **dict(zip(_ENTITY_SPACES, _invert_keys([doc.keys for doc in in_roster], table or {}))),
+        **dict(zip(_ENTITY_SPACES, _invert_entities([doc.entities for doc in in_roster]))),
         Space.G: _invert_stems([doc.own for doc in in_roster]),
     }
     sections = {space: part.terms for space, part in parts.items()}
@@ -513,28 +510,23 @@ def load_index(directory: str | Path) -> IndexBundle:
                          f"but the file ends after {len(lines) - docs_line}")
     sections: dict[Space, tuple[int, int]] = {}  # each space's term lines, as a slice of `lines`
     counted = f"{n_docs} roster rows that line {docs_line} states"
-    while at < len(lines):
-        where = f"{path}:{at + 1}"
-        fields = lines[at].split("\t")
-        if len(fields) != 3 or fields[0] != "space":
-            raise ValueError(f"{where}: expected space<TAB>name<TAB>n_terms after the {counted}, "
-                             f"got {lines[at]!r}")
-        try:
-            space = Space(fields[1])
-        except ValueError:
-            raise ValueError(f"{where}: unknown space {fields[1]!r}") from None
-        if space in sections:
-            raise ValueError(f"{where}: space {space.value!r} is listed twice")
-        end = at + 1 + _count(fields[2], where)
+    for space in Space:  # in the order save_index writes them, so a bundle has one spelling
+        where, head = f"{path}:{at + 1}", f"space\t{space.value}\t"
+        if at == len(lines) or not lines[at].startswith(head):
+            got = (repr(lines[at]) if at < len(lines)
+                   else "the end of the file" if digest is None else repr(digest))
+            raise ValueError(f"{where}: expected space<TAB>{space.value}<TAB>n_terms after the {counted}, "
+                             f"got {got}")
+        n_terms = lines[at][len(head):]
+        end = at + 1 + _count(n_terms, where)
         if end > len(lines):
-            raise ValueError(f"{where}: space {space.value} states {fields[2]} terms, "
+            raise ValueError(f"{where}: space {space.value} states {n_terms} terms, "
                              f"but the file ends after {len(lines) - at - 1}")
         sections[space] = at + 1, end
-        counted = f"{fields[2]} term lines that line {at + 1} states"
+        counted = f"{n_terms} term lines that line {at + 1} states"
         at = end
-    missing = set(Space) - set(sections)
-    if missing:
-        raise ValueError(f"{path}: no section for spaces {sorted(s.value for s in missing)}")
+    if at < len(lines):
+        raise ValueError(f"{path}:{at + 1}: expected the sha256 line after the {counted}, got {lines[at]!r}")
 
     roster = tuple(_cells(lines[docs_line:docs_line + n_docs], 1, "a doc id alone", path, docs_line + 1))
     for i, (a, b) in enumerate(zip(roster, roster[1:])):

@@ -5,11 +5,9 @@ entities and name index never change afterwards. Two derived structures
 are built lazily and cached on the KB object itself, never in a
 module-level table, so they go when the KB goes: the gazetteer that
 `find_mentions` looks text up in, built on first use; and `expansions`,
-the table of each annotation key's N, C, NC and I terms, which
-`expand.expand_document` fills in on a key's first use. A counted document
-keeps a reference to it beside its key counts, and `index.build_index` reads
-each distinct key's terms from it once per build. Two users of one KB can
-at worst build the same entry twice, with equal values.
+`expand`'s memo of each annotation key's N, C, NC and I terms, which
+`expand.expand_document` fills in on a key's first use. Two users of one KB
+can at worst build the same entry twice, with equal values.
 
 The gazetteer is a plain dict keyed by prefixes of the normalized surface
 forms (see `normalize_name`). A unit of text is an alphanumeric run or any
@@ -194,12 +192,11 @@ class KnowledgeBase:
 
     @cached_property
     def expansions(self) -> dict:
-        """Annotation key -> its document-side terms, as four tuples of term
-        strings: its N, C, NC and I terms. `expand.expand_document` writes each key in on
-        its first use, and the `DocumentCounts` it returns keep this table
-        beside their key counts: `index.build_index` maps each distinct key
-        to term ids through it, and `DocumentCounts.space_bags` fills the six
-        bags from it. G is not kept: each key's terms are counted into G too."""
+        """Annotation key (name, class_id, entity_id) -> its document-side terms,
+        as four tuples of term strings: its N, C, NC and I terms. This is `expand`'s memo:
+        `expand.expand_document` writes each key in on its first use, and the
+        `DocumentCounts` it returns count the entry itself, not the key. G is
+        not kept: each entry's terms are counted into G too."""
         return {}
 
 

@@ -65,9 +65,9 @@ def _ends_cvc(word: str) -> bool:
     )
 
 
-# (suffix, replacement, minimum measure of the remaining stem)
-# Within each step only the longest matching suffix is considered; if its
-# measure condition fails the step applies nothing.
+# (suffix, replacement), steps 2 and 3 of `_replace_suffix`. Within each step
+# only the longest matching suffix, the first listed, is considered; if the
+# stem before it has measure 0 the step applies nothing.
 _STEP2 = (
     ("ational", "ate"), ("ization", "ize"), ("iveness", "ive"),
     ("fulness", "ful"), ("ousness", "ous"), ("tional", "tion"),
@@ -86,13 +86,6 @@ _STEP4 = (
     "ement", "ance", "ence", "able", "ible", "ment", "ant", "ent", "ion",
     "ism", "ate", "iti", "ous", "ive", "ize", "al", "er", "ic", "ou",
 )
-
-
-def _longest_rule(word: str, rules) -> tuple[str, str] | None:
-    for suffix, replacement in rules:
-        if word.endswith(suffix):
-            return suffix, replacement
-    return None
 
 
 def _step1a(word: str) -> str:
@@ -134,25 +127,13 @@ def _step1c(word: str) -> str:
     return word
 
 
-def _step2(word: str) -> str:
-    rule = _longest_rule(word, _STEP2)
-    if rule is None:
-        return word
-    suffix, replacement = rule
-    stem = word[: -len(suffix)]
-    if _measure(stem) > 0:
-        return stem + replacement
-    return word
-
-
-def _step3(word: str) -> str:
-    rule = _longest_rule(word, _STEP3)
-    if rule is None:
-        return word
-    suffix, replacement = rule
-    stem = word[: -len(suffix)]
-    if _measure(stem) > 0:
-        return stem + replacement
+def _replace_suffix(word: str, rules: tuple[tuple[str, str], ...]) -> str:
+    """Steps 2 and 3: the first rule whose suffix ends `word` replaces it, if the stem
+    before it has measure > 0."""
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            stem = word[: -len(suffix)]
+            return stem + replacement if _measure(stem) > 0 else word
     return word
 
 
@@ -196,8 +177,8 @@ def stem(token: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
+    word = _replace_suffix(word, _STEP2)
+    word = _replace_suffix(word, _STEP3)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

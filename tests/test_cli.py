@@ -346,7 +346,7 @@ def test_a_failed_reindex_keeps_the_old_index_and_its_fingerprint(workspace, cap
     before = read_tree(index_dir)
     other_kb = workspace / "other_kb.tsv"
     # one more entity, which the corpus names, so the new index differs in more than its fingerprint
-    other_kb.write_text(open(KB, encoding="utf-8").read() + "ENTITY\tFair_T.1\tDayTime\twinter fair\t-\n",
+    other_kb.write_text(Path(KB).read_text(encoding="utf-8") + "ENTITY\tFair_T.1\tDayTime\twinter fair\t-\n",
                         encoding="utf-8")
     renames = []
 

@@ -226,19 +226,27 @@ def test_build_rejects_a_representation_that_is_not_a_counted_document(figure_kb
             build_index([doc, other])
 
 
-def test_build_rejects_documents_counted_against_two_expansion_tables(figure_kb):
-    # a key's terms are read through one table per build
-    doc = represent_document(FIGURE_QUERY, figure_kb, "d")
-    with pytest.raises(ValueError, match="^the documents were counted against different expansion tables$"):
-        build_index([doc, rep("e", N={x: 1})])
+def test_documents_expanded_against_two_kbs_build_what_the_dict_of_lists_build_does(figure_kb):
+    # an entry carries its own terms, so documents need not share a KB's memo
+    other_kb = parse_kb("CLASS\tPlace\t-\tTOP\nCLASS\tCity\tPlace\t-\n"
+                        "ENTITY\tMoscow_2\tCity\tMoscow\tMoskva|Mockba\n")
+    docs = [represent_document("Georgia and Moscow met.", figure_kb, "d"),
+            represent_document("Moskva and Moscow met.", other_kb, "e"),
+            rep("f", N={Triple(name="moscow"): 2})]
+    bundle = build_index(docs)
+    reference = oracles.build_index_dicts(docs)
+    assert bundle.doc_ids == reference.doc_ids
+    for space in Space:
+        assert_same_space(bundle.spaces[space], reference.spaces[space])
+    assert postings(bundle.spaces[Space.N], Triple(name="moscow")) == (("d", 1), ("e", 2), ("f", 2))
 
 
 def test_two_keys_of_one_document_that_share_a_term_give_one_posting(figure_kb):
     # Georgia (a country) and Moscow (a city) both expand to the class Location
     doc = represent_document("Georgia and Moscow met.", figure_kb, "d")
-    assert len(doc.keys) == 2
+    assert len(doc.entities) == 2
     location = Triple(class_id="Location")
-    assert [location in figure_kb.expansions[key][1] for key in doc.keys] == [True, True]
+    assert [location in entry[1] for entry in doc.entities] == [True, True]
     docs = [doc, represent_document("Wine.", figure_kb, "e")]
     bundle = build_index(docs)
     assert postings(bundle.spaces[Space.C], location) == (("d", 2),)
@@ -547,7 +555,8 @@ def test_load_rejects_a_roster_that_repeats_a_row_or_leaves_sorted_order(tmp_pat
     (2, "docs\t6", 9, "after the 6 roster rows that line 2 states, got 'k:alpha\\t"),
     (2, "docs\t4", 7, "after the 4 roster rows that line 2 states, got 'd5'"),
     (8, "space\tKW\t3", 12, "after the 3 term lines that line 8 states, got 'k:gamma\\t"),
-    (8, "space\tKW\t9", None, "no section for spaces ['C', 'N']"),
+    (8, "space\tKW\t9", 18, "expected space<TAB>N<TAB>n_terms after the 9 term lines that line 8 states, "
+                             "got 'space\\tNC\\t0'"),
     (21, "space\tG\t1", 21, "space G states 1 terms, but the file ends after 0"),
 ], ids=["docs-over", "docs-under", "terms-under", "terms-over-a-space", "terms-past-end"])
 def test_load_rejects_a_count_that_is_not_what_follows_it(tmp_path, lineno, line, at, message):
@@ -563,7 +572,7 @@ def test_load_rejects_manifest_term_count_mismatch(tmp_path):
     path = saved_five(tmp_path)
     assert path.read_text().splitlines()[7] == "space\tKW\t4"
     replace_line(path, 8, "space\tKW\t5")
-    with rejects(path, 14, "expected space<TAB>name<TAB>n_terms after the 5 term lines that line 8 "
+    with rejects(path, 14, "expected space<TAB>N<TAB>n_terms after the 5 term lines that line 8 "
                  f"states, got {term_line('t:x/*/*', [0, 3], [2, 1])!r}"):
         load_index(tmp_path)
 
@@ -668,11 +677,12 @@ def test_the_whole_space_check_accepts_and_refuses_what_the_walk_does(texts, unk
     (2, "docs\tfive", "expected a count, got 'five'"),
     (2, "kb_sha256", "expected key<TAB>value, got 'kb_sha256'"),
     (4, "d2\t3.70058942643", "expected a doc id alone, got 'd2\\t3.70058942643'"),
-    (8, "", "expected space<TAB>name<TAB>n_terms after the 5 roster rows that line 2 states, got ''"),
-    (8, "space\tKW", "expected space<TAB>name<TAB>n_terms after the 5 roster rows that line 2 "
+    (8, "", "expected space<TAB>KW<TAB>n_terms after the 5 roster rows that line 2 states, got ''"),
+    (8, "space\tKW", "expected space<TAB>KW<TAB>n_terms after the 5 roster rows that line 2 "
                     "states, got 'space\\tKW'"),
     (13, "space\tN\t2.0", "expected a count, got '2.0'"),
-    (13, "space\tXX\t2", "unknown space 'XX'"),
+    (13, "space\tXX\t2", "expected space<TAB>N<TAB>n_terms after the 4 term lines that line 8 states, "
+                          "got 'space\\tXX\\t2'"),
     (9, "k:alpha\t" + F([0, 1, 3]), "expected term<TAB>gaps<TAB>tfs, got " + repr("k:alpha\t" + F([0, 1, 3]))),
     (10, term_line("k:beta", [0, 2], [1]), "df 2 (gaps) does not match 1 tfs"),
     (11, f"k:delta\t{F([2, 1, 1])}\t{F([1, 5, 2], 'not-base64')}",
@@ -755,7 +765,30 @@ def test_load_rejects_a_docs_line_that_states_more_rows_than_the_file_holds(tmp_
 def test_load_rejects_a_space_listed_twice(tmp_path):
     path = saved_five(tmp_path)
     replace_line(path, 19, "space\tN\t1")
-    with rejects(path, 19, "space 'N' is listed twice"):
+    with rejects(path, 19, "expected space<TAB>I<TAB>n_terms after the 0 term lines that line 18 states, "
+                 "got 'space\\tN\\t1'"):
+        load_index(tmp_path)
+
+
+@pytest.mark.parametrize("edit,at,message", [
+    ("reverse", 8, "expected space<TAB>KW<TAB>n_terms after the 5 roster rows that line 2 states, "
+                   "got 'space\\tG\\t0'"),
+    ("append", 22, "expected the sha256 line after the 0 term lines that line 21 states, "
+                   "got 'space\\tKW\\t0'"),
+])
+def test_load_rejects_sections_out_of_space_order_even_with_a_matching_sha256(tmp_path, edit, at, message):
+    # each bundle has one spelling: the sections in `Space` order, as `save_index` writes them
+    path = saved_five(tmp_path)
+    lines = path.read_text().splitlines()
+    if edit == "reverse":
+        starts = [i for i, line in enumerate(lines) if line.startswith("space\t")]
+        sections = [lines[lo:hi] for lo, hi in zip(starts, [*starts[1:], len(lines) - 1])]
+        lines[starts[0]:-1] = sum(sections[::-1], [])
+    else:  # a second KW section after G's
+        lines.insert(-1, "space\tKW\t0")
+    path.write_text("".join(line + "\n" for line in lines))
+    resign(path)
+    with rejects(path, at, message):
         load_index(tmp_path)
 
 
@@ -763,7 +796,13 @@ def test_load_rejects_a_missing_space_and_a_cut_file(tmp_path):
     path = saved_five(tmp_path)
     text = path.read_text()
     path.write_text(text[:text.index("space\tG")])
-    with pytest.raises(ValueError, match=re.escape(f"{path}: no section for spaces ['G']")):
+    with rejects(path, 21, "expected space<TAB>G<TAB>n_terms after the 1 term lines that line 19 states, "
+                 "got the end of the file"):
+        load_index(tmp_path)
+    path.write_text(text)
+    replace_line(path, 21)  # G's line gone, the sha256 line kept
+    with rejects(path, 21, "expected space<TAB>G<TAB>n_terms after the 1 term lines that line 19 states, "
+                 "got 'sha256\\t"):
         load_index(tmp_path)
     path.write_text(text[:-1])
     with rejects(path, 22, "the file ends inside a line"):
@@ -1036,17 +1075,17 @@ def test_build_equals_the_dict_of_lists_build_on_a_pinned_corpus(tmp_path_factor
 
 
 @pytest.fixture(scope="module")
-def figure_keys(figure_kb):
-    """The figure KB's annotation keys: each surface's as the recognizer annotates
-    it, plus a class-only and a name-only key, their terms in `figure_kb.expansions`."""
+def figure_entries(figure_kb):
+    """The figure KB's entity entries: each surface's as the recognizer annotates
+    it, plus a class-only and a name-only annotation's, as documents count them."""
     annotations = [ann for surface in sorted(figure_kb.name_index)
                    for ann in annotate(surface, figure_kb).entities]
     annotations += [EntityAnnotation((0, 3), "man", class_id="Man"),
                     EntityAnnotation((0, 4), "Zork", name="Zork")]
-    keys: dict = {}
+    entries: dict = {}
     for ann in annotations:
-        keys |= expand_document(AnnotatedText([], [], [ann]), figure_kb).keys
-    return sorted(keys, key=repr)
+        entries |= expand_document(AnnotatedText([], [], [ann]), figure_kb).entities
+    return sorted(entries)
 
 
 STEMS = ["x", "presid", "straße", "日本", "a%2fb", "*"]
@@ -1054,9 +1093,8 @@ STEMS = ["x", "presid", "straße", "日本", "a%2fb", "*"]
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_counted_documents_build_what_the_dict_of_lists_build_does(tmp_path_factory, figure_kb,
-                                                                   figure_keys, data):
-    # any stems, G's own part a sub-multiset of them, and any keys of the KB,
+def test_counted_documents_build_what_the_dict_of_lists_build_does(tmp_path_factory, figure_entries, data):
+    # any stems, G's own part a sub-multiset of them, and any entries of the KB,
     # which may share terms within a document
     docs = []
     for doc_id in data.draw(st.permutations(data.draw(
@@ -1065,6 +1103,6 @@ def test_counted_documents_build_what_the_dict_of_lists_build_does(tmp_path_fact
         own = {stem: data.draw(st.integers(1, stems[stem]))
                for stem in data.draw(st.lists(st.sampled_from(sorted(stems)), unique=True)
                                      if stems else st.just([]))}
-        keys = data.draw(st.dictionaries(st.sampled_from(figure_keys), st.integers(1, 4), max_size=5))
-        docs.append(DocumentCounts(doc_id, stems, own, keys, figure_kb.expansions))
+        entities = data.draw(st.dictionaries(st.sampled_from(figure_entries), st.integers(1, 4), max_size=5))
+        docs.append(DocumentCounts(doc_id, stems, own, entities))
     build_both_and_compare(docs, tmp_path_factory)
