@@ -12,14 +12,8 @@ import argparse
 import itertools
 from pathlib import Path
 
-from ontosearch.cli import main as cli_main
-from ontosearch.evaluation import (
-    average_precision,
-    load_qrels,
-    load_run,
-    map_score,
-    randomization_test,
-)
+from ontosearch.cli import CliError, check_sigtest_args, judge, main as cli_main
+from ontosearch.evaluation import load_qrels, load_run, map_score, randomization_test
 from ontosearch.synth import generate
 
 MODELS = ("kw", "ne", "kw-union-ne", "kw+ne", "kw+ne+wh")
@@ -31,14 +25,6 @@ def run_cli(*argv: str) -> None:
         raise SystemExit(f"command failed ({code}): {' '.join(argv)}")
 
 
-def per_query_aps(run_path: Path, qrels: dict[str, set[str]]) -> list[float]:
-    run = load_run(str(run_path))
-    return [
-        average_precision(run.get(qid, []), relevant)
-        for qid, relevant in sorted(qrels.items())
-    ]
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
@@ -47,19 +33,19 @@ def main() -> int:
     parser.add_argument("--permutations", type=int, default=100_000)
     parser.add_argument("--work-dir", type=Path, default=Path("compare-run"))
     args = parser.parse_args()
+    try:
+        check_sigtest_args(args.permutations, args.seed)
+        collection = generate(seed=args.seed, n_docs=args.docs, alias_bias=args.alias_bias)
+    except (CliError, ValueError) as exc:
+        parser.error(str(exc))
 
     work = args.work_dir
     work.mkdir(parents=True, exist_ok=True)
-    collection = generate(seed=args.seed, n_docs=args.docs,
-                          alias_bias=args.alias_bias)
-    kb_path = work / "kb.tsv"
-    corpus_path = work / "corpus.tsv"
-    queries_path = work / "queries.tsv"
-    qrels_path = work / "qrels.txt"
-    kb_path.write_text(collection.kb_text, encoding="utf-8")
-    corpus_path.write_text(collection.corpus_text, encoding="utf-8")
-    queries_path.write_text(collection.queries_text, encoding="utf-8")
-    qrels_path.write_text(collection.qrels_text, encoding="utf-8")
+    kb_path, corpus_path, queries_path, qrels_path = (
+        work / "kb.tsv", work / "corpus.tsv", work / "queries.tsv", work / "qrels.txt")
+    for path, text in ((kb_path, collection.kb_text), (corpus_path, collection.corpus_text),
+                       (queries_path, collection.queries_text), (qrels_path, collection.qrels_text)):
+        path.write_text(text, encoding="utf-8")
 
     index_dir = work / "index"
     run_cli("index", "--kb", str(kb_path), "--corpus", str(corpus_path),
@@ -73,14 +59,13 @@ def main() -> int:
         run_cli("search", "--kb", str(kb_path), "--model", model,
                 "--index-dir", str(index_dir), "--queries", str(queries_path),
                 "--output", str(run_path), "--run-tag", model)
-        aps[model] = per_query_aps(run_path, qrels)
+        aps[model] = list(judge(load_run(run_path), qrels).values())
         print(f"{model:<14}{map_score(aps[model]):>8.4f}")
 
     print()
     print(f"{'pair':<28}{'delta':>9}{'p':>10}")
     for a, b in itertools.combinations(MODELS, 2):
-        result = randomization_test(aps[a], aps[b],
-                                    n_perm=args.permutations, seed=args.seed)
+        result = randomization_test(aps[a], aps[b], n_perm=args.permutations, seed=args.seed)
         print(f"{a + ' vs ' + b:<28}{result.delta:>9.4f}{result.p_two_sided:>10.5f}")
     return 0
 

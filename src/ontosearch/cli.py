@@ -18,11 +18,11 @@ flag or the config line; then the stop-word and wh-mapping files are
 read, once. No command takes abbreviated flags, and an empty path is an
 error.
 
-Evaluation covers every query with at least one relevant doc (rel > 0)
-in the qrels: a query with no run lines contributes an average precision
-of zero rather than being dropped, so a system cannot improve its MAP by
-returning nothing. A query whose every qrels line has rel <= 0 is not
-judged, since its average precision is undefined.
+Evaluation judges every query with at least one relevant doc (rel > 0) in
+the qrels, in sorted id order, through `judge` alone (eval, sigtest and
+scripts/compare_models.py). A query with no run lines scores an average
+precision of zero, so a system cannot improve its MAP by returning nothing.
+A query whose every qrels line has rel <= 0 is not judged: it has no AP.
 
 An index directory holds one file, `index.tsv`, whose header carries a
 fingerprint of the knowledge base file and of the stop-word set (its
@@ -195,39 +195,53 @@ def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
     write_text(output_path, "\n".join(lines) + "\n" if lines else "")
 
 
-def cmd_eval(run_path: Path, qrels_path: Path, output_path: Path) -> None:
-    run = load_run(run_path)
+def judge(run: dict[str, list[str]], qrels: dict[str, set[str]],
+          curves: list | None = None) -> dict[str, float]:
+    """query_id -> AP of each judged query. One relevance mask per ranking
+    gives its AP and, when `curves` is a list, the curve appended to it."""
+    aps: dict[str, float] = {}
+    for query_id in sorted(qrels):
+        ranking, relevant = run.get(query_id, []), qrels[query_id]
+        mask = relevance_mask(ranking, relevant)
+        aps[query_id] = average_precision(ranking, relevant, mask=mask)
+        if curves is not None:
+            curves.append(interpolated_curve(ranking, relevant, mask=mask))
+    return aps
+
+
+def _load_judgments(qrels_path: Path) -> dict[str, set[str]]:
     qrels = load_qrels(qrels_path)
     if not qrels:
         raise CliError(f"no relevance judgments in {qrels_path}")
+    return qrels
+
+
+def check_sigtest_args(n_perm: int, seed: int) -> None:
+    """Refuse a permutation count or a seed that the randomization test cannot take."""
+    if n_perm < 1:
+        raise CliError(f"--permutations {n_perm} must be >= 1")
+    if not 0 <= seed < 2**128:  # the keys Philox takes
+        raise CliError(f"--seed {seed} must be in [0, 2**128)")
+
+
+def cmd_eval(run_path: Path, qrels_path: Path, output_path: Path) -> None:
+    run = load_run(run_path)
+    qrels = _load_judgments(qrels_path)
     if not set(run) & set(qrels):
         raise CliError("run and qrels share no query ids")
-    per_query_ap: dict[str, float] = {}
-    curves = []
-    for query_id in sorted(qrels):
-        ranking, relevant = run.get(query_id, []), qrels[query_id]
-        mask = relevance_mask(ranking, relevant)  # one per ranking, for both judgments
-        per_query_ap[query_id] = average_precision(ranking, relevant, mask=mask)
-        curves.append(interpolated_curve(ranking, relevant, mask=mask))
+    curves: list = []
+    per_query_ap = judge(run, qrels, curves)
     write_text(output_path, format_eval_report(per_query_ap, *mean_curve(curves)))
 
 
 def cmd_sigtest(run_a_path: Path, run_b_path: Path, qrels_path: Path,
                 output_path: Path, n_perm: int, seed: int) -> None:
-    if n_perm < 1:
-        raise CliError(f"--permutations {n_perm} must be >= 1")
-    if not 0 <= seed < 2**128:  # the keys Philox takes
-        raise CliError(f"--seed {seed} must be in [0, 2**128)")
-    run_a = load_run(run_a_path)
-    run_b = load_run(run_b_path)
-    qrels = load_qrels(qrels_path)
-    if not qrels:
-        raise CliError(f"no relevance judgments in {qrels_path}")
+    check_sigtest_args(n_perm, seed)
+    run_a, run_b = load_run(run_a_path), load_run(run_b_path)
+    qrels = _load_judgments(qrels_path)
     if not set(run_a) & set(qrels) or not set(run_b) & set(qrels):
         raise CliError("both runs must share query ids with the qrels")
-    query_ids = sorted(qrels)
-    aps_a = [average_precision(run_a.get(q, []), qrels[q]) for q in query_ids]
-    aps_b = [average_precision(run_b.get(q, []), qrels[q]) for q in query_ids]
+    aps_a, aps_b = (list(judge(run, qrels).values()) for run in (run_a, run_b))
     result = randomization_test(aps_a, aps_b, n_perm=n_perm, seed=seed)
     write_text(output_path, format_sigtest_report(result))
 

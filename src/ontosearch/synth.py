@@ -12,12 +12,13 @@ Everything is a pure function of the seed. Several entities carry an
 alias that shares no token with the canonical name (an exonym or an
 acronym), and the `alias_bias` knob picks how often documents use it:
 0.0 writes canonical names everywhere, 1.0 writes the disjoint alias
-everywhere, and the default 0.5 mixes. The random stream is consumed
-identically for every bias value, so two collections generated from the
-same seed differ only in those surface choices — document structure,
-topics, and judgments stay fixed. Queries always use the canonical
-name unless the query list says otherwise, so keyword-only retrieval
-degrades as alias_bias grows while entity-aware retrieval does not.
+everywhere, and the default 0.5 mixes; a bias outside [0, 1], or nan, is
+an error. The random stream is consumed identically for every bias
+value, so two collections generated from the same seed differ only in
+those surface choices — document structure, topics, and judgments stay
+fixed. Queries always use the canonical name unless the query list says
+otherwise, so keyword-only retrieval degrades as alias_bias grows while
+entity-aware retrieval does not.
 """
 
 from __future__ import annotations
@@ -141,6 +142,8 @@ def _surface(entity_id: str, rng: random.Random, alias_bias: float) -> str:
 def generate(seed: int = 7, n_docs: int = 60, alias_bias: float = 0.5) -> SyntheticCollection:
     if n_docs < 50:
         raise ValueError("collection is designed for at least 50 documents")
+    if not 0.0 <= alias_bias <= 1.0:  # nan too: it compares false with everything
+        raise ValueError(f"alias_bias {alias_bias!r} must be in [0, 1]")
     rng = random.Random(seed)
     orgs = ["Organization_O.1", "Organization_O.2"]
     cities = ["City_C.1", "City_C.2"]

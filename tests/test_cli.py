@@ -725,20 +725,78 @@ JUDGED_RUN_SHA256 = {
 }
 
 
-def test_judged_synth_run_files_match_their_recorded_digests(tmp_path):
+@pytest.fixture(scope="module")
+def judged_synth(tmp_path_factory):
+    """A directory holding synth.generate(seed=7)'s qrels and its five run files."""
+    work = tmp_path_factory.mktemp("judged")
     collection = generate(seed=7)
     for name, text in (("kb.tsv", collection.kb_text), ("corpus.tsv", collection.corpus_text),
-                       ("queries.tsv", collection.queries_text)):
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    common = ["--kb", tmp_path / "kb.tsv", "--index-dir", tmp_path / "index"]
-    assert run_cli("index", *common, "--corpus", tmp_path / "corpus.tsv") == 0
-    digests = {}
+                       ("queries.tsv", collection.queries_text), ("qrels.txt", collection.qrels_text)):
+        (work / name).write_text(text, encoding="utf-8")
+    common = ["--kb", work / "kb.tsv", "--index-dir", work / "index"]
+    assert run_cli("index", *common, "--corpus", work / "corpus.tsv") == 0
     for model in JUDGED_RUN_SHA256:
-        run_path = tmp_path / f"run-{model}.txt"
-        assert run_cli("search", *common, "--queries", tmp_path / "queries.tsv",
-                       "--model", model, "--output", run_path) == 0
-        digests[model] = hashlib.sha256(run_path.read_bytes()).hexdigest()
+        assert run_cli("search", *common, "--queries", work / "queries.tsv",
+                       "--model", model, "--output", work / f"run-{model}.txt") == 0
+    return work
+
+
+def test_judged_synth_run_files_match_their_recorded_digests(judged_synth):
+    digests = {model: hashlib.sha256((judged_synth / f"run-{model}.txt").read_bytes()).hexdigest()
+               for model in JUDGED_RUN_SHA256}
     assert digests == JUDGED_RUN_SHA256
+
+
+# sha256 of each `ontosearch eval` report of those five runs against synth's qrels
+JUDGED_EVAL_SHA256 = {
+    "kw": "cd02039aa9c97b7e061c8a7c551e8a8b01d2f8cc181099af783bbb5995e298cb",
+    "ne": "04a72b5693f35135e4762533283c394d4d4392ffd8fbdca6c6a0fe815b99d652",
+    "kw-union-ne": "2b3692df908823838b85ef68403a668b620c8569c8d357b331195f07355cac69",
+    "kw+ne": "8375388249c1970b5e9b755f080374d615afe24f6df482175ac41f432bfa6b55",
+    "kw+ne+wh": "58ce9fdae9cd93dcdd9215a15c769744b1e1463c32b205b6c79f2ab4317c9592",
+}
+# sha256 of the `ontosearch sigtest --permutations 2000 --seed 7` reports of the
+# benchmark's two pairs of those runs
+JUDGED_SIGTEST_SHA256 = {
+    ("kw", "kw+ne"): "d146892e56f28db265217d07f5e237cf7c1141c98ceed39ef912349b666a1888",
+    ("kw+ne", "kw+ne+wh"): "4f23ed50f6fd5caa82ad0b33b4b315f370fe8f140c0a5fa812e5d8341216b9e0",
+}
+
+
+def judge_synth(work, command, *models, out):
+    if command == "eval":
+        runs = ["--run", work / f"run-{models[0]}.txt"]
+    else:
+        runs = ["--run-a", work / f"run-{models[0]}.txt", "--run-b", work / f"run-{models[1]}.txt",
+                "--permutations", "2000", "--seed", "7"]
+    assert run_cli(command, *runs, "--qrels", work / "qrels.txt", "--output", out) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_eval_and_sigtest_reports_of_the_judged_synth_runs_match_their_recorded_digests(
+        judged_synth, tmp_path):
+    evals = {model: judge_synth(judged_synth, "eval", model, out=tmp_path / f"eval-{model}.tsv")
+             for model in JUDGED_EVAL_SHA256}
+    sigtests = {pair: judge_synth(judged_synth, "sigtest", *pair, out=tmp_path / "sig.tsv")
+                for pair in JUDGED_SIGTEST_SHA256}
+    assert (evals, sigtests) == (JUDGED_EVAL_SHA256, JUDGED_SIGTEST_SHA256)
+
+
+def test_eval_and_sigtest_judge_through_the_names_of_the_cli_module(judged_synth, tmp_path,
+                                                                      monkeypatch):
+    # bench/tracing.py times these names where cli looks them up
+    calls = dict.fromkeys(("load_run", "average_precision", "interpolated_curve"), 0)
+    for name in calls:
+        def counted(*args, name=name, real=getattr(cli, name), **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    n_judged = len(evaluation.load_qrels(judged_synth / "qrels.txt"))
+    judge_synth(judged_synth, "eval", "kw", out=tmp_path / "eval.tsv")
+    assert calls == {"load_run": 1, "average_precision": n_judged, "interpolated_curve": n_judged}
+    calls.update(dict.fromkeys(calls, 0))
+    judge_synth(judged_synth, "sigtest", "kw", "kw+ne", out=tmp_path / "sig.tsv")
+    assert calls == {"load_run": 2, "average_precision": 2 * n_judged, "interpolated_curve": 0}
 
 
 def test_run_config_reads_stopword_and_wh_mapping_files_once(workspace, capsys, monkeypatch):

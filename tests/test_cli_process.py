@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+from ontosearch.cli import parse_corpus
 from ontosearch.index import INDEX_FILE, load_index, read_fingerprint
 from ontosearch.synth import generate
 
@@ -17,10 +18,14 @@ REPO = Path(__file__).parent.parent
 KB = REPO / "tests" / "data" / "figure_kb.tsv"
 
 
-def module_command(*args):
-    env = dict(os.environ)
+def child_env(**extra):
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    return [sys.executable, "-m", "ontosearch.cli", *map(str, args)], env
+    return env
+
+
+def module_command(*args):
+    return [sys.executable, "-m", "ontosearch.cli", *map(str, args)], child_env()
 
 
 def run_module(*args, cwd):
@@ -78,3 +83,49 @@ def test_a_killed_index_leaves_the_old_index_or_the_new_one(tmp_path):
         load_index(tmp_path / "killed")
         leftovers = {path.name for path in (tmp_path / "killed").iterdir()} - {INDEX_FILE}
         assert all(name.startswith(f".{INDEX_FILE}.") and name.endswith(".tmp") for name in leftovers)
+
+
+# one process's whole loop, through cli.main: argv is the collection directory, the
+# output directory and a document text. It indexes, searches under all five models,
+# evaluates each run, runs one sigtest and dumps the document's terms.
+WHOLE_LOOP = """
+import sys
+from contextlib import redirect_stdout
+from ontosearch.cli import main
+data, out, text = sys.argv[1:]
+common = ["--kb", f"{data}/kb.tsv", "--index-dir", f"{out}/index"]
+assert main(["index", *common, "--corpus", f"{data}/corpus.tsv"]) == 0
+for model in ("kw", "ne", "kw-union-ne", "kw+ne", "kw+ne+wh"):
+    run = f"{out}/run-{model}.txt"
+    assert main(["search", *common, "--model", model, "--queries", f"{data}/queries.tsv",
+                 "--output", run]) == 0
+    assert main(["eval", "--run", run, "--qrels", f"{data}/qrels.txt",
+                 "--output", f"{out}/eval-{model}.tsv"]) == 0
+assert main(["sigtest", "--run-a", f"{out}/run-kw.txt", "--run-b", f"{out}/run-kw+ne.txt",
+             "--qrels", f"{data}/qrels.txt", "--output", f"{out}/sigtest.tsv",
+             "--permutations", "2000", "--seed", "7"]) == 0
+with open(f"{out}/dump-terms.txt", "w", encoding="utf-8") as terms, redirect_stdout(terms):
+    assert main(["dump-terms", "--kb", f"{data}/kb.tsv", "--side", "document", text]) == 0
+"""
+
+
+def test_the_whole_loop_writes_the_same_bytes_whatever_the_hash_seed(tmp_path):
+    # str hashes, and so the walk of a set of strings, differ between processes
+    collection = generate(seed=7, n_docs=60)
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, text in (("kb.tsv", collection.kb_text), ("corpus.tsv", collection.corpus_text),
+                       ("queries.tsv", collection.queries_text), ("qrels.txt", collection.qrels_text)):
+        (data / name).write_text(text, encoding="utf-8")
+    every_document = " ".join(parse_corpus(collection.corpus_text).values())
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"hash-seed-{hash_seed}"
+        out.mkdir()
+        done = subprocess.run([sys.executable, "-c", WHOLE_LOOP, data, out, every_document],
+                              env=child_env(PYTHONHASHSEED=hash_seed), capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append({path.relative_to(out).as_posix(): path.read_bytes()
+                        for path in sorted(out.rglob("*")) if path.is_file()})
+    assert len(outputs[0]) == 13  # index.tsv, five runs, five eval reports, sigtest, dump-terms
+    assert outputs[0] == outputs[1]

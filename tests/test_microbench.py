@@ -26,7 +26,8 @@ permutations; a `parse_run` round parses the run file of those queries
 under all five models at k=1000 (over 50k lines), and a `parse_qrels`
 round a qrels file that judges each line of that run 1 or 0; an
 `average_precision` and `interpolated_curve` round judges the run's
-rankings and averages their curves with `mean_curve`, as `eval` does.
+rankings with `cli.judge`, asking for their curves, and averages those
+with `mean_curve`, as `eval` does.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ import numpy as np
 import pytest
 
 from ontosearch.annotate import DEFAULT_STOPWORDS, _TOKEN, annotate, recognize_entities, tokenize_keywords
-from ontosearch.cli import QuerySpec, parse_corpus, parse_queries
+from ontosearch.cli import QuerySpec, judge, parse_corpus, parse_queries
 from ontosearch.evaluation import (
     average_precision,
-    interpolated_curve,
     mean_curve,
     parse_qrels,
     parse_run,
@@ -294,12 +294,11 @@ def test_parse_qrels(benchmark, synth, run_text):
 
 def test_average_precision_and_curve(benchmark, synth, run_text):
     run = parse_run(run_text)
-    judged = [(ranking, synth.qrels[query_id.split("-", 1)[1]]) for query_id, ranking in run.items()]
+    qrels = {query_id: synth.qrels[query_id.split("-", 1)[1]] for query_id in run}
 
-    def judge():
-        curves = [interpolated_curve(ranking, relevant) for ranking, relevant in judged]
-        return ([average_precision(ranking, relevant) for ranking, relevant in judged],
-                curves, mean_curve(curves))
+    def judge_with_curves():
+        curves = []
+        return judge(run, qrels, curves), curves, mean_curve(curves)
 
-    aps, curves, _ = benchmark(judge)
-    assert len(aps) == len(curves) == len(judged)
+    aps, curves, _ = benchmark(judge_with_curves)
+    assert len(aps) == len(curves) == len(qrels)

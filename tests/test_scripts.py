@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).parent.parent
 
 
@@ -41,3 +43,18 @@ def test_compare_models_prints_a_map_row_per_model_and_a_row_per_pair(tmp_path):
     assert all(len(row.split()) == 5 and row.split()[1] == "vs" for row in pairs)
     assert all(0.0 <= float(row.split()[4]) <= 1.0 for row in pairs)
     assert (tmp_path / "work" / "index" / "index.tsv").is_file()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--permutations", 0, "--permutations 0 must be >= 1"),
+    ("--seed", -1, "--seed -1 must be in [0, 2**128)"),
+    ("--alias-bias", 1.5, "alias_bias 1.5 must be in [0, 1]"),
+], ids=["zero-permutations", "negative-seed", "alias-bias-above-1"])
+def test_compare_models_rejects_bad_arguments_before_any_work(tmp_path, flag, value, message):
+    # sigtest's own checks and messages, and synth.generate's, reported as a usage error
+    with pytest.raises(subprocess.CalledProcessError) as failed:
+        run_script("compare_models.py", "--docs", 60, flag, value,
+                   "--work-dir", tmp_path / "work", cwd=tmp_path)
+    assert failed.value.returncode == 2
+    assert failed.value.stderr.splitlines()[-1] == f"compare_models.py: error: {message}"
+    assert not (tmp_path / "work").exists()

@@ -92,3 +92,11 @@ def test_wh_queries_present_with_and_without_override(collection):
 def test_small_collections_are_rejected():
     with pytest.raises(ValueError):
         generate(seed=7, n_docs=10)
+
+
+@pytest.mark.parametrize("alias_bias", [-0.1, 1.5, float("nan"), float("inf")])
+def test_an_alias_bias_outside_0_to_1_is_rejected(alias_bias):
+    # a draw in [0, 1) is below any bias above 1 and below no bias under 0 or nan,
+    # so such a value would silently mean "always alias" or "never alias"
+    with pytest.raises(ValueError, match=r"^alias_bias .* must be in \[0, 1\]$"):
+        generate(seed=7, alias_bias=alias_bias)
