@@ -23,8 +23,11 @@ def main() -> int:
     parser.add_argument("--out-dir", type=Path, default=Path("synthetic"))
     args = parser.parse_args()
 
-    collection = generate(seed=args.seed, n_docs=args.docs,
-                          alias_bias=args.alias_bias)
+    try:
+        collection = generate(seed=args.seed, n_docs=args.docs,
+                              alias_bias=args.alias_bias)
+    except ValueError as exc:
+        parser.error(str(exc))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in (
         ("kb.tsv", collection.kb_text),

@@ -11,14 +11,18 @@ averaged: `mean_curve` computes every query's F at every level from the
 stacked curves, and both of its means add the rows in query order, as a
 sequential scan does.
 
-The randomization test keys one Philox generator by the seed. Permutation
-p's swap decisions are the raw draws at counter `[0, p, 0, 0]`: the
-generator's state is reset there before each permutation, and a query's
-pair is swapped exactly when its draw's top bit is clear, which is when
-the uniform `(raw >> 11) * 2**-53` falls below one half. The permutations
-are scored a block of rows at a time, each row's mean summed the way a
-single permutation's is, so the counts equal the one-permutation-at-a-time
-loop over `permutation_signs` bit for bit.
+The randomization test keys one Philox generator by the seed and lays
+the permutations end to end in its stream. With c = ceil(n / 4) for n
+queries, permutation p reads the first n of the 4c raw draws at counters
+p*c + 1 .. p*c + c, so a block of m permutations is one `random_raw(m * 4c)`
+call from a generator that is never reset, and any one permutation can
+still be drawn on its own by starting the counter at p*c. Distinct counters
+under one key give independent draws, so no two permutations share one. A
+query's pair is swapped exactly when its draw's top bit is clear, which is
+when the uniform `(raw >> 11) * 2**-53` falls below one half. The
+permutations are scored a block of rows at a time, each row's mean summed
+the way a single permutation's is, so the counts equal the
+one-permutation-at-a-time loop over `permutation_signs` bit for bit.
 
 The run and qrels parsers read a file as one stream of per-line
 `str.split`s, unpacked into named fields, and do each query's work with
@@ -124,17 +128,23 @@ class SigTestResult:
         return min(1.0, (self.n_minus + self.n_plus) / self.n_perm)
 
 
+def _row_counters(n_queries: int) -> int:
+    """Philox counters one permutation of `n_queries` spans: four draws each."""
+    return -(-n_queries // 4)
+
+
 def permutation_signs(seed: int, perm_index: int, n_queries: int) -> np.ndarray:
     """Swap signs (+1/-1) for one permutation; -1 swaps the query's pair.
 
     A query's pair is swapped when its uniform draw is below one half. The
-    draws are keyed by (seed, perm_index) through a counter-based generator,
-    so any block of permutation indexes can be evaluated independently. The
-    permutation index sits in the counter's second word, which drawing
-    never advances (it only carries out of the first word after 2**64
-    blocks), so the streams of distinct permutations never overlap.
+    draws come from a counter-based generator keyed by the seed, its counter
+    started at `perm_index * ceil(n_queries / 4)`. Permutation p draws from
+    the ceil(n_queries / 4) counters after its start, which end where p + 1's
+    start, so the streams of distinct permutations never overlap and any one
+    can be drawn on its own. The counter is a Python int, so a start of
+    2**64 or more carries into the counter's second word.
     """
-    bit_gen = np.random.Philox(key=seed, counter=[0, perm_index, 0, 0])
+    bit_gen = np.random.Philox(key=seed, counter=perm_index * _row_counters(n_queries))
     return np.where(np.random.Generator(bit_gen).random(n_queries) < 0.5, -1.0, 1.0)
 
 
@@ -142,24 +152,21 @@ def permutation_sign_blocks(seed: int, n_perm: int, n_queries: int) -> Iterator[
     """The swap signs of permutations 0 .. n_perm - 1, a block of rows at a time.
 
     Row p of the concatenated blocks equals `permutation_signs(seed, p,
-    n_queries)`: one Philox keyed by the seed is reset to counter
-    `[0, p, 0, 0]` before each row's raw draws, and a draw's top bit is
-    clear exactly when its uniform is below one half. A block holds at
-    most `_BLOCK_FLOATS` signs (at least one row).
+    n_queries)`. One Philox keyed by the seed, never reset, draws a block
+    of m rows as one `random_raw` call of m rows of 4 * ceil(n_queries / 4)
+    draws; a row keeps its first n_queries, and a draw's top bit is clear
+    exactly when its uniform is below one half. A block holds at most
+    `_BLOCK_FLOATS` signs (at least one row).
     """
     bit_gen = np.random.Philox(key=seed)
-    state = bit_gen.state  # counter [0, 0, 0, 0], empty buffer
-    counter = state["state"]["counter"]
+    width = 4 * _row_counters(n_queries)
     rows = max(1, _BLOCK_FLOATS // n_queries)
-    raw = np.empty((rows, n_queries), dtype=np.uint64)
     for start in range(0, n_perm, rows):
-        block = raw[: n_perm - start]
-        for i, row in enumerate(block, start=start):
-            counter[1] = i
-            bit_gen.state = state
-            row[:] = bit_gen.random_raw(n_queries)
-        block >>= 63
-        yield np.where(block, 1.0, -1.0)
+        m = min(rows, n_perm - start)
+        top_bits = bit_gen.random_raw(m * width).reshape(m, width)[:, :n_queries] >> 63
+        signs = top_bits * 2.0  # a set bit keeps the pair (+1), a clear one swaps it (-1)
+        signs -= 1.0
+        yield signs
 
 
 def per_query_diff(aps_a: list[float], aps_b: list[float]) -> list[float]:
@@ -182,13 +189,14 @@ def randomization_test(
     two-sided p-value is the fraction of permutations with |d| >= the
     observed delta, clamped to 1.
 
-    Permutation p's swaps are `permutation_signs(seed, p, n)`, drawn from
-    one keyed Philox reset to counter `[0, p, 0, 0]` per permutation and
-    read off the draws' top bits (see `permutation_sign_blocks`). Each
-    block of permutations is scored with one row-wise
-    `(diffs * signs).mean(axis=1)`, which sums every row exactly as one
-    permutation's `.mean()` does, so the counts are those of the serial
-    loop bit for bit (a matrix product would sum in another order).
+    Permutation p's swaps are `permutation_signs(seed, p, n)`. One keyed
+    Philox draws the permutations end to end, a block of rows per
+    `random_raw` call, and the swaps are read off the draws' top bits (see
+    `permutation_sign_blocks`). Each block of permutations is scored with
+    one row-wise `(diffs * signs).mean(axis=1)`, which sums every row
+    exactly as one permutation's `.mean()` does, so the counts are those of
+    the serial loop bit for bit (a matrix product would sum in another
+    order).
     """
     if not aps_a or not aps_b:
         raise ValueError("per-query score lists must be non-empty")

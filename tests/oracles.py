@@ -610,8 +610,9 @@ def exact_randomization_counts(diffs) -> tuple[int, int, int]:
 
 def permutation_uniforms(seed: int, perm_index: int, n_queries: int) -> np.ndarray:
     """The uniform draws behind one permutation's swap decisions: `n_queries`
-    doubles from a Philox keyed by the seed, its counter set to
-    `[0, perm_index, 0, 0]`. A query's pair is swapped when its draw is below
-    one half."""
-    bit_gen = np.random.Philox(key=seed, counter=[0, perm_index, 0, 0])
+    doubles from a Philox keyed by the seed, its counter started at
+    `perm_index * ceil(n_queries / 4)`, the first of the four draws per
+    counter that a permutation spans. A query's pair is swapped when its
+    draw is below one half."""
+    bit_gen = np.random.Philox(key=seed, counter=perm_index * -(-n_queries // 4))
     return np.random.Generator(bit_gen).random(n_queries)

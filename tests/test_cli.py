@@ -758,8 +758,8 @@ JUDGED_EVAL_SHA256 = {
 # sha256 of the `ontosearch sigtest --permutations 2000 --seed 7` reports of the
 # benchmark's two pairs of those runs
 JUDGED_SIGTEST_SHA256 = {
-    ("kw", "kw+ne"): "d146892e56f28db265217d07f5e237cf7c1141c98ceed39ef912349b666a1888",
-    ("kw+ne", "kw+ne+wh"): "4f23ed50f6fd5caa82ad0b33b4b315f370fe8f140c0a5fa812e5d8341216b9e0",
+    ("kw", "kw+ne"): "1c603cf6a23daa303ae05b8ff9eac94287a94cb64508ace1523aaea0e24b7cc0",
+    ("kw+ne", "kw+ne+wh"): "d944776050a5a5f6ac0c5a7457ba7690cd7a0c67ec7603b947b57f63f945da1e",
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import re
 from unittest import mock
@@ -331,6 +332,31 @@ def test_permutation_streams_share_no_uniform(n_queries):
 def test_permutation_signs_follow_their_uniforms():
     uniforms = oracles.permutation_uniforms(8, 11, 40)
     assert np.array_equal(permutation_signs(8, 11, 40), np.where(uniforms < 0.5, -1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 4, 5, 67]), rows=st.integers(1, 9), n_perm=st.integers(1, 40),
+       seed=st.integers(0, 2**128 - 1))
+def test_sign_blocks_are_one_philox_stream_cut_into_rows(n, rows, n_perm, seed):
+    # rows of 4 * ceil(n / 4) draws, end to end from counter 0; a row keeps its first n
+    width = 4 * math.ceil(n / 4)
+    raw = np.random.Philox(key=seed).random_raw(n_perm * width).reshape(n_perm, width)[:, :n]
+    with mock.patch.object(evaluation, "_BLOCK_FLOATS", rows * n):
+        blocks = list(permutation_sign_blocks(seed, n_perm, n))
+    assert all(len(b) <= rows for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), np.where(raw >> 63 == 1, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("n,perm_index", [
+    (1, 2**64), (1, 2**65 - 1), (4, 2**64 + 7), (5, 2**63), (67, 2**64 // 17 + 1), (67, 2**70 + 3),
+])
+def test_a_permutation_starting_past_2_64_carries_into_the_counters_second_word(n, perm_index):
+    start = perm_index * math.ceil(n / 4)
+    assert start >= 2**64
+    high, low = divmod(start, 2**64)
+    counter = np.array([low, high, 0, 0], dtype=np.uint64)
+    raw = np.random.Philox(key=12, counter=counter).random_raw(n)
+    assert np.array_equal(permutation_signs(12, perm_index, n), np.where(raw >> 63 == 1, 1.0, -1.0))
 
 
 def serial_counts(diffs, n_perm, seed):

@@ -22,9 +22,11 @@ names one of 0, 1000 or 5000 generated extra entities, against synth's KB
 plus those entities, and a gazetteer round builds that KB's gazetteer;
 a `randomization_test` round compares two
 models' per-query average precision over those 24 queries with 10k
-permutations; a `parse_run` round parses the run file of those queries
-under all five models at k=1000 (over 50k lines), and a `parse_qrels`
-round a qrels file that judges each line of that run 1 or 0; an
+permutations, and a 67-query round does the same for two seeded lists of
+uniform APs, as many queries as one round of `bench/run.py` judges (its
+200 judged queries are split over 3 rounds); a `parse_run` round parses
+the run file of those 24 queries under all five models at k=1000 (over
+50k lines), and a `parse_qrels` round a qrels file that judges each line of that run 1 or 0; an
 `average_precision` and `interpolated_curve` round judges the run's
 rankings with `cli.judge`, asking for their curves, and averages those
 with `mean_curve`, as `eval` does.
@@ -268,6 +270,13 @@ def test_randomization_test_10k_permutations(benchmark, synth):
         ]
 
     aps_a, aps_b = aps(Model.KW), aps(Model.KW_PLUS_NE_WH)
+    result = benchmark(lambda: randomization_test(aps_a, aps_b, n_perm=N_PERM, seed=0))
+    assert result.n_perm == N_PERM
+
+
+def test_randomization_test_10k_permutations_at_67_queries(benchmark):
+    rng = np.random.default_rng(67)
+    aps_a, aps_b = list(rng.uniform(0.0, 1.0, 67)), list(rng.uniform(0.0, 1.0, 67))
     result = benchmark(lambda: randomization_test(aps_a, aps_b, n_perm=N_PERM, seed=0))
     assert result.n_perm == N_PERM
 

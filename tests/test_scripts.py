@@ -30,6 +30,19 @@ def test_make_synthetic_writes_the_four_collection_files(tmp_path):
     assert all((out / name).stat().st_size > 0 for name in names)
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--docs", 0, "collection is designed for at least 50 documents"),
+    ("--alias-bias", 2, "alias_bias 2.0 must be in [0, 1]"),
+], ids=["zero-docs", "alias-bias-above-1"])
+def test_make_synthetic_rejects_bad_arguments_before_any_work(tmp_path, flag, value, message):
+    # synth.generate's checks and messages, reported as a usage error
+    with pytest.raises(subprocess.CalledProcessError) as failed:
+        run_script("make_synthetic.py", flag, value, "--out-dir", tmp_path / "synthetic", cwd=tmp_path)
+    assert failed.value.returncode == 2
+    assert failed.value.stderr.splitlines()[-1] == f"make_synthetic.py: error: {message}"
+    assert not (tmp_path / "synthetic").exists()
+
+
 def test_compare_models_prints_a_map_row_per_model_and_a_row_per_pair(tmp_path):
     lines = run_script("compare_models.py", "--docs", 60, "--permutations", 500,
                        "--work-dir", tmp_path / "work", cwd=tmp_path)
