@@ -27,9 +27,11 @@ A query whose every qrels line has rel <= 0 is not judged: it has no AP.
 An index directory holds one file, `index.tsv`, whose header carries a
 fingerprint of the knowledge base file and of the stop-word set (its
 sorted words, one a line) used to build it (see `ontosearch.index`).
-Search reads that header first and refuses to run when the inputs on
-the command line hash differently, or when the directory holds an index
-of an earlier format, which must be rebuilt. The postings
+Each command reads the KB file and `index.tsv` once, and the fingerprint
+is taken from the bytes it parsed: index records the digest of the KB it
+analysed with, and search loads the KB, then the whole index, and refuses
+to run when the two fingerprints differ, or when the directory holds an
+index of an earlier format, which must be rebuilt. The postings
 and the fingerprint are committed by one rename, so a failed `index`
 leaves the old index with its own fingerprint. All output files are
 written atomically, so a failed command leaves no partial primary output.
@@ -57,8 +59,8 @@ from .evaluation import (
     relevance_mask,
 )
 from .expand import Space, display_term
-from .index import build_index, load_index, read_fingerprint, save_index
-from .kb import load_kb
+from .index import build_index, load_index, save_index
+from .kb import KnowledgeBase, load_kb
 from .rank import (
     Model,
     ModelConfig,
@@ -146,21 +148,13 @@ def parse_queries(text: str, origin: str = "<queries>") -> list[QuerySpec]:
 
 # --- fingerprinting ---------------------------------------------------------------
 
-def _fingerprint(kb_path: Path, stopwords: frozenset[str]) -> dict[str, str]:
-    """sha256 of the KB file and of the stop-word set, its sorted words one a line."""
+def _fingerprint(kb: KnowledgeBase, stopwords: frozenset[str]) -> dict[str, str]:
+    """sha256 of the KB's parsed file and of the stop-word set, its sorted words one a line."""
     stop_bytes = "\n".join(sorted(stopwords)).encode("utf-8")
     return {
-        "kb_sha256": hashlib.sha256(kb_path.read_bytes()).hexdigest(),
+        "kb_sha256": kb.sha256,
         "stopwords_sha256": hashlib.sha256(stop_bytes).hexdigest(),
     }
-
-
-def _check_fingerprint(index_dir: Path, expected: dict[str, str]) -> None:
-    if read_fingerprint(index_dir) != expected:
-        raise CliError(
-            "index fingerprint mismatch: the knowledge base or stop-word list "
-            "differs from the one used at indexing time; rebuild the index"
-        )
 
 
 # --- commands ----------------------------------------------------------------------
@@ -173,7 +167,7 @@ def cmd_index(cfg: RunConfig, corpus_path: Path, index_dir: Path) -> None:
         for doc_id, text in corpus.items()
     ]
     bundle = build_index(reps)
-    save_index(bundle, index_dir, _fingerprint(cfg.kb_path, cfg.stopwords))
+    save_index(bundle, index_dir, _fingerprint(kb, cfg.stopwords))
 
 
 def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
@@ -181,10 +175,14 @@ def cmd_search(cfg: RunConfig, index_dir: Path, queries_path: Path,
     # the tag is the sixth field of whitespace-separated run lines
     if not run_tag or any(ch.isspace() for ch in run_tag):
         raise CliError(f"--run-tag {run_tag!r} must be non-empty and contain no whitespace")
-    _check_fingerprint(index_dir, _fingerprint(cfg.kb_path, cfg.stopwords))
-    queries = parse_queries(read_text(queries_path), str(queries_path))
     kb = load_kb(cfg.kb_path)
     idx = load_index(index_dir)
+    if idx.fingerprint != _fingerprint(kb, cfg.stopwords):
+        raise CliError(
+            "index fingerprint mismatch: the knowledge base or stop-word list "
+            "differs from the one used at indexing time; rebuild the index"
+        )
+    queries = parse_queries(read_text(queries_path), str(queries_path))
     lines: list[str] = []
     for query in queries:
         ranking = search(

@@ -78,9 +78,10 @@ names joined into one string. Only a term these cannot vouch for, such as one
 holding `%`, is spelt again alone, as `Triple(*triple_slots(term))`, and so
 is a failure, to name its line. Only then does it check the sha256, which
 also catches an edit that leaves every field well formed. A loaded index
-equals a freshly built one. Formats 2 and 3 are refused by their format
-line, with a request to rebuild; a directory from before format 2 holds no
-`index.tsv`.
+equals a freshly built one and keeps its header's fingerprint, so a caller
+checks its inputs against the bytes it loaded. Formats 2 and 3 are refused
+by their format line, with a request to rebuild; a directory from before
+format 2 holds no `index.tsv`.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ import math
 import operator
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from pathlib import Path
@@ -199,6 +200,8 @@ class SpaceIndex:
 class IndexBundle:
     spaces: dict[Space, SpaceIndex]
     doc_ids: Roster
+    # the header's key -> value lines as `load_index` read them; {} for a built bundle
+    fingerprint: dict[str, str] = field(default_factory=dict, compare=False)
 
 
 def tfidf_weight(tf: int, df: int, n_docs: int) -> float:
@@ -448,16 +451,7 @@ def save_index(bundle: IndexBundle, directory: str | Path,
         )))
     content = "\n".join(lines) + "\n"
     content += f"{_DIGEST}{hashlib.sha256(content.encode('utf-8')).hexdigest()}\n"
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_text(directory / INDEX_FILE, content)
-
-
-def _index_file(directory: str | Path) -> Path:
-    path = Path(directory) / INDEX_FILE
-    if not path.is_file():
-        raise FileNotFoundError(f"missing index file: {path}")
-    return path
+    write_text(Path(directory) / INDEX_FILE, content)
 
 
 def _count(text: str, where: str) -> int:
@@ -485,25 +479,19 @@ def _read_header(lines: Iterator[str], path: Path) -> tuple[dict[str, str], int,
     raise ValueError(f"{path}: no docs line")
 
 
-def read_fingerprint(directory: str | Path) -> dict[str, str]:
-    """The fingerprint stored in an index's header, read without the rest of the file."""
-    path = _index_file(directory)
-    with open(path, "rb") as fh:  # lines end at "\n" alone, as load_index splits them
-        return _read_header((decode_utf8(line, path, lineno).removesuffix("\n")
-                             for lineno, line in enumerate(fh, start=1)), path)[0]
-
-
 def load_index(directory: str | Path) -> IndexBundle:
-    """Read `index.tsv` back, checking every field, then the sha256; a malformed field fails with path:line."""
-    path = _index_file(directory)
+    """Read `index.tsv` back, checking every field, then the sha256; a malformed field fails with
+    path:line. The bundle keeps the header's fingerprint, read from the same bytes."""
+    path = Path(directory) / INDEX_FILE
+    if not path.is_file():
+        raise FileNotFoundError(f"missing index file: {path}")
     data = path.read_bytes()
-    # split on "\n" alone: a "\r" in a doc id or fingerprint value stays
-    # inside its line, as read_fingerprint reads it
+    # split on "\n" alone: a "\r" in a doc id or fingerprint value stays inside its line
     lines = decode_utf8(data, path).split("\n")
     if lines.pop():
         raise ValueError(f"{path}:{len(lines) + 1}: the file ends inside a line")
     digest = lines.pop() if lines and lines[-1].startswith(_DIGEST) else None
-    _, n_docs, docs_line = _read_header(iter(lines), path)
+    fingerprint, n_docs, docs_line = _read_header(iter(lines), path)
     at = docs_line + n_docs  # index of the line after the roster
     if at > len(lines):
         raise ValueError(f"{path}:{docs_line}: the docs line states {n_docs} documents, "
@@ -549,6 +537,7 @@ def load_index(directory: str | Path) -> IndexBundle:
     if digest is None or hashlib.sha256(data[:-len(digest) - 1]).hexdigest() != digest[len(_DIGEST):]:
         raise ValueError(f"{path}:{len(lines) + 1}: expected the sha256 of the lines above; the "
                          "file was changed after it was written, so rebuild it")
+    bundle.fingerprint = fingerprint
     return bundle
 
 

@@ -1,7 +1,9 @@
 """Knowledge base: class hierarchy plus entity catalog with alias lookup.
 
 The KB is loaded once from a line-oriented TSV file, and its classes,
-entities and name index never change afterwards. Two derived structures
+entities and name index never change afterwards. It carries the sha256 of
+the text it was parsed from, so its fingerprint is that of the bytes parsed,
+with no second read of the file. Two derived structures
 are built lazily and cached on the KB object itself, never in a
 module-level table, so they go when the KB goes: the gazetteer that
 `find_mentions` looks text up in, built on first use; and `expansions`,
@@ -37,9 +39,10 @@ superclass closure.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -153,12 +156,16 @@ class KnowledgeBase:
 
     ``name_index`` maps every normalized canonical name and alias to the set
     of entity ids carrying that surface form; the recognizer's gazetteer is
-    built from it, so annotation and KB share one normalization.
+    built from it, so annotation and KB share one normalization. ``sha256``
+    is the digest of the parsed text as UTF-8, which for a file is the digest
+    of its bytes; it takes no part in equality, so two texts that differ only
+    in a comment give equal KBs.
     """
 
     classes: dict[str, ClassDef]
     entities: dict[str, EntityDef]
     name_index: dict[str, frozenset[str]]
+    sha256: str = field(default="", compare=False)
 
     @cached_property
     def gazetteer(self) -> dict[str, Slots | None]:
@@ -267,6 +274,7 @@ def parse_kb(text: str, origin: str = "<string>") -> KnowledgeBase:
         classes=classes,
         entities=entities,
         name_index={k: frozenset(v) for k, v in name_index.items()},
+        sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )
 
 

@@ -8,15 +8,17 @@ import tempfile
 from pathlib import Path
 
 
-def decode_utf8(data: bytes, path: str | Path, first_line: int = 1) -> str:
-    """`data`, read from `path` starting at line `first_line`, decoded as UTF-8.
+def decode_utf8(data: bytes, path: str | Path) -> str:
+    """`data`, the whole file read from `path`, decoded as UTF-8.
 
     A byte sequence that is not UTF-8 fails as `path:line: not valid UTF-8`.
+    Decoding is strict, so the text encodes back to exactly `data`: a digest
+    of the text is a digest of the bytes that were read.
     """
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = first_line + data.count(b"\n", 0, exc.start)
+        line = 1 + data.count(b"\n", 0, exc.start)
         raise ValueError(f"{path}:{line}: not valid UTF-8") from None
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import builtins
 import hashlib
 import os
 import re
@@ -15,6 +16,7 @@ from ontosearch import cli, evaluation
 from ontosearch.annotate import DEFAULT_STOPWORDS
 from ontosearch.cli import CliError, main, parse_corpus, parse_queries
 from ontosearch.evaluation import load_run
+from ontosearch.index import load_index
 from ontosearch.synth import generate
 
 from conftest import DATA_DIR, FIGURE_DOC, FIGURE_QUERY
@@ -291,6 +293,41 @@ def test_search_rejects_fingerprint_mismatch(workspace, capsys):
     assert run_cli("search", "--kb", other_kb, "--index-dir", index_dir,
                    "--queries", workspace / "queries.tsv", "--output", out) == 1
     assert "fingerprint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_kb_edited_while_index_runs_is_refused_by_search(workspace, capsys, monkeypatch):
+    # the fingerprint is that of the KB the documents were analysed with, not of the file afterwards
+    kb = workspace / "kb.tsv"
+    original = Path(KB).read_bytes()
+    kb.write_bytes(original)
+
+    def build_after_an_edit(reps, real_build=cli.build_index):
+        kb.write_bytes(original + b"ENTITY\tFair_T.1\tDayTime\twinter fair\t-\n")
+        return real_build(reps)
+
+    monkeypatch.setattr(cli, "build_index", build_after_an_edit)
+    index_dir = workspace / "idx"
+    assert run_cli("index", "--kb", kb, "--corpus", workspace / "corpus.tsv", "--index-dir", index_dir) == 0
+    monkeypatch.undo()
+    assert load_index(index_dir).fingerprint["kb_sha256"] == hashlib.sha256(original).hexdigest()
+    out = workspace / "run.txt"
+    assert run_cli("search", "--kb", kb, "--index-dir", index_dir,
+                   "--queries", workspace / "queries.tsv", "--output", out) == 1
+    assert "error: index fingerprint mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_search_names_the_line_of_a_malformed_kb(workspace, capsys):
+    index_dir = build_index_dir(workspace)
+    text = Path(KB).read_text(encoding="utf-8")
+    bad_kb = workspace / "bad_kb.tsv"
+    bad_kb.write_text(text + "BOGUS\tline\n", encoding="utf-8")
+    out = workspace / "run.txt"
+    assert run_cli("search", "--kb", bad_kb, "--index-dir", index_dir,
+                   "--queries", workspace / "queries.tsv", "--output", out) == 1
+    line = len(text.splitlines()) + 1
+    assert f"error: {bad_kb}:{line}: unknown record tag 'BOGUS'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -808,6 +845,12 @@ def test_run_config_reads_stopword_and_wh_mapping_files_once(workspace, capsys, 
             reads.append(path.name)
             return real(path, *args, **kwargs)
         monkeypatch.setattr(Path, method, counted)
+
+    def counted_open(file, *args, real=builtins.open, **kwargs):
+        if isinstance(file, (str, os.PathLike)):  # not a descriptor that write_text opens
+            reads.append(Path(file).name)
+        return real(file, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", counted_open)
     files = ["--stopwords", workspace / "stop.txt"]
     with_wh = [*files, "--model", "kw+ne+wh", "--wh-mapping", workspace / "wh.tsv"]
     commands = [
@@ -821,6 +864,8 @@ def test_run_config_reads_stopword_and_wh_mapping_files_once(workspace, capsys, 
         assert run_cli(*argv[:1], "--kb", KB, *argv[1:]) == 0
         assert reads.count("stop.txt") == 1
         assert reads.count("wh.tsv") == (argv[0] != "index")
+        assert reads.count(Path(KB).name) == 1
+        assert reads.count("index.tsv") == (argv[0] == "search")
     run_lines = (workspace / "run.txt").read_text(encoding="utf-8").splitlines()
     assert [line.split()[0] for line in run_lines] == ["q1", "q2", "q3"]
     # "who" is no stop word of stop.txt, and wh.tsv maps it

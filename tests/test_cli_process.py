@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from ontosearch.cli import parse_corpus
-from ontosearch.index import INDEX_FILE, load_index, read_fingerprint
+from ontosearch.index import INDEX_FILE, load_index
 from ontosearch.synth import generate
 
 REPO = Path(__file__).parent.parent
@@ -64,8 +64,8 @@ def test_a_killed_index_leaves_the_old_index_or_the_new_one(tmp_path):
         done = run_module("index", "--kb", tmp_path / f"{name}-kb.tsv", "--corpus", tmp_path / f"{name}.tsv",
                           "--index-dir", tmp_path / name, cwd=tmp_path)
         assert done.returncode == 0, done.stderr
-        builds[(tmp_path / name / INDEX_FILE).read_bytes()] = read_fingerprint(tmp_path / name)
-    assert len(builds) == 2 and read_fingerprint(tmp_path / "old") != read_fingerprint(tmp_path / "new")
+        builds[(tmp_path / name / INDEX_FILE).read_bytes()] = load_index(tmp_path / name).fingerprint
+    assert len(builds) == 2 and load_index(tmp_path / "old").fingerprint != load_index(tmp_path / "new").fingerprint
 
     argv, env = module_command("index", "--kb", tmp_path / "new-kb.tsv", "--corpus", tmp_path / "new.tsv",
                                "--index-dir", tmp_path / "killed")
@@ -79,8 +79,7 @@ def test_a_killed_index_leaves_the_old_index_or_the_new_one(tmp_path):
         process.wait()
         content = (tmp_path / "killed" / INDEX_FILE).read_bytes()
         assert content in builds, f"killed after {delay} s"
-        assert read_fingerprint(tmp_path / "killed") == builds[content]
-        load_index(tmp_path / "killed")
+        assert load_index(tmp_path / "killed").fingerprint == builds[content]
         leftovers = {path.name for path in (tmp_path / "killed").iterdir()} - {INDEX_FILE}
         assert all(name.startswith(f".{INDEX_FILE}.") and name.endswith(".tmp") for name in leftovers)
 

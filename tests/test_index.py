@@ -28,7 +28,6 @@ from ontosearch.index import (
     _varints,
     build_index,
     load_index,
-    read_fingerprint,
     save_index,
     tfidf_weight,
 )
@@ -284,7 +283,16 @@ def test_save_writes_one_index_file(tmp_path):
     ]
     body = "".join(line + "\n" for line in lines[:-1])
     assert lines[-1] == "sha256\t" + hashlib.sha256(body.encode("utf-8")).hexdigest()
-    assert read_fingerprint(tmp_path) == {"kb_sha256": "ab12"}
+    assert load_index(tmp_path).fingerprint == {"kb_sha256": "ab12"}
+
+
+def test_save_creates_a_directory_that_does_not_exist_yet(tmp_path):
+    built = build_index(FIVE_DOCS)
+    save_index(built, tmp_path / "a" / "idx", {"kb_sha256": "ab12"})
+    assert [p.name for p in (tmp_path / "a" / "idx").iterdir()] == ["index.tsv"]
+    loaded = load_index(tmp_path / "a" / "idx")
+    assert loaded == built
+    assert loaded.fingerprint == {"kb_sha256": "ab12"} and built.fingerprint == {}
 
 
 def test_round_trip_restores_everything_exactly(tmp_path):
@@ -347,8 +355,9 @@ def test_a_carriage_return_in_a_doc_id_or_fingerprint_value_round_trips(tmp_path
     # save_index reserves only ':', ',', tab and newline; a "\r" must not split a line on load
     built = build_index([rep("a\rb", KW={K("alpha"): 1}), *FIVE_DOCS])
     save_index(built, tmp_path, {"kb_sha256": "v\rw"})
-    assert load_index(tmp_path) == built
-    assert read_fingerprint(tmp_path) == {"kb_sha256": "v\rw"}
+    loaded = load_index(tmp_path)
+    assert loaded == built
+    assert loaded.fingerprint == {"kb_sha256": "v\rw"}
 
 
 def test_query_views_are_built_on_first_use_from_the_bundle_roster(tmp_path):
@@ -474,40 +483,37 @@ def test_load_rejects_a_file_without_its_sha256_line(tmp_path):
         load_index(tmp_path)
 
 
-def test_load_and_read_fingerprint_refuse_a_format_2_file(tmp_path):
+def test_load_refuses_a_format_2_file(tmp_path):
     # as format 2 wrote it: norms on the roster rows, G's entity lines, no sha256
     (tmp_path / "index.tsv").write_text(
         "ontosearch-index\t2\nkb_sha256\tab12\ndocs\t1\nd1\t0\t0\t0\t0\t0\t0\n"
         "space\tKW\t1\nk:a\t0\t1\nspace\tN\t1\nt:x/*/*\t0\t1\nspace\tC\t0\nspace\tNC\t0\n"
         "space\tI\t0\nspace\tG\t1\nt:x/*/*\t0\t1\n", encoding="utf-8")
-    for read in (load_index, read_fingerprint):
-        with rejects(tmp_path / "index.tsv", 1, "expected the format line 'ontosearch-index\\t4', got "
-                     "'ontosearch-index\\t2'; rebuild it with `ontosearch index`"):
-            read(tmp_path)
+    with rejects(tmp_path / "index.tsv", 1, "expected the format line 'ontosearch-index\\t4', got "
+                 "'ontosearch-index\\t2'; rebuild it with `ontosearch index`"):
+        load_index(tmp_path)
 
 
-def test_load_and_read_fingerprint_refuse_a_format_3_file(tmp_path):
+def test_load_refuses_a_format_3_file(tmp_path):
     # as format 3 wrote it: gaps and tfs as decimal comma lists
     body = ("ontosearch-index\t3\nkb_sha256\tab12\ndocs\t2\nd1\nd2\nspace\tKW\t1\nk:a\t0,1\t1,2\n"
             "space\tN\t1\nt:x/*/*\t1\t1\nspace\tC\t0\nspace\tNC\t0\nspace\tI\t0\nspace\tG\t0\n")
     (tmp_path / "index.tsv").write_text(
         body + "sha256\t" + hashlib.sha256(body.encode("utf-8")).hexdigest() + "\n", encoding="utf-8")
-    for read in (load_index, read_fingerprint):
-        with rejects(tmp_path / "index.tsv", 1, "expected the format line 'ontosearch-index\\t4', got "
-                     "'ontosearch-index\\t3'; rebuild it with `ontosearch index`"):
-            read(tmp_path)
+    with rejects(tmp_path / "index.tsv", 1, "expected the format line 'ontosearch-index\\t4', got "
+                 "'ontosearch-index\\t3'; rebuild it with `ontosearch index`"):
+        load_index(tmp_path)
 
 
-def test_load_and_read_fingerprint_name_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     path = saved_five(tmp_path)
     data = path.read_bytes()
     path.write_bytes(data + b"\xff")
     with rejects(path, 23, "not valid UTF-8"):
         load_index(tmp_path)
     path.write_bytes(data.replace(b"docs\t5", b"kb_sha256\t\xff\ndocs\t5"))  # a fingerprint value
-    for read in (load_index, read_fingerprint):
-        with rejects(path, 2, "not valid UTF-8"):
-            read(tmp_path)
+    with rejects(path, 2, "not valid UTF-8"):
+        load_index(tmp_path)
 
 
 def test_load_rejects_df_posting_mismatch(tmp_path):
@@ -741,17 +747,15 @@ def test_load_rejects_rows_whose_field_counts_only_add_up(tmp_path):
 def test_load_rejects_a_fingerprint_key_listed_twice(tmp_path):
     path = saved_five(tmp_path)
     replace_line(path, 2, "kb_sha256\tab12", "kb_sha256\tcd34", "docs\t5")
-    for read in (load_index, read_fingerprint):
-        with rejects(path, 3, "fingerprint key 'kb_sha256' is listed twice"):
-            read(tmp_path)
+    with rejects(path, 3, "fingerprint key 'kb_sha256' is listed twice"):
+        load_index(tmp_path)
 
 
 def test_load_rejects_a_header_without_a_docs_line(tmp_path):
     path = tmp_path / "index.tsv"
     path.write_text("ontosearch-index\t4\nkb_sha256\tab12\n", encoding="utf-8")
-    for read in (load_index, read_fingerprint):
-        with pytest.raises(ValueError, match=re.escape(f"{path}: no docs line")):
-            read(tmp_path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no docs line")):
+        load_index(tmp_path)
 
 
 def test_load_rejects_a_docs_line_that_states_more_rows_than_the_file_holds(tmp_path):
@@ -882,9 +886,8 @@ def test_load_refuses_a_format_1_directory_and_save_replaces_it(tmp_path):
     old = ["manifest.tsv", "fingerprint.tsv"] + [f"{space.value}.tsv" for space in Space]
     for name in old:
         (tmp_path / name).write_text("format 1\n")
-    for read in (load_index, read_fingerprint):
-        with pytest.raises(FileNotFoundError, match=re.escape(f"missing index file: {tmp_path / 'index.tsv'}")):
-            read(tmp_path)
+    with pytest.raises(FileNotFoundError, match=re.escape(f"missing index file: {tmp_path / 'index.tsv'}")):
+        load_index(tmp_path)
     built = build_index(FIVE_DOCS)
     save_index(built, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*old, "index.tsv"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import re
 import sys
 
@@ -190,6 +191,20 @@ def test_load_kb_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, figure_kb_p
     path.write_bytes(text + b"# caf\xe9\n")  # Latin-1, not UTF-8
     with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: not valid UTF-8")):
         load_kb(path)
+
+
+def test_the_kb_digest_is_the_sha256_of_the_file_it_was_parsed_from(tmp_path):
+    # CRLF line ends and non-ASCII names: the digest is of the bytes read, not of a normalized text
+    data = "CLASS\tCity\t-\t-\r\nENTITY\tZ\u00fcrich_1\tCity\tZ\u00fcrich\tZurigo|\u82cf\u9ece\u4e16\r\n".encode("utf-8")
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(data)
+    assert load_kb(path).sha256 == parse_kb(data.decode("utf-8")).sha256 == hashlib.sha256(data).hexdigest()
+    # a comment changes the digest but not the KB
+    plain = kb_text("CLASS\tCity\t-\t-", "ENTITY\tOslo_1\tCity\tOslo\tChristiania")
+    commented = "# capitals\n" + plain
+    assert parse_kb(plain) == parse_kb(commented)
+    assert parse_kb(plain).sha256 != parse_kb(commented).sha256
+    assert parse_kb(plain).sha256 == hashlib.sha256(plain.encode("utf-8")).hexdigest()
 
 
 def test_empty_alias_slots_are_still_skipped():

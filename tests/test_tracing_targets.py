@@ -77,3 +77,30 @@ def test_the_tracer_reads_the_shape_and_names_the_spaces_of_a_built_and_a_loaded
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_the_tracer_sees_one_kb_load_per_command_and_one_index_load_per_search(tmp_path):
+    # the KB is hashed inside cli.load_kb's span and index.tsv read inside cli.load_index's,
+    # so the traced layers still see every read of either file
+    collection = generate(seed=7, n_docs=60)
+    for name, text in (("kb.tsv", collection.kb_text), ("corpus.tsv", collection.corpus_text),
+                       ("queries.tsv", collection.queries_text)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    commands = (
+        (["index", "--corpus", tmp_path / "corpus.tsv", "--index-dir", tmp_path / "idx"], 0),
+        (["search", "--index-dir", tmp_path / "idx", "--queries", tmp_path / "queries.tsv",
+          "--output", tmp_path / "run.txt"], 1),
+    )
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for argv, index_loads in commands:
+            tracer.spans.clear()
+            assert cli.main([argv[0], "--kb", str(tmp_path / "kb.tsv"), *map(str, argv[1:])]) == 0
+            names = [span[tracing.NAME] for span in tracer.spans]
+            assert names.count("kb.load") == 1
+            assert names.count("index.load") == index_loads
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()
